@@ -1,11 +1,15 @@
-"""Benchmark the jitted kernels against the pure-numpy fallback.
+"""Benchmark the network forward plan against per-edge de Boor evaluation.
 
-Times batch spline evaluation and packed-network forward passes on compiled
-networks of increasing size. Run from the repo root:
+Times packed-network forward passes on compiled networks of increasing size:
+the plan forward (`kernels.forward_batch`, affine edges as one matmul per
+layer, other edges in pp form) against a reference that evaluates every edge
+with its own de Boor call. Also times batch evaluation of a single spline
+(numba against numpy when numba is importable). Run from the repo root:
 
-    python3 benchmarks/bench_kernels.py [npoints]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [npoints]
 
-The jitted path is warmed before timing so compilation cost is excluded.
+Plan building is cached per network and excluded from the timings; the jitted
+path is warmed before timing so compilation cost is excluded.
 """
 
 import sys
@@ -34,6 +38,17 @@ def _time(fn, repeats=5):
     return best
 
 
+def deboor_forward(net, X):
+    """Reference forward: one de Boor evaluation per edge over all points."""
+    cur = X
+    for l, edges in enumerate(net.layers):
+        nxt = np.zeros((X.shape[0], net.widths[l + 1]))
+        for e in edges:
+            nxt[:, e.dst] += e.spline.eval_batch(cur[:, e.src])
+        cur = nxt
+    return cur
+
+
 def main(npoints: int) -> None:
     rng = np.random.default_rng(0)
 
@@ -41,36 +56,25 @@ def main(npoints: int) -> None:
     spline = pl_interpolant(np.sin, 0.0, 1.0, 35)
     args = spline._packed_args()
     ts = rng.uniform(0.0, 1.0, npoints)
-    rows = []
     if kernels.HAS_NUMBA:
         kernels.eval_spline_batch(*args, ts[:16])  # warm the jit
         t_jit = _time(lambda: kernels.eval_spline_batch(*args, ts))
+        t_np = _time(lambda: kernels.eval_spline_batch_numpy(*args, ts))
+        print(f"  {'pl sin G=35':24s} numba: {t_jit * 1e3:8.2f} ms  numpy: {t_np * 1e3:8.2f} ms")
     else:
-        t_jit = None
-    t_np = _time(lambda: kernels.eval_spline_batch_numpy(*args, ts))
-    _print_row("pl sin G=35", t_jit, t_np)
+        t_np = _time(lambda: kernels.eval_spline_batch_numpy(*args, ts))
+        print(f"  {'pl sin G=35':24s} numba: n/a       numpy: {t_np * 1e3:8.2f} ms")
 
-    print(f"\npacked network forward, {npoints} points")
+    print(f"\nnetwork forward, {npoints} points")
     for name, expr in CASES:
         net, _ = compile_tree(parse_expression(expr), CompileConfig())
         X = rng.uniform(0.0, 1.0, size=(npoints, net.n_inputs))
-        packed = net.packed()
-        if kernels.HAS_NUMBA:
-            kernels.forward_batch(*packed, X[:16])
-            t_jit = _time(lambda: kernels.forward_batch(*packed, X))
-        else:
-            t_jit = None
-        t_np = _time(lambda: kernels.forward_batch_numpy(*packed, X))
-        _print_row(name, t_jit, t_np)
-
-
-def _print_row(name, t_jit, t_np):
-    if t_jit is None:
-        print(f"  {name:24s} numba: n/a       numpy: {t_np * 1e3:8.2f} ms")
-    else:
+        plan = net.packed()
+        t_plan = _time(lambda: kernels.forward_batch(plan, X))
+        t_ref = _time(lambda: deboor_forward(net, X))
         print(
-            f"  {name:24s} numba: {t_jit * 1e3:8.2f} ms  numpy: {t_np * 1e3:8.2f} ms"
-            f"  speedup: {t_np / t_jit:5.1f}x"
+            f"  {name:24s} plan: {t_plan * 1e3:8.2f} ms  de Boor per edge: {t_ref * 1e3:8.2f} ms"
+            f"  speedup: {t_ref / t_plan:5.1f}x"
         )
 
 

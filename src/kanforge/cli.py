@@ -5,7 +5,7 @@ Exit codes: 0 all certified inequalities hold on measured data; 2 bad input
 expression mismatch between a certificate and its inputs.
 
 KANFORGE_SEED, when set, takes precedence over --seed. KANFORGE_BACKEND
-selects the evaluation kernels (auto | numba | numpy).
+selects the single-spline evaluation backend (auto | numba | numpy).
 """
 
 from __future__ import annotations
@@ -153,6 +153,10 @@ def _write(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
+# tree walks recurse once per nesting level, so very deep expressions exhaust
+# Python's recursion limit; that is reported as bad input
+_TOO_DEEP = "error: expression is nested too deeply (Python recursion limit exceeded)"
+
 def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str = "table",
                 stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
@@ -161,6 +165,9 @@ def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str =
         net, cert = compile_tree(tree, config.compile_config())
     except (ParseError, CompileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(_TOO_DEEP, file=sys.stderr)
         return 2
     prefix = out or "kan"
     _write(f"{prefix}.net.json", serialize(net))
@@ -241,14 +248,19 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
         with open(net_path, encoding="utf-8") as fh:
             net = deserialize(fh.read())
         tree = parse_expression(expr)
+        rendered = render(tree)
     except (OSError, SchemaError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(_TOO_DEEP, file=sys.stderr)
         return 2
     if cert_path:
         try:
             with open(cert_path, encoding="utf-8") as fh:
                 cert = Certificate.from_json(fh.read())
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
+        # ValueError covers invalid JSON; KeyError and TypeError missing or mistyped fields
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"error: bad certificate: {exc}", file=sys.stderr)
             return 2
         import hashlib
@@ -257,10 +269,14 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
         if got != cert.net_sha256:
             print("error: network hash does not match certificate", file=sys.stderr)
             return 4
-        if render(tree) != cert.expr:
+        if rendered != cert.expr:
             print(f"error: expression mismatch: certificate was issued for {cert.expr!r}", file=sys.stderr)
             return 4
-    report = verify_report(tree, net, config)
+    try:
+        report = verify_report(tree, net, config)
+    except RecursionError:
+        print(_TOO_DEEP, file=sys.stderr)
+        return 2
     _emit([report], fmt, stream)
     ok = report["P_ok"] and report["error_ok"] and report["jacobian_ok"] and report["range_ok"] and report["certify_ok"]
     return 0 if ok else 3

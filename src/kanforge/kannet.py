@@ -51,7 +51,7 @@ class KanNetwork:
     widths: tuple[int, ...]
     layers: tuple[tuple[Edge, ...], ...]
     wire_tags: tuple[tuple[str, ...], ...]
-    _packed: tuple = field(init=False, repr=False, default=None)
+    _packed: kernels.NetPlan = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(self.widths))
@@ -87,59 +87,11 @@ class KanNetwork:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    def packed(self):
+    def packed(self) -> kernels.NetPlan:
+        """The network's forward plan, built on first use and cached."""
         if self._packed is None:
-            object.__setattr__(self, "_packed", _pack(self))
+            object.__setattr__(self, "_packed", kernels.build_plan(self.widths, self.layers))
         return self._packed
-
-
-def _pack(net: KanNetwork):
-    esrc, edst, espl = [], [], []
-    lptr = [0]
-    splines: list[Spline] = []
-    for edges in net.layers:
-        for e in edges:
-            esrc.append(e.src)
-            edst.append(e.dst)
-            espl.append(len(splines))
-            splines.append(e.spline)
-        lptr.append(len(esrc))
-    kptr, cptr = [0], [0]
-    knots, coefs = [], []
-    sp_k = np.empty(len(splines), dtype=np.int64)
-    sp_a = np.empty(len(splines))
-    sp_b = np.empty(len(splines))
-    sp_fa = np.empty(len(splines))
-    sp_sa = np.empty(len(splines))
-    sp_fb = np.empty(len(splines))
-    sp_sb = np.empty(len(splines))
-    for i, s in enumerate(splines):
-        T, c, k, a, b, fa, sa, fb, sb = s._packed_args()
-        knots.append(T)
-        coefs.append(c)
-        kptr.append(kptr[-1] + T.size)
-        cptr.append(cptr[-1] + c.size)
-        sp_k[i] = k
-        sp_a[i], sp_b[i] = a, b
-        sp_fa[i], sp_sa[i], sp_fb[i], sp_sb[i] = fa, sa, fb, sb
-    return (
-        np.array(net.widths, dtype=np.int64),
-        np.array(lptr, dtype=np.int64),
-        np.array(esrc, dtype=np.int64),
-        np.array(edst, dtype=np.int64),
-        np.array(espl, dtype=np.int64),
-        sp_k,
-        np.array(kptr, dtype=np.int64),
-        np.concatenate(knots) if knots else np.zeros(0),
-        np.array(cptr, dtype=np.int64),
-        np.concatenate(coefs) if coefs else np.zeros(0),
-        sp_a,
-        sp_b,
-        sp_fa,
-        sp_sa,
-        sp_fb,
-        sp_sb,
-    )
 
 
 def forward(net: KanNetwork, x) -> np.ndarray:
@@ -149,11 +101,11 @@ def forward(net: KanNetwork, x) -> np.ndarray:
 
 
 def forward_batch(net: KanNetwork, X) -> np.ndarray:
-    """Evaluate over an (npoints, n_0) sample matrix via the packed kernels."""
+    """Evaluate over an (npoints, n_0) sample matrix through the network's plan."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.n_inputs:
         raise ValueError(f"expected (npoints, {net.n_inputs}) inputs, got {X.shape}")
-    out, oob = kernels.forward_batch(*net.packed(), X)
+    out, oob = kernels.forward_batch(net.packed(), X)
     if oob:
         from . import spline as _spline
 

@@ -1,30 +1,55 @@
-"""Batch evaluation kernels: numba-jitted hot loops with a pure-numpy fallback.
+"""Batch evaluation kernels: the per-layer network forward plan and de Boor.
 
-The backend is chosen once at import time from the env var KANFORGE_BACKEND:
+Network forward
+---------------
+`build_plan` turns a layered network into one `LayerPlan` per transformation
+layer, splitting the layer's edges by class:
+
+- affine edges (order-1 splines on 2 knots) fold into a dense weight matrix
+  and a bias, evaluated as one matmul. The slope is `(c1 - c0)/(b - a)`, the
+  spline's derivative bit for bit, so identity and negation wires get weight
+  +-1 and bias 0 and stay exact;
+- every other edge becomes rows of one padded piecewise-polynomial (pp)
+  table: one row per segment holding the Taylor coefficients at the
+  segment's left knot (de Boor, A Practical Guide to Splines, ch. VII),
+  framed by one row per side holding the boundary value and slope of the
+  linear continuation outside the domain. Rows are evaluated by Horner's
+  rule and added into their targets.
+
+The segment of a point comes from index arithmetic on uniform grids and from
+`searchsorted` over the distinct knots on any other grid. `forward_batch`
+runs the plan over fixed chunks of CHUNK rows, so its temporaries stay
+bounded for any batch size. Out-of-domain evaluations of every edge class
+are counted and returned, never raised.
+
+Single splines
+--------------
+`eval_spline_batch` is de Boor over an array of points. Its backend is chosen
+once at import time from the env var KANFORGE_BACKEND:
 
     auto   (default) use numba when importable, else numpy
     numba  require numba, fail loudly if missing
     numpy  force the vectorized numpy path
-
-Both paths share the packed array layout produced by kannet: splines live in
-pooled knot/coefficient arrays, edges in flat (src, dst, spline) triples with
-per-layer slices. Out-of-domain evaluations extrapolate linearly with the
-boundary value/slope and are counted (returned, never raised).
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "USE_NUMBA",
     "HAS_NUMBA",
-    "eval_spline_batch",
+    "CHUNK",
+    "KMAX",
+    "LayerPlan",
+    "NetPlan",
+    "build_plan",
     "forward_batch",
+    "eval_spline_batch",
     "eval_spline_batch_numpy",
-    "forward_batch_numpy",
 ]
 
 _CHOICE = os.environ.get("KANFORGE_BACKEND", "auto").lower()
@@ -43,9 +68,15 @@ if _CHOICE in ("auto", "numba"):
 
 USE_NUMBA = HAS_NUMBA and _CHOICE != "numpy"
 
-# work array bound: splines of order >= _KMAX are rejected at pack time
-_KMAX = 16
+# work array bound of the jitted de Boor: splines of order >= KMAX are rejected
+KMAX = 16
 
+# rows per forward chunk: bounds the forward's temporaries at a few MB
+CHUNK = 8192
+
+
+# ---------------------------------------------------------------------------
+# single-spline de Boor
 
 def _eval_one(T, c, k, a, b, fa, sa, fb, sb, t, work):
     # de Boor on a clamped knot vector; linear extrapolation outside [a, b].
@@ -75,7 +106,7 @@ def _eval_one(T, c, k, a, b, fa, sa, fb, sb, t, work):
 
 def _eval_batch(T, c, k, a, b, fa, sa, fb, sb, ts, out):
     oob = 0
-    work = np.empty(_KMAX)
+    work = np.empty(KMAX)
     for m in range(ts.shape[0]):
         val, hit = _eval_one(T, c, k, a, b, fa, sa, fb, sb, ts[m], work)
         out[m] = val
@@ -83,76 +114,24 @@ def _eval_batch(T, c, k, a, b, fa, sa, fb, sb, ts, out):
     return oob
 
 
-def _forward_batch(
-    widths,
-    lptr,
-    esrc,
-    edst,
-    espl,
-    sp_k,
-    sp_kptr,
-    sp_knots,
-    sp_cptr,
-    sp_coefs,
-    sp_a,
-    sp_b,
-    sp_fa,
-    sp_sa,
-    sp_fb,
-    sp_sb,
-    X,
-    out,
-):
-    npts = X.shape[0]
-    L = widths.shape[0] - 1
-    wmax = 0
-    for l in range(widths.shape[0]):
-        if widths[l] > wmax:
-            wmax = widths[l]
-    oob = 0
-    cur = np.empty(wmax)
-    nxt = np.empty(wmax)
-    work = np.empty(_KMAX)
-    for m in range(npts):
-        for i in range(widths[0]):
-            cur[i] = X[m, i]
-        for l in range(L):
-            for j in range(widths[l + 1]):
-                nxt[j] = 0.0
-            for e in range(lptr[l], lptr[l + 1]):
-                s = espl[e]
-                t = cur[esrc[e]]
-                a = sp_a[s]
-                b = sp_b[s]
-                if t < a:
-                    nxt[edst[e]] += sp_fa[s] + sp_sa[s] * (t - a)
-                    oob += 1
-                elif t > b:
-                    nxt[edst[e]] += sp_fb[s] + sp_sb[s] * (t - b)
-                    oob += 1
-                else:
-                    k = sp_k[s]
-                    T = sp_knots[sp_kptr[s] : sp_kptr[s + 1]]
-                    c = sp_coefs[sp_cptr[s] : sp_cptr[s + 1]]
-                    nb = c.shape[0]
-                    if k == 1 and nb == 2:
-                        # single linear piece, same form as the boundary tangent
-                        nxt[edst[e]] += sp_fa[s] + sp_sa[s] * (t - a)
-                    else:
-                        val, _ = _eval_one(T, c, k, a, b, sp_fa[s], sp_sa[s], sp_fb[s], sp_sb[s], t, work)
-                        nxt[edst[e]] += val
-            tmp = cur
-            cur = nxt
-            nxt = tmp
-        for j in range(widths[L]):
-            out[m, j] = cur[j]
-    return oob
-
-
 if USE_NUMBA:
     _eval_one = njit(cache=True)(_eval_one)
     _eval_batch_jit = njit(cache=True)(_eval_batch)
-    _forward_batch_jit = njit(cache=True)(_forward_batch)
+
+
+def _deboor(T, c, k, j, t):
+    """de Boor's recursion at points `t` on knot intervals `j` (T[j] <= t < T[j+1])."""
+    if k == 0:
+        return c[j]
+    d = c[j[:, None] - k + np.arange(k + 1)[None, :]].copy()
+    for r in range(1, k + 1):
+        for i in range(k, r - 1, -1):
+            lo = T[i + j - k]
+            den = T[i + 1 + j - r] - lo
+            safe = np.where(den == 0.0, 1.0, den)
+            alpha = np.where(den == 0.0, 0.0, (t - lo) / safe)
+            d[:, i] = (1.0 - alpha) * d[:, i - 1] + alpha * d[:, i]
+    return d[:, k]
 
 
 def eval_spline_batch_numpy(T, c, k, a, b, fa, sa, fb, sb, ts):
@@ -168,75 +147,16 @@ def eval_spline_batch_numpy(T, c, k, a, b, fa, sa, fb, sb, ts):
     inside = ~(below | above)
     t = ts[inside]
     if t.size:
-        nb = c.shape[0]
         j = np.searchsorted(T, t, side="right") - 1
-        np.clip(j, k, nb - 1, out=j)
-        if k == 0:
-            out[inside] = c[j]
-        else:
-            d = c[j[:, None] - k + np.arange(k + 1)[None, :]].copy()
-            for r in range(1, k + 1):
-                for i in range(k, r - 1, -1):
-                    lo = T[i + j - k]
-                    den = T[i + 1 + j - r] - lo
-                    safe = np.where(den == 0.0, 1.0, den)
-                    alpha = np.where(den == 0.0, 0.0, (t - lo) / safe)
-                    d[:, i] = (1.0 - alpha) * d[:, i - 1] + alpha * d[:, i]
-            out[inside] = d[:, k]
+        np.clip(j, k, c.shape[0] - 1, out=j)
+        out[inside] = _deboor(T, c, k, j, t)
     return out, int(below.sum() + above.sum())
-
-
-def forward_batch_numpy(
-    widths,
-    lptr,
-    esrc,
-    edst,
-    espl,
-    sp_k,
-    sp_kptr,
-    sp_knots,
-    sp_cptr,
-    sp_coefs,
-    sp_a,
-    sp_b,
-    sp_fa,
-    sp_sa,
-    sp_fb,
-    sp_sb,
-    X,
-):
-    """Layerwise forward pass, vectorized over points one edge at a time."""
-    X = np.asarray(X, dtype=np.float64)
-    npts = X.shape[0]
-    L = widths.shape[0] - 1
-    oob = 0
-    cur = X
-    for l in range(L):
-        nxt = np.zeros((npts, widths[l + 1]))
-        for e in range(lptr[l], lptr[l + 1]):
-            s = espl[e]
-            vals, hits = eval_spline_batch_numpy(
-                sp_knots[sp_kptr[s] : sp_kptr[s + 1]],
-                sp_coefs[sp_cptr[s] : sp_cptr[s + 1]],
-                int(sp_k[s]),
-                sp_a[s],
-                sp_b[s],
-                sp_fa[s],
-                sp_sa[s],
-                sp_fb[s],
-                sp_sb[s],
-                cur[:, esrc[e]],
-            )
-            nxt[:, edst[e]] += vals
-            oob += hits
-        cur = nxt
-    return cur, oob
 
 
 def eval_spline_batch(T, c, k, a, b, fa, sa, fb, sb, ts):
     """Backend-dispatching batch spline evaluation. Returns (values, oob_count)."""
-    if k >= _KMAX:
-        raise ValueError(f"spline order {k} exceeds kernel bound {_KMAX - 1}")
+    if k >= KMAX:
+        raise ValueError(f"spline order {k} exceeds kernel bound {KMAX - 1}")
     if USE_NUMBA:
         ts = np.ascontiguousarray(ts, dtype=np.float64)
         out = np.empty_like(ts)
@@ -245,35 +165,218 @@ def eval_spline_batch(T, c, k, a, b, fa, sa, fb, sb, ts):
     return eval_spline_batch_numpy(T, c, k, a, b, fa, sa, fb, sb, ts)
 
 
-def forward_batch(
-    widths,
-    lptr,
-    esrc,
-    edst,
-    espl,
-    sp_k,
-    sp_kptr,
-    sp_knots,
-    sp_cptr,
-    sp_coefs,
-    sp_a,
-    sp_b,
-    sp_fa,
-    sp_sa,
-    sp_fb,
-    sp_sb,
-    X,
-):
-    """Backend-dispatching packed-network forward. Returns (outputs, oob_count)."""
-    if USE_NUMBA:
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        out = np.empty((X.shape[0], int(widths[-1])))
-        oob = _forward_batch_jit(
-            widths, lptr, esrc, edst, espl, sp_k, sp_kptr, sp_knots, sp_cptr,
-            sp_coefs, sp_a, sp_b, sp_fa, sp_sa, sp_fb, sp_sb, X, out,
-        )
-        return out, int(oob)
-    return forward_batch_numpy(
-        widths, lptr, esrc, edst, espl, sp_k, sp_kptr, sp_knots, sp_cptr,
-        sp_coefs, sp_a, sp_b, sp_fa, sp_sa, sp_fb, sp_sb, X,
+# ---------------------------------------------------------------------------
+# network forward plan
+
+@dataclass(frozen=True, eq=False)
+class LayerPlan:
+    """One transformation layer, split into its affine part and its pp part.
+
+    Activations are feature-major, (width, rows), so that per-neuron and
+    per-edge parameters broadcast as (n, 1) columns along contiguous rows.
+    """
+
+    width_out: int
+    # affine edges: weight @ x + bias; weight is None without affine edges
+    weight: np.ndarray | None  # (w_out, w_in)
+    bias: np.ndarray           # (w_out, 1)
+    aff_src: np.ndarray        # (E_a,) source neuron of each affine edge
+    aff_lo: np.ndarray         # (E_a, 1) domain ends, for out-of-domain counting
+    aff_hi: np.ndarray
+    # pp edges, one row of activations per edge
+    pp_src: np.ndarray         # (E_p,) source neuron
+    pp_lo: np.ndarray          # (E_p, 1) domain ends
+    pp_hi: np.ndarray
+    pp_scale: np.ndarray       # (E_p, 1) (G-1)/(b-a) on uniform grids, 0 on others
+    pp_shift: np.ndarray       # (E_p, 1) first - a*scale: t*scale + shift is the table row
+    pp_first: np.ndarray       # (E_p, 1) table row of the first segment, as float
+    pp_last: np.ndarray        # (E_p, 1) table row of the last segment, as float
+    pp_below: np.ndarray       # (E_p, 1) table row continuing below the domain
+    pp_above: np.ndarray       # (E_p, 1) table row continuing above the domain
+    pp_searched: tuple         # (edge, distinct knots, first row) per non-uniform grid
+    pp_left: np.ndarray        # (R,) left end of each table row
+    pp_coef: np.ndarray        # (K+1, R) Taylor coefficients, highest power first
+    pp_dst: tuple[int, ...]    # target neuron of each edge
+    # per source neuron: the tightest domain over its outgoing edges; a chunk
+    # whose values all lie inside it has no out-of-domain hit in this layer
+    src_lo: np.ndarray         # (w_in, 1) max lower end (-inf without edges)
+    src_hi: np.ndarray         # (w_in, 1) min upper end (+inf without edges)
+
+
+@dataclass(frozen=True, eq=False)
+class NetPlan:
+    widths: tuple[int, ...]
+    layers: tuple[LayerPlan, ...]
+
+
+def _is_affine(s) -> bool:
+    return s.order == 1 and s.knots.size == 2
+
+
+def _taylor_rows(s, K: int) -> np.ndarray:
+    """pp table rows of one spline: (K+1, G+1) Taylor coefficients, highest
+    power first. Column 0 continues below the domain, columns 1..G-1 are the
+    segments at their left knots, column G continues above the domain."""
+    k, T, c, knots = s.order, s._T, s.coefs, s.knots
+    nseg = knots.size - 1
+    fa, sa, fb, sb = s._boundary
+    coef = np.zeros((K + 1, nseg + 2))
+    r = np.arange(nseg)
+    fact = 1.0
+    for m in range(k + 1):
+        q = k - m
+        if m:
+            # derivative of the order-(q+1) spline: order q on the inner knot vector
+            p = q + 1
+            c = p * (c[1:] - c[:-1]) / (T[p + 1 : p + c.size] - T[1 : c.size])
+            T = T[1:-1]
+            fact *= m
+        coef[K - m, 1:-1] = _deboor(T, c, q, r + q, knots[:-1]) / fact
+    coef[K, 0], coef[K, -1] = fa, fb
+    if K >= 1:
+        coef[K - 1, 0], coef[K - 1, -1] = sa, sb
+    return coef
+
+
+def _col(values) -> np.ndarray:
+    return np.array(values, dtype=np.float64).reshape(-1, 1)
+
+
+def _layer_plan(w_in: int, w_out: int, edges) -> LayerPlan:
+    affine = [e for e in edges if _is_affine(e.spline)]
+    curved = [e for e in edges if not _is_affine(e.spline)]
+    src_lo = np.full((w_in, 1), -np.inf)
+    src_hi = np.full((w_in, 1), np.inf)
+    for e in edges:
+        a, b = e.spline.domain
+        src_lo[e.src] = max(src_lo[e.src, 0], a)
+        src_hi[e.src] = min(src_hi[e.src, 0], b)
+
+    weight = None
+    bias = np.zeros((w_out, 1))
+    if affine:
+        weight = np.zeros((w_out, w_in))
+        for e in affine:
+            a, _ = e.spline.domain
+            fa, sa, _, _ = e.spline._boundary
+            weight[e.dst, e.src] = sa
+            bias[e.dst] += fa - sa * a
+
+    K = max((e.spline.order for e in curved), default=0)
+    tables, left, searched = [], [], []
+    first, nseg, scale = [], [], []
+    rows = 0
+    for i, e in enumerate(curved):
+        s = e.spline
+        a, b = s.domain
+        G = s.knots.size
+        tables.append(_taylor_rows(s, K))
+        left.append(np.concatenate([s.knots[:1], s.knots[:-1], s.knots[-1:]]))
+        first.append(rows + 1)
+        nseg.append(G - 1)
+        # order 0 is discontinuous at its knots, so it always takes the exact lookup
+        if s.order >= 1 and np.array_equal(s.knots, np.linspace(a, b, G)):
+            scale.append((G - 1) / (b - a))
+        else:
+            scale.append(0.0)
+            searched.append((i, s.knots, rows + 1))
+        rows += G + 1
+    lo = _col([e.spline.domain[0] for e in curved])
+    first_row = _col(first)
+    last_row = first_row + _col(nseg) - 1
+    return LayerPlan(
+        width_out=w_out,
+        weight=weight,
+        bias=bias,
+        aff_src=np.array([e.src for e in affine], dtype=np.intp),
+        aff_lo=_col([e.spline.domain[0] for e in affine]),
+        aff_hi=_col([e.spline.domain[1] for e in affine]),
+        pp_src=np.array([e.src for e in curved], dtype=np.intp),
+        pp_lo=lo,
+        pp_hi=_col([e.spline.domain[1] for e in curved]),
+        pp_scale=_col(scale),
+        pp_shift=first_row - lo * _col(scale),
+        pp_first=first_row,
+        pp_last=last_row,
+        pp_below=(first_row - 1).astype(np.intp),
+        pp_above=(last_row + 1).astype(np.intp),
+        pp_searched=tuple(searched),
+        pp_left=np.concatenate(left) if left else np.zeros(0),
+        pp_coef=np.concatenate(tables, axis=1) if tables else np.zeros((1, 0)),
+        pp_dst=tuple(e.dst for e in curved),
+        src_lo=src_lo,
+        src_hi=src_hi,
     )
+
+
+def build_plan(widths, layers) -> NetPlan:
+    """Forward plan of a network: `layers[l]` holds the edges (objects with
+    `src`, `dst`, `spline`) from boundary l to boundary l + 1."""
+    widths = tuple(int(w) for w in widths)
+    return NetPlan(
+        widths=widths,
+        layers=tuple(
+            _layer_plan(widths[l], widths[l + 1], edges) for l, edges in enumerate(layers)
+        ),
+    )
+
+
+def _layer_forward(lp: LayerPlan, cur: np.ndarray) -> tuple[np.ndarray, int]:
+    """One layer on feature-major activations; returns (next activations, oob)."""
+    oob = 0
+    hits = bool((cur < lp.src_lo).any() or (cur > lp.src_hi).any())
+    if lp.weight is None:
+        out = np.zeros((lp.width_out, cur.shape[1]))
+    else:
+        out = lp.weight @ cur
+        out += lp.bias
+        if hits:
+            t = cur[lp.aff_src]
+            oob += int(np.count_nonzero(t < lp.aff_lo) + np.count_nonzero(t > lp.aff_hi))
+    if not lp.pp_dst:
+        return out, oob
+    t = cur[lp.pp_src]
+    # table row by index arithmetic, first + floor((t - a)(G-1)/(b-a)) clipped
+    # to the edge's segments; truncation is floor once u >= first
+    u = t * lp.pp_scale
+    u += lp.pp_shift
+    # fmax/fmin, unlike clip, send NaN to a valid row
+    np.fmax(u, lp.pp_first, out=u)
+    np.fmin(u, lp.pp_last, out=u)
+    row = u.astype(np.intp)
+    for i, knots, first in lp.pp_searched:
+        seg = np.searchsorted(knots, t[i], side="right") - 1
+        row[i] = np.clip(seg, 0, knots.size - 2) + first
+    if hits:
+        below = t < lp.pp_lo
+        above = t > lp.pp_hi
+        oob += int(np.count_nonzero(below) + np.count_nonzero(above))
+        row = np.where(below, lp.pp_below, np.where(above, lp.pp_above, row))
+    val = lp.pp_coef[0][row]
+    if len(lp.pp_coef) > 1:
+        dt = t - lp.pp_left[row]
+        for coef in lp.pp_coef[1:]:
+            val *= dt
+            val += coef[row]
+    # one in-place row add per edge: at these widths a 0/1 scatter matmul costs
+    # several times more, and row adds sum in edge order for any batch size
+    for i, d in enumerate(lp.pp_dst):
+        out[d] += val[i]
+    return out, oob
+
+
+def forward_batch(plan: NetPlan, X) -> tuple[np.ndarray, int]:
+    """Network forward over an (npoints, n_0) matrix, CHUNK rows at a time.
+
+    Returns (outputs, out_of_domain_count).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty((X.shape[0], plan.widths[-1]))
+    oob = 0
+    for start in range(0, X.shape[0], CHUNK):
+        cur = np.ascontiguousarray(X[start : start + CHUNK].T)
+        for lp in plan.layers:
+            cur, hits = _layer_forward(lp, cur)
+            oob += hits
+        out[start : start + CHUNK] = cur.T
+    return out, oob

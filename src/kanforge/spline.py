@@ -75,12 +75,14 @@ class Spline:
     knots: np.ndarray
     coefs: np.ndarray
     _T: np.ndarray = field(init=False, repr=False)
+    # boundary value/slope (fa, sa, fb, sb) for linear continuation outside the domain
+    _boundary: tuple[float, float, float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=np.float64)
         coefs = np.asarray(self.coefs, dtype=np.float64)
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
+        if not 0 <= self.order < kernels.KMAX:
+            raise ValueError(f"order must be in [0, {kernels.KMAX - 1}]")
         if knots.ndim != 1 or knots.size < 2 or not np.all(np.diff(knots) > 0):
             raise ValueError("knots must be >= 2 strictly increasing grid points")
         expected = knots.size + self.order - 1
@@ -90,7 +92,16 @@ class Spline:
             raise ValueError("non-finite coefficient")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "coefs", coefs)
-        object.__setattr__(self, "_T", _clamped(knots, self.order))
+        T = _clamped(knots, self.order)
+        object.__setattr__(self, "_T", T)
+        k, c, nb = self.order, coefs, coefs.size
+        if k == 0:
+            sa = sb = 0.0
+        else:
+            # the first and last coefficients of derivative(), in the same arithmetic
+            sa = float(k * (c[1] - c[0]) / (T[k + 1] - T[1]))
+            sb = float(k * (c[nb - 1] - c[nb - 2]) / (T[nb - 1 + k] - T[nb - 1]))
+        object.__setattr__(self, "_boundary", (float(c[0]), sa, float(c[-1]), sb))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -99,15 +110,6 @@ class Spline:
     @property
     def grid_points(self) -> int:
         return int(self.knots.size)
-
-    # boundary value/slope used for linear continuation outside the domain
-    def _boundary(self) -> tuple[float, float, float, float]:
-        fa = float(self.coefs[0])
-        fb = float(self.coefs[-1])
-        if self.order == 0:
-            return fa, 0.0, fb, 0.0
-        d = self.derivative()
-        return fa, float(d.coefs[0]), fb, float(d.coefs[-1])
 
     def derivative(self) -> "Spline":
         """Derivative spline (order k-1 on the same grid). Requires k >= 1."""
@@ -131,7 +133,7 @@ class Spline:
 
     def _packed_args(self):
         a, b = self.domain
-        fa, sa, fb, sb = self._boundary()
+        fa, sa, fb, sb = self._boundary
         return self._T, self.coefs, self.order, a, b, fa, sa, fb, sb
 
     def to_dict(self) -> dict:

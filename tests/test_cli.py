@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from kanforge.cli import (
     RunConfig,
     balanced_additive_tree,
@@ -44,6 +46,17 @@ class TestCompileCommand:
         rc = main(["compile", "-e", "x1", "--grid", "1", "-o", str(tmp_path / "k")])
         assert rc == 2
 
+    @pytest.mark.parametrize("expr", [
+        "+".join(["x1"] * 1500),
+        "(" * 1200 + "x1" + ")" * 1200,
+        "sin(" * 400 + "x1" + ")" * 400,
+    ], ids=["sum-1500", "parens-1200", "sin-400"])
+    def test_deep_expression_exit_2(self, tmp_path, capsys, expr):
+        rc = main(["compile", "-e", expr, "--samples", "100", "-o", str(tmp_path / "k")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_verify_round_trip(self, tmp_path):
@@ -85,6 +98,33 @@ class TestVerifyCommand:
 
     def test_missing_net_file(self, capsys):
         assert cmd_verify("/nonexistent.json", "x1", FAST) == 2
+
+    @pytest.mark.parametrize("field, value", [("per_node", 5), ("config", None)])
+    def test_malformed_cert_field_exit_2(self, tmp_path, capsys, field, value):
+        prefix = tmp_path / "kan"
+        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        doc = json.loads((tmp_path / "kan.cert.json").read_text())
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        (tmp_path / "bad.cert.json").write_text(json.dumps(doc))
+        rc = cmd_verify(str(prefix) + ".net.json", "x1*x2", FAST,
+                        cert_path=str(tmp_path / "bad.cert.json"), fmt="json", stream=io.StringIO())
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: bad certificate")
+
+    @pytest.mark.parametrize("terms", [500, 1500])
+    def test_deep_expression_exit_2(self, tmp_path, capsys, terms):
+        # 1500 terms exhaust the recursion limit while rendering, 500 while certifying
+        prefix = tmp_path / "kan"
+        cmd_compile("x1", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        capsys.readouterr()
+        rc = cmd_verify(str(prefix) + ".net.json", "+".join(["x1"] * terms), FAST,
+                        fmt="json", stream=io.StringIO())
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTableProducts:

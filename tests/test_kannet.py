@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from kanforge.compiler import CompileConfig, compile_tree
-from kanforge.exprtree import parse_expression
+from kanforge import kernels, spline
+from kanforge.cli import random_tree
+from kanforge.compiler import CompileConfig, compile_on_box, compile_tree
+from kanforge.exprtree import parse_expression, tree_stats
 from kanforge.kannet import (
     Edge,
     KanNetwork,
@@ -18,7 +20,8 @@ from kanforge.kannet import (
     lipschitz_product,
     serialize,
 )
-from kanforge.spline import line_spline, spline_lipschitz
+from kanforge.rangecert import affine_box
+from kanforge.spline import Spline, line_spline, spline_lipschitz
 
 CFG = CompileConfig(grid=35, order=3)
 CFG_FAITHFUL = CompileConfig(grid=35, order=3, faithful_widths=True)
@@ -56,6 +59,89 @@ class TestForward:
         batch = forward_batch(net, X)[:, 0]
         single = [forward(net, x)[0] for x in X]
         np.testing.assert_array_equal(batch, single)
+
+
+def _deboor_forward(net, X):
+    """Reference forward: every edge through its own de Boor evaluation."""
+    cur = np.asarray(X, dtype=np.float64)
+    for l, edges in enumerate(net.layers):
+        nxt = np.zeros((cur.shape[0], net.widths[l + 1]))
+        for e in edges:
+            nxt[:, e.dst] += e.spline.eval_batch(cur[:, e.src])
+        cur = nxt
+    return cur
+
+
+def _oob_of(fn, *args):
+    spline.reset_oob_hits()
+    out = fn(*args)
+    return out, spline.oob_hits()
+
+
+class TestPlanForward:
+    """The plan forward against the per-edge de Boor reference and scipy."""
+
+    def _check(self, net, rng):
+        X = rng.uniform(-0.05, 1.05, size=(400, net.n_inputs))
+        np.testing.assert_allclose(forward_batch(net, X), _deboor_forward(net, X), rtol=0, atol=1e-12)
+
+    def test_random_trees_both_modes(self, rng):
+        for _ in range(40):
+            tree = random_tree(rng, 5)
+            for cfg in (CFG, CFG_FAITHFUL):
+                net, _ = compile_tree(tree, cfg)
+                self._check(net, rng)
+
+    def test_fanout(self, rng):
+        for expr in ("x1*x1", "sin(x1*x1)+x1", "relu(x2-x1)*relu(x2-x1)"):
+            net, _ = compile_tree(parse_expression(expr), CFG)
+            self._check(net, rng)
+
+    def test_compile_on_box(self, rng):
+        for _ in range(10):
+            tree = random_tree(rng, 4)
+            n = tree_stats(tree).n
+            box = affine_box([(-1.0 + 0.5 * p, 1.0 + p) for p in range(n)])
+            net, _ = compile_on_box(tree, box, CFG)
+            self._check(net, rng)
+
+    def test_every_order_against_scipy(self, rng):
+        BSpline = pytest.importorskip("scipy.interpolate").BSpline
+        hinge = np.array([-0.3, 0.0, 0.9])
+        edges = [
+            Edge(0, 0, Spline(0, np.array([-1.0, -0.2, 0.5, 2.0]), rng.normal(size=3))),
+            Edge(0, 1, Spline(1, hinge, np.array([0.0, 0.0, 0.9]))),
+            Edge(0, 2, Spline(2, np.linspace(0.0, 1.0, 5), rng.normal(size=6))),
+            Edge(1, 2, Spline(3, np.array([-0.5, 0.1, 0.2, 0.7, 1.5]), rng.normal(size=7))),
+            Edge(1, 3, line_spline(0.25, 0.75, 1.0, -2.0)),
+            Edge(1, 0, Spline(3, np.linspace(-0.2, 1.2, 9), rng.normal(size=11))),
+        ]
+        net = KanNetwork(widths=(2, 4), layers=(tuple(edges),),
+                         wire_tags=(("x1", "x2"), tuple(f"node{j}" for j in range(4))))
+        X = rng.uniform(-1.5, 2.5, size=(3000, 2))
+        # every knot of every edge, hit exactly
+        knots = np.concatenate([e.spline.knots for e in edges])
+        X = np.vstack([X, np.column_stack([knots, knots])])
+        got, got_oob = _oob_of(forward_batch, net, X)
+        ref, ref_oob = _oob_of(_deboor_forward, net, X)
+        assert got_oob == ref_oob > 0
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        for e in edges:
+            s = e.spline
+            a, b = s.domain
+            t = X[:, e.src]
+            inside = (t >= a) & (t <= b)
+            mine = forward_batch(_single_edge_net(s), t[inside, None])[:, 0]
+            want = BSpline(s._T, s.coefs, s.order)(t[inside])
+            # the order-0 edge jumps at its knots; both sides take the right-hand piece
+            np.testing.assert_allclose(mine, want, rtol=0, atol=1e-12)
+
+    def test_chunked_rows_match_row_slices(self, rng):
+        net, _ = compile_tree(parse_expression("sin((x1+x2)*x3)*relu(x1-x2)"), CFG)
+        X = rng.uniform(-0.05, 1.05, size=(3 * kernels.CHUNK + 7, net.n_inputs))
+        cuts = [0, 5, kernels.CHUNK + 1, 2 * kernels.CHUNK, 3 * kernels.CHUNK + 3, len(X)]
+        parts = [forward_batch(net, X[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(forward_batch(net, X), np.vstack(parts))
 
 
 class TestLipschitzProduct:
@@ -175,6 +261,16 @@ class TestSerialization:
     def test_bad_format_rejected(self):
         with pytest.raises(SchemaError):
             deserialize(json.dumps({"format": "other/9", "widths": [1, 1], "layers": [], "wire_tags": []}))
+
+    def test_order_beyond_kernel_bound_rejected(self):
+        net, _ = compile_tree(parse_expression("x1"), CFG)
+        doc = json.loads(serialize(net))
+        sp = doc["layers"][0]["edges"][0]["spline"]
+        sp["order"] = kernels.KMAX
+        sp["coefficients"] = [0.0] * (len(sp["knots"]) + kernels.KMAX - 1)
+        with pytest.raises(SchemaError) as exc:
+            deserialize(json.dumps(doc))
+        assert "spline" in exc.value.path
 
     def test_bad_spline_rejected_with_path(self):
         net, _ = compile_tree(parse_expression("x1"), CFG)
