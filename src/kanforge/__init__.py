@@ -15,9 +15,11 @@ from .compiler import (
     CompileError,
     build_schedule,
     certify,
+    check_certificate,
     compile_on_box,
     compile_tree,
     dead_wire_elimination,
+    recompute_certificate,
 )
 from .exprtree import (
     CompTree,

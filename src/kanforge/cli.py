@@ -25,8 +25,10 @@ from .compiler import (
     CompileConfig,
     CompileError,
     certify,
+    check_certificate,
     compile_tree,
     measured_sup_error,
+    recompute_certificate,
 )
 from .exprtree import CompTree, Leaf, Node, OpKind, ParseError, parse_expression, render, tree_stats
 from .kannet import (
@@ -193,7 +195,7 @@ def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str =
     ]
     _emit(rows, fmt, stream)
     try:
-        certify(tree, net, config.compile_config(), samples=config.samples, seed=config.seed)
+        check_certificate(tree, net, cert, config.samples, config.seed)
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 3
@@ -202,20 +204,18 @@ def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str =
 
 def verify_report(tree: CompTree, net: KanNetwork, config: RunConfig) -> dict:
     """Measured-vs-certified comparison for an already compiled network."""
-    cert = None
+    cert = recompute_certificate(tree, net, config.compile_config())
     try:
-        cert = certify(tree, net, config.compile_config(), samples=config.samples, seed=config.seed)
+        err = check_certificate(tree, net, cert, config.samples, config.seed)
         cert_ok = True
         cert_msg = ""
     except CertificationError as exc:
         cert_ok = False
         cert_msg = str(exc)
-        from .compiler import _build_blocks, _certificate  # recomputed bounds for the report
-
-        ann = annotate_ranges(tree)
-        cert = _certificate(tree, net, config.compile_config(), ann, _build_blocks(ann, config.grid))
+        err = exc.sup_error
+        if err is None:  # an earlier inequality failed before the error was measured
+            err = measured_sup_error(tree, net, config.samples, config.seed)
     report = lipschitz_product(net)
-    err = measured_sup_error(tree, net, config.samples, config.seed)
     ranges = verify_ranges_numerically(tree, min(config.samples, 200_000), config.seed)
     rng = np.random.default_rng(config.seed)
     n = net.n_inputs

@@ -39,7 +39,7 @@ from .rangecert import (
     apply_affine,
     lip_budget,
 )
-from .spline import line_spline
+from .spline import Spline, line_spline
 
 __all__ = [
     "CompileConfig",
@@ -51,6 +51,8 @@ __all__ = [
     "compile_tree",
     "compile_on_box",
     "dead_wire_elimination",
+    "recompute_certificate",
+    "check_certificate",
     "certify",
 ]
 
@@ -71,7 +73,15 @@ class CompileError(ValueError):
 
 
 class CertificationError(ValueError):
-    """A certified inequality failed; the message names it."""
+    """A certified inequality failed; the message names it.
+
+    `sup_error` is the measured sampled error when the failing check came
+    after its measurement, else None.
+    """
+
+    def __init__(self, message: str, sup_error: float | None = None):
+        super().__init__(message)
+        self.sup_error = sup_error
 
 
 @dataclass(frozen=True)
@@ -246,6 +256,24 @@ def _build_blocks(ann: AnnotatedTree, G: int) -> dict[int, Block]:
     return blocks
 
 
+def _identity_wires():
+    """Identity-wire factory sharing one spline per distinct interval.
+
+    The key is the exact bit pattern of both endpoints, so [-0.0, b] and
+    [0.0, b] (equal as floats, different in the JSON) get separate splines.
+    """
+    cache: dict[tuple[str, str], Spline] = {}
+
+    def wire(iv: Interval) -> Spline:
+        key = (iv.lo.hex(), iv.hi.hex())
+        spl = cache.get(key)
+        if spl is None:
+            spl = cache[key] = line_spline(iv.lo, iv.hi, iv.lo, iv.hi)
+        return spl
+
+    return wire
+
+
 def _leaf_network(tree: Leaf, n: int) -> KanNetwork:
     # base case: single identity layer reading the one live coordinate
     edge = Edge(tree.coord - 1, 0, line_spline(0.0, 1.0, 0.0, 1.0))
@@ -265,6 +293,7 @@ def _build_faithful(
         return _leaf_network(tree, n)
 
     unit = Interval(0.0, 1.0)
+    identity = _identity_wires()
     input_wires: list[tuple[WireKey, Interval, str]] = [
         (("input", p), ann.leaf_ranges.get(p, unit), f"x{p}") for p in range(1, n + 1)
     ]
@@ -292,14 +321,11 @@ def _build_faithful(
             src_pos = pos[src_key]
             src_iv = cur[src_pos][1]
             new_wires = list(input_wires) + list(live)
-            edges = [
-                Edge(pos[w[0]], i, line_spline(w[1].lo, w[1].hi, w[1].lo, w[1].hi))
-                for i, w in enumerate(new_wires)
-            ]
+            edges = [Edge(pos[w[0]], i, identity(w[1])) for i, w in enumerate(new_wires)]
             copies = []
             for j in range(2):
                 cp = (None, src_iv, f"copy{entry.node_id}.{j}")
-                edges.append(Edge(src_pos, len(new_wires) + j, line_spline(src_iv.lo, src_iv.hi, src_iv.lo, src_iv.hi)))
+                edges.append(Edge(src_pos, len(new_wires) + j, identity(src_iv)))
                 copies.append(cp)
             arg_pos = [len(new_wires), len(new_wires) + 1]
             emit(new_wires + copies, edges)
@@ -334,10 +360,7 @@ def _build_faithful(
                 new_wires = forwarded + outs
                 base = len(forwarded)
                 fwd_offset = 0
-            edges = [
-                Edge(pos[w[0]], fwd_offset + i, line_spline(w[1].lo, w[1].hi, w[1].lo, w[1].hi))
-                for i, w in enumerate(forwarded)
-            ]
+            edges = [Edge(pos[w[0]], fwd_offset + i, identity(w[1])) for i, w in enumerate(forwarded)]
             for src_local, dst_local, spl in blayer.edges:
                 edges.append(Edge(src_of[src_local], base + dst_local, spl))
             emit(new_wires, edges)
@@ -347,18 +370,13 @@ def _build_faithful(
     return KanNetwork(widths=tuple(widths), layers=tuple(layers), wire_tags=tuple(wire_tags))
 
 
-def dead_wire_elimination(
-    net: KanNetwork,
-    schedule: tuple[ScheduleEntry, ...] | None = None,
-    outputs: set[int] | None = None,
-) -> KanNetwork:
+def dead_wire_elimination(net: KanNetwork, outputs: set[int] | None = None) -> KanNetwork:
     """Drop forwarded wires with no downstream consumer; outputs unchanged.
 
     `outputs` names the final-boundary neurons to preserve (default: all of
     them). The input boundary keeps all coordinates (n_0 = n is part of the
     network contract); interior neurons survive only if some kept neuron
-    downstream reads them. `schedule` is accepted for interface symmetry with
-    the builder; the backward liveness pass does not need it.
+    downstream reads them.
     """
     L = net.n_layers
     keep: list[set[int]] = [set() for _ in range(L + 1)]
@@ -441,7 +459,7 @@ def compile_tree(tree: CompTree, config: CompileConfig = CompileConfig()) -> tup
     blocks = _build_blocks(ann, config.grid)
     net = _build_faithful(tree, ann, schedule, blocks)
     if not config.faithful_widths and not isinstance(tree, Leaf):
-        net = dead_wire_elimination(net, schedule, outputs={0})
+        net = dead_wire_elimination(net, outputs={0})
     return net, _certificate(tree, net, config, ann, blocks)
 
 
@@ -449,6 +467,19 @@ def _unsupported(tree: CompTree):
     from .exprtree import validate_opset
 
     return validate_opset(tree, set(BLOCK_DEPTH))
+
+
+def _on_box(cert: Certificate, box: AffineBox) -> Certificate:
+    # bounds for a network behind the box pre-layer (see compile_on_box)
+    mu = box.lip_h_inv
+    factor = max(mu, 1.0)
+    return replace(
+        cert,
+        p_bound=cert.p_bound * factor,
+        p_simplified=cert.p_simplified * factor,
+        box=tuple((iv.lo, iv.hi) for iv in box.intervals),
+        box_factor=mu,
+    )
 
 
 def compile_on_box(
@@ -473,17 +504,7 @@ def compile_on_box(
         layers=(pre,) + net0.layers,
         wire_tags=(tuple(f"box:x{p}" for p in range(1, n + 1)),) + net0.wire_tags,
     )
-    mu = box.lip_h_inv
-    factor = max(mu, 1.0)
-    cert = replace(
-        cert0,
-        widths=net.widths,
-        p_bound=cert0.p_bound * factor,
-        p_simplified=cert0.p_simplified * factor,
-        net_sha256=_net_hash(net),
-        box=tuple((iv.lo, iv.hi) for iv in box.intervals),
-        box_factor=mu,
-    )
+    cert = _on_box(replace(cert0, widths=net.widths, net_sha256=_net_hash(net)), box)
     return net, cert
 
 
@@ -506,32 +527,36 @@ def measured_sup_error(
     return float(np.max(np.abs(truth - got)))
 
 
-def certify(
+def recompute_certificate(
     tree: CompTree,
     net: KanNetwork,
     config: CompileConfig = CompileConfig(),
-    samples: int = 100_000,
-    seed: int = 42,
     box: AffineBox | None = None,
 ) -> Certificate:
-    """Recompute every bound from first principles and cross-check the network.
+    """The certificate of `net` rederived from the tree: ranges, blocks, budget.
 
-    Raises CertificationError naming the violated inequality. On success the
-    recomputed certificate is returned.
+    Uses the same deterministic steps as `compile_tree` (and `compile_on_box`
+    when `box` is given), so for a compiled network it equals the certificate
+    the compiler issued.
     """
     ann = annotate_ranges(tree)
-    blocks = _build_blocks(ann, config.grid)
-    cert = _certificate(tree, net, config, ann, blocks)
-    if box is not None:
-        mu = box.lip_h_inv
-        factor = max(mu, 1.0)
-        cert = replace(
-            cert,
-            p_bound=cert.p_bound * factor,
-            p_simplified=cert.p_simplified * factor,
-            box=tuple((iv.lo, iv.hi) for iv in box.intervals),
-            box_factor=mu,
-        )
+    cert = _certificate(tree, net, config, ann, _build_blocks(ann, config.grid))
+    return _on_box(cert, box) if box is not None else cert
+
+
+def check_certificate(
+    tree: CompTree,
+    net: KanNetwork,
+    cert: Certificate,
+    samples: int,
+    seed: int,
+    box: AffineBox | None = None,
+) -> float:
+    """Cross-check `net` against every inequality `cert` states.
+
+    Raises CertificationError naming the first violated inequality; on
+    success returns the measured sampled sup error.
+    """
     stats = tree_stats(tree)
     if net.n_inputs != stats.n:
         raise CertificationError(f"n_0 = n violated: n_0={net.n_inputs}, n={stats.n}")
@@ -558,6 +583,25 @@ def certify(
     err = measured_sup_error(tree, net, samples, seed, box=box)
     if err > cert.error_bound + _ERROR_SLACK:
         raise CertificationError(
-            f"sup error <= error_bound violated: measured {err!r} > bound {cert.error_bound!r}"
+            f"sup error <= error_bound violated: measured {err!r} > bound {cert.error_bound!r}",
+            sup_error=err,
         )
+    return err
+
+
+def certify(
+    tree: CompTree,
+    net: KanNetwork,
+    config: CompileConfig = CompileConfig(),
+    samples: int = 100_000,
+    seed: int = 42,
+    box: AffineBox | None = None,
+) -> Certificate:
+    """Recompute every bound from first principles and cross-check the network.
+
+    Raises CertificationError naming the violated inequality. On success the
+    recomputed certificate is returned.
+    """
+    cert = recompute_certificate(tree, net, config, box)
+    check_certificate(tree, net, cert, samples, seed, box)
     return cert

@@ -52,6 +52,7 @@ class KanNetwork:
     layers: tuple[tuple[Edge, ...], ...]
     wire_tags: tuple[tuple[str, ...], ...]
     _packed: kernels.NetPlan = field(init=False, repr=False, default=None)
+    _json: str = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(self.widths))
@@ -182,21 +183,51 @@ class SchemaError(ValueError):
 
 
 def serialize(net: KanNetwork) -> str:
-    doc = {
-        "format": FORMAT,
-        "widths": list(net.widths),
-        "layers": [
-            {
-                "edges": [
-                    {"from": e.src, "to": e.dst, "spline": e.spline.to_dict()}
-                    for e in edges
-                ]
-            }
-            for edges in net.layers
-        ],
-        "wire_tags": [list(tags) for tags in net.wire_tags],
-    }
-    return json.dumps(doc, indent=2)
+    """The network's JSON text, built on first use and cached on the network."""
+    if net._json is None:
+        object.__setattr__(net, "_json", _to_json(net))
+    return net._json
+
+
+def _to_json(net: KanNetwork) -> str:
+    """`json.dumps(doc, indent=2)` of the network document, assembled by hand.
+
+    A value nested d levels deep prints as its own indent=2 dump with 2*d more
+    spaces after each newline. So every distinct spline is dumped once (the
+    compiler shares identity-wire splines across edges) and the fixed edge,
+    layer and document skeleton around them is spelled out.
+    """
+    bodies: dict[int, str] = {}
+    layers = []
+    for edges in net.layers:
+        items = []
+        for e in edges:
+            body = bodies.get(id(e.spline))
+            if body is None:
+                body = bodies[id(e.spline)] = _nested(e.spline.to_dict(), 5)
+            items.append(
+                f'{{\n          "from": {e.src},\n          "to": {e.dst},\n          "spline": {body}\n        }}'
+            )
+        layers.append('{\n      "edges": ' + _nested_list(items, 3) + "\n    }")
+    return (
+        '{\n  "format": ' + _nested(FORMAT, 1)
+        + ',\n  "widths": ' + _nested(list(net.widths), 1)
+        + ',\n  "layers": ' + _nested_list(layers, 1)
+        + ',\n  "wire_tags": ' + _nested([list(tags) for tags in net.wire_tags], 1)
+        + "\n}"
+    )
+
+
+def _nested(value, depth: int) -> str:
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _nested_list(items: list[str], depth: int) -> str:
+    # a list at `depth` whose items are already printed for depth + 1
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
 def _require(cond: bool, message: str, path: str):

@@ -49,8 +49,6 @@ BLOCK_DEPTH = {
     OpKind.ABS: 1,
 }
 
-UNIT = None  # set below once Interval exists
-
 
 @dataclass(frozen=True)
 class Interval:

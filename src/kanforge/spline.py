@@ -77,6 +77,8 @@ class Spline:
     _T: np.ndarray = field(init=False, repr=False)
     # boundary value/slope (fa, sa, fb, sb) for linear continuation outside the domain
     _boundary: tuple[float, float, float, float] = field(init=False, repr=False)
+    # spline_lipschitz(self), computed on first use
+    _lip: "LipValue | None" = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=np.float64)
@@ -115,11 +117,13 @@ class Spline:
         """Derivative spline (order k-1 on the same grid). Requires k >= 1."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 spline")
+        return Spline(self.order - 1, self.knots, self._derivative_coefs())
+
+    def _derivative_coefs(self) -> np.ndarray:
+        # dc[j] = k (c[j+1] - c[j]) / (T[j+k+1] - T[j+1]), elementwise
         k, T, c = self.order, self._T, self.coefs
-        dc = np.array(
-            [k * (c[j + 1] - c[j]) / (T[j + k + 1] - T[j + 1]) for j in range(c.size - 1)]
-        )
-        return Spline(k - 1, self.knots, dc)
+        nb = c.size
+        return k * (c[1:] - c[:-1]) / (T[k + 1 : k + nb] - T[1:nb])
 
     def __call__(self, t: float) -> float:
         vals, oob = kernels.eval_spline_batch(*self._packed_args(), np.array([float(t)]))
@@ -279,19 +283,26 @@ def spline_lipschitz(s: Spline) -> LipValue:
     The derivative of an order-k spline is an order-(k-1) spline; for k <= 2
     the supremum sits at knots (piecewise constant or linear derivative), for
     higher orders it is located per segment through the derivative's critical
-    points.
+    points. Computed once per spline and cached on it.
     """
+    if s._lip is None:
+        object.__setattr__(s, "_lip", LipValue(_sup_abs_derivative(s), exact=True))
+    return s._lip
+
+
+def _sup_abs_derivative(s: Spline) -> float:
     if s.order == 0:
         raise ValueError("order-0 splines are not Lipschitz edge functions")
-    d = s.derivative()
-    if d.order == 0:
-        val = float(np.max(np.abs(d.coefs)))
-    elif d.order == 1:
-        # clamped order-1 control values are the nodal values
-        val = float(np.max(np.abs(d.coefs)))
-    else:
-        val = _segment_poly_max_abs(d)
-    return LipValue(val, exact=True)
+    if s.order > 2:
+        return _segment_poly_max_abs(s.derivative())
+    # the derivative is piecewise constant (k = 1) or a clamped order-1 spline
+    # whose control values are its nodal values (k = 2): either way the sup is
+    # the largest derivative coefficient in magnitude, read off without
+    # building the derivative spline
+    val = float(abs(s._derivative_coefs()).max())
+    if not math.isfinite(val):
+        raise ValueError("non-finite coefficient")
+    return val
 
 
 def sup_error(f, s: Spline, samples: int) -> float:

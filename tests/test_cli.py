@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from kanforge import cli, compiler
 from kanforge.cli import (
     RunConfig,
     balanced_additive_tree,
@@ -80,6 +81,32 @@ class TestVerifyCommand:
         rc = cmd_verify(str(tmp_path / "tampered.net.json"), "x1*x2", FAST,
                         fmt="json", stream=io.StringIO())
         assert rc == 3
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0])
+    def test_sup_error_measured_once(self, tmp_path, monkeypatch, factor):
+        # factor 2 fails P <= p_bound before the error check runs
+        calls = []
+        real = compiler.measured_sup_error
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(compiler, "measured_sup_error", counting)
+        monkeypatch.setattr(cli, "measured_sup_error", counting)
+        prefix = tmp_path / "kan"
+        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        doc = json.loads((tmp_path / "kan.net.json").read_text())
+        edge = doc["layers"][0]["edges"][0]
+        edge["spline"]["coefficients"] = [factor * c for c in edge["spline"]["coefficients"]]
+        (tmp_path / "v.net.json").write_text(json.dumps(doc))
+        calls.clear()
+        buf = io.StringIO()
+        rc = cmd_verify(str(tmp_path / "v.net.json"), "x1*x2", FAST, fmt="json", stream=buf)
+        assert rc == (0 if factor == 1.0 else 3)
+        assert len(calls) == 1
+        report = json.loads(buf.getvalue())[0]
+        assert report["certify_ok"] == (factor == 1.0)
 
     def test_hash_mismatch_detected(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

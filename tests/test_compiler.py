@@ -1,12 +1,18 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from kanforge import compiler
+from kanforge.cli import random_tree
 from kanforge.compiler import (
     CertificationError,
     CompileConfig,
     CompileError,
     build_schedule,
     certify,
+    check_certificate,
     compile_on_box,
     compile_tree,
     dead_wire_elimination,
@@ -14,7 +20,7 @@ from kanforge.compiler import (
 )
 from kanforge.exprtree import Leaf, OpKind, parse_expression, tree_stats
 from kanforge.kannet import Edge, KanNetwork, forward, forward_batch, lipschitz_product
-from kanforge.rangecert import affine_box
+from kanforge.rangecert import Interval, affine_box
 from kanforge.spline import line_spline
 
 from conftest import predicted_faithful_widths as _predicted_faithful_widths
@@ -211,6 +217,77 @@ class TestCertify:
     def test_rate_exponent_reflects_block_order(self):
         assert compile_tree(parse_expression("sin(x1)"), CFG)[1].rate_exponent == 2
         assert compile_tree(parse_expression("x1*x2"), CFG)[1].rate_exponent is None
+
+
+class TestCertifyRecomputeAndCheck:
+    """The compile path checks its own certificate; `certify` recomputes it
+    first. Both must agree exactly, or the compile path checks less."""
+
+    def test_recomputed_certificate_equals_compiled(self, rng):
+        for _ in range(100):
+            tree = random_tree(rng, 5)
+            for cfg in (CFG, CFG_FAITHFUL):
+                net, cert = compile_tree(tree, cfg)
+                got = certify(tree, net, cfg, samples=200, seed=1)
+                assert got == cert
+                assert got.to_json() == cert.to_json()
+
+    def test_recomputed_box_certificate_equals_compiled(self):
+        tree = parse_expression("sin(x1*x2)-x3")
+        box = affine_box([(0, 2), (1, 4), (-1, 0.5)])
+        net, cert = compile_on_box(tree, box, CFG)
+        got = certify(tree, net, CFG, samples=500, seed=2, box=box)
+        assert got == cert
+        assert got.to_json() == cert.to_json()
+
+    def test_check_returns_measured_error(self):
+        tree = parse_expression("sin((x1+x2)*x3)")
+        net, cert = compile_tree(tree, CFG)
+        err = check_certificate(tree, net, cert, 3000, 21)
+        assert err == measured_sup_error(tree, net, 3000, 21)
+        assert err <= cert.error_bound
+
+    def test_failed_error_check_carries_measurement(self):
+        tree = parse_expression("x1+x2")
+        net, cert = compile_tree(tree, CFG)
+        edge = net.layers[-1][0]
+        (a, b), (va, vb) = edge.spline.domain, edge.spline.coefs
+        shifted = Edge(edge.src, edge.dst, line_spline(a, b, va + 1.0, vb + 1.0))
+        other = KanNetwork(net.widths, net.layers[:-1] + ((shifted,) + net.layers[-1][1:],), net.wire_tags)
+        with pytest.raises(CertificationError, match="sup error") as info:
+            check_certificate(tree, other, cert, 500, 3)
+        assert info.value.sup_error == measured_sup_error(tree, other, 500, 3)
+
+    def test_earlier_failure_has_no_measurement(self):
+        tree = parse_expression("x1+x2")
+        net, cert = compile_tree(tree, CFG)
+        with pytest.raises(CertificationError, match="width bound") as info:
+            check_certificate(tree, net, replace(cert, width_bound=1), 500, 3)
+        assert info.value.sup_error is None
+
+
+class TestIdentityWires:
+    def test_one_spline_per_interval(self):
+        wire = compiler._identity_wires()
+        a = wire(Interval(-1.0, 2.0))
+        assert wire(Interval(-1.0, 2.0)) is a
+        assert a.knots.tolist() == a.coefs.tolist() == [-1.0, 2.0]
+        assert wire(Interval(-1.0, 3.0)) is not a
+
+    def test_signed_zero_intervals_kept_apart(self):
+        wire = compiler._identity_wires()
+        neg = wire(Interval(-0.0, 1.0))
+        pos = wire(Interval(0.0, 1.0))
+        assert neg is not pos
+        assert math.copysign(1.0, neg.knots[0]) == -1.0
+        assert math.copysign(1.0, pos.knots[0]) == 1.0
+        assert str(neg.to_dict()["knots"][0]) == "-0.0"
+        assert str(pos.to_dict()["knots"][0]) == "0.0"
+
+    def test_wires_are_shared_across_layers(self):
+        net, _ = compile_tree(parse_expression("x1*x2*x3*x4"), CFG_FAITHFUL)
+        splines = [e.spline for edges in net.layers for e in edges]
+        assert len({id(s) for s in splines}) < len(splines)
 
 
 class TestCompileOnBox:

@@ -238,6 +238,41 @@ class TestSerialization:
         X = rng.uniform(0, 1, size=(32, 3))
         np.testing.assert_array_equal(forward_batch(net, X), forward_batch(net2, X))
 
+    def test_cached_text_equals_fresh_build(self, rng):
+        for faithful in (False, True):
+            cfg = CFG_FAITHFUL if faithful else CFG
+            for _ in range(10):
+                net, _ = compile_tree(random_tree(rng, 5), cfg)
+                text = serialize(net)
+                assert serialize(net) is text
+                assert serialize(deserialize(text)) == text
+
+    @staticmethod
+    def _reference_text(net):
+        doc = {
+            "format": "kanforge/1",
+            "widths": list(net.widths),
+            "layers": [
+                {"edges": [{"from": e.src, "to": e.dst, "spline": e.spline.to_dict()} for e in edges]}
+                for edges in net.layers
+            ],
+            "wire_tags": [list(tags) for tags in net.wire_tags],
+        }
+        return json.dumps(doc, indent=2)
+
+    def test_text_equals_indented_json_dump(self, rng):
+        nets = [compile_tree(random_tree(rng, 5), cfg)[0] for cfg in (CFG, CFG_FAITHFUL) for _ in range(10)]
+        nets.append(compile_on_box(parse_expression("x1*x2"), affine_box([(-1, 0), (0, 2)]), CFG)[0])
+        # an edgeless layer, a shared spline and tags that need escaping
+        wire = line_spline(-0.0, 1.0, -0.0, 1.0)
+        nets.append(KanNetwork(
+            widths=(2, 2, 1),
+            layers=((Edge(0, 0, wire), Edge(1, 1, wire)), ()),
+            wire_tags=(("x\u00e9", 'q"\\'), ("a\nb", "\u2603"), ("out",)),
+        ))
+        for net in nets:
+            assert serialize(net) == self._reference_text(net)
+
     def test_format_version_pinned(self):
         net, _ = compile_tree(parse_expression("x1"), CFG)
         assert json.loads(serialize(net))["format"] == "kanforge/1"

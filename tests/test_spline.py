@@ -178,6 +178,57 @@ class TestLipschitz:
             assert lip <= fd * (1 + 1e-3) + 1e-6
 
 
+class TestClosedFormLipschitz:
+    """Orders 1 and 2 read the constant off the derivative coefficients
+    without building the derivative spline; it must match bit for bit."""
+
+    @staticmethod
+    def _reference(s):
+        # the derivative coefficients one at a time, as de Boor writes them
+        k, T, c = s.order, s._T, s.coefs
+        dc = [k * (c[j + 1] - c[j]) / (T[j + k + 1] - T[j + 1]) for j in range(c.size - 1)]
+        return float(np.max(np.abs(dc)))
+
+    def _splines(self, rng):
+        for _ in range(400):
+            k = int(rng.integers(1, 3))
+            G = int(rng.integers(2, 12))
+            a = float(rng.uniform(-5, 5))
+            b = a + float(rng.uniform(1e-3, 10))
+            if rng.random() < 0.5:
+                grid = np.linspace(a, b, G)
+            else:
+                grid = np.sort(rng.uniform(a, b, G))
+                grid[0], grid[-1] = a, b
+                if not np.all(np.diff(grid) > 0):
+                    continue
+            yield sp.Spline(k, grid, rng.normal(0, 3, G + k - 1))
+        # two-knot wires (identity, negation, scaled) and relu/abs hinges
+        for lo, hi in ((0.0, 1.0), (-0.0, 2.5), (-3.0, -0.0), (-1.7, 0.3)):
+            yield sp.line_spline(lo, hi, lo, hi)
+            yield sp.line_spline(lo, hi, -lo, -hi)
+            yield sp.line_spline(lo, hi, 0.0, 1.0)
+        for lo, hi in ((-1.0, 2.0), (-0.5, 0.25)):
+            yield sp.Spline(1, np.array([lo, 0.0, hi]), np.array([0.0, 0.0, hi]))
+            yield sp.Spline(1, np.array([lo, 0.0, hi]), np.array([-lo, 0.0, hi]))
+
+    def test_bitwise_equal_to_derivative_coefficients(self, rng):
+        count = 0
+        for s in self._splines(rng):
+            lip = sp.spline_lipschitz(s).value
+            assert lip == self._reference(s)
+            assert lip == float(np.max(np.abs(s.derivative().coefs)))
+            assert sp.spline_lipschitz(s) is sp.spline_lipschitz(s)
+            count += 1
+        assert count > 300
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_derivative_rejected(self):
+        s = sp.Spline(1, np.array([0.0, 1e-300]), np.array([-1e300, 1e300]))
+        with pytest.raises(ValueError):
+            sp.spline_lipschitz(s)
+
+
 class TestSupError:
     def test_identity_zero(self):
         s = sp.line_spline(0, 1, 0, 1)
