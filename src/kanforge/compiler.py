@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprtree import CompTree, Leaf, OpKind, eval_tree_batch, render, tree_stats
-from .kannet import Edge, KanNetwork, forward_batch, lipschitz_product, serialize
+from .exprtree import CompTree, Leaf, NodeMaxima, OpKind, eval_tree_batch, render, tree_stats
+from .kannet import Edge, KanNetwork, ProductReport, forward_batch, lipschitz_product, serialize
 from .primblocks import Block, block_certificate, build_block
 from .rangecert import (
     BLOCK_DEPTH,
@@ -38,6 +38,7 @@ from .rangecert import (
     annotate_ranges,
     apply_affine,
     lip_budget,
+    sample_blocks,
 )
 from .spline import Spline, line_spline
 
@@ -514,17 +515,26 @@ def measured_sup_error(
     samples: int,
     seed: int,
     box: AffineBox | None = None,
+    node_max: NodeMaxima | None = None,
 ) -> float:
-    """Max |tree - network| over uniform samples (mapped through the box if any)."""
-    stats = tree_stats(tree)
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, 1.0, size=(samples, max(stats.n, net.n_inputs)))
-    truth = eval_tree_batch(tree, xs)
-    pts = xs[:, : net.n_inputs]
-    if box is not None:
-        pts = apply_affine(box, pts)
-    got = forward_batch(net, pts)[:, 0]
-    return float(np.max(np.abs(truth - got)))
+    """Max |tree - network| over uniform samples (mapped through the box if any).
+
+    The seeded samples are drawn, evaluated and reduced one `kernels.CHUNK`
+    block at a time (`rangecert.sample_blocks`), so memory stays bounded for
+    any sample count. `node_max` collects the tree's per-node maxima over the
+    same rows (see `exprtree.eval_tree_batch`).
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    err = 0.0
+    for xs in sample_blocks(seed, samples, max(tree_stats(tree).n, net.n_inputs)):
+        truth = eval_tree_batch(tree, xs, node_max)
+        pts = xs[:, : net.n_inputs]
+        if box is not None:
+            pts = apply_affine(box, pts)
+        got = forward_batch(net, pts)[:, 0]
+        err = np.maximum(err, np.max(np.abs(truth - got)))
+    return float(err)
 
 
 def recompute_certificate(
@@ -532,14 +542,16 @@ def recompute_certificate(
     net: KanNetwork,
     config: CompileConfig = CompileConfig(),
     box: AffineBox | None = None,
+    annotated: AnnotatedTree | None = None,
 ) -> Certificate:
     """The certificate of `net` rederived from the tree: ranges, blocks, budget.
 
     Uses the same deterministic steps as `compile_tree` (and `compile_on_box`
     when `box` is given), so for a compiled network it equals the certificate
-    the compiler issued.
+    the compiler issued. `annotated` is the tree's `annotate_ranges` when the
+    caller has it already.
     """
-    ann = annotate_ranges(tree)
+    ann = annotated if annotated is not None else annotate_ranges(tree)
     cert = _certificate(tree, net, config, ann, _build_blocks(ann, config.grid))
     return _on_box(cert, box) if box is not None else cert
 
@@ -551,11 +563,15 @@ def check_certificate(
     samples: int,
     seed: int,
     box: AffineBox | None = None,
+    product: ProductReport | None = None,
+    node_max: NodeMaxima | None = None,
 ) -> float:
     """Cross-check `net` against every inequality `cert` states.
 
     Raises CertificationError naming the first violated inequality; on
-    success returns the measured sampled sup error.
+    success returns the measured sampled sup error. `product` is the
+    network's `lipschitz_product` when the caller has it already; `node_max`
+    is handed to `measured_sup_error`.
     """
     stats = tree_stats(tree)
     if net.n_inputs != stats.n:
@@ -571,7 +587,7 @@ def check_certificate(
             raise CertificationError(
                 f"block inequality lambda <= max(C,1)^c violated at node {nc.node_id} ({nc.op})"
             )
-    report = lipschitz_product(net)
+    report = product if product is not None else lipschitz_product(net)
     if report.product > cert.p_bound * (1.0 + _REL_SLACK):
         raise CertificationError(
             f"P <= p_bound violated: P={report.product!r}, p_bound={cert.p_bound!r}"
@@ -580,7 +596,7 @@ def check_certificate(
         raise CertificationError(
             f"p_bound <= p_simplified violated: {cert.p_bound!r} > {cert.p_simplified!r}"
         )
-    err = measured_sup_error(tree, net, samples, seed, box=box)
+    err = measured_sup_error(tree, net, samples, seed, box=box, node_max=node_max)
     if err > cert.error_bound + _ERROR_SLACK:
         raise CertificationError(
             f"sup error <= error_bound violated: measured {err!r} > bound {cert.error_bound!r}",

@@ -15,10 +15,13 @@ that appears. Leaves of the tree are coordinate projections only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
+
+import numpy as np
 
 __all__ = [
     "OpKind",
@@ -32,6 +35,7 @@ __all__ = [
     "tree_stats",
     "eval_tree",
     "eval_tree_batch",
+    "NodeMaxima",
     "validate_opset",
     "iter_nodes",
 ]
@@ -244,35 +248,62 @@ def eval_tree(tree: CompTree, x) -> float:
     return _SCALAR_FN[tree.op](*args)
 
 
-def eval_tree_batch(tree: CompTree, xs):
+class NodeMaxima:
+    """Running max |value| of each internal node, keyed by pre-order node id.
+
+    `eval_tree_batch` folds into it the first `limit` rows it is handed over
+    successive calls (every row when `limit` is None), so a caller streaming
+    sample blocks collects the maxima over a prefix of its rows.
+    """
+
+    def __init__(self, limit: int | None = None):
+        self.limit = limit
+        self.rows = 0  # rows handed to eval_tree_batch so far
+        self.values: dict[int, float] = {}
+
+    def _take(self, rows: int) -> int:
+        # how many of the next `rows` rows count; advances the row count
+        take = rows if self.limit is None else max(0, min(rows, self.limit - self.rows))
+        self.rows += rows
+        return take
+
+
+def eval_tree_batch(tree: CompTree, xs, node_max: NodeMaxima | None = None):
     """Evaluate the tree over a (npoints, >=n) sample matrix, vectorized.
 
     Returns an array of length npoints. Used as the exact reference when
-    verifying compiled networks over large sample sets.
+    verifying compiled networks over large sample sets. With `node_max`, each
+    internal node's max |value| over the rows it takes is folded in (NaN
+    propagates).
     """
-    import numpy as np
-
     xs = np.asarray(xs, dtype=np.float64)
+    take = node_max._take(len(xs)) if node_max is not None else 0
+    return _eval_batch(tree, xs, itertools.count(), take, node_max)
 
-    def walk(t: CompTree):
-        if isinstance(t, Leaf):
-            return xs[:, t.coord - 1]
-        if t.op is OpKind.ADD:
-            return walk(t.children[0]) + walk(t.children[1])
-        if t.op is OpKind.SUB:
-            return walk(t.children[0]) - walk(t.children[1])
-        if t.op is OpKind.MUL:
-            return walk(t.children[0]) * walk(t.children[1])
-        inner = walk(t.children[0])
-        if t.op is OpKind.SIN:
-            return np.sin(inner)
-        if t.op is OpKind.COS:
-            return np.cos(inner)
-        if t.op is OpKind.RELU:
-            return np.maximum(inner, 0.0)
-        return np.abs(inner)
 
-    return walk(tree)
+_BATCH_FN: dict[OpKind, Callable] = {
+    OpKind.ADD: np.add,
+    OpKind.SUB: np.subtract,
+    OpKind.MUL: np.multiply,
+    OpKind.SIN: np.sin,
+    OpKind.COS: np.cos,
+    OpKind.RELU: lambda a: np.maximum(a, 0.0),
+    OpKind.ABS: np.abs,
+}
+
+
+def _eval_batch(t: CompTree, xs, ids, take: int, node_max: NodeMaxima | None):
+    # module level, not a closure: a self-referencing closure would keep `xs`
+    # alive until the cyclic collector runs, and callers stream many blocks
+    nid = next(ids)  # pre-order id
+    if isinstance(t, Leaf):
+        return xs[:, t.coord - 1]
+    out = _BATCH_FN[t.op](*[_eval_batch(c, xs, ids, take, node_max) for c in t.children])
+    if take:
+        m = np.max(np.abs(out[:take]))
+        prev = node_max.values.get(nid)
+        node_max.values[nid] = float(m if prev is None else np.maximum(prev, m))
+    return out
 
 
 def validate_opset(tree: CompTree, allowed: set[OpKind]) -> list[tuple[int, OpKind]]:

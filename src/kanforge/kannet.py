@@ -151,19 +151,27 @@ def lipschitz_product(net: KanNetwork) -> ProductReport:
 
 
 def jacobian_fd(net: KanNetwork, x, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the scalar network output at x."""
+    """Central-difference gradient of the scalar network output at x.
+
+    `x` may also be an (m, n_0) array of points; their (m, n_0) gradients
+    come from one forward pass.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     if net.widths[-1] != 1:
         raise ValueError("jacobian_fd expects a scalar-output network")
     x = np.asarray(x, dtype=np.float64)
     n = net.n_inputs
-    pts = np.repeat(x.reshape(1, -1), 2 * n, axis=0)
-    for i in range(n):
-        pts[2 * i, i] += step
-        pts[2 * i + 1, i] -= step
-    vals = forward_batch(net, pts)[:, 0]
-    return (vals[0::2] - vals[1::2]) / (2.0 * step)
+    if not (x.ndim <= 1 and x.size == n or x.ndim == 2 and x.shape[1] == n):
+        raise ValueError(f"expected a point or (npoints, {n}) points, got shape {x.shape}")
+    # rows 2i and 2i+1 of each point's block of 2n rows step coordinate i up and down
+    pts = np.repeat(x.reshape(-1, n), 2 * n, axis=0).reshape(-1, 2 * n, n)
+    coord = np.arange(n)
+    pts[:, 2 * coord, coord] += step
+    pts[:, 2 * coord + 1, coord] -= step
+    vals = forward_batch(net, pts.reshape(-1, n))[:, 0]
+    grad = (vals[0::2] - vals[1::2]) / (2.0 * step)
+    return grad.reshape(-1, n) if x.ndim == 2 else grad
 
 
 def jacobian_lower_bound(net: KanNetwork, x, step: float = 1e-5) -> float:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprtree import CompTree, Leaf, OpKind, iter_nodes, tree_stats
+from .exprtree import CompTree, Leaf, NodeMaxima, OpKind, eval_tree_batch, iter_nodes, tree_stats
+from .kernels import CHUNK
 
 __all__ = [
     "Interval",
@@ -33,6 +34,7 @@ __all__ = [
     "annotate_ranges",
     "lip_budget",
     "verify_ranges_numerically",
+    "sample_blocks",
     "RangeReport",
     "affine_box",
     "apply_affine",
@@ -283,56 +285,51 @@ class RangeReport:
 _SOUNDNESS_SLACK = 1e-12
 
 
+def sample_blocks(seed: int, samples: int, n: int):
+    """The seeded uniform samples over [0,1]^n, `kernels.CHUNK` rows at a time.
+
+    The blocks continue one generator stream, so stacked they equal
+    `default_rng(seed).uniform(0.0, 1.0, size=(samples, n))` bit for bit, and
+    they line up with the chunks of the network forward.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, CHUNK):
+        block = np.empty((min(CHUNK, samples - start), n))
+        rng.random(out=block)
+        yield block
+
+
 def verify_ranges_numerically(
     tree: CompTree,
     samples: int,
     seed: int,
     annotated: AnnotatedTree | None = None,
+    node_max: NodeMaxima | None = None,
 ) -> RangeReport:
     """Check every certified per-node bound B_v against sampled magnitudes.
 
     Samples uniformly over [0,1]^n and always includes the all-ones corner,
     where the additive worst case is attained. The per-node measured maximum
     of |subfunction| must stay within B_v (+ roundoff slack).
+
+    `node_max` holds maxima already collected over the `samples` rows (by a
+    pass that evaluated them for another check, see
+    `compiler.measured_sup_error`); without it the rows are drawn here.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     ann = annotated if annotated is not None else annotate_ranges(tree)
-    stats = tree_stats(tree)
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, 1.0, size=(samples, stats.n))
-    xs = np.vstack([xs, np.ones((1, stats.n))])
-
-    measured: dict[int, float] = {}
-    ids = iter_nodes(tree)
-
-    def walk(t: CompTree) -> np.ndarray:
-        nid, node = next(ids)
-        if isinstance(t, Leaf):
-            return xs[:, t.coord - 1]
-        vals = [walk(c) for c in t.children]
-        if t.op is OpKind.ADD:
-            out = vals[0] + vals[1]
-        elif t.op is OpKind.SUB:
-            out = vals[0] - vals[1]
-        elif t.op is OpKind.MUL:
-            out = vals[0] * vals[1]
-        elif t.op is OpKind.SIN:
-            out = np.sin(vals[0])
-        elif t.op is OpKind.COS:
-            out = np.cos(vals[0])
-        elif t.op is OpKind.RELU:
-            out = np.maximum(vals[0], 0.0)
-        else:
-            out = np.abs(vals[0])
-        measured[nid] = float(np.max(np.abs(out)))
-        return out
-
-    walk(tree)
+    n = tree_stats(tree).n
+    if node_max is None:
+        node_max = NodeMaxima()
+        for xs in sample_blocks(seed, samples, n):
+            eval_tree_batch(tree, xs, node_max)
+    corner = NodeMaxima()
+    eval_tree_batch(tree, np.ones((1, n)), corner)
     entries = []
-    for nid in sorted(measured):
+    for nid in sorted(ann.annotations):
         a = ann.annotations[nid]
-        m = measured[nid]
+        m = float(np.maximum(node_max.values[nid], corner.values[nid]))
         entries.append(
             RangeCheck(
                 node_id=nid,

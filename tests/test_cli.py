@@ -108,6 +108,44 @@ class TestVerifyCommand:
         report = json.loads(buf.getvalue())[0]
         assert report["certify_ok"] == (factor == 1.0)
 
+    @pytest.mark.parametrize("indent, builds", [("as-written", 0), (None, 1), (4, 1)])
+    def test_hash_checks_bytes_then_canonical_text(self, tmp_path, monkeypatch, indent, builds):
+        # the file as `compile` wrote it matches on its bytes and its text is the
+        # network's JSON, never rebuilt; an equivalent re-indented file matches
+        # once re-serialized
+        from kanforge import kannet
+
+        prefix = tmp_path / "kan"
+        cmd_compile("sin(x1*x2)", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        net_path = tmp_path / "kan.net.json"
+        if indent != "as-written":
+            net_path = tmp_path / "re.net.json"
+            net_path.write_text(json.dumps(json.loads((tmp_path / "kan.net.json").read_text()), indent=indent))
+        calls = []
+        real = kannet._to_json
+        monkeypatch.setattr(kannet, "_to_json", lambda net: calls.append(net) or real(net))
+        rc = cmd_verify(str(net_path), "sin(x1*x2)", FAST, cert_path=str(prefix) + ".cert.json",
+                        fmt="json", stream=io.StringIO())
+        assert rc == 0
+        assert len(calls) == builds
+
+    def test_tampered_net_with_cert_is_hash_mismatch(self, tmp_path):
+        prefix = tmp_path / "kan"
+        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        doc = json.loads((tmp_path / "kan.net.json").read_text())
+        edge = doc["layers"][0]["edges"][0]
+        edge["spline"]["coefficients"] = [2 * c for c in edge["spline"]["coefficients"]]
+        (tmp_path / "kan.net.json").write_text(json.dumps(doc, indent=2))
+        rc = cmd_verify(str(prefix) + ".net.json", "x1*x2", FAST,
+                        cert_path=str(prefix) + ".cert.json", fmt="json", stream=io.StringIO())
+        assert rc == 4
+
+    def test_non_utf8_net_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.net.json"
+        path.write_bytes(b'{"format": "\xff"}')
+        assert cmd_verify(str(path), "x1", FAST) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_hash_mismatch_detected(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         cmd_compile("x1*x2", FAST, out=str(a), fmt="json", stream=io.StringIO())
@@ -191,6 +229,25 @@ class TestFuzz:
         assert rc == 0
         assert "0 failure(s)" in capsys.readouterr().out
 
+    def test_one_sample_pass_per_tree(self, monkeypatch, capsys):
+        # each random tree's error and range checks share one seeded stream;
+        # the additive family draws 1000 samples for its range check alone
+        from kanforge import rangecert
+
+        draws = []
+        real = rangecert.sample_blocks
+
+        def counting(seed, samples, n):
+            draws.append((seed, samples))
+            return real(seed, samples, n)
+
+        monkeypatch.setattr(compiler, "sample_blocks", counting)
+        monkeypatch.setattr(rangecert, "sample_blocks", counting)
+        assert cmd_fuzz(RunConfig(samples=1500, seed=5), trees=6, max_depth=4) == 0
+        per_tree = [seed for seed, samples in draws if samples == 1500]
+        assert len(per_tree) == len(set(per_tree)) == 6
+        assert [samples for _, samples in draws if samples != 1500] == [1000] * 5
+
     def test_rejects_bad_counts(self, capsys):
         assert cmd_fuzz(RunConfig(), trees=0) == 2
 
@@ -205,6 +262,17 @@ class TestFuzz:
             stats = tree_stats(balanced_additive_tree(depth))
             assert stats.internal == 2**depth - 1
             assert stats.depth == depth
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_defaults_do_not_leak_between_calls(self, tmp_path, capsys):
+        assert main(["sweep-rate", "--format", "json", "-o", str(tmp_path / "a.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["G"] == 5
+        assert main(["sweep-rate", "-o", str(tmp_path / "b.csv")]) == 0
+        assert capsys.readouterr().out.startswith("G,error,h4,ratio\n")
 
 
 class TestDeterminism:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,9 +20,10 @@ from kanforge.compiler import (
     dead_wire_elimination,
     measured_sup_error,
 )
-from kanforge.exprtree import Leaf, OpKind, parse_expression, tree_stats
+from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_expression, tree_stats
 from kanforge.kannet import Edge, KanNetwork, forward, forward_batch, lipschitz_product
-from kanforge.rangecert import Interval, affine_box
+from kanforge.kernels import CHUNK
+from kanforge.rangecert import Interval, affine_box, apply_affine, verify_ranges_numerically
 from kanforge.spline import line_spline
 
 from conftest import predicted_faithful_widths as _predicted_faithful_widths
@@ -368,6 +371,94 @@ class TestCorpusProperties:
             err = measured_sup_error(tree, net, 40_000, seed=13)
             ratios.append(err * (G - 1) ** 2)
         assert max(ratios) / min(ratios) < 2.0
+
+
+def _monolithic_sup_error(tree, net, samples, seed, box=None):
+    # one draw of every row, one tree evaluation, one forward over all rows
+    xs = np.random.default_rng(seed).uniform(0.0, 1.0, size=(samples, max(tree_stats(tree).n, net.n_inputs)))
+    truth = eval_tree_batch(tree, xs)
+    pts = xs[:, : net.n_inputs]
+    if box is not None:
+        pts = apply_affine(box, pts)
+    return float(np.max(np.abs(truth - forward_batch(net, pts)[:, 0])))
+
+
+_OPS = {
+    OpKind.ADD: np.add,
+    OpKind.SUB: np.subtract,
+    OpKind.MUL: np.multiply,
+    OpKind.SIN: np.sin,
+    OpKind.COS: np.cos,
+    OpKind.RELU: lambda a: np.maximum(a, 0.0),
+    OpKind.ABS: np.abs,
+}
+
+
+def _reference_node_max(tree, xs) -> dict:
+    # max |value| of every internal node over all rows, keyed by pre-order id
+    found = {}
+    ids = itertools.count()
+
+    def walk(t):
+        nid = next(ids)
+        if isinstance(t, Leaf):
+            return xs[:, t.coord - 1]
+        out = _OPS[t.op](*(walk(c) for c in t.children))
+        found[nid] = float(np.max(np.abs(out)))
+        return out
+
+    walk(tree)
+    return found
+
+
+class TestStreamedSamples:
+    EXPR = "sin((x1+x2)*x3)-relu(x4)*x4"
+
+    @pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("boxed", [False, True])
+    def test_sup_error_bit_equal_to_monolithic(self, samples, boxed):
+        tree = parse_expression(self.EXPR)
+        box = affine_box([(0, 2), (1, 4), (-1, 0.5), (0.25, 0.75)]) if boxed else None
+        net, _ = compile_on_box(tree, box, CFG) if boxed else compile_tree(tree, CFG)
+        got = measured_sup_error(tree, net, samples, 17, box=box)
+        assert got == _monolithic_sup_error(tree, net, samples, 17, box=box)
+        assert got > 0.0
+
+    @pytest.mark.parametrize("limit", [1, CHUNK - 1, CHUNK, CHUNK + 5, 2 * CHUNK + 3, 3 * CHUNK + 7, None])
+    def test_node_maxima_over_row_prefix(self, limit):
+        # the range cap may fall inside a block, between blocks, or past the stream
+        tree = parse_expression(self.EXPR)
+        net, _ = compile_tree(tree, CFG)
+        samples = 3 * CHUNK + 7
+        node_max = NodeMaxima(limit)
+        err = measured_sup_error(tree, net, samples, 5, node_max=node_max)
+        assert err == measured_sup_error(tree, net, samples, 5)
+        xs = np.random.default_rng(5).uniform(0.0, 1.0, size=(samples, 4))
+        assert node_max.values == _reference_node_max(tree, xs[:limit])
+        rows = min(samples, limit or samples)
+        shared = verify_ranges_numerically(tree, rows, 5, node_max=node_max)
+        assert shared.to_json() == verify_ranges_numerically(tree, rows, 5).to_json()
+
+    def test_memory_bounded_in_samples(self):
+        tree = parse_expression(self.EXPR)
+        net, _ = compile_tree(tree, CFG)
+        measured_sup_error(tree, net, 10, 0)  # builds the forward plan outside the traces
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                measured_sup_error(tree, net, samples, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40 * CHUNK) <= 1.5 * peak(4 * CHUNK)
+
+    def test_rejects_empty_sample(self):
+        tree = parse_expression("x1*x2")
+        net, _ = compile_tree(tree, CFG)
+        with pytest.raises(ValueError):
+            measured_sup_error(tree, net, 0, 1)
 
 
 def test_certificate_json_round_trip():

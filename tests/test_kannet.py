@@ -214,6 +214,22 @@ class TestJacobian:
         with pytest.raises(ValueError):
             jacobian_fd(net, [0.5, 0.5], step=0.0)
 
+    def test_batched_points_bit_equal_per_row(self):
+        rng = np.random.default_rng(7)
+        nets = [compile_tree(random_tree(rng, 5), CFG)[0] for _ in range(30)]
+        nets.append(compile_on_box(parse_expression("sin(x1*x2)-x3"), affine_box([(0, 2), (1, 4), (-1, 0.5)]), CFG)[0])
+        for net in nets:
+            X = rng.uniform(0.001, 0.999, size=(20, net.n_inputs))
+            got = jacobian_fd(net, X)
+            assert got.shape == X.shape
+            assert np.array_equal(got, np.array([jacobian_fd(net, x) for x in X]))
+
+    @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5, 0.5]], [[[0.5, 0.5]]]])
+    def test_point_shape_validated(self, x):
+        net, _ = compile_tree(parse_expression("x1*x2"), CFG)
+        with pytest.raises(ValueError):
+            jacobian_fd(net, x)
+
     def test_chain_rule_sandwich(self, rng):
         for expr in ("x1*x2", "sin((x1+x2)*x3)", "(x1+x2)*(x3+x4)"):
             net, _ = compile_tree(parse_expression(expr), CFG)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kanforge.exprtree import Leaf, OpKind, parse_expression, tree_stats
+from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_expression, tree_stats
+from kanforge.kernels import CHUNK
 from kanforge.rangecert import (
     AffineBox,
     Interval,
@@ -156,6 +157,18 @@ class TestVerifyRanges:
         assert rep.ok
         assert rep.entries[0].measured == 8.0
         assert rep.entries[0].certified == 8.0
+
+    @pytest.mark.parametrize("samples", [1, CHUNK, 2 * CHUNK + 9])
+    def test_streamed_equals_one_draw_reference(self, samples):
+        # reference: one draw of every row plus the corner, max |value| per node
+        t = parse_expression("sin((x1+x2)*x3)-abs(x4-x1)*cos(x2)")
+        xs = np.random.default_rng(11).uniform(0.0, 1.0, size=(samples, 4))
+        xs = np.vstack([xs, np.ones((1, 4))])
+        rep = verify_ranges_numerically(t, samples, seed=11)
+        corner = NodeMaxima()
+        eval_tree_batch(t, xs, corner)
+        assert [e.node_id for e in rep.entries] == sorted(corner.values)
+        assert [e.measured for e in rep.entries] == [corner.values[e.node_id] for e in rep.entries]
 
     @given(tree_strategy(max_leaves=8))
     @settings(max_examples=30, deadline=None)
