@@ -3,13 +3,12 @@
 Times packed-network forward passes on compiled networks of increasing size:
 the plan forward (`kernels.forward_batch`, affine edges as one matmul per
 layer, other edges in pp form) against a reference that evaluates every edge
-with its own de Boor call. Also times batch evaluation of a single spline
-(numba against numpy when numba is importable). Run from the repo root:
+with its own de Boor call. Also times de Boor batch evaluation of a single
+spline (`Spline.eval_batch`). Run from the repo root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [npoints]
 
-Plan building is cached per network and excluded from the timings; the jitted
-path is warmed before timing so compilation cost is excluded.
+Plan building is cached per network and excluded from the timings.
 """
 
 import sys
@@ -54,16 +53,9 @@ def main(npoints: int) -> None:
 
     print(f"batch spline evaluation, {npoints} points")
     spline = pl_interpolant(np.sin, 0.0, 1.0, 35)
-    args = spline._packed_args()
     ts = rng.uniform(0.0, 1.0, npoints)
-    if kernels.HAS_NUMBA:
-        kernels.eval_spline_batch(*args, ts[:16])  # warm the jit
-        t_jit = _time(lambda: kernels.eval_spline_batch(*args, ts))
-        t_np = _time(lambda: kernels.eval_spline_batch_numpy(*args, ts))
-        print(f"  {'pl sin G=35':24s} numba: {t_jit * 1e3:8.2f} ms  numpy: {t_np * 1e3:8.2f} ms")
-    else:
-        t_np = _time(lambda: kernels.eval_spline_batch_numpy(*args, ts))
-        print(f"  {'pl sin G=35':24s} numba: n/a       numpy: {t_np * 1e3:8.2f} ms")
+    t_eval = _time(lambda: spline.eval_batch(ts))
+    print(f"  {'pl sin G=35':24s} de Boor: {t_eval * 1e3:8.2f} ms")
 
     print(f"\nnetwork forward, {npoints} points")
     for name, expr in CASES:

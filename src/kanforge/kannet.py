@@ -175,11 +175,11 @@ def jacobian_fd(net: KanNetwork, x, step: float = 1e-5) -> np.ndarray:
 
 
 def jacobian_lower_bound(net: KanNetwork, x, step: float = 1e-5) -> float:
-    """||J_fd(x)||_2 / W^L: a sampled lower bound for the Lipschitz product."""
-    grad = jacobian_fd(net, x, step)
-    report = lipschitz_product(net)
-    denom = float(report.max_width) ** report.n_layers
-    return float(np.linalg.norm(grad)) / denom
+    """max ||J_fd(x)||_2 / W^L over the point x or the (m, n_0) points x: a
+    sampled lower bound for the Lipschitz product."""
+    grads = jacobian_fd(net, x, step).reshape(-1, net.n_inputs)
+    denom = float(max(net.widths)) ** net.n_layers
+    return max(float(np.linalg.norm(g)) / denom for g in grads)
 
 
 class SchemaError(ValueError):

@@ -24,24 +24,18 @@ are counted and returned, never raised.
 
 Single splines
 --------------
-`eval_spline_batch` is de Boor over an array of points. Its backend is chosen
-once at import time from the env var KANFORGE_BACKEND:
-
-    auto   (default) use numba when importable, else numpy
-    numba  require numba, fail loudly if missing
-    numpy  force the vectorized numpy path
+`eval_spline_batch` is vectorized de Boor over an array of points, with the
+same linear continuation and out-of-domain count; it is the reference the
+plan is tested against.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "USE_NUMBA",
-    "HAS_NUMBA",
     "CHUNK",
     "KMAX",
     "LayerPlan",
@@ -49,26 +43,13 @@ __all__ = [
     "build_plan",
     "forward_batch",
     "eval_spline_batch",
-    "eval_spline_batch_numpy",
 ]
 
-_CHOICE = os.environ.get("KANFORGE_BACKEND", "auto").lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"KANFORGE_BACKEND must be auto|numba|numpy, got {_CHOICE!r}")
+# only the benchmark's environment record reads these: there is no JIT backend
+HAS_NUMBA = USE_NUMBA = False
 
-HAS_NUMBA = False
-if _CHOICE in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise RuntimeError("KANFORGE_BACKEND=numba but numba is not importable")
-
-USE_NUMBA = HAS_NUMBA and _CHOICE != "numpy"
-
-# work array bound of the jitted de Boor: splines of order >= KMAX are rejected
+# splines of order >= KMAX are rejected: a net file cannot ask for an
+# arbitrarily deep de Boor recursion or pp table
 KMAX = 16
 
 # rows per forward chunk: bounds the forward's temporaries at a few MB
@@ -77,47 +58,6 @@ CHUNK = 8192
 
 # ---------------------------------------------------------------------------
 # single-spline de Boor
-
-def _eval_one(T, c, k, a, b, fa, sa, fb, sb, t, work):
-    # de Boor on a clamped knot vector; linear extrapolation outside [a, b].
-    # Returns (value, out_of_domain_flag).
-    if t < a:
-        return fa + sa * (t - a), 1
-    if t > b:
-        return fb + sb * (t - b), 1
-    nb = c.shape[0]
-    j = np.searchsorted(T, t, side="right") - 1
-    if j < k:
-        j = k
-    if j > nb - 1:
-        j = nb - 1
-    if k == 0:
-        return c[j], 0
-    for i in range(k + 1):
-        work[i] = c[j - k + i]
-    for r in range(1, k + 1):
-        for i in range(k, r - 1, -1):
-            lo = T[i + j - k]
-            den = T[i + 1 + j - r] - lo
-            alpha = (t - lo) / den if den != 0.0 else 0.0
-            work[i] = (1.0 - alpha) * work[i - 1] + alpha * work[i]
-    return work[k], 0
-
-
-def _eval_batch(T, c, k, a, b, fa, sa, fb, sb, ts, out):
-    oob = 0
-    work = np.empty(KMAX)
-    for m in range(ts.shape[0]):
-        val, hit = _eval_one(T, c, k, a, b, fa, sa, fb, sb, ts[m], work)
-        out[m] = val
-        oob += hit
-    return oob
-
-
-if USE_NUMBA:
-    _eval_one = njit(cache=True)(_eval_one)
-    _eval_batch_jit = njit(cache=True)(_eval_batch)
-
 
 def _deboor(T, c, k, j, t):
     """de Boor's recursion at points `t` on knot intervals `j` (T[j] <= t < T[j+1])."""
@@ -134,8 +74,12 @@ def _deboor(T, c, k, j, t):
     return d[:, k]
 
 
-def eval_spline_batch_numpy(T, c, k, a, b, fa, sa, fb, sb, ts):
-    """Vectorized de Boor over an array of points. Returns (values, oob_count)."""
+def eval_spline_batch(s, ts) -> tuple[np.ndarray, int]:
+    """de Boor for the spline `s` over an array of points, continued linearly
+    outside its domain. Returns (values, oob_count)."""
+    T, c, k = s._T, s.coefs, s.order
+    a, b = s.domain
+    fa, sa, fb, sb = s._boundary
     ts = np.asarray(ts, dtype=np.float64)
     out = np.empty_like(ts)
     below = ts < a
@@ -151,18 +95,6 @@ def eval_spline_batch_numpy(T, c, k, a, b, fa, sa, fb, sb, ts):
         np.clip(j, k, c.shape[0] - 1, out=j)
         out[inside] = _deboor(T, c, k, j, t)
     return out, int(below.sum() + above.sum())
-
-
-def eval_spline_batch(T, c, k, a, b, fa, sa, fb, sb, ts):
-    """Backend-dispatching batch spline evaluation. Returns (values, oob_count)."""
-    if k >= KMAX:
-        raise ValueError(f"spline order {k} exceeds kernel bound {KMAX - 1}")
-    if USE_NUMBA:
-        ts = np.ascontiguousarray(ts, dtype=np.float64)
-        out = np.empty_like(ts)
-        oob = _eval_batch_jit(T, c, k, a, b, fa, sa, fb, sb, ts, out)
-        return out, int(oob)
-    return eval_spline_batch_numpy(T, c, k, a, b, fa, sa, fb, sb, ts)
 
 
 # ---------------------------------------------------------------------------

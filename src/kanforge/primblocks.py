@@ -1,9 +1,9 @@
 """Primitive KAN blocks: small fixed edge-spline networks realizing one op.
 
 Each block is built on the exact node domain supplied by the range recursion
-and carries its certified data: block depth c_op, internal width w_op, block
-Lipschitz product lambda_op (product over its layers of the max edge
-Lipschitz constant), and single-node sup error eps_op.
+and carries its certified data: block depth c_op, block Lipschitz product
+lambda_op (product over its layers of the max edge Lipschitz constant), and
+single-node sup error eps_op.
 
 Constructions on a domain I x J (or I):
 
@@ -63,10 +63,6 @@ class Block:
     def c_op(self) -> int:
         return len(self.layers)
 
-    @property
-    def w_op(self) -> int:
-        return max(max(l.width_in, l.width_out) for l in self.layers)
-
     def forward(self, *args: float) -> float:
         """Standalone evaluation of the block (scalar, for verification)."""
         if len(args) != len(self.input_domain):
@@ -85,28 +81,6 @@ class Block:
         for layer in self.layers:
             prod *= max(spline_lipschitz(s).value for _, _, s in layer.edges)
         return prod
-
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op.value,
-            "c_op": self.c_op,
-            "w_op": self.w_op,
-            "lambda_op": self.lambda_op,
-            "eps_op": self.eps_op,
-            "input_domain": [[iv.lo, iv.hi] for iv in self.input_domain],
-            "output_range": [self.output_range.lo, self.output_range.hi],
-            "layers": [
-                {
-                    "width_in": l.width_in,
-                    "width_out": l.width_out,
-                    "edges": [
-                        {"from": src, "to": dst, "spline": s.to_dict()}
-                        for src, dst, s in l.edges
-                    ],
-                }
-                for l in self.layers
-            ],
-        }
 
 
 def _ident(iv: Interval) -> Spline:
@@ -176,16 +150,14 @@ def _quarter_square_range(iv: Interval) -> Interval:
     return Interval(lo, hi)
 
 
-def block_mul(domain: tuple[Interval, Interval], k: int = 2, G: int = 3) -> Block:
+def block_mul(domain: tuple[Interval, Interval]) -> Block:
     """Three-layer exact multiplication block on I x J (signed intervals ok).
 
     The quarter-square identity holds on all of R^2, so the block accepts any
     bounded domain. The squaring edges are built at order 2 on a midpoint
-    grid: exactness is order-driven (any k >= 2 works), and the small dyadic
-    grid keeps the extracted edge Lipschitz constants exact in floats.
+    grid: order 2 reproduces t^2/4 exactly, and the small dyadic grid keeps
+    the extracted edge Lipschitz constants exact in floats.
     """
-    if k < 2:
-        raise ValueError("multiplication needs spline order >= 2 for the exact squaring edges")
     g, h = domain
     r_a = range_rule(OpKind.ADD, [g, h])   # u + v
     r_b = range_rule(OpKind.SUB, [g, h])   # u - v

@@ -160,11 +160,6 @@ class AnnotatedTree:
             return self.leaf_ranges[self.tree.coord]
         return self.annotations[0].range
 
-    def node_range(self, node_id: int, node: CompTree) -> Interval:
-        if isinstance(node, Leaf):
-            return self.leaf_ranges[node.coord]
-        return self.annotations[node_id].range
-
     def to_json(self) -> str:
         entries = [
             {

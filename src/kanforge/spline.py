@@ -126,19 +126,12 @@ class Spline:
         return k * (c[1:] - c[:-1]) / (T[k + 1 : k + nb] - T[1:nb])
 
     def __call__(self, t: float) -> float:
-        vals, oob = kernels.eval_spline_batch(*self._packed_args(), np.array([float(t)]))
-        _record_oob(oob)
-        return float(vals[0])
+        return float(self.eval_batch(np.array([float(t)]))[0])
 
     def eval_batch(self, ts) -> np.ndarray:
-        vals, oob = kernels.eval_spline_batch(*self._packed_args(), ts)
+        vals, oob = kernels.eval_spline_batch(self, ts)
         _record_oob(oob)
         return vals
-
-    def _packed_args(self):
-        a, b = self.domain
-        fa, sa, fb, sb = self._boundary
-        return self._T, self.coefs, self.order, a, b, fa, sa, fb, sb
 
     def to_dict(self) -> dict:
         a, b = self.domain

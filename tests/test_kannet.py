@@ -223,6 +223,7 @@ class TestJacobian:
             got = jacobian_fd(net, X)
             assert got.shape == X.shape
             assert np.array_equal(got, np.array([jacobian_fd(net, x) for x in X]))
+            assert jacobian_lower_bound(net, X) == max(jacobian_lower_bound(net, x) for x in X)
 
     @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5, 0.5]], [[[0.5, 0.5]]]])
     def test_point_shape_validated(self, x):

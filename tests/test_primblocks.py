@@ -92,10 +92,6 @@ class TestMul:
         assert r_q == Interval(0, 0.25)
         assert out == Interval(0, 1)
 
-    def test_rejects_linear_order(self):
-        with pytest.raises(ValueError):
-            block_mul((U, U), k=1)
-
     @given(intervals, intervals)
     @settings(max_examples=120, deadline=None)
     def test_exact_on_random_signed_domains(self, g, h):
@@ -171,15 +167,3 @@ class TestInternalConsistency:
         for dom in ((U, U), (Interval(0, 2), Interval(0, 2)), (Interval(-1, 1), Interval(-1, 1))):
             b = block_mul(dom)
             assert b.measured_lambda() == b.lambda_op
-
-
-def test_block_json_embeds_layers_and_certified_data():
-    import json
-
-    doc = json.loads(json.dumps(block_mul((U, U)).to_dict()))
-    assert doc["op"] == "*"
-    assert doc["c_op"] == 3
-    assert doc["lambda_op"] == 1.0
-    assert doc["eps_op"] == 0.0
-    assert len(doc["layers"]) == 3
-    assert doc["layers"][1]["edges"][0]["spline"]["order"] == 2

@@ -121,19 +121,19 @@ class TestEval:
             ref = BSpline(mine._T, coefs, k)
             ts = np.append(rng.uniform(a, b, 64), [a, b])
             np.testing.assert_allclose(mine.eval_batch(ts), ref(ts), atol=1e-11)
-
-    def test_numpy_and_jit_paths_agree(self, rng):
-        from kanforge import kernels
-
-        grid = np.linspace(0, 1, 9)
-        coefs = rng.normal(0, 1, 11)
-        s = sp.Spline(3, grid, coefs)
-        ts = rng.uniform(-0.2, 1.2, 500)
-        args = s._packed_args()
-        v1, o1 = kernels.eval_spline_batch(*args, ts)
-        v2, o2 = kernels.eval_spline_batch_numpy(*args, ts)
-        assert o1 == o2
-        np.testing.assert_allclose(v1, v2, atol=1e-12)
+            # up to one domain length outside: the nearer end's value and
+            # slope, continued linearly (slope 0 at order 0)
+            below = rng.uniform(a - (b - a), a, 32)
+            above = b + rng.uniform(0, b - a, 32)
+            end = np.repeat([a, b], 32)
+            slope = ref.derivative()(end) if k else np.zeros(end.size)
+            ts = np.append(below, above)
+            sp.reset_oob_hits()
+            np.testing.assert_allclose(
+                mine.eval_batch(ts), ref(end) + slope * (ts - end), atol=1e-11
+            )
+            assert sp.oob_hits() == ts.size
+            sp.reset_oob_hits()
 
 
 class TestLipschitz:
