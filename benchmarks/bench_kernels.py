@@ -3,12 +3,12 @@
 Times packed-network forward passes on compiled networks of increasing size:
 the plan forward (`kernels.forward_batch`, affine edges as one matmul per
 layer, other edges in pp form) against a reference that evaluates every edge
-with its own de Boor call. Also times de Boor batch evaluation of a single
-spline (`Spline.eval_batch`). Run from the repo root:
+with its own de Boor call. Building the plan (`kernels.build_plan`, which a
+network runs once and caches) is timed on its own and reported next to the
+forward it serves. Also times de Boor batch evaluation of a single spline
+(`Spline.eval_batch`). Run from the repo root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [npoints]
-
-Plan building is cached per network and excluded from the timings.
 """
 
 import sys
@@ -25,6 +25,8 @@ CASES = [
     ("sin((x1+x2)*x3)", "sin((x1+x2)*x3)"),
     ("product chain n=8", "*".join(f"x{i}" for i in range(1, 9))),
     ("mixed depth 5", "sin((x1+x2)*(x3+x4))*relu(x5-x6*x1)+cos(x2*x3)"),
+    # a wide chain: identity wires forward every live input through each layer
+    ("chain n=16", "".join(f"{'+*-'[i % 3]}x{i + 1}" for i in range(16))[1:]),
 ]
 
 
@@ -61,12 +63,14 @@ def main(npoints: int) -> None:
     for name, expr in CASES:
         net, _ = compile_tree(parse_expression(expr), CompileConfig())
         X = rng.uniform(0.0, 1.0, size=(npoints, net.n_inputs))
+        t_build = _time(lambda: kernels.build_plan(net.widths, net.layers))
         plan = net.packed()
         t_plan = _time(lambda: kernels.forward_batch(plan, X))
         t_ref = _time(lambda: deboor_forward(net, X))
+        edges = sum(len(layer) for layer in net.layers)
         print(
-            f"  {name:24s} plan: {t_plan * 1e3:8.2f} ms  de Boor per edge: {t_ref * 1e3:8.2f} ms"
-            f"  speedup: {t_ref / t_plan:5.1f}x"
+            f"  {name:24s} {edges:4d} edges  build: {t_build * 1e3:7.2f} ms  plan: {t_plan * 1e3:8.2f} ms"
+            f"  de Boor per edge: {t_ref * 1e3:8.2f} ms  speedup: {t_ref / t_plan:5.1f}x"
         )
 
 

@@ -262,14 +262,23 @@ def _identity_wires():
 
     The key is the exact bit pattern of both endpoints, so [-0.0, b] and
     [0.0, b] (equal as floats, different in the JSON) get separate splines.
+    A wire forwarded through many layers passes the same `Interval` object
+    each time, so lookups go by object first and build the key only once
+    per object.
     """
     cache: dict[tuple[str, str], Spline] = {}
+    # id(iv) -> (iv, its spline); holding iv keeps its id from being reused
+    seen: dict[int, tuple[Interval, Spline]] = {}
 
     def wire(iv: Interval) -> Spline:
+        hit = seen.get(id(iv))
+        if hit is not None:
+            return hit[1]
         key = (iv.lo.hex(), iv.hi.hex())
         spl = cache.get(key)
         if spl is None:
             spl = cache[key] = line_spline(iv.lo, iv.hi, iv.lo, iv.hi)
+        seen[id(iv)] = (iv, spl)
         return spl
 
     return wire

@@ -14,7 +14,9 @@ structure rather than sampled.
 
 from __future__ import annotations
 
+import itertools
 import json
+import marshal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,24 +123,18 @@ class ProductReport:
     max_width: int                # W over all boundaries including the input
     n_layers: int
 
-    @property
-    def ambient_upper(self) -> float:
-        """W^L * P, an upper bound for the network's ambient Lipschitz constant."""
-        try:
-            return float(self.max_width) ** self.n_layers * self.product
-        except OverflowError:
-            return float("inf")
-
 
 def lipschitz_product(net: KanNetwork) -> ProductReport:
-    per_layer = []
-    for l, edges in enumerate(net.layers):
-        m = np.zeros(net.widths[l])
-        for e in edges:
-            lip = spline_lipschitz(e.spline).value
-            if lip > m[e.src]:
-                m[e.src] = lip
-        per_layer.append(float(m.max()) if m.size else 0.0)
+    # m[start[l] + i]: the largest Lipschitz constant on an edge out of neuron
+    # i of boundary l; fmax, like a `>` compare, passes over a NaN constant
+    start = list(itertools.accumulate(net.widths[:-1], initial=0))
+    m = np.zeros(start[-1])
+    np.fmax.at(
+        m,
+        [start[l] + e.src for l, edges in enumerate(net.layers) for e in edges],
+        [spline_lipschitz(e.spline).value for edges in net.layers for e in edges],
+    )
+    per_layer = np.maximum.reduceat(m, start[:-1]).tolist()
     product = 1.0
     for mu in per_layer:
         product *= mu
@@ -212,22 +208,47 @@ def _to_json(net: KanNetwork) -> str:
         for e in edges:
             body = bodies.get(id(e.spline))
             if body is None:
-                body = bodies[id(e.spline)] = _nested(e.spline.to_dict(), 5)
+                body = bodies[id(e.spline)] = _spline_json(e.spline, 5)
             items.append(
                 f'{{\n          "from": {e.src},\n          "to": {e.dst},\n          "spline": {body}\n        }}'
             )
         layers.append('{\n      "edges": ' + _nested_list(items, 3) + "\n    }")
+    tags = [_nested_list([_json_str(t) for t in row], 2) for row in net.wire_tags]
     return (
         '{\n  "format": ' + _nested(FORMAT, 1)
         + ',\n  "widths": ' + _nested(list(net.widths), 1)
         + ',\n  "layers": ' + _nested_list(layers, 1)
-        + ',\n  "wire_tags": ' + _nested([list(tags) for tags in net.wire_tags], 1)
+        + ',\n  "wire_tags": ' + _nested_list(tags, 1)
         + "\n}"
     )
 
 
+# the C string encoder `json.dumps` applies to every str under ensure_ascii
+_json_str = json.encoder.encode_basestring_ascii
+
+
 def _nested(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _spline_json(s: Spline, depth: int) -> str:
+    """`_nested(s.to_dict(), depth)`, with one C-encoder dump of its three float
+    lists (`indent` selects the pure-Python encoder) laid out one item per
+    line: no float's text holds a bracket or the ", " item separator."""
+    pad = "\n" + "  " * (depth + 1)
+    item = "," + pad + "  "
+    domain, knots, coefs = (
+        "[" + pad + "  " + part.replace(", ", item) + pad + "]"
+        for part in json.dumps([list(s.domain), s.knots.tolist(), s.coefs.tolist()])[2:-2].split("], [")
+    )
+    return (
+        "{" + pad + '"order": ' + str(s.order)
+        + "," + pad + '"domain": ' + domain
+        + "," + pad + '"grid_points": ' + str(s.grid_points)
+        + "," + pad + '"knots": ' + knots
+        + "," + pad + '"coefficients": ' + coefs
+        + "\n" + "  " * depth + "}"
+    )
 
 
 def _nested_list(items: list[str], depth: int) -> str:
@@ -261,6 +282,12 @@ def deserialize(text: str) -> KanNetwork:
         "$.layers",
     )
     layers = []
+    # one Spline per distinct spline document, so splines the compiler shared
+    # across edges stay shared. The key is the document in marshal's version-2
+    # format, which writes every value with its type and every float as its
+    # IEEE bytes: equal keys are equal documents, -0.0 and 0.0 stay apart,
+    # and no float is formatted as text (a compact json.dumps costs ~40x more)
+    splines: dict[bytes, Spline] = {}
     for l, entry in enumerate(raw_layers):
         path = f"$.layers[{l}]"
         _require(isinstance(entry, dict) and isinstance(entry.get("edges"), list), "layer must carry an edge list", path)
@@ -274,7 +301,10 @@ def deserialize(text: str) -> KanNetwork:
             sp = raw.get("spline")
             _require(isinstance(sp, dict), "edge must carry a spline object", f"{epath}.spline")
             try:
-                spline = Spline.from_dict(sp)
+                key = marshal.dumps(sp, 2)
+                spline = splines.get(key)
+                if spline is None:
+                    spline = splines[key] = Spline.from_dict(sp)
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"bad spline: {exc}", f"{epath}.spline") from exc
             edges.append(Edge(src, dst, spline))

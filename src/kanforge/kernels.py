@@ -16,6 +16,17 @@ layer, splitting the layer's edges by class:
   linear continuation outside the domain. Rows are evaluated by Horner's
   rule and added into their targets.
 
+The plan is built from whole-network arrays: one pass over every edge, in
+layer order, gathers its layer, source, target, domain ends, boundary value
+and slope, and whether it is affine. The weights of all layers are filled by
+one index assignment into a shared buffer; the biases and the per-source
+domain bounds by one `np.add.at` / `np.maximum.at` / `np.minimum.at` each,
+with per-layer offsets (`add.at` applies its updates in edge order, so every
+bias sums its edges in that order). Each `LayerPlan` holds views of these
+arrays. The pp rows of all curved edges come from one stacked de Boor pass
+per (order, grid size); only layers with curved edges then lay their rows
+out in a table, and the others share one set of empty, read-only pp arrays.
+
 The segment of a point comes from index arithmetic on uniform grids and from
 `searchsorted` over the distinct knots on any other grid. `forward_batch`
 runs the plan over fixed chunks of CHUNK rows, so its temporaries stay
@@ -60,18 +71,22 @@ CHUNK = 8192
 # single-spline de Boor
 
 def _deboor(T, c, k, j, t):
-    """de Boor's recursion at points `t` on knot intervals `j` (T[j] <= t < T[j+1])."""
+    """de Boor's recursion at points `t` on knot intervals `j` (T[j] <= t < T[j+1]).
+
+    `T`, `c` and `t` may carry a leading axis of splines sharing `k` and `j`;
+    every value is computed by the same elementwise steps either way.
+    """
     if k == 0:
-        return c[j]
-    d = c[j[:, None] - k + np.arange(k + 1)[None, :]].copy()
+        return c[..., j]
+    d = c[..., j[:, None] - k + np.arange(k + 1)[None, :]].copy()
     for r in range(1, k + 1):
         for i in range(k, r - 1, -1):
-            lo = T[i + j - k]
-            den = T[i + 1 + j - r] - lo
+            lo = T[..., i + j - k]
+            den = T[..., i + 1 + j - r] - lo
             safe = np.where(den == 0.0, 1.0, den)
             alpha = np.where(den == 0.0, 0.0, (t - lo) / safe)
-            d[:, i] = (1.0 - alpha) * d[:, i - 1] + alpha * d[:, i]
-    return d[:, k]
+            d[..., i] = (1.0 - alpha) * d[..., i - 1] + alpha * d[..., i]
+    return d[..., k]
 
 
 def eval_spline_batch(s, ts) -> tuple[np.ndarray, int]:
@@ -145,64 +160,76 @@ def _is_affine(s) -> bool:
     return s.order == 1 and s.knots.size == 2
 
 
-def _taylor_rows(s, K: int) -> np.ndarray:
-    """pp table rows of one spline: (K+1, G+1) Taylor coefficients, highest
-    power first. Column 0 continues below the domain, columns 1..G-1 are the
-    segments at their left knots, column G continues above the domain."""
-    k, T, c, knots = s.order, s._T, s.coefs, s.knots
-    nseg = knots.size - 1
-    fa, sa, fb, sb = s._boundary
-    coef = np.zeros((K + 1, nseg + 2))
-    r = np.arange(nseg)
-    fact = 1.0
-    for m in range(k + 1):
-        q = k - m
-        if m:
-            # derivative of the order-(q+1) spline: order q on the inner knot vector
-            p = q + 1
-            c = p * (c[1:] - c[:-1]) / (T[p + 1 : p + c.size] - T[1 : c.size])
-            T = T[1:-1]
-            fact *= m
-        coef[K - m, 1:-1] = _deboor(T, c, q, r + q, knots[:-1]) / fact
-    coef[K, 0], coef[K, -1] = fa, fb
-    if K >= 1:
-        coef[K - 1, 0], coef[K - 1, -1] = sa, sb
-    return coef
+def _taylor_rows(splines) -> list[np.ndarray]:
+    """pp table rows of each spline at its own order k: (k+1, G+1) Taylor
+    coefficients, highest power first. Column 0 continues below the domain,
+    columns 1..G-1 are the segments at their left knots, column G continues
+    above the domain. Splines of one order and grid size go through de Boor
+    together, as one stack."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for n, s in enumerate(splines):
+        groups.setdefault((s.order, s.knots.size), []).append(n)
+    tables = [None] * len(splines)
+    for (k, G), members in groups.items():
+        stack = [splines[n] for n in members]
+        T = np.array([s._T for s in stack])
+        c = np.array([s.coefs for s in stack])
+        knots = np.array([s.knots for s in stack])
+        fa, sa, fb, sb = np.array([s._boundary for s in stack]).T
+        coef = np.zeros((len(stack), k + 1, G + 1))
+        r = np.arange(G - 1)
+        fact = 1.0
+        for m in range(k + 1):
+            q = k - m
+            if m:
+                # derivative of the order-(q+1) spline: order q on the inner knot vector
+                p, size = q + 1, c.shape[1]
+                c = p * (c[:, 1:] - c[:, :-1]) / (T[:, p + 1 : p + size] - T[:, 1:size])
+                T = T[:, 1:-1]
+                fact *= m
+            coef[:, k - m, 1:-1] = _deboor(T, c, q, r + q, knots[:, :-1]) / fact
+        coef[:, k, 0], coef[:, k, -1] = fa, fb
+        if k >= 1:
+            coef[:, k - 1, 0], coef[:, k - 1, -1] = sa, sb
+        for n, table in zip(members, coef):
+            tables[n] = table
+    return tables
 
 
 def _col(values) -> np.ndarray:
     return np.array(values, dtype=np.float64).reshape(-1, 1)
 
 
-def _layer_plan(w_in: int, w_out: int, edges) -> LayerPlan:
-    affine = [e for e in edges if _is_affine(e.spline)]
-    curved = [e for e in edges if not _is_affine(e.spline)]
-    src_lo = np.full((w_in, 1), -np.inf)
-    src_hi = np.full((w_in, 1), np.inf)
-    for e in edges:
-        a, b = e.spline.domain
-        src_lo[e.src] = max(src_lo[e.src, 0], a)
-        src_hi[e.src] = min(src_hi[e.src, 0], b)
+def _empty(shape, dtype=np.float64) -> np.ndarray:
+    a = np.zeros(shape, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
-    weight = None
-    bias = np.zeros((w_out, 1))
-    if affine:
-        weight = np.zeros((w_out, w_in))
-        for e in affine:
-            a, _ = e.spline.domain
-            fa, sa, _, _ = e.spline._boundary
-            weight[e.dst, e.src] = sa
-            bias[e.dst] += fa - sa * a
 
-    K = max((e.spline.order for e in curved), default=0)
-    tables, left, searched = [], [], []
+# the pp-table fields of every layer without curved edges, shared read-only
+_NO_PP = dict(
+    pp_scale=_empty((0, 1)), pp_shift=_empty((0, 1)), pp_first=_empty((0, 1)), pp_last=_empty((0, 1)),
+    pp_below=_empty((0, 1), np.intp), pp_above=_empty((0, 1), np.intp), pp_searched=(),
+    pp_left=_empty(0), pp_coef=_empty((1, 0)),
+)
+
+
+def _pp_part(splines, tables, lo: np.ndarray) -> dict:
+    """pp-table fields of one layer's curved edges, given their `_taylor_rows`;
+    `lo` holds their lower domain ends as an (E_p, 1) column."""
+    if not splines:
+        return _NO_PP
+    K = max(s.order for s in splines)
+    # a table of order k < K fills the K+1-row table's last k+1 rows: the rest
+    # are the zero coefficients of the powers above k
+    coef = np.zeros((K + 1, sum(s.knots.size + 1 for s in splines)))
+    left, searched = [], []
     first, nseg, scale = [], [], []
     rows = 0
-    for i, e in enumerate(curved):
-        s = e.spline
+    for i, (s, table) in enumerate(zip(splines, tables)):
         a, b = s.domain
         G = s.knots.size
-        tables.append(_taylor_rows(s, K))
+        coef[K - s.order :, rows : rows + G + 1] = table
         left.append(np.concatenate([s.knots[:1], s.knots[:-1], s.knots[-1:]]))
         first.append(rows + 1)
         nseg.append(G - 1)
@@ -213,19 +240,9 @@ def _layer_plan(w_in: int, w_out: int, edges) -> LayerPlan:
             scale.append(0.0)
             searched.append((i, s.knots, rows + 1))
         rows += G + 1
-    lo = _col([e.spline.domain[0] for e in curved])
     first_row = _col(first)
     last_row = first_row + _col(nseg) - 1
-    return LayerPlan(
-        width_out=w_out,
-        weight=weight,
-        bias=bias,
-        aff_src=np.array([e.src for e in affine], dtype=np.intp),
-        aff_lo=_col([e.spline.domain[0] for e in affine]),
-        aff_hi=_col([e.spline.domain[1] for e in affine]),
-        pp_src=np.array([e.src for e in curved], dtype=np.intp),
-        pp_lo=lo,
-        pp_hi=_col([e.spline.domain[1] for e in curved]),
+    return dict(
         pp_scale=_col(scale),
         pp_shift=first_row - lo * _col(scale),
         pp_first=first_row,
@@ -233,11 +250,8 @@ def _layer_plan(w_in: int, w_out: int, edges) -> LayerPlan:
         pp_below=(first_row - 1).astype(np.intp),
         pp_above=(last_row + 1).astype(np.intp),
         pp_searched=tuple(searched),
-        pp_left=np.concatenate(left) if left else np.zeros(0),
-        pp_coef=np.concatenate(tables, axis=1) if tables else np.zeros((1, 0)),
-        pp_dst=tuple(e.dst for e in curved),
-        src_lo=src_lo,
-        src_hi=src_hi,
+        pp_left=np.concatenate(left),
+        pp_coef=coef,
     )
 
 
@@ -245,12 +259,66 @@ def build_plan(widths, layers) -> NetPlan:
     """Forward plan of a network: `layers[l]` holds the edges (objects with
     `src`, `dst`, `spline`) from boundary l to boundary l + 1."""
     widths = tuple(int(w) for w in widths)
-    return NetPlan(
-        widths=widths,
-        layers=tuple(
-            _layer_plan(widths[l], widths[l + 1], edges) for l, edges in enumerate(layers)
-        ),
-    )
+    w_in, w_out = np.array(widths[:-1]), np.array(widths[1:])
+    # one pass over every edge, in layer order, into flat per-edge arrays
+    splines = [e.spline for edges in layers for e in edges]
+    dst_list = [e.dst for edges in layers for e in edges]
+    src = np.array([e.src for edges in layers for e in edges], dtype=np.intp)
+    dst = np.array(dst_list, dtype=np.intp)
+    lo, hi, fa, sa = np.array([s.domain + s._boundary[:2] for s in splines]).reshape(-1, 4).T
+    affine = np.array([_is_affine(s) for s in splines], dtype=bool)
+    layer = np.repeat(np.arange(len(layers)), [len(edges) for edges in layers])
+    in_off = np.concatenate([[0], np.cumsum(w_in)])
+    out_off = np.concatenate([[0], np.cumsum(w_out)])
+
+    # per-source domain bounds of all layers; the updates run in reverse edge
+    # order so that of equal ends (0.0 and -0.0) the first edge's is kept, as
+    # a running max/min over the edges keeps it
+    at = (in_off[layer] + src)[::-1]
+    src_lo = np.full(in_off[-1], -np.inf)
+    src_hi = np.full(in_off[-1], np.inf)
+    np.maximum.at(src_lo, at, lo[::-1])
+    np.minimum.at(src_hi, at, hi[::-1])
+
+    # affine edges: biases summed in edge order; weights by index assignment
+    # into one buffer that holds the matrices of the layers having any
+    aff = np.flatnonzero(affine)
+    aff_layer = layer[aff]
+    aff_off = np.concatenate([[0], np.cumsum(np.bincount(aff_layer, minlength=len(layers)))])
+    bias = np.zeros(out_off[-1])
+    np.add.at(bias, out_off[aff_layer] + dst[aff], fa[aff] - sa[aff] * lo[aff])
+    w_off = np.concatenate([[0], np.cumsum(np.where(np.diff(aff_off) > 0, w_out * w_in, 0))])
+    weights = np.zeros(w_off[-1])
+    weights[w_off[aff_layer] + dst[aff] * w_in[aff_layer] + src[aff]] = sa[aff]
+    aff_src, aff_lo, aff_hi = src[aff], lo[aff, None], hi[aff, None]
+
+    # curved edges: the Taylor rows of all of them at once, then a pp table
+    # in each layer that has any
+    curved = np.flatnonzero(~affine)
+    pp_off = np.concatenate([[0], np.cumsum(np.bincount(layer[curved], minlength=len(layers)))])
+    pp_src, pp_lo, pp_hi = src[curved], lo[curved, None], hi[curved, None]
+    pp_splines = [splines[i] for i in curved]
+    tables = _taylor_rows(pp_splines)
+
+    plans = []
+    for l in range(len(layers)):
+        a0, a1, p0, p1 = aff_off[l], aff_off[l + 1], pp_off[l], pp_off[l + 1]
+        plans.append(LayerPlan(
+            width_out=widths[l + 1],
+            weight=weights[w_off[l] : w_off[l + 1]].reshape(w_out[l], w_in[l]) if a1 > a0 else None,
+            bias=bias[out_off[l] : out_off[l + 1], None],
+            aff_src=aff_src[a0:a1],
+            aff_lo=aff_lo[a0:a1],
+            aff_hi=aff_hi[a0:a1],
+            pp_src=pp_src[p0:p1],
+            pp_lo=pp_lo[p0:p1],
+            pp_hi=pp_hi[p0:p1],
+            pp_dst=tuple(dst_list[i] for i in curved[p0:p1]),
+            src_lo=src_lo[in_off[l] : in_off[l + 1], None],
+            src_hi=src_hi[in_off[l] : in_off[l + 1], None],
+            **_pp_part(pp_splines[p0:p1], tables[p0:p1], pp_lo[p0:p1]),
+        ))
+    return NetPlan(widths=widths, layers=tuple(plans))
 
 
 def _layer_forward(lp: LayerPlan, cur: np.ndarray) -> tuple[np.ndarray, int]:

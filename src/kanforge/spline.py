@@ -16,6 +16,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,20 +34,15 @@ __all__ = [
     "spline_lipschitz",
     "sup_error",
     "oob_hits",
-    "reset_oob_hits",
 ]
 
 _OOB_HITS = 0
 
 
 def oob_hits() -> int:
-    """Number of out-of-domain evaluations since the last reset (diagnostic)."""
+    """Running count of out-of-domain evaluations (diagnostic); callers read
+    the difference across the work they measure."""
     return _OOB_HITS
-
-
-def reset_oob_hits() -> None:
-    global _OOB_HITS
-    _OOB_HITS = 0
 
 
 def _record_oob(n: int) -> None:
@@ -75,12 +71,15 @@ class Spline:
     knots: np.ndarray
     coefs: np.ndarray
     _T: np.ndarray = field(init=False, repr=False)
+    # (a, b) = (knots[0], knots[-1]) as Python floats
+    domain: tuple[float, float] = field(init=False, repr=False)
     # boundary value/slope (fa, sa, fb, sb) for linear continuation outside the domain
     _boundary: tuple[float, float, float, float] = field(init=False, repr=False)
     # spline_lipschitz(self), computed on first use
     _lip: "LipValue | None" = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        object.__setattr__(self, "order", operator.index(self.order))
         knots = np.asarray(self.knots, dtype=np.float64)
         coefs = np.asarray(self.coefs, dtype=np.float64)
         if not 0 <= self.order < kernels.KMAX:
@@ -96,6 +95,7 @@ class Spline:
         object.__setattr__(self, "coefs", coefs)
         T = _clamped(knots, self.order)
         object.__setattr__(self, "_T", T)
+        object.__setattr__(self, "domain", (float(knots[0]), float(knots[-1])))
         k, c, nb = self.order, coefs, coefs.size
         if k == 0:
             sa = sb = 0.0
@@ -104,10 +104,6 @@ class Spline:
             sa = float(k * (c[1] - c[0]) / (T[k + 1] - T[1]))
             sb = float(k * (c[nb - 1] - c[nb - 2]) / (T[nb - 1 + k] - T[nb - 1]))
         object.__setattr__(self, "_boundary", (float(c[0]), sa, float(c[-1]), sb))
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.knots[0]), float(self.knots[-1])
 
     @property
     def grid_points(self) -> int:
@@ -145,13 +141,19 @@ class Spline:
 
     @staticmethod
     def from_dict(d: dict) -> "Spline":
-        return Spline(int(d["order"]), np.array(d["knots"]), np.array(d["coefficients"]))
+        s = Spline(int(d["order"]), np.array(d["knots"]), np.array(d["coefficients"]))
+        # the metadata `to_dict` writes must agree with the knots it restates
+        if list(s.domain) != d["domain"]:
+            raise ValueError(f"domain {d['domain']!r} disagrees with the knots {list(s.domain)!r}")
+        grid = d["grid_points"]
+        if type(grid) is not int or grid != s.grid_points:
+            raise ValueError(f"grid_points {grid!r} disagrees with the {s.grid_points} knots")
+        return s
 
 
 @dataclass(frozen=True)
 class LipValue:
     value: float
-    exact: bool = True
 
     def __post_init__(self):
         if self.value < 0:
@@ -279,7 +281,7 @@ def spline_lipschitz(s: Spline) -> LipValue:
     points. Computed once per spline and cached on it.
     """
     if s._lip is None:
-        object.__setattr__(s, "_lip", LipValue(_sup_abs_derivative(s), exact=True))
+        object.__setattr__(s, "_lip", LipValue(_sup_abs_derivative(s)))
     return s._lip
 
 

@@ -164,6 +164,18 @@ class TestVerifyCommand:
     def test_missing_net_file(self, capsys):
         assert cmd_verify("/nonexistent.json", "x1", FAST) == 2
 
+    @pytest.mark.parametrize("field, value", [("domain", [0.0, 7.5]), ("grid_points", 3)])
+    def test_spline_metadata_disagreeing_with_knots_exit_2(self, tmp_path, capsys, field, value):
+        prefix = tmp_path / "kan"
+        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        path = tmp_path / "kan.net.json"
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["edges"][0]["spline"][field] = value
+        path.write_text(json.dumps(doc, indent=2))
+        assert main(["verify", "--net", str(path), "-e", "x1*x2", "--samples", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "$.layers[0].edges[0].spline" in err
+
     @pytest.mark.parametrize("field, value", [("per_node", 5), ("config", None)])
     def test_malformed_cert_field_exit_2(self, tmp_path, capsys, field, value):
         prefix = tmp_path / "kan"

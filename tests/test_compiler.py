@@ -272,7 +272,9 @@ class TestCertifyRecomputeAndCheck:
 class TestIdentityWires:
     def test_one_spline_per_interval(self):
         wire = compiler._identity_wires()
-        a = wire(Interval(-1.0, 2.0))
+        iv = Interval(-1.0, 2.0)
+        a = wire(iv)
+        assert wire(iv) is a
         assert wire(Interval(-1.0, 2.0)) is a
         assert a.knots.tolist() == a.coefs.tolist() == [-1.0, 2.0]
         assert wire(Interval(-1.0, 3.0)) is not a
@@ -282,6 +284,7 @@ class TestIdentityWires:
         neg = wire(Interval(-0.0, 1.0))
         pos = wire(Interval(0.0, 1.0))
         assert neg is not pos
+        assert wire(Interval(-0.0, 1.0)) is neg
         assert math.copysign(1.0, neg.knots[0]) == -1.0
         assert math.copysign(1.0, pos.knots[0]) == 1.0
         assert str(neg.to_dict()["knots"][0]) == "-0.0"

@@ -73,9 +73,9 @@ def _deboor_forward(net, X):
 
 
 def _oob_of(fn, *args):
-    spline.reset_oob_hits()
+    before = spline.oob_hits()
     out = fn(*args)
-    return out, spline.oob_hits()
+    return out, spline.oob_hits() - before
 
 
 class TestPlanForward:
@@ -136,6 +136,66 @@ class TestPlanForward:
             # the order-0 edge jumps at its knots; both sides take the right-hand piece
             np.testing.assert_allclose(mine, want, rtol=0, atol=1e-12)
 
+    @staticmethod
+    def _hand_built_layers(rng):
+        wire = line_spline(-1.0, 2.0, -1.0, 2.0)
+        neg = line_spline(-1.0, 2.0, 1.0, -2.0)
+        quad = Spline(2, np.linspace(-1.0, 2.0, 4), rng.normal(size=5))
+        cubic = Spline(3, np.array([-0.5, 0.1, 0.2, 0.7, 1.5]), rng.normal(size=7))
+        trig = spline.pl_interpolant(math.sin, 0.25, 1.5, 9)
+        return [
+            # mixed; three affine edges into target 0; source 0 feeds the
+            # domains [-1, 2] (twice) and [-0.5, 0.5]
+            (Edge(0, 0, wire), Edge(1, 0, neg), Edge(2, 0, line_spline(0.0, 1.0, 0.5, 3.0)),
+             Edge(0, 1, quad), Edge(0, 2, line_spline(-0.5, 0.5, 1.0, 0.0)),
+             Edge(1, 3, cubic), Edge(2, 3, wire)),
+            # affine only, sharing `wire` across edges and with layer 0
+            (Edge(0, 0, wire), Edge(1, 0, wire), Edge(2, 1, neg),
+             Edge(3, 2, line_spline(-3.0, 3.0, 0.0, 1.5)), Edge(3, 0, neg)),
+            # curved only, sharing `quad` and `cubic` with layer 0
+            (Edge(0, 0, quad), Edge(1, 0, trig), Edge(2, 1, cubic), Edge(0, 1, trig)),
+            # mixed
+            (Edge(0, 0, wire), Edge(1, 0, quad)),
+        ]
+
+    @staticmethod
+    def _network(layers, widths):
+        return KanNetwork(widths=widths, layers=layers,
+                          wire_tags=tuple(tuple(f"n{m}.{i}" for i in range(w)) for m, w in enumerate(widths)))
+
+    def test_hand_built_network(self, rng):
+        layers = self._hand_built_layers(rng)
+        nets = [
+            self._network(layers, (3, 4, 3, 2, 1)),
+            # an edgeless layer: everything after it sees zeros, where `trig`
+            # is below its domain
+            self._network(layers[:2] + [()] + layers[2:], (3, 4, 3, 3, 2, 1)),
+        ]
+        X = np.vstack([rng.uniform(-1.5, 2.5, size=(3000, 3)), rng.uniform(0.0, 0.5, size=(500, 3))])
+        for net in nets:
+            got, got_oob = _oob_of(forward_batch, net, X)
+            ref, ref_oob = _oob_of(_deboor_forward, net, X)
+            assert got_oob == ref_oob > 0
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+            rep = lipschitz_product(net)
+            per_edge = [max((spline_lipschitz(e.spline).value for e in edges), default=0.0) for edges in net.layers]
+            assert rep.per_layer == tuple(per_edge)
+            assert rep.product == math.prod(per_edge)
+
+        plan = nets[1].packed()
+        mixed, affine_only, empty, curved_only, _ = plan.layers
+        assert mixed.weight is not None and len(mixed.pp_dst) == 2
+        assert affine_only.weight is not None and affine_only.pp_dst == ()
+        assert empty.weight is None and empty.pp_dst == () and not empty.bias.any()
+        assert curved_only.weight is None and curved_only.pp_dst == (0, 0, 1, 1)
+        # the affine edges into target 0 add their intercepts in edge order
+        intercepts = [e.spline._boundary[0] - e.spline._boundary[1] * e.spline.domain[0] for e in layers[0][:3]]
+        assert mixed.bias[0, 0] == (intercepts[0] + intercepts[1]) + intercepts[2]
+        assert mixed.weight[0].tolist() == [1.0, -1.0, 2.5]
+        # source 0's tightest domain over its edges
+        assert (mixed.src_lo[0, 0], mixed.src_hi[0, 0]) == (-0.5, 0.5)
+        assert np.all(empty.src_lo == -np.inf) and np.all(empty.src_hi == np.inf)
+
     def test_chunked_rows_match_row_slices(self, rng):
         net, _ = compile_tree(parse_expression("sin((x1+x2)*x3)*relu(x1-x2)"), CFG)
         X = rng.uniform(-0.05, 1.05, size=(3 * kernels.CHUNK + 7, net.n_inputs))
@@ -163,7 +223,6 @@ class TestLipschitzProduct:
         assert rep.max_width == 2
         assert rep.n_layers == 3
         assert rep.product == math.prod(rep.per_layer)
-        assert rep.ambient_upper == rep.max_width**rep.n_layers * rep.product
 
     def test_identity_wire_floor_in_faithful_nets(self):
         for expr in ("x1*x2", "sin(x1*x2)", "sin(x1)", "relu(x1-x2)*cos(x3)"):
@@ -289,6 +348,51 @@ class TestSerialization:
         ))
         for net in nets:
             assert serialize(net) == self._reference_text(net)
+
+    def test_float_layout_matches_indented_dump(self):
+        # signed zeros, subnormals and extreme exponents keep their repr
+        spl = Spline(2, np.array([-0.0, 5e-324, 1e-300, 0.1, 1e300]),
+                     np.array([0.0, -0.0, 2.5e-8, 1 / 3, -1e22, 123456789.125]))
+        net = KanNetwork(widths=(1, 1), layers=((Edge(0, 0, spl),),), wire_tags=(("x1",), ("node0",)))
+        assert serialize(net) == self._reference_text(net)
+
+    def test_shared_splines_come_back_shared(self, rng):
+        nets = [compile_tree(parse_expression("x1*x2*x3*x4"), CFG_FAITHFUL)[0]]
+        nets += [compile_tree(random_tree(rng, 5), CFG)[0] for _ in range(10)]
+        for net in nets:
+            text = serialize(net)
+            net2 = deserialize(text)
+            edges = [e for layer in net.layers for e in layer]
+            edges2 = [e for layer in net2.layers for e in layer]
+            # a spline shared by edges of the compiled net is one object after loading
+            first = {}
+            for e, e2 in zip(edges, edges2):
+                assert first.setdefault(id(e.spline), e2.spline) is e2.spline
+            docs = {json.dumps(raw["spline"]) for layer in json.loads(text)["layers"] for raw in layer["edges"]}
+            assert len({id(e.spline) for e in edges2}) == len(docs)
+            assert serialize(KanNetwork(net2.widths, net2.layers, net2.wire_tags)) == text
+        # the faithful chain forwards its inputs through shared identity wires
+        assert len({id(e.spline) for layer in deserialize(serialize(nets[0])).layers for e in layer}) < sum(
+            len(layer) for layer in nets[0].layers)
+
+    def test_signed_zero_wires_stay_apart_after_loading(self):
+        neg, pos = line_spline(-0.0, 1.0, -0.0, 1.0), line_spline(0.0, 1.0, 0.0, 1.0)
+        net = KanNetwork(widths=(2, 2), layers=((Edge(0, 0, neg), Edge(1, 1, pos)),),
+                         wire_tags=(("x1", "x2"), ("a", "b")))
+        net2 = deserialize(serialize(net))
+        a, b = (e.spline for e in net2.layers[0])
+        assert a is not b
+        assert serialize(KanNetwork(net2.widths, net2.layers, net2.wire_tags)) == serialize(net)
+
+    @pytest.mark.parametrize("field, value", [("domain", [0.0, 7.5]), ("grid_points", 5)])
+    def test_spline_metadata_disagreeing_with_knots_rejected_with_path(self, field, value):
+        net, _ = compile_tree(parse_expression("x1*x2"), CFG)
+        doc = json.loads(serialize(net))
+        doc["layers"][1]["edges"][0]["spline"][field] = value
+        with pytest.raises(SchemaError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.path == "$.layers[1].edges[0].spline"
+        assert field in str(exc.value)
 
     def test_format_version_pinned(self):
         net, _ = compile_tree(parse_expression("x1"), CFG)
