@@ -21,13 +21,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .compiler import (
-    CertificationError,
     Certificate,
+    CertificationError,
+    CheckReport,
     CompileConfig,
     CompileError,
     check_certificate,
     compile_tree,
-    measured_sup_error,
+    jacobian_row,
+    range_row,
     recompute_certificate,
 )
 from .exprtree import (
@@ -49,7 +51,7 @@ from .kannet import (
     lipschitz_product,
     serialize,
 )
-from .rangecert import annotate_ranges, verify_ranges_numerically
+from .rangecert import AffineBox, affine_box, annotate_ranges, apply_affine, verify_ranges_numerically
 from .spline import cubic_interpolant, sup_error
 
 __all__ = [
@@ -201,10 +203,9 @@ def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str =
         }
     ]
     _emit(rows, fmt, stream)
-    try:
-        check_certificate(tree, net, cert, config.samples, config.seed, product=report)
-    except CertificationError as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
+    failure = check_certificate(tree, net, cert, config.samples, config.seed, product=report).failure
+    if failure is not None:
+        print(f"certification failed: {failure.message()}", file=sys.stderr)
         return 3
     return 0
 
@@ -213,46 +214,27 @@ def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str =
 _RANGE_SAMPLES = 200_000
 
 
-def verify_report(tree: CompTree, net: KanNetwork, config: RunConfig) -> dict:
-    """Measured-vs-certified comparison for an already compiled network.
-
-    One seeded sample pass yields both the sup error and the per-node range
-    maxima; the 20 Jacobian probes share one forward.
-    """
+def verify_report(tree: CompTree, net: KanNetwork, config: RunConfig,
+                  box: AffineBox | None = None) -> CheckReport:
+    """`check_certificate`'s report against the certificate recomputed from the
+    tree (behind `box` when given), plus the range and Jacobian rows. One seeded
+    sample pass feeds both the sup error and the per-node range maxima; the 20
+    Jacobian probes, mapped into the box, share one forward."""
     ann = annotate_ranges(tree)
-    cert = recompute_certificate(tree, net, config.compile_config(), annotated=ann)
-    report = lipschitz_product(net)
+    cert = recompute_certificate(tree, net, config.compile_config(), box=box, annotated=ann)
+    product = lipschitz_product(net)
     range_samples = min(config.samples, _RANGE_SAMPLES)
     # the error pass draws max(n, n_0) columns per row, so its rows are the
     # range check's rows only when n_0 <= n; otherwise the check draws its own
-    node_max = NodeMaxima(range_samples) if net.n_inputs <= tree_stats(tree).n else None
-    try:
-        err = check_certificate(tree, net, cert, config.samples, config.seed,
-                                product=report, node_max=node_max)
-        cert_ok = True
-        cert_msg = ""
-    except CertificationError as exc:
-        cert_ok = False
-        cert_msg = str(exc)
-        err = exc.sup_error
-        if err is None:  # an earlier inequality failed before the error was measured
-            err = measured_sup_error(tree, net, config.samples, config.seed, node_max=node_max)
+    node_max = NodeMaxima(range_samples) if net.n_inputs <= len(ann.leaf_ranges) else None
+    report = check_certificate(tree, net, cert, config.samples, config.seed, box=box,
+                               product=product, node_max=node_max, annotated=ann)
     ranges = verify_ranges_numerically(tree, range_samples, config.seed, annotated=ann, node_max=node_max)
-    rng = np.random.default_rng(config.seed)
-    jac_max = jacobian_lower_bound(net, rng.uniform(0.001, 0.999, size=(20, net.n_inputs)))
-    return {
-        "P_measured": report.product,
-        "P_certified": cert.p_bound,
-        "P_ok": report.product <= cert.p_bound * (1.0 + 1e-12),
-        "sup_error_measured": err,
-        "error_bound": cert.error_bound,
-        "error_ok": err <= cert.error_bound + 1e-10,
-        "jacobian_max_lower_bound": jac_max,
-        "jacobian_ok": jac_max <= report.product + 1e-6,
-        "range_ok": ranges.ok,
-        "certify_ok": cert_ok,
-        "certify_message": cert_msg,
-    }
+    probes = np.random.default_rng(config.seed).uniform(0.001, 0.999, size=(20, net.n_inputs))
+    if box is not None:
+        probes = apply_affine(box, probes)
+    jac_max = jacobian_lower_bound(net, probes)
+    return replace(report, rows=report.rows + (range_row(ranges), jacobian_row(jac_max, product.product)))
 
 
 def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | None = None,
@@ -271,11 +253,16 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
     except RecursionError:
         print(_TOO_DEEP, file=sys.stderr)
         return 2
+    box = None
     if cert_path:
         try:
             with open(cert_path, encoding="utf-8") as fh:
                 cert = Certificate.from_json(fh.read())
-        # ValueError covers invalid JSON; KeyError and TypeError missing or mistyped fields
+            if cert.box is not None:
+                box = affine_box(cert.box)
+                if len(box.intervals) != net.n_inputs:
+                    raise ValueError(f"box has {len(box.intervals)} intervals, network reads {net.n_inputs}")
+        # ValueError covers invalid JSON and boxes; KeyError and TypeError missing or mistyped fields
         except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"error: bad certificate: {exc}", file=sys.stderr)
             return 2
@@ -292,13 +279,15 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
             print(f"error: expression mismatch: certificate was issued for {cert.expr!r}", file=sys.stderr)
             return 4
     try:
-        report = verify_report(tree, net, config)
+        report = verify_report(tree, net, config, box)
     except RecursionError:
         print(_TOO_DEEP, file=sys.stderr)
         return 2
-    _emit([report], fmt, stream)
-    ok = report["P_ok"] and report["error_ok"] and report["jacobian_ok"] and report["range_ok"] and report["certify_ok"]
-    return 0 if ok else 3
+    _emit([vars(row) for row in report.rows], fmt, stream)
+    if not report.ok:
+        print(f"verification failed: {report.failure.message()}", file=sys.stderr)
+        return 3
+    return 0
 
 
 _PRODUCT_FAMILIES = [("xy", "x1*x2"), ("xyz", "x1*x2*x3"), ("sin(xy)", "sin(x1*x2)")] + [
@@ -380,10 +369,8 @@ def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str 
         try:
             net, _ = compile_tree(tree, config.compile_config())
             report = verify_report(tree, net, replace(config, seed=sample_seed))
-            if not report["certify_ok"]:
-                raise CertificationError(report["certify_message"])
-            if not report["range_ok"]:
-                raise CertificationError("range soundness violated")
+            if not report.ok:
+                raise CertificationError(report.failure.message())
         except (CompileError, CertificationError, ValueError) as exc:
             failures.append({"index": i, "expr": render(tree), "seed": config.seed, "error": str(exc)})
     for depth in range(1, 6):
@@ -391,9 +378,10 @@ def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str 
         stats = tree_stats(tree)
         ann = annotate_ranges(tree)
         report = verify_ranges_numerically(tree, 1000, config.seed, annotated=ann)
-        attained = report.entries[0].measured  # root is node 0 (pre-order)
+        # root is node 0 (pre-order); the all-ones corner sums N+1 ones exactly
+        attained = report.entries[0].measured
         expected = stats.internal + 1
-        if not (abs(attained - expected) <= 1e-12 and ann.root_range.bound == expected):
+        if not (attained == expected and ann.root_range.bound == expected):
             failures.append(
                 {"index": -depth, "expr": render(tree), "seed": config.seed,
                  "error": f"additive bound {expected} not attained (measured {attained})"}
@@ -412,7 +400,8 @@ def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=35, help="spline grid points per trig block (default 35)")
-    p.add_argument("--order", type=int, default=3, help="spline order for rate sweeps (default 3)")
+    p.add_argument("--order", type=int, default=3,
+                   help="spline order, checked (>= 2) and recorded in the certificate (default 3)")
     p.add_argument("--samples", type=int, default=100_000, help="verification sample count (default 1e5)")
     p.add_argument("--seed", type=int, default=42, help="RNG seed (KANFORGE_SEED overrides)")
     p.add_argument("--faithful-widths", action="store_true",

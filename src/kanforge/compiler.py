@@ -23,18 +23,21 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprtree import CompTree, Leaf, NodeMaxima, OpKind, eval_tree_batch, render, tree_stats
+from .exprtree import CompTree, Leaf, NodeMaxima, OpKind, eval_tree_batch, render, tree_stats, validate_opset
 from .kannet import Edge, KanNetwork, ProductReport, forward_batch, lipschitz_product, serialize
 from .primblocks import Block, block_certificate, build_block
 from .rangecert import (
     BLOCK_DEPTH,
+    _SOUNDNESS_SLACK,
     AffineBox,
     AnnotatedTree,
     Interval,
+    RangeReport,
     annotate_ranges,
     apply_affine,
     lip_budget,
@@ -48,12 +51,16 @@ __all__ = [
     "ScheduleEntry",
     "CompileError",
     "CertificationError",
+    "CheckRow",
+    "CheckReport",
     "build_schedule",
     "compile_tree",
     "compile_on_box",
     "dead_wire_elimination",
     "recompute_certificate",
     "check_certificate",
+    "range_row",
+    "jacobian_row",
     "certify",
 ]
 
@@ -64,9 +71,11 @@ VERSION = "0.1.0"
 W_MAX_BLOCK = 4
 
 # roundoff slack: exact-op networks have error_bound == 0 but float forward
-# noise ~1e-15; comparisons of float bound products can differ by ulps
+# noise ~1e-15; comparisons of float bound products can differ by ulps;
+# central differences of the network carry step-size noise
 _ERROR_SLACK = 1e-10
 _REL_SLACK = 1e-12
+_JACOBIAN_SLACK = 1e-6
 
 
 class CompileError(ValueError):
@@ -74,15 +83,7 @@ class CompileError(ValueError):
 
 
 class CertificationError(ValueError):
-    """A certified inequality failed; the message names it.
-
-    `sup_error` is the measured sampled error when the failing check came
-    after its measurement, else None.
-    """
-
-    def __init__(self, message: str, sup_error: float | None = None):
-        super().__init__(message)
-        self.sup_error = sup_error
+    """A certified inequality failed; the message names it (see `CheckRow`)."""
 
 
 @dataclass(frozen=True)
@@ -461,7 +462,7 @@ def _certificate(
 
 def compile_tree(tree: CompTree, config: CompileConfig = CompileConfig()) -> tuple[KanNetwork, Certificate]:
     """Compile a computation tree into (network, certificate)."""
-    bad = [(nid, op) for nid, op in _unsupported(tree)]
+    bad = validate_opset(tree, set(BLOCK_DEPTH))
     if bad:
         raise CompileError(f"unsupported operations: {bad}")
     ann = annotate_ranges(tree)
@@ -471,12 +472,6 @@ def compile_tree(tree: CompTree, config: CompileConfig = CompileConfig()) -> tup
     if not config.faithful_widths and not isinstance(tree, Leaf):
         net = dead_wire_elimination(net, outputs={0})
     return net, _certificate(tree, net, config, ann, blocks)
-
-
-def _unsupported(tree: CompTree):
-    from .exprtree import validate_opset
-
-    return validate_opset(tree, set(BLOCK_DEPTH))
 
 
 def _on_box(cert: Certificate, box: AffineBox) -> Certificate:
@@ -565,6 +560,67 @@ def recompute_certificate(
     return _on_box(cert, box) if box is not None else cert
 
 
+@dataclass(frozen=True)
+class CheckRow:
+    """One certified inequality `lhs <= rhs` within `slack`; a NaN side fails it.
+
+    A family row stands for one inequality per tree node and shows the first
+    failing node, else the tightest one (largest lhs - rhs), named in `where`.
+    """
+
+    name: str
+    lhs: float
+    rhs: float
+    slack: float
+    ok: bool
+    where: str = ""
+
+    def message(self) -> str:
+        at = f" at {self.where}" if self.where else ""
+        return f"{self.name} violated{at}: lhs {self.lhs!r}, rhs {self.rhs!r}, slack {self.slack!r}"
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Every checked inequality as a row, plus the measured sampled sup error."""
+
+    rows: tuple[CheckRow, ...]
+    sup_error: float
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.rows)
+
+    @property
+    def failure(self) -> CheckRow | None:
+        return next((r for r in self.rows if not r.ok), None)
+
+
+def _at_most(name: str, lhs, rhs, slack: float = 0.0, relative: bool = False) -> CheckRow:
+    limit = rhs * (1.0 + slack) if relative else rhs + slack
+    return CheckRow(name, lhs, rhs, slack, bool(lhs <= limit))
+
+
+def _family_row(name: str, nodes: list[tuple[str, float, float, bool]], slack: float) -> CheckRow:
+    # nodes: (where, lhs, rhs, ok) per tree node
+    if not nodes:
+        return CheckRow(name, 0.0, 0.0, slack, True, "no internal nodes")
+    bad = next((nd for nd in nodes if not nd[3]), None)
+    where, lhs, rhs, _ = bad or max(nodes, key=lambda nd: nd[1] - nd[2])
+    return CheckRow(name, lhs, rhs, slack, bad is None, where)
+
+
+def range_row(ranges: RangeReport) -> CheckRow:
+    """The per-node range inequalities |f_v| <= B_v as one family row."""
+    nodes = [(f"node {e.node_id} ({e.op})", e.measured, e.certified, e.ok) for e in ranges.entries]
+    return _family_row("ranges: |f_v| <= B_v + slack", nodes, _SOUNDNESS_SLACK)
+
+
+def jacobian_row(jacobian_max: float, product: float) -> CheckRow:
+    """The sampled Jacobian sandwich max ||J_fd||/W^L <= P."""
+    return _at_most("max ||J_fd||/W^L <= P + slack", jacobian_max, product, _JACOBIAN_SLACK)
+
+
 def check_certificate(
     tree: CompTree,
     net: KanNetwork,
@@ -574,44 +630,35 @@ def check_certificate(
     box: AffineBox | None = None,
     product: ProductReport | None = None,
     node_max: NodeMaxima | None = None,
-) -> float:
-    """Cross-check `net` against every inequality `cert` states.
+    annotated: AnnotatedTree | None = None,
+) -> CheckReport:
+    """One `CheckRow` per inequality `cert` states, each evaluated against `net`.
 
-    Raises CertificationError naming the first violated inequality; on
-    success returns the measured sampled sup error. `product` is the
-    network's `lipschitz_product` when the caller has it already; `node_max`
-    is handed to `measured_sup_error`.
+    `product` is the network's `lipschitz_product` and `annotated` the tree's
+    `annotate_ranges` when the caller has them; `node_max` goes to
+    `measured_sup_error`, which runs even when an earlier row fails.
     """
-    stats = tree_stats(tree)
-    if net.n_inputs != stats.n:
-        raise CertificationError(f"n_0 = n violated: n_0={net.n_inputs}, n={stats.n}")
-    if max(net.widths) > cert.width_bound:
-        raise CertificationError(
-            f"width bound violated: max width {max(net.widths)} > n + 2*w_max*N = {cert.width_bound}"
-        )
-    if cert.l_f > 3 * stats.internal:
-        raise CertificationError(f"L_f <= 3N violated: L_f={cert.l_f}, N={stats.internal}")
+    ann = annotated if annotated is not None else annotate_ranges(tree)
+    n, internal = len(ann.leaf_ranges), len(ann.annotations)
+    # max(C_v, 1)^c_v on each node's certified domain
+    block_bound = {nid: max(max(a.partial_lips), 1.0) ** a.c_op for nid, a in ann.annotations.items()}
+    blocks = []
     for nc in cert.per_node:
-        if not nc.a5_ok:
-            raise CertificationError(
-                f"block inequality lambda <= max(C,1)^c violated at node {nc.node_id} ({nc.op})"
-            )
+        bound = block_bound.get(nc.node_id, math.nan)
+        blocks.append((f"node {nc.node_id} ({nc.op})", nc.lambda_op, bound, nc.lambda_op <= bound))
     report = product if product is not None else lipschitz_product(net)
-    if report.product > cert.p_bound * (1.0 + _REL_SLACK):
-        raise CertificationError(
-            f"P <= p_bound violated: P={report.product!r}, p_bound={cert.p_bound!r}"
-        )
-    if cert.p_bound > cert.p_simplified * (1.0 + _REL_SLACK):
-        raise CertificationError(
-            f"p_bound <= p_simplified violated: {cert.p_bound!r} > {cert.p_simplified!r}"
-        )
     err = measured_sup_error(tree, net, samples, seed, box=box, node_max=node_max)
-    if err > cert.error_bound + _ERROR_SLACK:
-        raise CertificationError(
-            f"sup error <= error_bound violated: measured {err!r} > bound {cert.error_bound!r}",
-            sup_error=err,
-        )
-    return err
+    rows = (
+        CheckRow("n_0 = n", net.n_inputs, n, 0.0, net.n_inputs == n),
+        _at_most("max width <= width bound n + 2*w_max*N", max(net.widths), cert.width_bound),
+        _at_most("L_f <= 3N", cert.l_f, 3 * internal),
+        _family_row("lambda_v <= max(C_v,1)^c_v", blocks, 0.0),
+        _at_most("P <= p_bound*(1+slack)", report.product, cert.p_bound, _REL_SLACK, relative=True),
+        _at_most("p_bound <= p_simplified*(1+slack)", cert.p_bound, cert.p_simplified, _REL_SLACK,
+                 relative=True),
+        _at_most("sup error <= error_bound + slack", err, cert.error_bound, _ERROR_SLACK),
+    )
+    return CheckReport(rows, err)
 
 
 def certify(
@@ -622,11 +669,11 @@ def certify(
     seed: int = 42,
     box: AffineBox | None = None,
 ) -> Certificate:
-    """Recompute every bound from first principles and cross-check the network.
-
-    Raises CertificationError naming the violated inequality. On success the
-    recomputed certificate is returned.
-    """
-    cert = recompute_certificate(tree, net, config, box)
-    check_certificate(tree, net, cert, samples, seed, box)
+    """Recompute every bound from the tree and return the certificate, or raise
+    CertificationError from the first failing row of `check_certificate`."""
+    ann = annotate_ranges(tree)
+    cert = recompute_certificate(tree, net, config, box, annotated=ann)
+    failure = check_certificate(tree, net, cert, samples, seed, box, annotated=ann).failure
+    if failure is not None:
+        raise CertificationError(failure.message())
     return cert

@@ -13,7 +13,6 @@ with block depths c_v fixed per operation (multiplication 3, all others 1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -71,9 +70,6 @@ class Interval:
     @property
     def length(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, t: float) -> bool:
-        return self.lo <= t <= self.hi
 
     def __iter__(self):
         yield self.lo
@@ -160,20 +156,6 @@ class AnnotatedTree:
             return self.leaf_ranges[self.tree.coord]
         return self.annotations[0].range
 
-    def to_json(self) -> str:
-        entries = [
-            {
-                "id": ann.node_id,
-                "op": ann.op.value,
-                "range": [ann.range.lo, ann.range.hi],
-                "input_domain": [[iv.lo, iv.hi] for iv in ann.input_domain],
-                "partial_lips": list(ann.partial_lips),
-                "c_op": ann.c_op,
-            }
-            for ann in sorted(self.annotations.values(), key=lambda a: a.node_id)
-        ]
-        return json.dumps({"nodes": entries}, indent=2)
-
 
 def annotate_ranges(tree: CompTree, leaf_ranges: dict[int, Interval] | None = None) -> AnnotatedTree:
     """Annotate every internal node with range, input domain, and partial Lips.
@@ -256,26 +238,6 @@ class RangeReport:
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "samples": self.samples,
-                "seed": self.seed,
-                "ok": self.ok,
-                "nodes": [
-                    {
-                        "id": e.node_id,
-                        "op": e.op,
-                        "certified": e.certified,
-                        "measured": e.measured,
-                        "ok": e.ok,
-                    }
-                    for e in self.entries
-                ],
-            },
-            indent=2,
-        )
-
 
 _SOUNDNESS_SLACK = 1e-12
 
@@ -345,7 +307,7 @@ class AffineBox:
 
     def __post_init__(self):
         for iv in self.intervals:
-            if not iv.lo < iv.hi:
+            if not (iv.lo < iv.hi and math.isfinite(iv.lo) and math.isfinite(iv.hi)):
                 raise ValueError(f"degenerate box interval [{iv.lo}, {iv.hi}]")
 
     @property

@@ -84,8 +84,9 @@ class Spline:
         coefs = np.asarray(self.coefs, dtype=np.float64)
         if not 0 <= self.order < kernels.KMAX:
             raise ValueError(f"order must be in [0, {kernels.KMAX - 1}]")
-        if knots.ndim != 1 or knots.size < 2 or not np.all(np.diff(knots) > 0):
-            raise ValueError("knots must be >= 2 strictly increasing grid points")
+        if (knots.ndim != 1 or knots.size < 2 or not np.all(np.diff(knots) > 0)
+                or not math.isfinite(knots[-1] - knots[0])):
+            raise ValueError("knots must be >= 2 strictly increasing grid points spanning a finite width")
         expected = knots.size + self.order - 1
         if coefs.size != expected:
             raise ValueError(f"expected {expected} coefficients, got {coefs.size}")

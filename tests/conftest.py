@@ -57,3 +57,23 @@ def predicted_faithful_widths(tree):
         copies = sum(2 for e in sched if e.fanout_layers and m == e.start_layer)
         widths.append(n + live + internals + copies)
     return tuple(widths)
+
+
+def nan_network():
+    """A network for x1+x2 whose edges are constants +-1e308: Lipschitz 0,
+    but the hidden sums overflow to +-inf and the output is NaN."""
+    from kanforge.kannet import Edge, KanNetwork
+    from kanforge.spline import line_spline
+
+    def const(v):
+        return line_spline(0.0, 1.0, v, v)
+
+    return KanNetwork(
+        widths=(2, 2, 1),
+        layers=(
+            (Edge(0, 0, const(1e308)), Edge(1, 0, const(1e308)),
+             Edge(0, 1, const(-1e308)), Edge(1, 1, const(-1e308))),
+            (Edge(0, 0, const(1e308)), Edge(1, 0, const(-1e308))),
+        ),
+        wire_tags=(("x1", "x2"), ("a", "b"), ("out",)),
+    )

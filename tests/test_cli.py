@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -15,7 +16,12 @@ from kanforge.cli import (
     main,
     random_tree,
 )
-from kanforge.exprtree import tree_stats
+from kanforge.compiler import compile_on_box
+from kanforge.exprtree import parse_expression, tree_stats
+from kanforge.kannet import serialize
+from kanforge.rangecert import affine_box
+
+from conftest import nan_network
 
 FAST = RunConfig(samples=2000)
 
@@ -67,8 +73,10 @@ class TestVerifyCommand:
         rc = cmd_verify(str(prefix) + ".net.json", "sin(x1*x2)", FAST,
                         cert_path=str(prefix) + ".cert.json", fmt="json", stream=buf)
         assert rc == 0
-        report = json.loads(buf.getvalue())[0]
-        assert report["P_ok"] and report["error_ok"] and report["range_ok"]
+        rows = json.loads(buf.getvalue())
+        assert len(rows) == 9 and all(r["ok"] for r in rows)
+        assert {"name", "lhs", "rhs", "slack", "ok", "where"} == set(rows[0])
+        assert [r["name"].split(" ")[0] for r in rows[-3:]] == ["sup", "ranges:", "max"]
 
     def test_tampered_net_fails(self, tmp_path):
         prefix = tmp_path / "kan"
@@ -93,7 +101,6 @@ class TestVerifyCommand:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(compiler, "measured_sup_error", counting)
-        monkeypatch.setattr(cli, "measured_sup_error", counting)
         prefix = tmp_path / "kan"
         cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
         doc = json.loads((tmp_path / "kan.net.json").read_text())
@@ -105,8 +112,8 @@ class TestVerifyCommand:
         rc = cmd_verify(str(tmp_path / "v.net.json"), "x1*x2", FAST, fmt="json", stream=buf)
         assert rc == (0 if factor == 1.0 else 3)
         assert len(calls) == 1
-        report = json.loads(buf.getvalue())[0]
-        assert report["certify_ok"] == (factor == 1.0)
+        rows = {r["name"]: r for r in json.loads(buf.getvalue())}
+        assert rows["P <= p_bound*(1+slack)"]["ok"] == (factor == 1.0)
 
     @pytest.mark.parametrize("indent, builds", [("as-written", 0), (None, 1), (4, 1)])
     def test_hash_checks_bytes_then_canonical_text(self, tmp_path, monkeypatch, indent, builds):
@@ -202,6 +209,56 @@ class TestVerifyCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def _box_files(self, tmp_path):
+        tree = parse_expression("sin(x1*x2)+x1")
+        net, cert = compile_on_box(tree, affine_box([(-2.0, 1.0), (0.5, 3.0)]))
+        (tmp_path / "box.net.json").write_text(serialize(net))
+        (tmp_path / "box.cert.json").write_text(cert.to_json())
+        return str(tmp_path / "box.net.json"), str(tmp_path / "box.cert.json")
+
+    def test_box_certificate_verifies(self, tmp_path):
+        net_path, cert_path = self._box_files(tmp_path)
+        buf = io.StringIO()
+        rc = cmd_verify(net_path, "sin(x1*x2)+x1", FAST, cert_path=cert_path, fmt="json", stream=buf)
+        assert rc == 0
+        assert all(r["ok"] for r in json.loads(buf.getvalue()))
+        # without the certificate the box is unknown and the error check fails
+        assert cmd_verify(net_path, "sin(x1*x2)+x1", FAST, fmt="json", stream=io.StringIO()) == 3
+
+    @pytest.mark.parametrize("box", [[[1.0, 1.0], [0.5, 3.0]], [[-2.0, 1.0]], [[0.0, "inf"], [0.5, 3.0]]],
+                             ids=["degenerate", "arity", "infinite"])
+    def test_bad_box_in_certificate_exit_2(self, tmp_path, capsys, box):
+        net_path, cert_path = self._box_files(tmp_path)
+        doc = json.loads((tmp_path / "box.cert.json").read_text())
+        doc["box"] = [[float(t) for t in iv] for iv in box]
+        (tmp_path / "box.cert.json").write_text(json.dumps(doc))
+        rc = cmd_verify(net_path, "sin(x1*x2)+x1", FAST, cert_path=cert_path, fmt="json", stream=io.StringIO())
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: bad certificate")
+
+    def test_non_finite_knots_exit_2(self, tmp_path, capsys):
+        prefix = tmp_path / "kan"
+        cmd_compile("x1", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        path = tmp_path / "kan.net.json"
+        doc = json.loads(path.read_text())
+        spline = doc["layers"][0]["edges"][0]["spline"]
+        spline["knots"] = spline["domain"] = [0.0, float("inf")]
+        path.write_text(json.dumps(doc, indent=2))
+        assert main(["verify", "--net", str(path), "-e", "x1", "--samples", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "$.layers[0].edges[0].spline" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_nan_network_fails_sup_error_row(self, tmp_path, capsys):
+        path = tmp_path / "nan.net.json"
+        path.write_text(serialize(nan_network()))
+        buf = io.StringIO()
+        assert cmd_verify(str(path), "x1+x2", FAST, fmt="json", stream=buf) == 3
+        rows = {r["name"]: r for r in json.loads(buf.getvalue())}
+        row = rows["sup error <= error_bound + slack"]
+        assert not row["ok"] and math.isnan(row["lhs"])
+        assert "sup error" in capsys.readouterr().err
 
 
 class TestTableProducts:

@@ -26,6 +26,7 @@ from kanforge.kernels import CHUNK
 from kanforge.rangecert import Interval, affine_box, apply_affine, verify_ranges_numerically
 from kanforge.spline import line_spline
 
+from conftest import nan_network
 from conftest import predicted_faithful_widths as _predicted_faithful_widths
 
 CFG = CompileConfig(grid=35, order=3)
@@ -246,9 +247,11 @@ class TestCertifyRecomputeAndCheck:
     def test_check_returns_measured_error(self):
         tree = parse_expression("sin((x1+x2)*x3)")
         net, cert = compile_tree(tree, CFG)
-        err = check_certificate(tree, net, cert, 3000, 21)
-        assert err == measured_sup_error(tree, net, 3000, 21)
-        assert err <= cert.error_bound
+        report = check_certificate(tree, net, cert, 3000, 21)
+        assert report.ok and report.failure is None
+        assert report.sup_error == measured_sup_error(tree, net, 3000, 21)
+        assert report.sup_error <= cert.error_bound
+        assert len(report.rows) == 7
 
     def test_failed_error_check_carries_measurement(self):
         tree = parse_expression("x1+x2")
@@ -257,16 +260,47 @@ class TestCertifyRecomputeAndCheck:
         (a, b), (va, vb) = edge.spline.domain, edge.spline.coefs
         shifted = Edge(edge.src, edge.dst, line_spline(a, b, va + 1.0, vb + 1.0))
         other = KanNetwork(net.widths, net.layers[:-1] + ((shifted,) + net.layers[-1][1:],), net.wire_tags)
-        with pytest.raises(CertificationError, match="sup error") as info:
-            check_certificate(tree, other, cert, 500, 3)
-        assert info.value.sup_error == measured_sup_error(tree, other, 500, 3)
+        report = check_certificate(tree, other, cert, 500, 3)
+        row = report.failure
+        assert row is report.rows[-1] and row.name.startswith("sup error")
+        assert row.lhs == report.sup_error == measured_sup_error(tree, other, 500, 3)
+        assert (row.rhs, row.slack) == (cert.error_bound, 1e-10)
 
-    def test_earlier_failure_has_no_measurement(self):
+    def test_earlier_failure_still_measures(self):
         tree = parse_expression("x1+x2")
         net, cert = compile_tree(tree, CFG)
-        with pytest.raises(CertificationError, match="width bound") as info:
-            check_certificate(tree, net, replace(cert, width_bound=1), 500, 3)
-        assert info.value.sup_error is None
+        report = check_certificate(tree, net, replace(cert, width_bound=1), 500, 3)
+        assert "width bound" in report.failure.name
+        assert [r.ok for r in report.rows].count(False) == 1
+        row = report.rows[-1]
+        assert row.name.startswith("sup error") and row.ok
+        assert row.lhs == report.sup_error == measured_sup_error(tree, net, 500, 3)
+
+    def test_block_row_names_failing_else_tightest_node(self):
+        # pre-order: node 0 is * with C = 2 on [0,1]x[0,2], node 2 is + with C = 1
+        tree = parse_expression("x1*(x2+x3)")
+        net, cert = compile_tree(tree, CFG)
+        assert cert.per_node[0].lambda_op < 8.0
+        row = check_certificate(tree, net, cert, 200, 4).rows[3]
+        assert row.name.startswith("lambda_v") and row.ok
+        assert (row.where, row.lhs, row.rhs) == ("node 2 (+)", 1.0, 1.0)
+        lied = replace(cert, per_node=tuple(replace(nc, lambda_op=9.0) for nc in cert.per_node))
+        row = check_certificate(tree, net, lied, 200, 4).failure
+        assert row.name.startswith("lambda_v")
+        assert (row.where, row.lhs, row.rhs) == ("node 0 (*)", 9.0, 8.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_nan_forward_fails_sup_error_row(self):
+        # constant edges (Lipschitz 0) whose sums overflow: the forward is NaN
+        tree = parse_expression("x1+x2")
+        net = nan_network()
+        assert np.isnan(forward_batch(net, np.array([[0.3, 0.4]]))[0, 0])
+        with pytest.raises(CertificationError, match="sup error"):
+            certify(tree, net, CFG, samples=100, seed=3)
+        cert = compiler.recompute_certificate(tree, net, CFG)
+        report = check_certificate(tree, net, cert, 100, 3)
+        assert math.isnan(report.sup_error)
+        assert [r.ok for r in report.rows] == [True] * 6 + [False]
 
 
 class TestIdentityWires:
@@ -440,7 +474,7 @@ class TestStreamedSamples:
         assert node_max.values == _reference_node_max(tree, xs[:limit])
         rows = min(samples, limit or samples)
         shared = verify_ranges_numerically(tree, rows, 5, node_max=node_max)
-        assert shared.to_json() == verify_ranges_numerically(tree, rows, 5).to_json()
+        assert shared == verify_ranges_numerically(tree, rows, 5)
 
     def test_memory_bounded_in_samples(self):
         tree = parse_expression(self.EXPR)

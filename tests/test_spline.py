@@ -98,6 +98,13 @@ class TestEval:
         s = sp.pl_interpolant(math.sin, 0, 1, 35)
         assert abs(s(0.51) - math.sin(0.51)) < 2e-4
 
+    # the last case has finite ends but a width that overflows
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("knots", [[0.0, math.inf], [-math.inf, 0.0, 1.0], [0.0, math.nan], [-1e308, 1e308]])
+    def test_rejects_non_finite_knots(self, knots):
+        with pytest.raises(ValueError):
+            sp.Spline(1, np.array(knots), np.zeros(len(knots)))
+
     def test_out_of_domain_linear_continuation_and_counter(self):
         s = sp.exact_poly_spline([0, 0, 0.25], 0, 2, 2)
         before = sp.oob_hits()
