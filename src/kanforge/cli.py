@@ -2,7 +2,8 @@
 
 Exit codes: 0 all certified inequalities hold on measured data; 2 bad input
 (parse/schema/config); 3 certification or verification failure; 4 hash or
-expression mismatch between a certificate and its inputs.
+expression mismatch between a certificate and its inputs. Deeply nested
+expressions are not bad input: no tree pass recurses, so they compile.
 
 KANFORGE_SEED, when set, takes precedence over --seed.
 """
@@ -164,10 +165,6 @@ def _write(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-# tree walks recurse once per nesting level, so very deep expressions exhaust
-# Python's recursion limit; that is reported as bad input
-_TOO_DEEP = "error: expression is nested too deeply (Python recursion limit exceeded)"
-
 def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str = "table",
                 stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
@@ -176,9 +173,6 @@ def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str =
         net, cert = compile_tree(tree, config.compile_config())
     except (ParseError, CompileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print(_TOO_DEEP, file=sys.stderr)
         return 2
     prefix = out or "kan"
     _write(f"{prefix}.net.json", serialize(net))
@@ -250,9 +244,6 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
     except (OSError, UnicodeDecodeError, SchemaError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print(_TOO_DEEP, file=sys.stderr)
-        return 2
     box = None
     if cert_path:
         try:
@@ -278,11 +269,7 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
         if rendered != cert.expr:
             print(f"error: expression mismatch: certificate was issued for {cert.expr!r}", file=sys.stderr)
             return 4
-    try:
-        report = verify_report(tree, net, config, box)
-    except RecursionError:
-        print(_TOO_DEEP, file=sys.stderr)
-        return 2
+    report = verify_report(tree, net, config, box)
     _emit([vars(row) for row in report.rows], fmt, stream)
     if not report.ok:
         print(f"verification failed: {report.failure.message()}", file=sys.stderr)

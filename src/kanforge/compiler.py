@@ -21,14 +21,13 @@ the certified on-domain Lipschitz constant of the edge.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprtree import CompTree, Leaf, NodeMaxima, OpKind, eval_tree_batch, render, tree_stats, validate_opset
+from .exprtree import CompTree, Leaf, Node, NodeMaxima, OpKind, eval_tree_batch, fold, render, tree_stats, validate_opset
 from .kannet import Edge, KanNetwork, ProductReport, forward_batch, lipschitz_product, serialize
 from .primblocks import Block, block_certificate, build_block
 from .rangecert import (
@@ -116,15 +115,10 @@ class ScheduleEntry:
 def build_schedule(tree: CompTree) -> tuple[ScheduleEntry, ...]:
     """Post-order block schedule with layer offsets; pure function of the tree."""
     entries: list[ScheduleEntry] = []
-    counter = itertools.count()
     layer = 0
 
-    def walk(t: CompTree) -> WireKey:
+    def node(nid: int, t: Node, keys: list[WireKey]) -> WireKey:
         nonlocal layer
-        nid = next(counter)
-        if isinstance(t, Leaf):
-            return ("input", t.coord)
-        keys = tuple(walk(c) for c in t.children)
         fan = 1 if len(keys) == 2 and keys[0] == keys[1] else 0
         start = layer + fan
         c_op = BLOCK_DEPTH[t.op]
@@ -135,13 +129,13 @@ def build_schedule(tree: CompTree) -> tuple[ScheduleEntry, ...]:
             start_layer=start,
             c_op=c_op,
             fanout_layers=fan,
-            consumed=keys,
+            consumed=tuple(keys),
             produced=("node", nid),
         )
         entries.append(entry)
         return entry.produced
 
-    walk(tree)
+    fold(tree, lambda t: ("input", t.coord), node)
     return tuple(entries)
 
 

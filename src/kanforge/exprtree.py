@@ -1,4 +1,4 @@
-"""Computation trees over a fixed operation set, with parser and evaluator.
+"""Computation trees over a fixed operation set, with parser and evaluators.
 
 Grammar (whitespace insignificant, no numeric literals):
 
@@ -11,11 +11,15 @@ Grammar (whitespace insignificant, no numeric literals):
 '+', '-' and '*' are left-associative, '*' binds tighter. Variables are
 1-based coordinate projections; the input dimension n is the maximum index
 that appears. Leaves of the tree are coordinate projections only.
+
+Nothing here recurses per tree level. The parser keeps explicit operator
+and operand stacks, and every tree pass (here, in `rangecert` and in
+`compiler`) is a `fold` over the one walk `postorder`, which also assigns
+the pre-order node ids. Nesting depth is bounded by memory only.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +41,8 @@ __all__ = [
     "eval_tree_batch",
     "NodeMaxima",
     "validate_opset",
-    "iter_nodes",
+    "postorder",
+    "fold",
 ]
 
 
@@ -110,69 +115,39 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _skip_ws(text: str, pos: int) -> int:
+    while text[pos : pos + 1].isspace():
+        pos += 1
+    return pos
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _read_operand(text: str, pos: int) -> tuple[CompTree | OpKind | None, int]:
+    """Read the operand token at `pos`, after whitespace: a variable leaf, a
+    function name with its '(' (returned as the OpKind), or a plain '('
+    (None). Returns the token and the offset just past it."""
+    pos = _skip_ws(text, pos)
+    if text.startswith("(", pos):
+        return None, pos + 1
+    if not text[pos : pos + 1].isalpha():
+        raise ParseError("expected a variable, function call, or '('", pos)
+    end = pos
+    while text[end : end + 1].isalnum():
+        end += 1
+    word = text[pos:end]
+    if word[0] == "x" and word[1:].isdigit():
+        if int(word[1:]) == 0:
+            raise ParseError("variable index 0 is not allowed (variables start at x1)", pos)
+        return Leaf(int(word[1:])), end
+    if word not in _FUNCS:
+        raise ParseError(f"unknown function or variable {word!r}", pos)
+    end = _skip_ws(text, end)
+    if not text.startswith("(", end):
+        raise ParseError("expected '('", end)
+    return _FUNCS[word], end + 1
 
-    def _expect(self, ch: str):
-        if self._peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
 
-    def parse(self) -> CompTree:
-        tree = self.expr()
-        if self._peek():
-            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
-        return tree
-
-    def expr(self) -> CompTree:
-        tree = self.term()
-        while self._peek() in ("+", "-"):
-            op = OpKind.ADD if self._peek() == "+" else OpKind.SUB
-            self.pos += 1
-            tree = Node(op, (tree, self.term()))
-        return tree
-
-    def term(self) -> CompTree:
-        tree = self.factor()
-        while self._peek() == "*":
-            self.pos += 1
-            tree = Node(OpKind.MUL, (tree, self.factor()))
-        return tree
-
-    def factor(self) -> CompTree:
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            tree = self.expr()
-            self._expect(")")
-            return tree
-        if ch.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isalnum():
-                self.pos += 1
-            word = self.text[start : self.pos]
-            if word[0] == "x" and word[1:].isdigit():
-                coord = int(word[1:])
-                if coord == 0:
-                    raise ParseError("variable index 0 is not allowed (variables start at x1)", start)
-                return Leaf(coord)
-            if word in _FUNCS:
-                self._expect("(")
-                inner = self.expr()
-                self._expect(")")
-                return Node(_FUNCS[word], (inner,))
-            raise ParseError(f"unknown function or variable {word!r}", start)
-        raise ParseError("expected a variable, function call, or '('", self.pos)
+_BINARY = {"+": OpKind.ADD, "-": OpKind.SUB, "*": OpKind.MUL}
+_PREC = {OpKind.ADD: 1, OpKind.SUB: 1, OpKind.MUL: 2}
 
 
 def parse_expression(text: str) -> CompTree:
@@ -181,71 +156,118 @@ def parse_expression(text: str) -> CompTree:
     Raises ParseError (with byte offset) on malformed input, unknown
     function names, or the forbidden variable index 0.
     """
-    return _Parser(text).parse()
+    operands: list[CompTree] = []
+    # binary operators not yet applied, and open groups: a function's OpKind
+    # for 'func(', None for a plain '('
+    pending: list[OpKind | None] = []
+
+    def reduce(prec: int):
+        # apply pending binary operators of at least `prec`, left-associative;
+        # an open group has no precedence and stops it
+        while pending and _PREC.get(pending[-1], 0) >= prec:
+            rhs = operands.pop()
+            operands[-1] = Node(pending.pop(), (operands[-1], rhs))
+
+    groups = pos = 0
+    while True:
+        token, pos = _read_operand(text, pos)
+        if not isinstance(token, Leaf):
+            pending.append(token)
+            groups += 1
+            continue
+        operands.append(token)
+        # closing parentheses, then a binary operator or the end
+        pos = _skip_ws(text, pos)
+        while text.startswith(")", pos) and groups:
+            reduce(1)
+            func = pending.pop()
+            if func is not None:
+                operands[-1] = Node(func, (operands[-1],))
+            groups -= 1
+            pos = _skip_ws(text, pos + 1)
+        ch = text[pos : pos + 1]
+        if ch in _BINARY:
+            reduce(_PREC[_BINARY[ch]])
+            pending.append(_BINARY[ch])
+            pos += 1
+        elif groups:
+            raise ParseError("expected ')'", pos)
+        elif ch:
+            raise ParseError(f"unexpected {ch!r}", pos)
+        else:
+            reduce(1)
+            return operands[0]
 
 
-_PREC = {OpKind.ADD: 1, OpKind.SUB: 1, OpKind.MUL: 2}
+def postorder(tree: CompTree) -> list[tuple[int, CompTree]]:
+    """List (node_id, node) children first, left to right; node ids are the
+    nodes' pre-order indices (the root is 0). Every tree pass walks this list."""
+    out: list[tuple[int, CompTree]] = []
+    stack: list[tuple[CompTree, int]] = [(tree, -1)]  # id -1: not yet entered
+    next_id = 0
+    while stack:
+        t, nid = stack.pop()
+        if nid >= 0:  # an internal node whose children are all listed
+            out.append((nid, t))
+        elif isinstance(t, Leaf):
+            out.append((next_id, t))
+            next_id += 1
+        else:
+            stack.append((t, next_id))
+            next_id += 1
+            stack.extend((c, -1) for c in reversed(t.children))
+    return out
+
+
+def fold(tree: CompTree, leaf: Callable, node: Callable):
+    """Fold the tree children first: `leaf(t)` gives a leaf's value and
+    `node(node_id, t, child_values)` an internal node's. Each child value is
+    dropped as soon as its parent has consumed it."""
+    stack: list = []
+    for nid, t in postorder(tree):
+        if isinstance(t, Leaf):
+            stack.append(leaf(t))
+        else:
+            k = -len(t.children)
+            stack[k:] = [node(nid, t, stack[k:])]
+    return stack[0]
+
+
+def _render_node(nid: int, t: Node, args: list[str]) -> str:
+    if t.op.arity == 1:
+        return f"{t.op.value}({args[0]})"
+    (lhs, rhs), (left, right) = t.children, args
+    prec = _PREC[t.op]
+    if isinstance(lhs, Node) and lhs.op.arity == 2 and _PREC[lhs.op] < prec:
+        left = f"({left})"
+    # left-associative grammar: parenthesize any binary right child at <= precedence
+    if isinstance(rhs, Node) and rhs.op.arity == 2 and _PREC[rhs.op] <= prec:
+        right = f"({right})"
+    return f"{left}{t.op.value}{right}"
 
 
 def render(tree: CompTree) -> str:
     """Render a tree to grammar-valid text; parse(render(t)) == t."""
-    if isinstance(tree, Leaf):
-        return f"x{tree.coord}"
-    if tree.op.arity == 1:
-        return f"{tree.op.value}({render(tree.children[0])})"
-    lhs, rhs = tree.children
-    prec = _PREC[tree.op]
-    left = render(lhs)
-    if isinstance(lhs, Node) and lhs.op.arity == 2 and _PREC[lhs.op] < prec:
-        left = f"({left})"
-    right = render(rhs)
-    # left-associative grammar: parenthesize any binary right child at <= precedence
-    if isinstance(rhs, Node) and rhs.op.arity == 2 and _PREC[rhs.op] <= prec:
-        right = f"({right})"
-    return f"{left}{tree.op.value}{right}"
+    return fold(tree, lambda t: f"x{t.coord}", _render_node)
 
 
-def iter_nodes(tree: CompTree):
-    """Yield (node_id, node) in pre-order; ids are stable pre-order indices."""
-    counter = 0
-
-    def walk(t: CompTree):
-        nonlocal counter
-        nid = counter
-        counter += 1
-        yield nid, t
-        if isinstance(t, Node):
-            for child in t.children:
-                yield from walk(child)
-
-    yield from walk(tree)
+def _stats_node(nid: int, t: Node, args: list[tuple[int, int, int, int, int]]):
+    # (n, internal, depth, bitmask of the coordinates below, max sparsity)
+    n, internal, depth, coords, sparsity = zip(*args)
+    mask = coords[0] | coords[-1]  # one child or two
+    return max(n), sum(internal) + 1, max(depth) + 1, mask, max(mask.bit_count(), *sparsity)
 
 
 def tree_stats(tree: CompTree) -> TreeStats:
-    def walk(t: CompTree) -> tuple[int, int, int, frozenset[int], int]:
-        # returns (n, internal, depth, coords, max_sparsity)
-        if isinstance(t, Leaf):
-            return t.coord, 0, 0, frozenset((t.coord,)), 1
-        parts = [walk(c) for c in t.children]
-        coords = frozenset().union(*(p[3] for p in parts))
-        return (
-            max(p[0] for p in parts),
-            sum(p[1] for p in parts) + 1,
-            max(p[2] for p in parts) + 1,
-            coords,
-            max(len(coords), *(p[4] for p in parts)),
-        )
-
-    n, internal, depth, _, sparsity = walk(tree)
+    bit: dict[int, int] = {}  # coordinate -> its bit, dense in order of appearance
+    leaf = lambda t: (t.coord, 0, 0, 1 << bit.setdefault(t.coord, len(bit)), 1)
+    n, internal, depth, _, sparsity = fold(tree, leaf, _stats_node)
     return TreeStats(n=n, internal=internal, depth=depth, sparsity=sparsity)
 
 
 def eval_tree(tree: CompTree, x) -> float:
     """Evaluate the tree at a point (any indexable of length >= n)."""
-    if isinstance(tree, Leaf):
-        return float(x[tree.coord - 1])
-    args = [eval_tree(c, x) for c in tree.children]
-    return _SCALAR_FN[tree.op](*args)
+    return fold(tree, lambda t: float(x[t.coord - 1]), lambda nid, t, args: _SCALAR_FN[t.op](*args))
 
 
 class NodeMaxima:
@@ -274,11 +296,22 @@ def eval_tree_batch(tree: CompTree, xs, node_max: NodeMaxima | None = None):
     Returns an array of length npoints. Used as the exact reference when
     verifying compiled networks over large sample sets. With `node_max`, each
     internal node's max |value| over the rows it takes is folded in (NaN
-    propagates).
+    propagates). Child arrays are freed as their parent is computed.
     """
     xs = np.asarray(xs, dtype=np.float64)
     take = node_max._take(len(xs)) if node_max is not None else 0
-    return _eval_batch(tree, xs, itertools.count(), take, node_max)
+
+    # neither callback refers to itself, so no reference cycle keeps `xs`
+    # alive past the return (callers stream many sample blocks)
+    def node(nid: int, t: Node, args: list):
+        out = _BATCH_FN[t.op](*args)
+        if take:
+            m = np.max(np.abs(out[:take]))
+            prev = node_max.values.get(nid)
+            node_max.values[nid] = float(m if prev is None else np.maximum(prev, m))
+        return out
+
+    return fold(tree, lambda t: xs[:, t.coord - 1], node)
 
 
 _BATCH_FN: dict[OpKind, Callable] = {
@@ -292,27 +325,9 @@ _BATCH_FN: dict[OpKind, Callable] = {
 }
 
 
-def _eval_batch(t: CompTree, xs, ids, take: int, node_max: NodeMaxima | None):
-    # module level, not a closure: a self-referencing closure would keep `xs`
-    # alive until the cyclic collector runs, and callers stream many blocks
-    nid = next(ids)  # pre-order id
-    if isinstance(t, Leaf):
-        return xs[:, t.coord - 1]
-    out = _BATCH_FN[t.op](*[_eval_batch(c, xs, ids, take, node_max) for c in t.children])
-    if take:
-        m = np.max(np.abs(out[:take]))
-        prev = node_max.values.get(nid)
-        node_max.values[nid] = float(m if prev is None else np.maximum(prev, m))
-    return out
-
-
 def validate_opset(tree: CompTree, allowed: set[OpKind]) -> list[tuple[int, OpKind]]:
-    """List (node_id, op) for every internal node whose op is outside `allowed`.
-
-    An empty list means the tree is valid for the given operation set.
+    """List (node_id, op), in node-id order, for every internal node whose op
+    is outside `allowed`. An empty list means the tree is valid for the set.
     """
-    return [
-        (nid, t.op)
-        for nid, t in iter_nodes(tree)
-        if isinstance(t, Node) and t.op not in allowed
-    ]
+    bad = [(nid, t.op) for nid, t in postorder(tree) if isinstance(t, Node) and t.op not in allowed]
+    return sorted(bad, key=lambda b: b[0])

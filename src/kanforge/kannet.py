@@ -172,9 +172,13 @@ def jacobian_fd(net: KanNetwork, x, step: float = 1e-5) -> np.ndarray:
 
 def jacobian_lower_bound(net: KanNetwork, x, step: float = 1e-5) -> float:
     """max ||J_fd(x)||_2 / W^L over the point x or the (m, n_0) points x: a
-    sampled lower bound for the Lipschitz product."""
+    sampled lower bound for the Lipschitz product. When W^L is past the float
+    range it returns 0.0, which is still a lower bound."""
     grads = jacobian_fd(net, x, step).reshape(-1, net.n_inputs)
-    denom = float(max(net.widths)) ** net.n_layers
+    try:
+        denom = float(max(net.widths)) ** net.n_layers
+    except OverflowError:
+        return 0.0
     return max(float(np.linalg.norm(g)) / denom for g in grads)
 
 

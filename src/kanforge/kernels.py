@@ -286,7 +286,10 @@ def build_plan(widths, layers) -> NetPlan:
     aff_layer = layer[aff]
     aff_off = np.concatenate([[0], np.cumsum(np.bincount(aff_layer, minlength=len(layers)))])
     bias = np.zeros(out_off[-1])
-    np.add.at(bias, out_off[aff_layer] + dst[aff], fa[aff] - sa[aff] * lo[aff])
+    # edges near the float limit may sum to inf (here and in the forward);
+    # the check rows report the non-finite output, so numpy does not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(bias, out_off[aff_layer] + dst[aff], fa[aff] - sa[aff] * lo[aff])
     w_off = np.concatenate([[0], np.cumsum(np.where(np.diff(aff_off) > 0, w_out * w_in, 0))])
     weights = np.zeros(w_off[-1])
     weights[w_off[aff_layer] + dst[aff] * w_in[aff_layer] + src[aff]] = sa[aff]
@@ -373,10 +376,11 @@ def forward_batch(plan: NetPlan, X) -> tuple[np.ndarray, int]:
     X = np.asarray(X, dtype=np.float64)
     out = np.empty((X.shape[0], plan.widths[-1]))
     oob = 0
-    for start in range(0, X.shape[0], CHUNK):
-        cur = np.ascontiguousarray(X[start : start + CHUNK].T)
-        for lp in plan.layers:
-            cur, hits = _layer_forward(lp, cur)
-            oob += hits
-        out[start : start + CHUNK] = cur.T
+    with np.errstate(over="ignore", invalid="ignore"):  # see the bias sum in build_plan
+        for start in range(0, X.shape[0], CHUNK):
+            cur = np.ascontiguousarray(X[start : start + CHUNK].T)
+            for lp in plan.layers:
+                cur, hits = _layer_forward(lp, cur)
+                oob += hits
+            out[start : start + CHUNK] = cur.T
     return out, oob

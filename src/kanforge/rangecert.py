@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprtree import CompTree, Leaf, NodeMaxima, OpKind, eval_tree_batch, iter_nodes, tree_stats
+from .exprtree import CompTree, Leaf, Node, NodeMaxima, OpKind, eval_tree_batch, fold, tree_stats
 from .kernels import CHUNK
 
 __all__ = [
@@ -169,14 +169,7 @@ def annotate_ranges(tree: CompTree, leaf_ranges: dict[int, Interval] | None = No
         leaves.update(leaf_ranges)
     annotations: dict[int, NodeAnnotation] = {}
 
-    ids = iter_nodes(tree)
-
-    def walk(t: CompTree) -> Interval:
-        nid, node = next(ids)
-        assert node is t
-        if isinstance(t, Leaf):
-            return leaves[t.coord]
-        child_ranges = [walk(c) for c in t.children]
+    def node(nid: int, t: Node, child_ranges: list[Interval]) -> Interval:
         rng = range_rule(t.op, child_ranges)
         annotations[nid] = NodeAnnotation(
             node_id=nid,
@@ -188,7 +181,7 @@ def annotate_ranges(tree: CompTree, leaf_ranges: dict[int, Interval] | None = No
         )
         return rng
 
-    walk(tree)
+    fold(tree, lambda t: leaves[t.coord], node)
     return AnnotatedTree(tree=tree, annotations=annotations, leaf_ranges=leaves)
 
 

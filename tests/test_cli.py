@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -24,6 +25,16 @@ from kanforge.rangecert import affine_box
 from conftest import nan_network
 
 FAST = RunConfig(samples=2000)
+
+
+def _compile_and_verify(tmp_path, expr: str) -> tuple[int, list[dict]]:
+    """Compile `expr`, then verify the written net and certificate; returns
+    verify's exit code and rows."""
+    prefix = str(tmp_path / "kan")
+    assert cmd_compile(expr, FAST, out=prefix, fmt="json", stream=io.StringIO()) == 0
+    buf = io.StringIO()
+    rc = cmd_verify(prefix + ".net.json", expr, FAST, cert_path=prefix + ".cert.json", fmt="json", stream=buf)
+    return rc, json.loads(buf.getvalue())
 
 
 class TestCompileCommand:
@@ -53,16 +64,16 @@ class TestCompileCommand:
         rc = main(["compile", "-e", "x1", "--grid", "1", "-o", str(tmp_path / "k")])
         assert rc == 2
 
+    # deep input once exited 2 (recursion limit); the test ids are kept
     @pytest.mark.parametrize("expr", [
         "+".join(["x1"] * 1500),
         "(" * 1200 + "x1" + ")" * 1200,
         "sin(" * 400 + "x1" + ")" * 400,
     ], ids=["sum-1500", "parens-1200", "sin-400"])
-    def test_deep_expression_exit_2(self, tmp_path, capsys, expr):
-        rc = main(["compile", "-e", expr, "--samples", "100", "-o", str(tmp_path / "k")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+    def test_deep_expression_exit_2(self, tmp_path, expr):
+        rc, rows = _compile_and_verify(tmp_path, expr)
+        assert rc == 0
+        assert len(rows) == 9 and all(r["ok"] for r in rows)
 
 
 class TestVerifyCommand:
@@ -198,17 +209,25 @@ class TestVerifyCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: bad certificate")
 
+    # deep input once exited 2 (recursion limit); the test ids are kept
     @pytest.mark.parametrize("terms", [500, 1500])
     def test_deep_expression_exit_2(self, tmp_path, capsys, terms):
-        # 1500 terms exhaust the recursion limit while rendering, 500 while certifying
-        prefix = tmp_path / "kan"
-        cmd_compile("x1", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        expr = "+".join(["x1"] * terms)
+        rc, rows = _compile_and_verify(tmp_path, expr)
+        assert rc == 0
+        assert len(rows) == 9 and all(r["ok"] for r in rows)
+        # an x1 network does not compute the sum: a failed check, not bad input
+        cmd_compile("x1", FAST, out=str(tmp_path / "one"), fmt="json", stream=io.StringIO())
         capsys.readouterr()
-        rc = cmd_verify(str(prefix) + ".net.json", "+".join(["x1"] * terms), FAST,
-                        fmt="json", stream=io.StringIO())
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert cmd_verify(str(tmp_path / "one.net.json"), expr, FAST, fmt="json", stream=io.StringIO()) == 3
+        assert capsys.readouterr().err.startswith("verification failed: ")
+
+    def test_deep_product_verifies(self, tmp_path):
+        # 230 multiplication blocks: W^L overflows a float in the Jacobian row
+        rc, rows = _compile_and_verify(tmp_path, "*".join(["x1"] * 230))
+        assert rc == 0
+        assert all(r["ok"] for r in rows)
+        assert rows[-1]["lhs"] == 0.0
 
     def _box_files(self, tmp_path):
         tree = parse_expression("sin(x1*x2)+x1")
@@ -259,6 +278,16 @@ class TestVerifyCommand:
         row = rows["sup error <= error_bound + slack"]
         assert not row["ok"] and math.isnan(row["lhs"])
         assert "sup error" in capsys.readouterr().err
+
+    def test_overflowing_forward_prints_only_the_failure(self, tmp_path, capsys):
+        path = tmp_path / "nan.net.json"
+        path.write_text(serialize(nan_network()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cmd_verify(str(path), "x1+x2", FAST, fmt="json", stream=io.StringIO()) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: ") and err.count("\n") == 1
 
 
 class TestTableProducts:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kanforge.compiler import build_schedule
 from kanforge.exprtree import (
     Leaf,
     Node,
@@ -12,10 +14,12 @@ from kanforge.exprtree import (
     eval_tree,
     eval_tree_batch,
     parse_expression,
+    postorder,
     render,
     tree_stats,
     validate_opset,
 )
+from kanforge.rangecert import annotate_ranges, lip_budget
 
 from conftest import tree_strategy
 
@@ -197,3 +201,120 @@ def test_eval_matches_stack_machine_oracle(rng):
         np.testing.assert_allclose(got, expected, atol=1e-12)
         # spot-check the scalar evaluator against the same oracle
         assert eval_tree(tree, xs[0]) == pytest.approx(expected[0], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the one tree walk, on random trees and on deep shapes
+
+_BINARY = (OpKind.ADD, OpKind.SUB, OpKind.MUL)
+_UNARY = (OpKind.SIN, OpKind.COS, OpKind.RELU, OpKind.ABS)
+
+
+def _deep_tree(shape: str, depth: int, seed: int = 0):
+    """A tree with `depth` internal nodes on one root-to-leaf path, built
+    without recursion. Returns the tree and its leaf coordinates."""
+    rng = np.random.default_rng(seed)
+    coords = [1]
+    tree = Leaf(1)
+    for i in range(depth):
+        c = i % 7 + 1
+        if shape == "left":        # x1+x2-x3+...
+            op, side = _BINARY[i % 2], 0
+        elif shape == "right":     # x1-(x2-(x3-...)): the deep child on the right
+            op, side = OpKind.SUB, 1
+        elif shape == "unary":     # sin(cos(relu(abs(...))))
+            op, side = _UNARY[i % 4], 0
+        else:                      # mixed: any op, the deep child on either side
+            op = (_BINARY + _UNARY)[int(rng.integers(7))]
+            side = int(rng.integers(2))
+        if op.arity == 1:
+            tree = Node(op, (tree,))
+        else:
+            coords.append(c)
+            tree = Node(op, (tree, Leaf(c)) if side == 0 else (Leaf(c), tree))
+    return tree, coords
+
+
+def _preorder(tree):
+    out, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        if isinstance(t, Node):
+            stack.extend(reversed(t.children))
+    return out
+
+
+def _mirrored_preorder(tree):
+    # root, then right before left; reversed it is the left-to-right post-order
+    out, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        if isinstance(t, Node):
+            stack.extend(t.children)
+    return out
+
+
+def _check_walk(tree, coords=None):
+    walk = postorder(tree)
+    # children first, left to right, and each id is the node's pre-order index
+    assert all(a is b for (_, a), b in zip(walk, reversed(_mirrored_preorder(tree)), strict=True))
+    pre = _preorder(tree)
+    assert sorted(nid for nid, _ in walk) == list(range(len(pre)))
+    assert all(pre[nid] is t for nid, t in walk)
+
+    # round trip through text; strings compare without recursing on the tree
+    text = render(tree)
+    assert render(parse_expression(text)) == text
+
+    # stats in closed form from the walk's node list
+    nodes = [t for _, t in walk if isinstance(t, Node)]
+    leaves = [t.coord for _, t in walk if isinstance(t, Leaf)]
+    s = tree_stats(tree)
+    assert (s.n, s.internal) == (max(leaves), len(nodes))
+    if coords is not None:  # a deep shape: one path carries every internal node
+        assert sorted(leaves) == sorted(coords)
+        assert (s.depth, s.sparsity) == (len(nodes), len(set(coords)))
+
+    # the scalar and vectorized evaluators agree at one row
+    x = np.random.default_rng(len(pre)).uniform(0.0, 1.0, size=s.n)
+    assert eval_tree(tree, x) == pytest.approx(eval_tree_batch(tree, x[None, :])[0], rel=1e-12, abs=1e-12)
+
+    # the schedule ends at L_f plus one fan-out layer per x_p op x_p node
+    schedule = build_schedule(tree)
+    if nodes:
+        l_f = lip_budget(annotate_ranges(tree)).l_f
+        fanouts = sum(
+            1 for t in nodes
+            if len(t.children) == 2 and all(isinstance(c, Leaf) for c in t.children)
+            and t.children[0].coord == t.children[1].coord
+        )
+        last = schedule[-1]
+        assert (last.node_id, last.start_layer + last.c_op) == (0, l_f + fanouts)
+    else:
+        assert schedule == ()
+
+
+class TestOneWalk:
+    @given(tree_strategy())
+    @settings(max_examples=200)
+    def test_random_trees(self, tree):
+        _check_walk(tree)
+
+    @pytest.mark.parametrize("depth", [1, 2, 57, 3000])
+    @pytest.mark.parametrize("shape", ["left", "right", "unary", "mixed"])
+    def test_deep_shapes(self, shape, depth):
+        _check_walk(*_deep_tree(shape, depth))
+
+    @given(st.sampled_from(["left", "right", "unary", "mixed"]), st.integers(1, 3000), st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_generated_deep_shapes(self, shape, depth, seed):
+        _check_walk(*_deep_tree(shape, depth, seed))
+
+    def test_deep_text_parses(self):
+        assert tree_stats(parse_expression("(" * 20000 + "x1" + ")" * 20000)) == tree_stats(Leaf(1))
+        terms = [f"x{i % 7 + 1}" for i in range(3001)]
+        right = "-(".join(terms[:-1]) + "-" + terms[-1] + ")" * 2999
+        assert render(parse_expression(right)) == right
+        assert tree_stats(parse_expression(right)).depth == 3000
