@@ -170,7 +170,8 @@ def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str =
     stream = stream if stream is not None else sys.stdout
     try:
         tree = parse_expression(expr)
-        net, cert = compile_tree(tree, config.compile_config())
+        ann = annotate_ranges(tree)
+        net, cert = compile_tree(tree, config.compile_config(), annotated=ann)
     except (ParseError, CompileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -197,7 +198,8 @@ def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str =
         }
     ]
     _emit(rows, fmt, stream)
-    failure = check_certificate(tree, net, cert, config.samples, config.seed, product=report).failure
+    failure = check_certificate(tree, net, cert, config.samples, config.seed, product=report,
+                                annotated=ann).failure
     if failure is not None:
         print(f"certification failed: {failure.message()}", file=sys.stderr)
         return 3
@@ -392,7 +394,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=100_000, help="verification sample count (default 1e5)")
     p.add_argument("--seed", type=int, default=42, help="RNG seed (KANFORGE_SEED overrides)")
     p.add_argument("--faithful-widths", action="store_true",
-                   help="keep the proof-faithful construction (no dead-wire elimination)")
+                   help="build the proof-faithful construction (inputs forwarded to the last layer)")
     p.add_argument("-o", "--out", default=None, help="output path (prefix for compile)")
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
 

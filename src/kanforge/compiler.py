@@ -1,11 +1,13 @@
 """Sequential block compiler: one primitive block per internal node.
 
 Internal nodes are scheduled in post-order (left subtree, right subtree,
-root). While a block executes, identity wires forward every input coordinate
-and every completed intermediate still awaiting its consumer. The resulting
-network is the proof-faithful construction; by default a dead-wire
-elimination pass then drops forwarded values without a downstream consumer
-(`faithful_widths=True` keeps the full construction).
+root). While a block executes, identity wires forward each input coordinate
+and each completed intermediate up to the last layer that reads it, so the
+network is built live: no forwarded value lacks a downstream consumer.
+`faithful_widths=True` runs the same builder but forwards every input to the
+end, which is the proof's construction with its width accounting
+n_l <= n + 2 w_max N. One `EdgeSplines` per compile gives every distinct
+edge one `Spline`.
 
 When a binary node reads the same source wire twice (e.g. x1*x1), an
 identity fan-out layer duplicates the wire first: the forward form admits a
@@ -27,9 +29,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprtree import CompTree, Leaf, Node, NodeMaxima, OpKind, eval_tree_batch, fold, render, tree_stats, validate_opset
+from .exprtree import (
+    CompTree,
+    Leaf,
+    Node,
+    NodeMaxima,
+    OpKind,
+    TreeStats,
+    eval_tree_batch,
+    fold,
+    render,
+    tree_stats,
+    validate_opset,
+)
 from .kannet import Edge, KanNetwork, ProductReport, forward_batch, lipschitz_product, serialize
-from .primblocks import Block, block_certificate, build_block
+from .primblocks import Block, EdgeSplines, block_certificate, build_block
 from .rangecert import (
     BLOCK_DEPTH,
     _SOUNDNESS_SLACK,
@@ -242,41 +256,14 @@ def _net_hash(net: KanNetwork) -> str:
     return hashlib.sha256(serialize(net).encode()).hexdigest()
 
 
-def _build_blocks(ann: AnnotatedTree, G: int) -> dict[int, Block]:
+def _build_blocks(ann: AnnotatedTree, G: int, splines: EdgeSplines) -> dict[int, Block]:
     blocks = {}
     for nid, a in ann.annotations.items():
         try:
-            blocks[nid] = build_block(a.op, a.input_domain, G)
+            blocks[nid] = build_block(a.op, a.input_domain, G, splines)
         except ValueError as exc:
             raise CompileError(f"cannot build {a.op.value} block at node {nid}: {exc}") from exc
     return blocks
-
-
-def _identity_wires():
-    """Identity-wire factory sharing one spline per distinct interval.
-
-    The key is the exact bit pattern of both endpoints, so [-0.0, b] and
-    [0.0, b] (equal as floats, different in the JSON) get separate splines.
-    A wire forwarded through many layers passes the same `Interval` object
-    each time, so lookups go by object first and build the key only once
-    per object.
-    """
-    cache: dict[tuple[str, str], Spline] = {}
-    # id(iv) -> (iv, its spline); holding iv keeps its id from being reused
-    seen: dict[int, tuple[Interval, Spline]] = {}
-
-    def wire(iv: Interval) -> Spline:
-        hit = seen.get(id(iv))
-        if hit is not None:
-            return hit[1]
-        key = (iv.lo.hex(), iv.hi.hex())
-        spl = cache.get(key)
-        if spl is None:
-            spl = cache[key] = line_spline(iv.lo, iv.hi, iv.lo, iv.hi)
-        seen[id(iv)] = (iv, spl)
-        return spl
-
-    return wire
 
 
 def _leaf_network(tree: Leaf, n: int) -> KanNetwork:
@@ -289,88 +276,82 @@ def _leaf_network(tree: Leaf, n: int) -> KanNetwork:
     )
 
 
-def _build_faithful(
-    tree: CompTree, ann: AnnotatedTree, schedule: tuple[ScheduleEntry, ...], blocks: dict[int, Block]
-) -> KanNetwork:
-    stats = tree_stats(tree)
-    n = stats.n
-    if isinstance(tree, Leaf):
-        return _leaf_network(tree, n)
+# a neuron: (wire key or None for block-internal neurons and fan-out copies,
+# enclosure, tag, identity spline of a forwardable wire)
+_Wire = tuple[WireKey | None, Interval, str, Spline | None]
 
-    unit = Interval(0.0, 1.0)
-    identity = _identity_wires()
-    input_wires: list[tuple[WireKey, Interval, str]] = [
-        (("input", p), ann.leaf_ranges.get(p, unit), f"x{p}") for p in range(1, n + 1)
-    ]
-    live: list[tuple[WireKey, Interval, str]] = []  # completed, unconsumed intermediates
-    cur: list[tuple[WireKey, Interval, str]] = list(input_wires)
+
+def _build_network(
+    n: int,
+    ann: AnnotatedTree,
+    schedule: tuple[ScheduleEntry, ...],
+    blocks: dict[int, Block],
+    splines: EdgeSplines,
+    faithful: bool,
+) -> KanNetwork:
+    """Lay the scheduled blocks out layer by layer, forwarding each input and
+    each completed intermediate by identity wires up to the last layer that
+    reads it: its consumer's first layer, or the fan-out layer before it.
+    `faithful` forwards the inputs to the end instead, which gives the
+    proof's construction and its width accounting.
+    """
+    n_layers = schedule[-1].start_layer + schedule[-1].c_op
+    last: dict[WireKey, int] = {}  # a wire crosses every layer before this one
+    for entry in schedule:
+        for key in entry.consumed:
+            last[key] = max(last.get(key, 0), entry.start_layer - entry.fanout_layers)
+    fwd: list[_Wire] = []  # inputs, then completed intermediates in post-order
+    for p in range(1, n + 1):
+        iv = ann.leaf_ranges[p]
+        fwd.append((("input", p), iv, f"x{p}", splines.ident(iv)))
+        if faithful:
+            last[("input", p)] = n_layers
+    cur = list(fwd)
     pos = {w[0]: i for i, w in enumerate(cur)}
     widths = [n]
     wire_tags = [tuple(w[2] for w in cur)]
     layers: list[tuple[Edge, ...]] = []
 
-    def emit(new_wires: list[tuple[WireKey, Interval, str]], edges: list[Edge]):
-        nonlocal cur, pos
+    def advance(outs: list[_Wire], out_edges, lead: bool = False) -> int:
+        # one layer: identity edges for the wires still read later, then the
+        # (src position, dst in outs, spline) edges; `outs` follow the
+        # forwarded wires, or lead them on the network's output layer.
+        # Returns the position of outs[0].
+        nonlocal fwd, cur, pos
+        layer = len(layers)
+        fwd = [w for w in fwd if last.get(w[0], 0) > layer]
+        base, offset = (0, len(outs)) if lead else (len(fwd), 0)
+        edges = [Edge(pos[w[0]], offset + i, w[3]) for i, w in enumerate(fwd)]
+        edges += [Edge(src, base + dst, spl) for src, dst, spl in out_edges]
         layers.append(tuple(edges))
-        cur = new_wires
+        cur = outs + fwd if lead else fwd + outs
         pos = {w[0]: i for i, w in enumerate(cur) if w[0] is not None}
         widths.append(len(cur))
-        wire_tags.append(tuple(w[2] for w in cur))
+        wire_tags.append(tuple([w[2] for w in cur]))
+        return base
 
-    last_entry = schedule[-1]
     for entry in schedule:
-        block = blocks[entry.node_id]
+        nid, block = entry.node_id, blocks[entry.node_id]
         if entry.fanout_layers:
             # duplicate the shared source wire onto two fresh neurons
-            src_key = entry.consumed[0]
-            src_pos = pos[src_key]
-            src_iv = cur[src_pos][1]
-            new_wires = list(input_wires) + list(live)
-            edges = [Edge(pos[w[0]], i, identity(w[1])) for i, w in enumerate(new_wires)]
-            copies = []
-            for j in range(2):
-                cp = (None, src_iv, f"copy{entry.node_id}.{j}")
-                edges.append(Edge(src_pos, len(new_wires) + j, identity(src_iv)))
-                copies.append(cp)
-            arg_pos = [len(new_wires), len(new_wires) + 1]
-            emit(new_wires + copies, edges)
+            src = pos[entry.consumed[0]]
+            _, iv, _, ident = cur[src]
+            copies = [(None, iv, f"copy{nid}.{j}", None) for j in range(2)]
+            base = advance(copies, [(src, j, ident) for j in range(2)])
+            src_of = [base, base + 1]
         else:
-            arg_pos = None  # block arguments resolved from pos at layer 0
-
-        internal_pos: list[int] = []
+            src_of = [pos[k] for k in entry.consumed]
         for t, blayer in enumerate(block.layers):
-            is_net_last = entry is last_entry and t == block.c_op - 1
-            if t == 0:
-                src_of = arg_pos if arg_pos is not None else [pos[k] for k in entry.consumed]
-                # consumed intermediates die here; consumed inputs stay forwarded
-                live[:] = [w for w in live if w[0] not in entry.consumed]
+            if t == block.c_op - 1:
+                outs = [(entry.produced, block.output_range, f"node{nid}", None)]
             else:
-                src_of = internal_pos
-            out_wire = (entry.produced, block.output_range, f"node{entry.node_id}")
-            if is_net_last:
-                # the output neuron leads the final boundary; inputs stay forwarded
-                forwarded = list(input_wires)
-                new_wires = [out_wire] + forwarded
-                base = 0
-                fwd_offset = 1
-            else:
-                forwarded = list(input_wires) + list(live)
-                if t == block.c_op - 1:
-                    outs = [out_wire]
-                else:
-                    outs = [
-                        (None, iv, f"blk{entry.node_id}.{t}.{j}")
-                        for j, iv in enumerate(block.neuron_ranges[t])
-                    ]
-                new_wires = forwarded + outs
-                base = len(forwarded)
-                fwd_offset = 0
-            edges = [Edge(pos[w[0]], fwd_offset + i, identity(w[1])) for i, w in enumerate(forwarded)]
-            for src_local, dst_local, spl in blayer.edges:
-                edges.append(Edge(src_of[src_local], base + dst_local, spl))
-            emit(new_wires, edges)
-            internal_pos = [base + j for j in range(len(new_wires) - len(forwarded))]
-        live.append((entry.produced, block.output_range, f"node{entry.node_id}"))
+                outs = [(None, iv, f"blk{nid}.{t}.{j}", None) for j, iv in enumerate(block.neuron_ranges[t])]
+            out_edges = [(src_of[src], dst, spl) for src, dst, spl in blayer.edges]
+            base = advance(outs, out_edges, lead=entry is schedule[-1] and t == block.c_op - 1)
+            src_of = [base + j for j in range(len(outs))]
+        if entry is not schedule[-1]:
+            iv = block.output_range
+            fwd.append((entry.produced, iv, f"node{nid}", splines.ident(iv)))
 
     return KanNetwork(widths=tuple(widths), layers=tuple(layers), wire_tags=tuple(wire_tags))
 
@@ -382,6 +363,12 @@ def dead_wire_elimination(net: KanNetwork, outputs: set[int] | None = None) -> K
     them). The input boundary keeps all coordinates (n_0 = n is part of the
     network contract); interior neurons survive only if some kept neuron
     downstream reads them.
+
+    The compiler builds the live network directly and does not call this.
+    It is the independent oracle of that builder (applied to a
+    `faithful_widths` net it must give the default net's exact bytes, see
+    `tests/test_compiler.py`), and `perfbench/spans.py` traces it by name;
+    it goes together with those perfbench lines in a later benchmark change.
     """
     L = net.n_layers
     keep: list[set[int]] = [set() for _ in range(L + 1)]
@@ -413,12 +400,12 @@ def dead_wire_elimination(net: KanNetwork, outputs: set[int] | None = None) -> K
 
 def _certificate(
     tree: CompTree,
+    stats: TreeStats,
     net: KanNetwork,
     config: CompileConfig,
     ann: AnnotatedTree,
     blocks: dict[int, Block],
 ) -> Certificate:
-    stats = tree_stats(tree)
     budget = lip_budget(ann)
     per_node = []
     eps_op = 0.0
@@ -454,18 +441,27 @@ def _certificate(
     )
 
 
-def compile_tree(tree: CompTree, config: CompileConfig = CompileConfig()) -> tuple[KanNetwork, Certificate]:
-    """Compile a computation tree into (network, certificate)."""
+def compile_tree(
+    tree: CompTree, config: CompileConfig = CompileConfig(), annotated: AnnotatedTree | None = None
+) -> tuple[KanNetwork, Certificate]:
+    """Compile a computation tree into (network, certificate).
+
+    `annotated` is the tree's `annotate_ranges` when the caller has it
+    already. One `EdgeSplines` serves the whole compile, so every distinct
+    edge is one `Spline`.
+    """
     bad = validate_opset(tree, set(BLOCK_DEPTH))
     if bad:
         raise CompileError(f"unsupported operations: {bad}")
-    ann = annotate_ranges(tree)
-    schedule = build_schedule(tree)
-    blocks = _build_blocks(ann, config.grid)
-    net = _build_faithful(tree, ann, schedule, blocks)
-    if not config.faithful_widths and not isinstance(tree, Leaf):
-        net = dead_wire_elimination(net, outputs={0})
-    return net, _certificate(tree, net, config, ann, blocks)
+    ann = annotated if annotated is not None else annotate_ranges(tree)
+    stats = tree_stats(tree)
+    splines = EdgeSplines()
+    blocks = _build_blocks(ann, config.grid, splines)
+    if isinstance(tree, Leaf):
+        net = _leaf_network(tree, stats.n)
+    else:
+        net = _build_network(stats.n, ann, build_schedule(tree), blocks, splines, config.faithful_widths)
+    return net, _certificate(tree, stats, net, config, ann, blocks)
 
 
 def _on_box(cert: Certificate, box: AffineBox) -> Certificate:
@@ -550,7 +546,8 @@ def recompute_certificate(
     caller has it already.
     """
     ann = annotated if annotated is not None else annotate_ranges(tree)
-    cert = _certificate(tree, net, config, ann, _build_blocks(ann, config.grid))
+    blocks = _build_blocks(ann, config.grid, EdgeSplines())
+    cert = _certificate(tree, tree_stats(tree), net, config, ann, blocks)
     return _on_box(cert, box) if box is not None else cert
 
 

@@ -84,8 +84,11 @@ class Leaf:
             raise ValueError(f"leaf coordinate must be >= 1, got {self.coord}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Node:
+    """Internal node. Equality, hash and repr are structural, as a dataclass's
+    would be, but walk the tree iteratively, so any depth compares."""
+
     op: OpKind
     children: tuple["CompTree", ...]
 
@@ -95,8 +98,41 @@ class Node:
                 f"{self.op.value} expects {self.op.arity} children, got {len(self.children)}"
             )
 
+    def __eq__(self, other):
+        if not isinstance(other, Node):
+            return NotImplemented
+        # with every arity fixed by the op, the post-order labels fix the tree
+        return self is other or _labels(self) == _labels(other)
+
+    def __hash__(self):
+        return hash(tuple(_labels(self)))
+
+    def __repr__(self):
+        # the dataclass repr, emitted in pre-order from an explicit stack
+        parts: list[str] = []
+        stack: list[CompTree | str] = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                parts.append(t)
+            elif isinstance(t, Leaf):
+                parts.append(repr(t))
+            else:
+                parts.append(f"Node(op={t.op!r}, children=(")
+                stack.append(",))" if len(t.children) == 1 else "))")
+                for i in range(len(t.children) - 1, -1, -1):
+                    stack.append(t.children[i])
+                    if i:
+                        stack.append(", ")
+        return "".join(parts)
+
 
 CompTree = Union[Leaf, Node]
+
+
+def _labels(tree: CompTree) -> list[int | OpKind]:
+    # a leaf's coordinate or a node's op, in post-order
+    return [t.coord if isinstance(t, Leaf) else t.op for _, t in postorder(tree)]
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,19 @@ Constructions on a domain I x J (or I):
               interior to I, reproducing the op exactly
 
 Blocks emit only their internal neurons; forwarding of live values through a
-block's layers is the compiler's concern.
+block's layers is the compiler's concern. Every block edge comes from an
+`EdgeSplines` factory, which the compiler makes once per compile and also
+uses for its forwarding wires, so equal edges share one `Spline`.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .exprtree import OpKind
 from .rangecert import BLOCK_DEPTH, Interval, partial_lip, range_rule
@@ -31,6 +37,7 @@ from .spline import Spline, exact_poly_spline, line_spline, pl_interpolant, spli
 __all__ = [
     "Block",
     "BlockLayer",
+    "EdgeSplines",
     "BlockCertificate",
     "block_add",
     "block_sub",
@@ -83,18 +90,57 @@ class Block:
         return prod
 
 
-def _ident(iv: Interval) -> Spline:
-    return line_spline(iv.lo, iv.hi, iv.lo, iv.hi)
+_PAIR = struct.Struct("=2d")  # the native bytes of a 2-element float64 array
 
 
-def _neg(iv: Interval) -> Spline:
-    return line_spline(iv.lo, iv.hi, -iv.lo, -iv.hi)
+class EdgeSplines:
+    """Spline factory sharing one `Spline` per distinct edge document.
+
+    The key is the document itself: the order and the exact bits of the knots
+    and coefficients. So [-0.0, b] and [0.0, b], equal as floats but
+    different in the JSON, get separate splines. Each edge is looked up
+    before it is built: a line by its end points and values, any other edge
+    by the recipe it is `built` from. The Lipschitz constant and the JSON
+    body are cached per `Spline` object, so each distinct edge is extracted
+    and dumped once. Make one per compile: the compiler never keeps one
+    across compiles.
+    """
+
+    def __init__(self):
+        self._docs: dict[tuple[int, bytes, bytes], Spline] = {}
+        self._recipes: dict[tuple, Spline] = {}
+
+    def line(self, a: float, b: float, va: float, vb: float) -> Spline:
+        """`line_spline(a, b, va, vb)`, built on first request."""
+        key = (1, _PAIR.pack(a, b), _PAIR.pack(va, vb))
+        s = self._docs.get(key)
+        if s is None:
+            s = self._docs[key] = line_spline(a, b, va, vb)
+        return s
+
+    def ident(self, iv: Interval) -> Spline:
+        return self.line(iv.lo, iv.hi, iv.lo, iv.hi)
+
+    def neg(self, iv: Interval) -> Spline:
+        return self.line(iv.lo, iv.hi, -iv.lo, -iv.hi)
+
+    def built(self, recipe: tuple, build: Callable[[], Spline]) -> Spline:
+        """The spline `build()` makes, built once per `recipe`: a key that
+        fixes the spline exactly (floats given as bits). A new document
+        joins the lines, so a built edge that is a line is shared with them."""
+        s = self._recipes.get(recipe)
+        if s is None:
+            s = build()
+            doc = (s.order, s.knots.tobytes(), s.coefs.tobytes())
+            s = self._recipes[recipe] = self._docs.setdefault(doc, s)
+        return s
 
 
-def block_add(domain: tuple[Interval, Interval]) -> Block:
+def block_add(domain: tuple[Interval, Interval], splines: EdgeSplines | None = None) -> Block:
+    sp = splines or EdgeSplines()
     g, h = domain
     out = range_rule(OpKind.ADD, [g, h])
-    layer = BlockLayer(2, 1, ((0, 0, _ident(g)), (1, 0, _ident(h))))
+    layer = BlockLayer(2, 1, ((0, 0, sp.ident(g)), (1, 0, sp.ident(h))))
     return Block(
         op=OpKind.ADD,
         layers=(layer,),
@@ -106,10 +152,11 @@ def block_add(domain: tuple[Interval, Interval]) -> Block:
     )
 
 
-def block_sub(domain: tuple[Interval, Interval]) -> Block:
+def block_sub(domain: tuple[Interval, Interval], splines: EdgeSplines | None = None) -> Block:
+    sp = splines or EdgeSplines()
     g, h = domain
     out = range_rule(OpKind.SUB, [g, h])
-    layer = BlockLayer(2, 1, ((0, 0, _ident(g)), (1, 0, _neg(h))))
+    layer = BlockLayer(2, 1, ((0, 0, sp.ident(g)), (1, 0, sp.neg(h))))
     return Block(
         op=OpKind.SUB,
         layers=(layer,),
@@ -121,11 +168,13 @@ def block_sub(domain: tuple[Interval, Interval]) -> Block:
     )
 
 
-def block_trig(op: OpKind, domain: Interval, G: int) -> Block:
+def block_trig(op: OpKind, domain: Interval, G: int, splines: EdgeSplines | None = None) -> Block:
     if op not in (OpKind.SIN, OpKind.COS):
         raise ValueError(f"block_trig handles sin/cos, got {op.value}")
     f = math.sin if op is OpKind.SIN else math.cos
-    edge = pl_interpolant(f, domain.lo, domain.hi, G)
+    edge = (splines or EdgeSplines()).built(
+        (op, _PAIR.pack(domain.lo, domain.hi), G), lambda: pl_interpolant(f, domain.lo, domain.hi, G)
+    )
     out = range_rule(op, [domain])
     h = domain.length / (G - 1)
     # |sin''| = |sin| and |cos''| = |cos|, so the curvature sup is the image bound
@@ -150,7 +199,7 @@ def _quarter_square_range(iv: Interval) -> Interval:
     return Interval(lo, hi)
 
 
-def block_mul(domain: tuple[Interval, Interval]) -> Block:
+def block_mul(domain: tuple[Interval, Interval], splines: EdgeSplines | None = None) -> Block:
     """Three-layer exact multiplication block on I x J (signed intervals ok).
 
     The quarter-square identity holds on all of R^2, so the block accepts any
@@ -158,18 +207,24 @@ def block_mul(domain: tuple[Interval, Interval]) -> Block:
     grid: order 2 reproduces t^2/4 exactly, and the small dyadic grid keeps
     the extracted edge Lipschitz constants exact in floats.
     """
+    sp = splines or EdgeSplines()
     g, h = domain
     r_a = range_rule(OpKind.ADD, [g, h])   # u + v
     r_b = range_rule(OpKind.SUB, [g, h])   # u - v
-    quad_a = exact_poly_spline([0.0, 0.0, 0.25], r_a.lo, r_a.hi, 2, 3)
-    quad_b = exact_poly_spline([0.0, 0.0, 0.25], r_b.lo, r_b.hi, 2, 3)
+
+    def quarter_square(r: Interval) -> Spline:  # t^2/4 on r
+        return sp.built(
+            (OpKind.MUL, _PAIR.pack(r.lo, r.hi)), lambda: exact_poly_spline([0.0, 0.0, 0.25], r.lo, r.hi, 2, 3)
+        )
+
+    quad_a, quad_b = quarter_square(r_a), quarter_square(r_b)
     r_p = _quarter_square_range(r_a)
     r_q = _quarter_square_range(r_b)
     out = range_rule(OpKind.MUL, [g, h])
     layers = (
-        BlockLayer(2, 2, ((0, 0, _ident(g)), (1, 0, _ident(h)), (0, 1, _ident(g)), (1, 1, _neg(h)))),
+        BlockLayer(2, 2, ((0, 0, sp.ident(g)), (1, 0, sp.ident(h)), (0, 1, sp.ident(g)), (1, 1, sp.neg(h)))),
         BlockLayer(2, 2, ((0, 0, quad_a), (1, 1, quad_b))),
-        BlockLayer(2, 1, ((0, 0, _ident(r_p)), (1, 0, _neg(r_q)))),
+        BlockLayer(2, 1, ((0, 0, sp.ident(r_p)), (1, 0, sp.neg(r_q)))),
     )
     # sup of |t|/2 over range(u+v) union range(u-v); layers 0 and 2 contribute 1
     lam = max(r_a.bound, r_b.bound) / 2.0
@@ -184,17 +239,19 @@ def block_mul(domain: tuple[Interval, Interval]) -> Block:
     )
 
 
-def block_pwl(op: OpKind, domain: Interval) -> Block:
+def block_pwl(op: OpKind, domain: Interval, splines: EdgeSplines | None = None) -> Block:
     if op not in (OpKind.RELU, OpKind.ABS):
         raise ValueError(f"block_pwl handles relu/abs, got {op.value}")
+    sp = splines or EdgeSplines()
     f = (lambda t: max(t, 0.0)) if op is OpKind.RELU else abs
-    if domain.lo < 0.0 < domain.hi:
-        knots = [domain.lo, 0.0, domain.hi]
+    lo, hi = domain.lo, domain.hi
+    if lo < 0.0 < hi:
+        knots = [lo, 0.0, hi]
+        edge = sp.built(
+            (op, _PAIR.pack(lo, hi)), lambda: Spline(1, np.array(knots), np.array([f(t) for t in knots]))
+        )
     else:
-        knots = [domain.lo, domain.hi]
-    import numpy as np
-
-    edge = Spline(1, np.array(knots), np.array([f(t) for t in knots]))
+        edge = sp.line(lo, hi, f(lo), f(hi))
     out = range_rule(op, [domain])
     return Block(
         op=op,
@@ -207,17 +264,20 @@ def block_pwl(op: OpKind, domain: Interval) -> Block:
     )
 
 
-def build_block(op: OpKind, input_domain: tuple[Interval, ...], G: int) -> Block:
-    """Construct the primitive block for `op` on the given node domain."""
+def build_block(
+    op: OpKind, input_domain: tuple[Interval, ...], G: int, splines: EdgeSplines | None = None
+) -> Block:
+    """Construct the primitive block for `op` on the given node domain, its
+    edges drawn from `splines` (a fresh factory when None)."""
     if op is OpKind.ADD:
-        return block_add(input_domain)
+        return block_add(input_domain, splines)
     if op is OpKind.SUB:
-        return block_sub(input_domain)
+        return block_sub(input_domain, splines)
     if op is OpKind.MUL:
-        return block_mul(input_domain)
+        return block_mul(input_domain, splines)
     if op in (OpKind.SIN, OpKind.COS):
-        return block_trig(op, input_domain[0], G)
-    return block_pwl(op, input_domain[0])
+        return block_trig(op, input_domain[0], G, splines)
+    return block_pwl(op, input_domain[0], splines)
 
 
 @dataclass(frozen=True)

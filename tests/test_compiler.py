@@ -20,14 +20,16 @@ from kanforge.compiler import (
     dead_wire_elimination,
     measured_sup_error,
 )
-from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_expression, tree_stats
-from kanforge.kannet import Edge, KanNetwork, forward, forward_batch, lipschitz_product
+from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_expression, render, tree_stats
+from kanforge.kannet import Edge, KanNetwork, forward, forward_batch, lipschitz_product, serialize
 from kanforge.kernels import CHUNK
+from kanforge.primblocks import EdgeSplines, build_block
 from kanforge.rangecert import Interval, affine_box, apply_affine, verify_ranges_numerically
 from kanforge.spline import line_spline
 
 from conftest import nan_network
 from conftest import predicted_faithful_widths as _predicted_faithful_widths
+from test_bytes_guard import _chain
 
 CFG = CompileConfig(grid=35, order=3)
 CFG_FAITHFUL = CompileConfig(grid=35, order=3, faithful_widths=True)
@@ -305,20 +307,22 @@ class TestCertifyRecomputeAndCheck:
 
 class TestIdentityWires:
     def test_one_spline_per_interval(self):
-        wire = compiler._identity_wires()
+        splines = EdgeSplines()
         iv = Interval(-1.0, 2.0)
-        a = wire(iv)
-        assert wire(iv) is a
-        assert wire(Interval(-1.0, 2.0)) is a
+        a = splines.ident(iv)
+        assert splines.ident(iv) is a
+        assert splines.ident(Interval(-1.0, 2.0)) is a
+        assert splines.line(-1.0, 2.0, -1.0, 2.0) is a
         assert a.knots.tolist() == a.coefs.tolist() == [-1.0, 2.0]
-        assert wire(Interval(-1.0, 3.0)) is not a
+        assert splines.ident(Interval(-1.0, 3.0)) is not a
+        assert splines.neg(iv) is not a
 
     def test_signed_zero_intervals_kept_apart(self):
-        wire = compiler._identity_wires()
-        neg = wire(Interval(-0.0, 1.0))
-        pos = wire(Interval(0.0, 1.0))
+        splines = EdgeSplines()
+        neg = splines.ident(Interval(-0.0, 1.0))
+        pos = splines.ident(Interval(0.0, 1.0))
         assert neg is not pos
-        assert wire(Interval(-0.0, 1.0)) is neg
+        assert splines.ident(Interval(-0.0, 1.0)) is neg
         assert math.copysign(1.0, neg.knots[0]) == -1.0
         assert math.copysign(1.0, pos.knots[0]) == 1.0
         assert str(neg.to_dict()["knots"][0]) == "-0.0"
@@ -328,6 +332,65 @@ class TestIdentityWires:
         net, _ = compile_tree(parse_expression("x1*x2*x3*x4"), CFG_FAITHFUL)
         splines = [e.spline for edges in net.layers for e in edges]
         assert len({id(s) for s in splines}) < len(splines)
+
+    def test_built_edges_share_with_lines(self):
+        # relu on [0, 1] is the identity line's document, a 3-knot hinge is not
+        splines = EdgeSplines()
+        relu = build_block(OpKind.RELU, (Interval(0.0, 1.0),), 35, splines)
+        assert relu.layers[0].edges[0][2] is splines.ident(Interval(0.0, 1.0))
+        hinge = build_block(OpKind.RELU, (Interval(-1.0, 1.0),), 35, splines).layers[0].edges[0][2]
+        again = build_block(OpKind.ABS, (Interval(-1.0, 1.0),), 35, splines).layers[0].edges[0][2]
+        assert hinge.knots.size == 3 and hinge is not again
+        assert build_block(OpKind.RELU, (Interval(-1.0, 1.0),), 35, splines).layers[0].edges[0][2] is hinge
+
+    def test_no_spline_outlives_its_compile(self):
+        tree = parse_expression("sin(x1*x2)+x1*x2")
+        first, second = (compile_tree(tree, CFG)[0] for _ in range(2))
+        ids = {id(e.spline) for edges in first.layers for e in edges}
+        assert not ids & {id(e.spline) for edges in second.layers for e in edges}
+        assert serialize(first) == serialize(second)
+
+
+def _doc_key(s):
+    return s.order, s.knots.tobytes(), s.coefs.tobytes()
+
+
+class TestSplineSharing:
+    def test_one_spline_per_distinct_edge(self, rng):
+        trees = [parse_expression(_chain(24))] + [random_tree(rng, 5) for _ in range(20)]
+        for tree in trees:
+            for cfg in (CFG, CFG_FAITHFUL):
+                net, _ = compile_tree(tree, cfg)
+                splines = {id(e.spline): e.spline for edges in net.layers for e in edges}.values()
+                assert len(splines) == len({_doc_key(s) for s in splines}), render(tree)
+
+
+def _pruned_faithful(tree):
+    # the oracle: the proof's construction with its dead wires eliminated
+    return dead_wire_elimination(compile_tree(tree, CFG_FAITHFUL)[0], outputs={0})
+
+
+class TestLiveBuild:
+    @pytest.mark.parametrize("expr", ["x1*x1", "x1*x1+x1", "x2*x2", "x3", _chain(24)])
+    def test_matches_pruned_faithful_build(self, expr):
+        tree = parse_expression(expr)
+        assert serialize(compile_tree(tree, CFG)[0]) == serialize(_pruned_faithful(tree))
+
+    def test_matches_pruned_faithful_build_on_random_trees(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            tree = random_tree(rng, 5)
+            assert serialize(compile_tree(tree, CFG)[0]) == serialize(_pruned_faithful(tree)), render(tree)
+
+    def test_one_network_per_compile(self, monkeypatch):
+        built = []
+        init = KanNetwork.__post_init__
+        monkeypatch.setattr(KanNetwork, "__post_init__", lambda net: built.append(net) or init(net))
+        monkeypatch.setattr(compiler, "dead_wire_elimination", None)
+        for cfg in (CFG, CFG_FAITHFUL):
+            built.clear()
+            net, _ = compile_tree(parse_expression(_chain(24)), cfg)
+            assert built == [net]
 
 
 class TestCompileOnBox:

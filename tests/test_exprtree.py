@@ -318,3 +318,30 @@ class TestOneWalk:
         right = "-(".join(terms[:-1]) + "-" + terms[-1] + ")" * 2999
         assert render(parse_expression(right)) == right
         assert tree_stats(parse_expression(right)).depth == 3000
+
+
+class TestStructuralDunders:
+    def test_deep_sum_compares_hashes_and_prints(self):
+        text = "+".join(f"x{i % 5 + 1}" for i in range(3000))
+        t, u = parse_expression(text), parse_expression(text)
+        assert t is not u and t == u and hash(t) == hash(u)
+        assert t != parse_expression(text[:-3] + "*x1")
+        assert repr(t).startswith("Node(op=<OpKind.ADD: '+'>, children=(Node(")
+        assert repr(t).count("Leaf(coord=") == 3000
+        ann = annotate_ranges(t)
+        assert ann == annotate_ranges(u) and repr(ann)
+
+    def test_repr_matches_dataclass_form(self):
+        t = parse_expression("x1*sin(x2)-x3")
+        assert repr(t) == (
+            "Node(op=<OpKind.SUB: '-'>, children=(Node(op=<OpKind.MUL: '*'>, children=(Leaf(coord=1), "
+            "Node(op=<OpKind.SIN: 'sin'>, children=(Leaf(coord=2),)))), Leaf(coord=3)))"
+        )
+
+    @given(tree_strategy(), tree_strategy())
+    @settings(max_examples=200)
+    def test_equality_is_structural(self, g, h):
+        same = render(g) == render(h)  # render is injective on trees
+        assert (g == h) is same and (h == g) is same
+        assert not same or hash(g) == hash(h)
+        assert parse_expression(render(g)) == g and Leaf(1) != Node(OpKind.SIN, (Leaf(1),))
