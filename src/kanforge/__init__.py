@@ -47,7 +47,7 @@ from .kannet import (
     lipschitz_product,
     serialize,
 )
-from .primblocks import Block, block_add, block_certificate, block_mul, block_pwl, block_sub, block_trig
+from .primblocks import Block, EdgeSplines, build_block
 from .rangecert import (
     AffineBox,
     AnnotatedTree,
@@ -63,7 +63,6 @@ from .rangecert import (
     verify_ranges_numerically,
 )
 from .spline import (
-    LipValue,
     Spline,
     cubic_interpolant,
     exact_poly_spline,

@@ -1,9 +1,10 @@
 """Command-line surface: compile, verify, reproduce tables, fuzz.
 
 Exit codes: 0 all certified inequalities hold on measured data; 2 bad input
-(parse/schema/config); 3 certification or verification failure; 4 hash or
-expression mismatch between a certificate and its inputs. Deeply nested
-expressions are not bad input: no tree pass recurses, so they compile.
+(parse/schema/config); 3 certification or verification failure; 4 hash,
+expression or certificate mismatch between a certificate and its inputs.
+Deeply nested expressions are not bad input: no tree pass recurses, so they
+compile.
 
 KANFORGE_SEED, when set, takes precedence over --seed.
 """
@@ -16,8 +17,9 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -52,7 +54,7 @@ from .kannet import (
     lipschitz_product,
     serialize,
 )
-from .rangecert import AffineBox, affine_box, annotate_ranges, apply_affine, verify_ranges_numerically
+from .rangecert import AnnotatedTree, affine_box, annotate_ranges, apply_affine, verify_ranges_numerically
 from .spline import cubic_interpolant, sup_error
 
 __all__ = [
@@ -210,23 +212,23 @@ def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str =
 _RANGE_SAMPLES = 200_000
 
 
-def verify_report(tree: CompTree, net: KanNetwork, config: RunConfig,
-                  box: AffineBox | None = None) -> CheckReport:
-    """`check_certificate`'s report against the certificate recomputed from the
-    tree (behind `box` when given), plus the range and Jacobian rows. One seeded
-    sample pass feeds both the sup error and the per-node range maxima; the 20
-    Jacobian probes, mapped into the box, share one forward."""
-    ann = annotate_ranges(tree)
-    cert = recompute_certificate(tree, net, config.compile_config(), box=box, annotated=ann)
+def verify_report(tree: CompTree, net: KanNetwork, cert: Certificate, ann: AnnotatedTree,
+                  samples: int, seed: int) -> CheckReport:
+    """`check_certificate`'s report of `cert` against `net` (behind the
+    certificate's box, if any), plus the range and Jacobian rows; `ann` is the
+    tree's `annotate_ranges`. One seeded sample pass feeds both the sup error
+    and the per-node range maxima; the 20 Jacobian probes, mapped into the
+    box, share one forward."""
+    box = affine_box(cert.box) if cert.box is not None else None
     product = lipschitz_product(net)
-    range_samples = min(config.samples, _RANGE_SAMPLES)
+    range_samples = min(samples, _RANGE_SAMPLES)
     # the error pass draws max(n, n_0) columns per row, so its rows are the
     # range check's rows only when n_0 <= n; otherwise the check draws its own
     node_max = NodeMaxima(range_samples) if net.n_inputs <= len(ann.leaf_ranges) else None
-    report = check_certificate(tree, net, cert, config.samples, config.seed, box=box,
+    report = check_certificate(tree, net, cert, samples, seed, box=box,
                                product=product, node_max=node_max, annotated=ann)
-    ranges = verify_ranges_numerically(tree, range_samples, config.seed, annotated=ann, node_max=node_max)
-    probes = np.random.default_rng(config.seed).uniform(0.001, 0.999, size=(20, net.n_inputs))
+    ranges = verify_ranges_numerically(tree, range_samples, seed, annotated=ann, node_max=node_max)
+    probes = np.random.default_rng(seed).uniform(0.001, 0.999, size=(20, net.n_inputs))
     if box is not None:
         probes = apply_affine(box, probes)
     jac_max = jacobian_lower_bound(net, probes)
@@ -246,11 +248,13 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
     except (OSError, UnicodeDecodeError, SchemaError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    box = None
+    compile_config, box, cert = config.compile_config(), None, None
     if cert_path:
         try:
             with open(cert_path, encoding="utf-8") as fh:
                 cert = Certificate.from_json(fh.read())
+            # the certificate is recomputed as it was issued: its config, its box
+            compile_config = CompileConfig(grid=cert.grid, order=cert.order, faithful_widths=cert.faithful)
             if cert.box is not None:
                 box = affine_box(cert.box)
                 if len(box.intervals) != net.n_inputs:
@@ -271,7 +275,14 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
         if rendered != cert.expr:
             print(f"error: expression mismatch: certificate was issued for {cert.expr!r}", file=sys.stderr)
             return 4
-    report = verify_report(tree, net, config, box)
+    ann = annotate_ranges(tree)
+    recomputed = recompute_certificate(tree, net, compile_config, box, annotated=ann)
+    if cert is not None and cert != recomputed:
+        name = next(f.name for f in fields(Certificate) if getattr(cert, f.name) != getattr(recomputed, f.name))
+        print(f"error: certificate mismatch: {name} is {reprlib.repr(getattr(cert, name))} in the file, "
+              f"{reprlib.repr(getattr(recomputed, name))} recomputed", file=sys.stderr)
+        return 4
+    report = verify_report(tree, net, recomputed, ann, config.samples, config.seed)
     _emit([vars(row) for row in report.rows], fmt, stream)
     if not report.ok:
         print(f"verification failed: {report.failure.message()}", file=sys.stderr)
@@ -339,8 +350,9 @@ def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str 
              stream=None) -> int:
     """Random-tree property run: compile, certify, verify ranges per tree.
 
-    Each tree is checked by `verify_report` on its own sample seed, so its
-    error and range checks share one sample pass.
+    Each tree is annotated once, for its compile and for `verify_report`,
+    which checks the compiled certificate on the tree's own sample seed, so
+    its error and range checks share one sample pass.
 
     The all-additive subfamily additionally asserts that the certified bound
     N+1 is attained at the all-ones corner. Any failure serializes the
@@ -356,8 +368,9 @@ def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str 
         tree = random_tree(rng, max_depth)
         sample_seed = int(rng.integers(2**31))
         try:
-            net, _ = compile_tree(tree, config.compile_config())
-            report = verify_report(tree, net, replace(config, seed=sample_seed))
+            ann = annotate_ranges(tree)
+            net, cert = compile_tree(tree, config.compile_config(), annotated=ann)
+            report = verify_report(tree, net, cert, ann, config.samples, sample_seed)
             if not report.ok:
                 raise CertificationError(report.failure.message())
         except (CompileError, CertificationError, ValueError) as exc:
@@ -388,13 +401,16 @@ def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str 
 # argument parsing
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=int, default=35, help="spline grid points per trig block (default 35)")
+    p.add_argument("--grid", type=int, default=35,
+                   help="spline grid points per trig block (default 35; verify --cert takes the certificate's)")
     p.add_argument("--order", type=int, default=3,
-                   help="spline order, checked (>= 2) and recorded in the certificate (default 3)")
+                   help="spline order, checked (>= 2) and recorded in the certificate "
+                        "(default 3; verify --cert takes the certificate's)")
     p.add_argument("--samples", type=int, default=100_000, help="verification sample count (default 1e5)")
     p.add_argument("--seed", type=int, default=42, help="RNG seed (KANFORGE_SEED overrides)")
     p.add_argument("--faithful-widths", action="store_true",
-                   help="build the proof-faithful construction (inputs forwarded to the last layer)")
+                   help="build the proof-faithful construction (inputs forwarded to the last layer; "
+                        "verify --cert takes the certificate's)")
     p.add_argument("-o", "--out", default=None, help="output path (prefix for compile)")
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
 

@@ -43,7 +43,7 @@ from .exprtree import (
     validate_opset,
 )
 from .kannet import Edge, KanNetwork, ProductReport, forward_batch, lipschitz_product, serialize
-from .primblocks import Block, EdgeSplines, block_certificate, build_block
+from .primblocks import Block, EdgeSplines, build_block
 from .rangecert import (
     BLOCK_DEPTH,
     _SOUNDNESS_SLACK,
@@ -106,10 +106,12 @@ class CompileConfig:
     faithful_widths: bool = False
 
     def __post_init__(self):
-        if self.grid < 2:
-            raise ValueError("grid must be >= 2")
-        if self.order < 2:
-            raise ValueError("order must be >= 2 (exact squaring edges need it)")
+        if type(self.grid) is not int or self.grid < 2:
+            raise ValueError("grid must be an integer >= 2")
+        if type(self.order) is not int or self.order < 2:
+            raise ValueError("order must be an integer >= 2 (exact squaring edges need it)")
+        if type(self.faithful_widths) is not bool:
+            raise ValueError("faithful_widths must be true or false")
 
 
 WireKey = tuple[str, int]  # ("input", coord) or ("node", node_id)
@@ -260,7 +262,7 @@ def _build_blocks(ann: AnnotatedTree, G: int, splines: EdgeSplines) -> dict[int,
     blocks = {}
     for nid, a in ann.annotations.items():
         try:
-            blocks[nid] = build_block(a.op, a.input_domain, G, splines)
+            blocks[nid] = build_block(a, G, splines)
         except ValueError as exc:
             raise CompileError(f"cannot build {a.op.value} block at node {nid}: {exc}") from exc
     return blocks
@@ -332,6 +334,7 @@ def _build_network(
 
     for entry in schedule:
         nid, block = entry.node_id, blocks[entry.node_id]
+        out_range = ann.annotations[nid].range
         if entry.fanout_layers:
             # duplicate the shared source wire onto two fresh neurons
             src = pos[entry.consumed[0]]
@@ -341,17 +344,16 @@ def _build_network(
             src_of = [base, base + 1]
         else:
             src_of = [pos[k] for k in entry.consumed]
-        for t, blayer in enumerate(block.layers):
+        for t, block_edges in enumerate(block.layers):
             if t == block.c_op - 1:
-                outs = [(entry.produced, block.output_range, f"node{nid}", None)]
+                outs = [(entry.produced, out_range, f"node{nid}", None)]
             else:
                 outs = [(None, iv, f"blk{nid}.{t}.{j}", None) for j, iv in enumerate(block.neuron_ranges[t])]
-            out_edges = [(src_of[src], dst, spl) for src, dst, spl in blayer.edges]
+            out_edges = [(src_of[src], dst, spl) for src, dst, spl in block_edges]
             base = advance(outs, out_edges, lead=entry is schedule[-1] and t == block.c_op - 1)
             src_of = [base + j for j in range(len(outs))]
         if entry is not schedule[-1]:
-            iv = block.output_range
-            fwd.append((entry.produced, iv, f"node{nid}", splines.ident(iv)))
+            fwd.append((entry.produced, out_range, f"node{nid}", splines.ident(out_range)))
 
     return KanNetwork(widths=tuple(widths), layers=tuple(layers), wire_tags=tuple(wire_tags))
 
@@ -411,13 +413,10 @@ def _certificate(
     eps_op = 0.0
     has_trig = False
     for nid in sorted(blocks):
-        b = blocks[nid]
-        cert = block_certificate(b)
-        per_node.append(
-            NodeCert(nid, b.op.value, b.c_op, cert.lambda_op, cert.eps_op, cert.a5_ok)
-        )
+        b, a = blocks[nid], ann.annotations[nid]
+        per_node.append(NodeCert(nid, a.op.value, b.c_op, b.lambda_op, b.eps_op, b.lambda_op <= a.block_bound))
         eps_op = max(eps_op, b.eps_op)
-        has_trig = has_trig or b.op in (OpKind.SIN, OpKind.COS)
+        has_trig = has_trig or a.op in (OpKind.SIN, OpKind.COS)
     error_bound = stats.internal * max(budget.c_star, 1.0) ** stats.depth * eps_op
     return Certificate(
         n=stats.n,
@@ -631,11 +630,10 @@ def check_certificate(
     """
     ann = annotated if annotated is not None else annotate_ranges(tree)
     n, internal = len(ann.leaf_ranges), len(ann.annotations)
-    # max(C_v, 1)^c_v on each node's certified domain
-    block_bound = {nid: max(max(a.partial_lips), 1.0) ** a.c_op for nid, a in ann.annotations.items()}
     blocks = []
     for nc in cert.per_node:
-        bound = block_bound.get(nc.node_id, math.nan)
+        a = ann.annotations.get(nc.node_id)
+        bound = a.block_bound if a is not None else math.nan
         blocks.append((f"node {nc.node_id} ({nc.op})", nc.lambda_op, bound, nc.lambda_op <= bound))
     report = product if product is not None else lipschitz_product(net)
     err = measured_sup_error(tree, net, samples, seed, box=box, node_max=node_max)

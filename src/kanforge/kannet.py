@@ -132,7 +132,7 @@ def lipschitz_product(net: KanNetwork) -> ProductReport:
     np.fmax.at(
         m,
         [start[l] + e.src for l, edges in enumerate(net.layers) for e in edges],
-        [spline_lipschitz(e.spline).value for edges in net.layers for e in edges],
+        [spline_lipschitz(e.spline) for edges in net.layers for e in edges],
     )
     per_layer = np.maximum.reduceat(m, start[:-1]).tolist()
     product = 1.0
@@ -147,15 +147,14 @@ def lipschitz_product(net: KanNetwork) -> ProductReport:
 
 
 def jacobian_fd(net: KanNetwork, x, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the scalar network output at x.
+    """Central-difference gradient of output neuron 0 at x: the network's value,
+    which a `faithful_widths` net carries ahead of its forwarded inputs.
 
     `x` may also be an (m, n_0) array of points; their (m, n_0) gradients
     come from one forward pass.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    if net.widths[-1] != 1:
-        raise ValueError("jacobian_fd expects a scalar-output network")
     x = np.asarray(x, dtype=np.float64)
     n = net.n_inputs
     if not (x.ndim <= 1 and x.size == n or x.ndim == 2 and x.shape[1] == n):

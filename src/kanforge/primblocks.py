@@ -1,9 +1,12 @@
 """Primitive KAN blocks: small fixed edge-spline networks realizing one op.
 
-Each block is built on the exact node domain supplied by the range recursion
-and carries its certified data: block depth c_op, block Lipschitz product
-lambda_op (product over its layers of the max edge Lipschitz constant), and
-single-node sup error eps_op.
+`build_block` realizes an annotated node (`rangecert.NodeAnnotation`) on the
+input domain the range recursion fixed for it: the op, the domain and the
+output range are read from the annotation. Each block carries its certified
+data: block depth c_op, block Lipschitz product lambda_op (product over its
+layers of the max edge Lipschitz constant), and single-node sup error eps_op.
+The inequality it must satisfy, lambda_op <= max(C_op, 1)^c_op, is the
+annotation's `block_bound`.
 
 Constructions on a domain I x J (or I):
 
@@ -31,37 +34,22 @@ from typing import Callable
 import numpy as np
 
 from .exprtree import OpKind
-from .rangecert import BLOCK_DEPTH, Interval, partial_lip, range_rule
+from .rangecert import Interval, NodeAnnotation, range_rule
 from .spline import Spline, exact_poly_spline, line_spline, pl_interpolant, spline_lipschitz
 
 __all__ = [
     "Block",
-    "BlockLayer",
     "EdgeSplines",
-    "BlockCertificate",
-    "block_add",
-    "block_sub",
-    "block_trig",
-    "block_mul",
-    "block_pwl",
     "build_block",
-    "block_certificate",
 ]
 
-
-@dataclass(frozen=True)
-class BlockLayer:
-    width_in: int
-    width_out: int
-    edges: tuple[tuple[int, int, Spline], ...]  # (src_local, dst_local, spline)
+# one block layer: its (src_local, dst_local, spline) edges
+BlockEdges = tuple[tuple[int, int, Spline], ...]
 
 
 @dataclass(frozen=True)
 class Block:
-    op: OpKind
-    layers: tuple[BlockLayer, ...]
-    input_domain: tuple[Interval, ...]
-    output_range: Interval
+    layers: tuple[BlockEdges, ...]
     neuron_ranges: tuple[tuple[Interval, ...], ...]  # enclosures after each layer
     lambda_op: float
     eps_op: float
@@ -72,12 +60,10 @@ class Block:
 
     def forward(self, *args: float) -> float:
         """Standalone evaluation of the block (scalar, for verification)."""
-        if len(args) != len(self.input_domain):
-            raise ValueError(f"block expects {len(self.input_domain)} inputs")
         vals = [float(a) for a in args]
-        for layer in self.layers:
-            out = [0.0] * layer.width_out
-            for src, dst, s in layer.edges:
+        for edges, ranges in zip(self.layers, self.neuron_ranges):
+            out = [0.0] * len(ranges)
+            for src, dst, s in edges:
                 out[dst] += s(vals[src])
             vals = out
         return vals[0]
@@ -85,8 +71,8 @@ class Block:
     def measured_lambda(self) -> float:
         """Product over layers of the measured max edge Lipschitz constant."""
         prod = 1.0
-        for layer in self.layers:
-            prod *= max(spline_lipschitz(s).value for _, _, s in layer.edges)
+        for edges in self.layers:
+            prod *= max(spline_lipschitz(s) for _, _, s in edges)
         return prod
 
 
@@ -136,61 +122,6 @@ class EdgeSplines:
         return s
 
 
-def block_add(domain: tuple[Interval, Interval], splines: EdgeSplines | None = None) -> Block:
-    sp = splines or EdgeSplines()
-    g, h = domain
-    out = range_rule(OpKind.ADD, [g, h])
-    layer = BlockLayer(2, 1, ((0, 0, sp.ident(g)), (1, 0, sp.ident(h))))
-    return Block(
-        op=OpKind.ADD,
-        layers=(layer,),
-        input_domain=(g, h),
-        output_range=out,
-        neuron_ranges=((out,),),
-        lambda_op=1.0,
-        eps_op=0.0,
-    )
-
-
-def block_sub(domain: tuple[Interval, Interval], splines: EdgeSplines | None = None) -> Block:
-    sp = splines or EdgeSplines()
-    g, h = domain
-    out = range_rule(OpKind.SUB, [g, h])
-    layer = BlockLayer(2, 1, ((0, 0, sp.ident(g)), (1, 0, sp.neg(h))))
-    return Block(
-        op=OpKind.SUB,
-        layers=(layer,),
-        input_domain=(g, h),
-        output_range=out,
-        neuron_ranges=((out,),),
-        lambda_op=1.0,
-        eps_op=0.0,
-    )
-
-
-def block_trig(op: OpKind, domain: Interval, G: int, splines: EdgeSplines | None = None) -> Block:
-    if op not in (OpKind.SIN, OpKind.COS):
-        raise ValueError(f"block_trig handles sin/cos, got {op.value}")
-    f = math.sin if op is OpKind.SIN else math.cos
-    edge = (splines or EdgeSplines()).built(
-        (op, _PAIR.pack(domain.lo, domain.hi), G), lambda: pl_interpolant(f, domain.lo, domain.hi, G)
-    )
-    out = range_rule(op, [domain])
-    h = domain.length / (G - 1)
-    # |sin''| = |sin| and |cos''| = |cos|, so the curvature sup is the image bound
-    curvature = range_rule(op, [domain]).bound
-    eps = h * h / 8.0 * curvature
-    return Block(
-        op=op,
-        layers=(BlockLayer(1, 1, ((0, 0, edge),)),),
-        input_domain=(domain,),
-        output_range=out,
-        neuron_ranges=((out,),),
-        lambda_op=spline_lipschitz(edge).value,
-        eps_op=eps,
-    )
-
-
 def _quarter_square_range(iv: Interval) -> Interval:
     hi = iv.bound ** 2 / 4.0
     if iv.lo <= 0.0 <= iv.hi:
@@ -199,16 +130,14 @@ def _quarter_square_range(iv: Interval) -> Interval:
     return Interval(lo, hi)
 
 
-def block_mul(domain: tuple[Interval, Interval], splines: EdgeSplines | None = None) -> Block:
-    """Three-layer exact multiplication block on I x J (signed intervals ok).
+def _mul(g: Interval, h: Interval, out: Interval, sp: EdgeSplines) -> Block:
+    """Three-layer exact multiplication block on g x h (signed intervals ok).
 
     The quarter-square identity holds on all of R^2, so the block accepts any
     bounded domain. The squaring edges are built at order 2 on a midpoint
     grid: order 2 reproduces t^2/4 exactly, and the small dyadic grid keeps
     the extracted edge Lipschitz constants exact in floats.
     """
-    sp = splines or EdgeSplines()
-    g, h = domain
     r_a = range_rule(OpKind.ADD, [g, h])   # u + v
     r_b = range_rule(OpKind.SUB, [g, h])   # u - v
 
@@ -217,78 +146,47 @@ def block_mul(domain: tuple[Interval, Interval], splines: EdgeSplines | None = N
             (OpKind.MUL, _PAIR.pack(r.lo, r.hi)), lambda: exact_poly_spline([0.0, 0.0, 0.25], r.lo, r.hi, 2, 3)
         )
 
-    quad_a, quad_b = quarter_square(r_a), quarter_square(r_b)
     r_p = _quarter_square_range(r_a)
     r_q = _quarter_square_range(r_b)
-    out = range_rule(OpKind.MUL, [g, h])
     layers = (
-        BlockLayer(2, 2, ((0, 0, sp.ident(g)), (1, 0, sp.ident(h)), (0, 1, sp.ident(g)), (1, 1, sp.neg(h)))),
-        BlockLayer(2, 2, ((0, 0, quad_a), (1, 1, quad_b))),
-        BlockLayer(2, 1, ((0, 0, sp.ident(r_p)), (1, 0, sp.neg(r_q)))),
+        ((0, 0, sp.ident(g)), (1, 0, sp.ident(h)), (0, 1, sp.ident(g)), (1, 1, sp.neg(h))),
+        ((0, 0, quarter_square(r_a)), (1, 1, quarter_square(r_b))),
+        ((0, 0, sp.ident(r_p)), (1, 0, sp.neg(r_q))),
     )
     # sup of |t|/2 over range(u+v) union range(u-v); layers 0 and 2 contribute 1
     lam = max(r_a.bound, r_b.bound) / 2.0
-    return Block(
-        op=OpKind.MUL,
-        layers=layers,
-        input_domain=(g, h),
-        output_range=out,
-        neuron_ranges=((r_a, r_b), (r_p, r_q), (out,)),
-        lambda_op=lam,
-        eps_op=0.0,
-    )
+    return Block(layers=layers, neuron_ranges=((r_a, r_b), (r_p, r_q), (out,)), lambda_op=lam, eps_op=0.0)
 
 
-def block_pwl(op: OpKind, domain: Interval, splines: EdgeSplines | None = None) -> Block:
-    if op not in (OpKind.RELU, OpKind.ABS):
-        raise ValueError(f"block_pwl handles relu/abs, got {op.value}")
-    sp = splines or EdgeSplines()
-    f = (lambda t: max(t, 0.0)) if op is OpKind.RELU else abs
-    lo, hi = domain.lo, domain.hi
-    if lo < 0.0 < hi:
-        knots = [lo, 0.0, hi]
-        edge = sp.built(
-            (op, _PAIR.pack(lo, hi)), lambda: Spline(1, np.array(knots), np.array([f(t) for t in knots]))
-        )
-    else:
-        edge = sp.line(lo, hi, f(lo), f(hi))
-    out = range_rule(op, [domain])
-    return Block(
-        op=op,
-        layers=(BlockLayer(1, 1, ((0, 0, edge),)),),
-        input_domain=(domain,),
-        output_range=out,
-        neuron_ranges=((out,),),
-        lambda_op=spline_lipschitz(edge).value,
-        eps_op=0.0,
-    )
+def _add_sub(op: OpKind, g: Interval, h: Interval, out: Interval, sp: EdgeSplines) -> Block:
+    second = sp.ident(h) if op is OpKind.ADD else sp.neg(h)
+    return Block(layers=(((0, 0, sp.ident(g)), (1, 0, second)),), neuron_ranges=((out,),), lambda_op=1.0, eps_op=0.0)
 
 
-def build_block(
-    op: OpKind, input_domain: tuple[Interval, ...], G: int, splines: EdgeSplines | None = None
-) -> Block:
-    """Construct the primitive block for `op` on the given node domain, its
-    edges drawn from `splines` (a fresh factory when None)."""
-    if op is OpKind.ADD:
-        return block_add(input_domain, splines)
-    if op is OpKind.SUB:
-        return block_sub(input_domain, splines)
+def build_block(a: NodeAnnotation, G: int, splines: EdgeSplines) -> Block:
+    """The primitive block of node `a` on its input domain, with `G` knots per
+    trig interpolant and every edge drawn from `splines`."""
+    op, out = a.op, a.range
     if op is OpKind.MUL:
-        return block_mul(input_domain, splines)
+        return _mul(*a.input_domain, out, splines)
+    if op in (OpKind.ADD, OpKind.SUB):
+        return _add_sub(op, *a.input_domain, out, splines)
+    (iv,) = a.input_domain
+    lo, hi = iv.lo, iv.hi
+    eps = 0.0
     if op in (OpKind.SIN, OpKind.COS):
-        return block_trig(op, input_domain[0], G, splines)
-    return block_pwl(op, input_domain[0], splines)
-
-
-@dataclass(frozen=True)
-class BlockCertificate:
-    lambda_op: float
-    eps_op: float
-    a5_ok: bool
-
-
-def block_certificate(b: Block) -> BlockCertificate:
-    """Check the block-existence inequality lambda <= max(C, 1)^c_op on its domain."""
-    c_dom = max(partial_lip(b.op, list(b.input_domain)))
-    bound = max(c_dom, 1.0) ** BLOCK_DEPTH[b.op]
-    return BlockCertificate(lambda_op=b.lambda_op, eps_op=b.eps_op, a5_ok=b.lambda_op <= bound)
+        f = math.sin if op is OpKind.SIN else math.cos
+        edge = splines.built((op, _PAIR.pack(lo, hi), G), lambda: pl_interpolant(f, lo, hi, G))
+        step = iv.length / (G - 1)
+        # |sin''| = |sin| and |cos''| = |cos|, so the curvature sup is the image bound
+        eps = step * step / 8.0 * out.bound
+    else:
+        f = (lambda t: max(t, 0.0)) if op is OpKind.RELU else abs
+        if lo < 0.0 < hi:
+            knots = [lo, 0.0, hi]
+            edge = splines.built(
+                (op, _PAIR.pack(lo, hi)), lambda: Spline(1, np.array(knots), np.array([f(t) for t in knots]))
+            )
+        else:
+            edge = splines.line(lo, hi, f(lo), f(hi))
+    return Block(layers=(((0, 0, edge),),), neuron_ranges=((out,),), lambda_op=spline_lipschitz(edge), eps_op=eps)

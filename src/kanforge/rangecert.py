@@ -143,6 +143,13 @@ class NodeAnnotation:
     partial_lips: tuple[float, ...]
     c_op: int
 
+    @property
+    def block_bound(self) -> float:
+        """max(C_v, 1)^c_v with C_v = max_i Lip_i(op_v | D_v): the bound the
+        node's block must meet (lambda_op <= block_bound) and the node's
+        factor of the Lipschitz-product budget."""
+        return max(max(self.partial_lips), 1.0) ** self.c_op
+
 
 @dataclass(frozen=True)
 class AnnotatedTree:
@@ -190,7 +197,6 @@ class LipBudget:
     product_bound: float   # prod_v max(C_v, 1)^(c_v)
     c_star: float          # max_v C_v (0 for a bare leaf)
     l_f: int               # sum_v c_v
-    per_node: tuple[tuple[int, float, int], ...]  # (node_id, C_v, c_v)
 
     @property
     def simplified_bound(self) -> float:
@@ -199,17 +205,14 @@ class LipBudget:
 
 
 def lip_budget(annotated: AnnotatedTree) -> LipBudget:
-    per_node = []
     product = 1.0
     c_star = 0.0
     l_f = 0
     for ann in sorted(annotated.annotations.values(), key=lambda a: a.node_id):
-        c_v = max(ann.partial_lips)
-        per_node.append((ann.node_id, c_v, ann.c_op))
-        product *= max(c_v, 1.0) ** ann.c_op
-        c_star = max(c_star, c_v)
+        product *= ann.block_bound
+        c_star = max(c_star, max(ann.partial_lips))
         l_f += ann.c_op
-    return LipBudget(product_bound=product, c_star=c_star, l_f=l_f, per_node=tuple(per_node))
+    return LipBudget(product_bound=product, c_star=c_star, l_f=l_f)
 
 
 @dataclass(frozen=True)

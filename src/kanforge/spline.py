@@ -25,7 +25,6 @@ from . import kernels
 
 __all__ = [
     "Spline",
-    "LipValue",
     "uniform_knots",
     "pl_interpolant",
     "line_spline",
@@ -76,7 +75,7 @@ class Spline:
     # boundary value/slope (fa, sa, fb, sb) for linear continuation outside the domain
     _boundary: tuple[float, float, float, float] = field(init=False, repr=False)
     # spline_lipschitz(self), computed on first use
-    _lip: "LipValue | None" = field(init=False, repr=False, default=None)
+    _lip: float | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "order", operator.index(self.order))
@@ -150,15 +149,6 @@ class Spline:
         if type(grid) is not int or grid != s.grid_points:
             raise ValueError(f"grid_points {grid!r} disagrees with the {s.grid_points} knots")
         return s
-
-
-@dataclass(frozen=True)
-class LipValue:
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("Lipschitz constant must be >= 0")
 
 
 def pl_interpolant(f, a: float, b: float, G: int) -> Spline:
@@ -273,7 +263,7 @@ def _segment_poly_max_abs(s: Spline) -> float:
     return max(candidates)
 
 
-def spline_lipschitz(s: Spline) -> LipValue:
+def spline_lipschitz(s: Spline) -> float:
     """Exact Lipschitz constant: sup of |s'| over the domain.
 
     The derivative of an order-k spline is an order-(k-1) spline; for k <= 2
@@ -282,7 +272,7 @@ def spline_lipschitz(s: Spline) -> LipValue:
     points. Computed once per spline and cached on it.
     """
     if s._lip is None:
-        object.__setattr__(s, "_lip", LipValue(_sup_abs_derivative(s)))
+        object.__setattr__(s, "_lip", _sup_abs_derivative(s))
     return s._lip
 
 

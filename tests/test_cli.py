@@ -179,6 +179,64 @@ class TestVerifyCommand:
                         cert_path=str(a) + ".cert.json", fmt="json", stream=io.StringIO())
         assert rc == 4
 
+    def test_certificate_config_used(self, tmp_path):
+        # recomputed at the certificate's grid 5, not at the --grid default 35
+        prefix = str(tmp_path / "kan")
+        assert main(["compile", "-e", "sin(x1)", "--grid", "5", "--samples", "2000", "-o", prefix]) == 0
+        argv = ["verify", "--net", prefix + ".net.json", "--cert", prefix + ".cert.json", "-e", "sin(x1)",
+                "--samples", "2000"]
+        assert main(argv) == 0
+        assert main(argv + ["--grid", "12", "--order", "4", "--faithful-widths"]) == 0
+
+    @pytest.mark.parametrize("key, value", [("grid", 1), ("grid", "5"), ("grid", 5.0), ("order", 1),
+                                            ("faithful_widths", "yes")])
+    def test_rejected_certificate_config_exit_2(self, tmp_path, capsys, key, value):
+        prefix = str(tmp_path / "kan")
+        cmd_compile("sin(x1)", FAST, out=prefix, fmt="json", stream=io.StringIO())
+        path = tmp_path / "kan.cert.json"
+        doc = json.loads(path.read_text())
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc, indent=2))
+        capsys.readouterr()
+        rc = cmd_verify(prefix + ".net.json", "sin(x1)", FAST, cert_path=str(path), fmt="json",
+                        stream=io.StringIO())
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: bad certificate")
+
+    @pytest.mark.parametrize("edits, field", [
+        ({"error_bound": 0}, "error_bound"),
+        ({"p_bound": 1e-9}, "p_bound"),
+        ({"per_node": []}, "per_node"),
+        ({"widths": [1]}, "widths"),
+        ({"internal_nodes": 7}, "internal"),
+        ({"error_bound": 0, "p_bound": 1e-9, "per_node": [], "widths": [1], "l_f": 999}, "l_f"),
+    ], ids=["error_bound", "p_bound", "per_node", "widths", "internal_nodes", "five-fields"])
+    def test_edited_certificate_exit_4(self, tmp_path, capsys, edits, field):
+        prefix = str(tmp_path / "kan")
+        expr = "sin(x1*x2)+x1"
+        cmd_compile(expr, FAST, out=prefix, fmt="json", stream=io.StringIO())
+        path = tmp_path / "kan.cert.json"
+        doc = json.loads(path.read_text())
+        doc.update(edits)
+        path.write_text(json.dumps(doc, indent=2))
+        capsys.readouterr()
+        rc = cmd_verify(prefix + ".net.json", expr, FAST, cert_path=str(path), fmt="json", stream=io.StringIO())
+        assert rc == 4
+        assert capsys.readouterr().err.startswith(f"error: certificate mismatch: {field} is ")
+
+    @pytest.mark.parametrize("expr", ["x1*x2", "sin(x1*x2)+x3*x1", "relu(x1-x2)*cos(x3)"])
+    def test_faithful_net_verifies(self, tmp_path, capsys, expr):
+        # the faithful output layer also carries the forwarded inputs
+        prefix = str(tmp_path / "kan")
+        assert main(["compile", "-e", expr, "--faithful-widths", "--samples", "2000", "-o", prefix]) == 0
+        argv = ["verify", "--net", prefix + ".net.json", "-e", expr, "--samples", "2000", "--format", "json"]
+        capsys.readouterr()
+        assert main(argv + ["--cert", prefix + ".cert.json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 9 and all(r["ok"] for r in rows)
+        assert rows[-1]["lhs"] > 0.0
+        assert main(argv + ["--faithful-widths"]) == 0
+
     def test_missing_net_file(self, capsys):
         assert cmd_verify("/nonexistent.json", "x1", FAST) == 2
 
@@ -341,10 +399,21 @@ class TestFuzz:
 
         monkeypatch.setattr(compiler, "sample_blocks", counting)
         monkeypatch.setattr(rangecert, "sample_blocks", counting)
+        # and each tree is annotated once, for its compile and its checks
+        annotated = []
+        real_annotate = rangecert.annotate_ranges
+
+        def annotate(*args, **kwargs):
+            annotated.append(args[0])
+            return real_annotate(*args, **kwargs)
+
+        for module in (cli, compiler, rangecert):
+            monkeypatch.setattr(module, "annotate_ranges", annotate)
         assert cmd_fuzz(RunConfig(samples=1500, seed=5), trees=6, max_depth=4) == 0
         per_tree = [seed for seed, samples in draws if samples == 1500]
         assert len(per_tree) == len(set(per_tree)) == 6
         assert [samples for _, samples in draws if samples != 1500] == [1000] * 5
+        assert len(annotated) == 6 + 5
 
     def test_rejects_bad_counts(self, capsys):
         assert cmd_fuzz(RunConfig(), trees=0) == 2

@@ -24,7 +24,7 @@ from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_e
 from kanforge.kannet import Edge, KanNetwork, forward, forward_batch, lipschitz_product, serialize
 from kanforge.kernels import CHUNK
 from kanforge.primblocks import EdgeSplines, build_block
-from kanforge.rangecert import Interval, affine_box, apply_affine, verify_ranges_numerically
+from kanforge.rangecert import Interval, affine_box, annotate_ranges, apply_affine, verify_ranges_numerically
 from kanforge.spline import line_spline
 
 from conftest import nan_network
@@ -336,12 +336,16 @@ class TestIdentityWires:
     def test_built_edges_share_with_lines(self):
         # relu on [0, 1] is the identity line's document, a 3-knot hinge is not
         splines = EdgeSplines()
-        relu = build_block(OpKind.RELU, (Interval(0.0, 1.0),), 35, splines)
-        assert relu.layers[0].edges[0][2] is splines.ident(Interval(0.0, 1.0))
-        hinge = build_block(OpKind.RELU, (Interval(-1.0, 1.0),), 35, splines).layers[0].edges[0][2]
-        again = build_block(OpKind.ABS, (Interval(-1.0, 1.0),), 35, splines).layers[0].edges[0][2]
+
+        def edge(expr, iv):
+            a = annotate_ranges(parse_expression(expr), {1: iv}).annotations[0]
+            return build_block(a, 35, splines).layers[0][0][2]
+
+        assert edge("relu(x1)", Interval(0.0, 1.0)) is splines.ident(Interval(0.0, 1.0))
+        hinge = edge("relu(x1)", Interval(-1.0, 1.0))
+        again = edge("abs(x1)", Interval(-1.0, 1.0))
         assert hinge.knots.size == 3 and hinge is not again
-        assert build_block(OpKind.RELU, (Interval(-1.0, 1.0),), 35, splines).layers[0].edges[0][2] is hinge
+        assert edge("relu(x1)", Interval(-1.0, 1.0)) is hinge
 
     def test_no_spline_outlives_its_compile(self):
         tree = parse_expression("sin(x1*x2)+x1*x2")
@@ -568,3 +572,6 @@ def test_certificate_json_round_trip():
     again = Certificate.from_json(cert.to_json())
     assert again == cert
     assert again.to_json() == cert.to_json()
+    _, box_cert = compile_on_box(parse_expression("sin(x1*x2)+x1"), affine_box([(-2.0, 1.0), (0.5, 3.0)]), CFG)
+    assert box_cert.box is not None
+    assert Certificate.from_json(box_cert.to_json()) == box_cert

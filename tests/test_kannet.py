@@ -178,7 +178,7 @@ class TestPlanForward:
             assert got_oob == ref_oob > 0
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
             rep = lipschitz_product(net)
-            per_edge = [max((spline_lipschitz(e.spline).value for e in edges), default=0.0) for edges in net.layers]
+            per_edge = [max((spline_lipschitz(e.spline) for e in edges), default=0.0) for edges in net.layers]
             assert rep.per_layer == tuple(per_edge)
             assert rep.product == math.prod(per_edge)
 
@@ -228,7 +228,7 @@ class TestLipschitzProduct:
         for expr in ("x1*x2", "sin(x1*x2)", "sin(x1)", "relu(x1-x2)*cos(x3)"):
             net, _ = compile_tree(parse_expression(expr), CFG_FAITHFUL)
             for edges in net.layers:
-                assert any(spline_lipschitz(e.spline).value == 1.0 for e in edges)
+                assert any(spline_lipschitz(e.spline) == 1.0 for e in edges)
             assert lipschitz_product(net).product == 1.0
 
 
@@ -238,6 +238,12 @@ class TestJacobian:
         grad = jacobian_fd(net, [0.5, 0.5])
         np.testing.assert_allclose(grad, [0.5, 0.5], atol=1e-6)
         assert np.linalg.norm(grad) == pytest.approx(math.sqrt(0.5), abs=1e-6)
+
+    def test_faithful_net_differentiates_output_zero(self):
+        # the faithful output layer carries x1, x2 after the product
+        net, _ = compile_tree(parse_expression("x1*x2"), CFG_FAITHFUL)
+        assert net.widths[-1] == 3
+        np.testing.assert_allclose(jacobian_fd(net, [0.3, 0.6]), [0.6, 0.3], atol=1e-6)
 
     def test_sum_gradient_everywhere(self, rng):
         net, _ = compile_tree(parse_expression("x1+x2"), CFG)

@@ -31,7 +31,7 @@ class TestPLInterpolant:
         s = sp.pl_interpolant(lambda t: t, 0, 1, 7)
         ts = np.linspace(0, 1, 100)
         np.testing.assert_allclose(s.eval_batch(ts), ts, atol=1e-15)
-        assert sp.spline_lipschitz(s).value == 1.0
+        assert sp.spline_lipschitz(s) == 1.0
 
     def test_sin_error_within_classical_bound(self):
         for G in (5, 12, 35):
@@ -42,7 +42,7 @@ class TestPLInterpolant:
     def test_sin_two_knot_secant(self):
         s = sp.pl_interpolant(math.sin, 0, 1, 2)
         # line through (0,0) and (1, sin 1)
-        assert sp.spline_lipschitz(s).value == pytest.approx(math.sin(1.0), abs=1e-15)
+        assert sp.spline_lipschitz(s) == pytest.approx(math.sin(1.0), abs=1e-15)
         assert s(0.5) == pytest.approx(math.sin(1.0) / 2)
 
     def test_rejects_non_finite_samples(self):
@@ -58,15 +58,15 @@ class TestExactPoly:
 
     def test_lipschitz_on_symmetric_domain(self):
         s = sp.exact_poly_spline([0, 0, 0.25], -1, 1, 2)
-        assert sp.spline_lipschitz(s).value == 0.5
+        assert sp.spline_lipschitz(s) == 0.5
 
     def test_lipschitz_attained_at_right_end(self):
         s = sp.exact_poly_spline([0, 0, 0.25], 0, 2, 2)
-        assert sp.spline_lipschitz(s).value == 1.0
+        assert sp.spline_lipschitz(s) == 1.0
 
     def test_constant_zero(self):
         s = sp.exact_poly_spline([0.0], 0, 1, 2)
-        assert sp.spline_lipschitz(s).value == 0.0
+        assert sp.spline_lipschitz(s) == 0.0
         assert s(0.37) == 0.0
 
     def test_order_too_low(self):
@@ -147,8 +147,8 @@ class TestLipschitz:
             s = sp.pl_interpolant(math.sin, 0, 1, G)
             secants = np.abs(np.diff(np.sin(s.knots)) / np.diff(s.knots))
             lip = sp.spline_lipschitz(s)
-            assert lip.value == pytest.approx(secants.max(), abs=1e-15)
-            assert lip.value <= 1.0
+            assert lip == pytest.approx(secants.max(), abs=1e-15)
+            assert lip <= 1.0
 
     def test_mvt_bound_for_trig(self, rng):
         for _ in range(40):
@@ -156,11 +156,11 @@ class TestLipschitz:
             b = a + rng.uniform(0.05, 5)
             for f in (math.sin, math.cos):
                 s = sp.pl_interpolant(f, a, b, int(rng.integers(2, 40)))
-                assert sp.spline_lipschitz(s).value <= 1.0 + 1e-15
+                assert sp.spline_lipschitz(s) <= 1.0 + 1e-15
 
     def test_zero_spline(self):
         s = sp.Spline(1, np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-        assert sp.spline_lipschitz(s).value == 0.0
+        assert sp.spline_lipschitz(s) == 0.0
 
     def test_order_zero_rejected(self):
         s = sp.Spline(0, np.array([0.0, 1.0]), np.array([2.0]))
@@ -177,7 +177,7 @@ class TestLipschitz:
             ts = np.linspace(0, 1, 100_001)
             vals = s.eval_batch(ts)
             fd = np.max(np.abs(np.diff(vals))) / (ts[1] - ts[0])
-            lip = sp.spline_lipschitz(s).value
+            lip = sp.spline_lipschitz(s)
             assert fd <= lip * (1 + 1e-6) + 1e-9
             assert lip <= fd * (1 + 1e-3) + 1e-6
 
@@ -219,8 +219,8 @@ class TestClosedFormLipschitz:
     def test_bitwise_equal_to_derivative_coefficients(self, rng):
         count = 0
         for s in self._splines(rng):
-            lip = sp.spline_lipschitz(s).value
-            assert lip == self._reference(s)
+            lip = sp.spline_lipschitz(s)
+            assert type(lip) is float and lip == self._reference(s)
             assert lip == float(np.max(np.abs(s.derivative().coefs)))
             assert sp.spline_lipschitz(s) is sp.spline_lipschitz(s)
             count += 1
