@@ -1,9 +1,10 @@
 """Benchmark the network forward plan against per-edge de Boor evaluation.
 
 Times packed-network forward passes on compiled networks of increasing size:
-the plan forward (`kernels.forward_batch`, affine edges as one matmul per
-layer, other edges in pp form) against a reference that evaluates every edge
-with its own de Boor call. Building the plan (`kernels.build_plan`, which a
+the slot program (`kernels.forward_batch`: identity wires are aliases, each
+layer evaluates only its other edges, affine ones as one small matmul and
+curved ones in pp form) against a reference that evaluates every edge with
+its own de Boor call. Building the program (`kernels.build_plan`, which a
 network runs once and caches) is timed on its own and reported next to the
 forward it serves. Also times de Boor batch evaluation of a single spline
 (`Spline.eval_batch`). Run from the repo root:

@@ -59,6 +59,7 @@ from .rangecert import (
 from .spline import Spline, line_spline
 
 __all__ = [
+    "MAX_GRID",
     "CompileConfig",
     "Certificate",
     "ScheduleEntry",
@@ -99,6 +100,12 @@ class CertificationError(ValueError):
     """A certified inequality failed; the message names it (see `CheckRow`)."""
 
 
+# largest grid: trig edges hold `grid` knots each, so compile time, memory
+# and the net file grow linearly with it (grid 10^6 took 5.9 s and 402 MB);
+# `sin(x1)` at grid 10^4 compiles in 0.04 s
+MAX_GRID = 10_000
+
+
 @dataclass(frozen=True)
 class CompileConfig:
     grid: int = 35
@@ -106,8 +113,10 @@ class CompileConfig:
     faithful_widths: bool = False
 
     def __post_init__(self):
-        if type(self.grid) is not int or self.grid < 2:
-            raise ValueError("grid must be an integer >= 2")
+        # checked here, before anything is built, so a certificate file asking
+        # for more grid is bad input like a --grid flag
+        if type(self.grid) is not int or not 2 <= self.grid <= MAX_GRID:
+            raise ValueError(f"grid must be an integer in [2, {MAX_GRID}]")
         if type(self.order) is not int or self.order < 2:
             raise ValueError("order must be an integer >= 2 (exact squaring edges need it)")
         if type(self.faithful_widths) is not bool:

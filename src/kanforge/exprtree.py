@@ -10,7 +10,11 @@ Grammar (whitespace insignificant, no numeric literals):
 
 '+', '-' and '*' are left-associative, '*' binds tighter. Variables are
 1-based coordinate projections; the input dimension n is the maximum index
-that appears. Leaves of the tree are coordinate projections only.
+that appears. Leaves of the tree are coordinate projections only. An index
+is at most MAX_COORD: a network carries one input neuron (and one sampled
+column) per coordinate up to the largest, so a short expression naming
+`x100000000` would otherwise ask for gigabytes. The parser rejects a larger
+index before anything is built.
 
 Nothing here recurses per tree level. The parser keeps explicit operator
 and operand stacks, and every tree pass (here, in `rangecert` and in
@@ -33,6 +37,7 @@ __all__ = [
     "Node",
     "CompTree",
     "TreeStats",
+    "MAX_COORD",
     "ParseError",
     "parse_expression",
     "render",
@@ -73,15 +78,20 @@ _SCALAR_FN: dict[OpKind, Callable[..., float]] = {
 }
 
 
+# largest coordinate index of a leaf: compiling `x1000` takes about 2 s and
+# 170 MB, and cost grows linearly with the index
+MAX_COORD = 1024
+
+
 @dataclass(frozen=True)
 class Leaf:
-    """Coordinate projection x_p, 1-based."""
+    """Coordinate projection x_p, 1-based, p <= MAX_COORD."""
 
     coord: int
 
     def __post_init__(self):
-        if self.coord < 1:
-            raise ValueError(f"leaf coordinate must be >= 1, got {self.coord}")
+        if not 1 <= self.coord <= MAX_COORD:
+            raise ValueError(f"leaf coordinate must be in [1, {MAX_COORD}], got {self.coord}")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -170,10 +180,14 @@ def _read_operand(text: str, pos: int) -> tuple[CompTree | OpKind | None, int]:
     while text[end : end + 1].isalnum():
         end += 1
     word = text[pos:end]
-    if word[0] == "x" and word[1:].isdigit():
-        if int(word[1:]) == 0:
+    if word[0] == "x" and word[1:].isdecimal():
+        digits = word[1:].lstrip("0")
+        if not digits:
             raise ParseError("variable index 0 is not allowed (variables start at x1)", pos)
-        return Leaf(int(word[1:])), end
+        # the length test first: int() of a very long digit string is itself an error
+        if len(digits) > len(str(MAX_COORD)) or int(digits) > MAX_COORD:
+            raise ParseError(f"variable index above the limit x{MAX_COORD}", pos)
+        return Leaf(int(digits)), end
     if word not in _FUNCS:
         raise ParseError(f"unknown function or variable {word!r}", pos)
     end = _skip_ws(text, end)

@@ -1,37 +1,66 @@
-"""Batch evaluation kernels: the per-layer network forward plan and de Boor.
+"""Batch evaluation kernels: the network forward as a slot program, and de Boor.
 
 Network forward
 ---------------
-`build_plan` turns a layered network into one `LayerPlan` per transformation
-layer, splitting the layer's edges by class:
+`build_plan` compiles a layered network into a slot program over one value
+table. Every neuron resolves to a value:
 
-- affine edges (order-1 splines on 2 knots) fold into a dense weight matrix
-  and a bias, evaluated as one matmul. The slope is `(c1 - c0)/(b - a)`, the
-  spline's derivative bit for bit, so identity and negation wires get weight
-  +-1 and bias 0 and stay exact;
+- a neuron whose only incoming edge is an exact identity wire (an order-1,
+  2-knot spline with slope exactly 1.0 and value `a` at `a`, as
+  `line_spline(a, b, a, b)`) is an alias of its source's value. Identity
+  wires are most of a compiled network's edges (every input and intermediate
+  is forwarded by them), and an alias costs nothing in the forward;
+- every other neuron is a new value, computed by its layer's step.
+
+Each transformation layer becomes one `Step`, which evaluates only the
+layer's non-identity edges:
+
+- affine edges (order-1 splines on 2 knots) fold into a weight matrix with
+  one column per source neuron, not per value: two neurons aliasing one value
+  (the fan-out copies of `x1*x1`) keep their own weights. The step reads
+  one table row per column (in place when they are one run of rows, else
+  gathered) and runs one matmul, then adds the bias, whose intercepts are
+  summed in edge order. The slope is `(c1 - c0)/(b - a)`, the
+  spline's derivative bit for bit, so negation wires stay exact;
 - every other edge becomes rows of one padded piecewise-polynomial (pp)
   table: one row per segment holding the Taylor coefficients at the
   segment's left knot (de Boor, A Practical Guide to Splines, ch. VII),
   framed by one row per side holding the boundary value and slope of the
   linear continuation outside the domain. Rows are evaluated by Horner's
-  rule and added into their targets.
+  rule and added into their targets in edge order.
+
+The segment of a point comes from index arithmetic on uniform grids and, on
+any other grid, from counting the inner knots at or below it (`searchsorted`
+past `_COUNTED_KNOTS` inner knots; the compiler's only such grid is the
+three-knot hinge).
+
+A step's new values take consecutive rows of the table, allocated before
+the rows of the values it reads last are released, so no step writes a row
+it reads. A row is reused once its value's last reader has run, so the table
+follows the network's width, not its depth. Output neurons keep their rows;
+a forwarded input stays an alias of its input row.
 
 The plan is built from whole-network arrays: one pass over every edge, in
 layer order, gathers its layer, source, target, domain ends, boundary value
-and slope, and whether it is affine. The weights of all layers are filled by
-one index assignment into a shared buffer; the biases and the per-source
-domain bounds by one `np.add.at` / `np.maximum.at` / `np.minimum.at` each,
-with per-layer offsets (`add.at` applies its updates in edge order, so every
-bias sums its edges in that order). Each `LayerPlan` holds views of these
-arrays. The pp rows of all curved edges come from one stacked de Boor pass
-per (order, grid size); only layers with curved edges then lay their rows
-out in a table, and the others share one set of empty, read-only pp arrays.
+and slope, and whether it is affine or an identity. Aliases resolve by
+pointer jumping over all neurons at once; weights, biases and per-value
+domains are filled by one index assignment, `np.add.at`, `np.maximum.at` and
+`np.minimum.at` each. Python walks the layers only to allocate rows and to
+cut each step's views out of these arrays. The pp rows of all curved edges
+come from one stacked de Boor pass per (order, grid size).
 
-The segment of a point comes from index arithmetic on uniform grids and from
-`searchsorted` over the distinct knots on any other grid. `forward_batch`
-runs the plan over fixed chunks of CHUNK rows, so its temporaries stay
-bounded for any batch size. Out-of-domain evaluations of every edge class
-are counted and returned, never raised.
+`forward_batch` runs the program over fixed chunks of CHUNK points. The
+table and every per-chunk scratch array are views of one workspace
+allocated per call, so memory stays bounded for any batch size and nothing
+CHUNK-sized is allocated inside the chunk loop, outside the two rare paths
+named here (an out-of-domain hit, a fine non-uniform grid).
+
+Out-of-domain evaluations are counted and returned, never raised: one count
+per edge evaluated at a point outside its domain, identity wires included,
+as the de Boor reference counts them. Each value is checked once, when it is
+written, against the tightest domain of all the edges that read it; only on
+a hit are its readers counted one by one, and only after a hit in a chunk do
+its pp edges look for points to send to their continuation rows.
 
 Single splines
 --------------
@@ -49,8 +78,8 @@ import numpy as np
 __all__ = [
     "CHUNK",
     "KMAX",
-    "LayerPlan",
     "NetPlan",
+    "Step",
     "build_plan",
     "forward_batch",
     "eval_spline_batch",
@@ -63,7 +92,7 @@ HAS_NUMBA = USE_NUMBA = False
 # arbitrarily deep de Boor recursion or pp table
 KMAX = 16
 
-# rows per forward chunk: bounds the forward's temporaries at a few MB
+# points per forward chunk: the columns of the forward's value table
 CHUNK = 8192
 
 
@@ -113,25 +142,29 @@ def eval_spline_batch(s, ts) -> tuple[np.ndarray, int]:
 
 
 # ---------------------------------------------------------------------------
-# network forward plan
+# network forward: the slot program
 
 @dataclass(frozen=True, eq=False)
-class LayerPlan:
-    """One transformation layer, split into its affine part and its pp part.
+class Step:
+    """One transformation layer: its non-identity edges, summed into the
+    consecutive table rows `rows`, one per new value of the layer.
 
-    Activations are feature-major, (width, rows), so that per-neuron and
-    per-edge parameters broadcast as (n, 1) columns along contiguous rows.
+    The table is feature-major, (rows, points), so per-value and per-edge
+    parameters broadcast as (n, 1) columns along contiguous rows.
     """
 
-    width_out: int
-    # affine edges: weight @ x + bias; weight is None without affine edges
-    weight: np.ndarray | None  # (w_out, w_in)
-    bias: np.ndarray           # (w_out, 1)
-    aff_src: np.ndarray        # (E_a,) source neuron of each affine edge
-    aff_lo: np.ndarray         # (E_a, 1) domain ends, for out-of-domain counting
-    aff_hi: np.ndarray
-    # pp edges, one row of activations per edge
-    pp_src: np.ndarray         # (E_p,) source neuron
+    rows: slice                # table rows of the new values
+    v0: int                    # value id of the first new value
+    # affine edges: weight @ table[gather] + bias; weight is None without any
+    weight: np.ndarray | None  # (n, k), one column per source neuron
+    bias: np.ndarray           # (n, 1) intercepts, summed in edge order
+    gather: slice | np.ndarray # (k,) table row of each column's source (see `_run`)
+    # per new value: the tightest domain over every edge reading it
+    lo: np.ndarray             # (n,) max lower end (-inf without readers)
+    hi: np.ndarray             # (n,) min upper end (+inf without readers)
+    checked: bool              # whether any new value has a reader
+    # pp edges, one row of the scratch per edge
+    pp_rows: slice | np.ndarray  # (E_p,) table row of each edge's source
     pp_lo: np.ndarray          # (E_p, 1) domain ends
     pp_hi: np.ndarray
     pp_scale: np.ndarray       # (E_p, 1) (G-1)/(b-a) on uniform grids, 0 on others
@@ -143,21 +176,24 @@ class LayerPlan:
     pp_searched: tuple         # (edge, distinct knots, first row) per non-uniform grid
     pp_left: np.ndarray        # (R,) left end of each table row
     pp_coef: np.ndarray        # (K+1, R) Taylor coefficients, highest power first
-    pp_dst: tuple[int, ...]    # target neuron of each edge
-    # per source neuron: the tightest domain over its outgoing edges; a chunk
-    # whose values all lie inside it has no out-of-domain hit in this layer
-    src_lo: np.ndarray         # (w_in, 1) max lower end (-inf without edges)
-    src_hi: np.ndarray         # (w_in, 1) min upper end (+inf without edges)
+    pp_dst: tuple[int, ...]    # offset in `rows` of each edge's target
 
 
 @dataclass(frozen=True, eq=False)
 class NetPlan:
     widths: tuple[int, ...]
-    layers: tuple[LayerPlan, ...]
-
-
-def _is_affine(s) -> bool:
-    return s.order == 1 and s.knots.size == 2
+    n_rows: int                  # rows of the value table
+    steps: tuple[Step, ...]
+    in_lo: np.ndarray            # (n_0,) tightest domain over each input's readers
+    in_hi: np.ndarray
+    out_rows: tuple[int, ...]    # table row of each output neuron
+    # every edge's domain, grouped by the value it reads: value v's readers
+    # are rd_lo/rd_hi[rd_off[v] : rd_off[v + 1]]
+    rd_off: np.ndarray
+    rd_lo: np.ndarray
+    rd_hi: np.ndarray
+    max_gather: int              # largest weight column count of a step
+    max_pp: int                  # largest pp edge count of a step
 
 
 def _taylor_rows(splines) -> list[np.ndarray]:
@@ -206,19 +242,18 @@ def _empty(shape, dtype=np.float64) -> np.ndarray:
     return a
 
 
-# the pp-table fields of every layer without curved edges, shared read-only
+# the pp-table fields of every step without curved edges, shared read-only
 _NO_PP = dict(
+    pp_rows=_empty(0, np.intp), pp_lo=_empty((0, 1)), pp_hi=_empty((0, 1)),
     pp_scale=_empty((0, 1)), pp_shift=_empty((0, 1)), pp_first=_empty((0, 1)), pp_last=_empty((0, 1)),
     pp_below=_empty((0, 1), np.intp), pp_above=_empty((0, 1), np.intp), pp_searched=(),
-    pp_left=_empty(0), pp_coef=_empty((1, 0)),
+    pp_left=_empty(0), pp_coef=_empty((1, 0)), pp_dst=(),
 )
 
 
 def _pp_part(splines, tables, lo: np.ndarray) -> dict:
-    """pp-table fields of one layer's curved edges, given their `_taylor_rows`;
+    """pp-table fields of one step's curved edges, given their `_taylor_rows`;
     `lo` holds their lower domain ends as an (E_p, 1) column."""
-    if not splines:
-        return _NO_PP
     K = max(s.order for s in splines)
     # a table of order k < K fills the K+1-row table's last k+1 rows: the rest
     # are the zero coefficients of the powers above k
@@ -255,132 +290,279 @@ def _pp_part(splines, tables, lo: np.ndarray) -> dict:
     )
 
 
+def _allocate_rows(n_inputs: int, n_new: list[int], free_at: list[int]) -> tuple[np.ndarray, int]:
+    """Table row of every value, and the table's row count. Inputs take rows
+    0..n_0-1; step l's `n_new[l]` values take the first run of free
+    consecutive rows (or extend the table), and only then are the rows of
+    the values with `free_at == l` released (inputs nothing reads: -1)."""
+    row = list(range(n_inputs)) + [0] * (len(free_at) - n_inputs)
+    dying = [[] for _ in range(len(n_new) + 2)]
+    for v, l in enumerate(free_at):
+        dying[l + 1].append(v)
+    occupied = bytearray(b"\x01" * n_inputs)
+    for v in dying[0]:
+        occupied[row[v]] = 0
+    v = n_inputs
+    for l, n in enumerate(n_new):
+        if n:
+            r0 = occupied.find(bytes(n))
+            if r0 < 0:
+                # past the last taken row, extending the table as needed
+                r0 = len(occupied.rstrip(b"\x00"))
+                occupied.extend(bytes(max(0, r0 + n - len(occupied))))
+            occupied[r0 : r0 + n] = b"\x01" * n
+            row[v : v + n] = range(r0, r0 + n)
+            v += n
+        for d in dying[l + 1]:
+            occupied[row[d]] = 0
+    return np.array(row, dtype=np.intp), len(occupied)
+
+
+def _run(rows: np.ndarray) -> slice | np.ndarray:
+    """Table rows to read: a slice when they are one ascending run, so the
+    forward reads them in place, else the rows for `_read` to gather."""
+    r = rows.tolist()
+    if r and r == list(range(r[0], r[0] + len(r))):
+        return slice(r[0], r[0] + len(r))
+    return rows
+
+
 def build_plan(widths, layers) -> NetPlan:
-    """Forward plan of a network: `layers[l]` holds the edges (objects with
+    """Slot program of a network: `layers[l]` holds the edges (objects with
     `src`, `dst`, `spline`) from boundary l to boundary l + 1."""
     widths = tuple(int(w) for w in widths)
-    w_in, w_out = np.array(widths[:-1]), np.array(widths[1:])
+    L = len(layers)
     # one pass over every edge, in layer order, into flat per-edge arrays
     splines = [e.spline for edges in layers for e in edges]
-    dst_list = [e.dst for edges in layers for e in edges]
     src = np.array([e.src for edges in layers for e in edges], dtype=np.intp)
-    dst = np.array(dst_list, dtype=np.intp)
+    dst = np.array([e.dst for edges in layers for e in edges], dtype=np.intp)
     lo, hi, fa, sa = np.array([s.domain + s._boundary[:2] for s in splines]).reshape(-1, 4).T
-    affine = np.array([_is_affine(s) for s in splines], dtype=bool)
-    layer = np.repeat(np.arange(len(layers)), [len(edges) for edges in layers])
-    in_off = np.concatenate([[0], np.cumsum(w_in)])
-    out_off = np.concatenate([[0], np.cumsum(w_out)])
+    affine = np.array([s.order == 1 and s.knots.size == 2 for s in splines], dtype=bool)
+    layer = np.repeat(np.arange(L), [len(edges) for edges in layers])
 
-    # per-source domain bounds of all layers; the updates run in reverse edge
-    # order so that of equal ends (0.0 and -0.0) the first edge's is kept, as
-    # a running max/min over the edges keeps it
-    at = (in_off[layer] + src)[::-1]
-    src_lo = np.full(in_off[-1], -np.inf)
-    src_hi = np.full(in_off[-1], np.inf)
-    np.maximum.at(src_lo, at, lo[::-1])
-    np.minimum.at(src_hi, at, hi[::-1])
+    # neurons numbered across all boundaries; an exact identity that is its
+    # target's only edge makes the target an alias of its source
+    off = np.concatenate([[0], np.cumsum(widths)])
+    gsrc, gdst = off[layer] + src, off[layer + 1] + dst
+    alias = affine & (sa == 1.0) & (fa == lo)
+    alias &= np.bincount(gdst, minlength=off[-1])[gdst] == 1
+    root = np.arange(off[-1])
+    root[gdst[alias]] = gsrc[alias]
+    for _ in range(L.bit_length()):  # pointer jumping: chains span at most L layers
+        root = root[root]
+    is_new = root == np.arange(off[-1])
+    # values are numbered in neuron order: the inputs, then each step's new ones
+    val = (np.cumsum(is_new) - 1)[root]
+    v_off = np.concatenate([[0], np.cumsum(is_new)])[off]
+    n_val = int(v_off[-1])
+    n_new = np.diff(v_off)[1:]
+    vsrc = val[gsrc]
+    ev = ~alias
+    tloc = val[gdst] - v_off[layer + 1]
 
-    # affine edges: biases summed in edge order; weights by index assignment
-    # into one buffer that holds the matrices of the layers having any
-    aff = np.flatnonzero(affine)
+    # every edge's domain, grouped by the value it reads, and per value the
+    # tightest of them
+    by_val = np.argsort(vsrc, kind="stable")
+    rd_off = np.concatenate([[0], np.cumsum(np.bincount(vsrc, minlength=n_val))])
+    vlo = np.full(n_val, -np.inf)
+    vhi = np.full(n_val, np.inf)
+    np.maximum.at(vlo, vsrc, lo)
+    np.minimum.at(vhi, vsrc, hi)
+
+    # a value's row is released after its last evaluated reader; outputs never
+    last = np.full(n_val, -1)
+    np.maximum.at(last, vsrc[ev], layer[ev])
+    out_vals = val[off[-2] :]
+    last[out_vals] = L
+    born = np.repeat(np.arange(-1, L), np.diff(v_off))
+    row, n_rows = _allocate_rows(widths[0], n_new.tolist(), np.maximum(last, born).tolist())
+
+    # affine edges: one weight column per distinct source neuron, filled by
+    # index assignment; intercepts summed into the biases in edge order
+    aff = np.flatnonzero(ev & affine)
+    cols, col_of = np.unique(gsrc[aff], return_inverse=True)
+    k_off = np.concatenate([[0], np.cumsum(np.bincount(np.searchsorted(off, cols, "right") - 1, minlength=L))])
+    k = np.diff(k_off)
+    w_off = np.concatenate([[0], np.cumsum(n_new * k)])
+    weights = np.zeros(w_off[-1])
     aff_layer = layer[aff]
-    aff_off = np.concatenate([[0], np.cumsum(np.bincount(aff_layer, minlength=len(layers)))])
-    bias = np.zeros(out_off[-1])
+    weights[w_off[aff_layer] + tloc[aff] * k[aff_layer] + col_of - k_off[aff_layer]] = sa[aff]
+    bias = np.zeros(n_val - widths[0])
     # edges near the float limit may sum to inf (here and in the forward);
     # the check rows report the non-finite output, so numpy does not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(bias, out_off[aff_layer] + dst[aff], fa[aff] - sa[aff] * lo[aff])
-    w_off = np.concatenate([[0], np.cumsum(np.where(np.diff(aff_off) > 0, w_out * w_in, 0))])
-    weights = np.zeros(w_off[-1])
-    weights[w_off[aff_layer] + dst[aff] * w_in[aff_layer] + src[aff]] = sa[aff]
-    aff_src, aff_lo, aff_hi = src[aff], lo[aff, None], hi[aff, None]
+        np.add.at(bias, val[gdst[aff]] - widths[0], fa[aff] - sa[aff] * lo[aff])
+    gather = row[val[cols]]
 
     # curved edges: the Taylor rows of all of them at once, then a pp table
-    # in each layer that has any
+    # in each step that has any
     curved = np.flatnonzero(~affine)
-    pp_off = np.concatenate([[0], np.cumsum(np.bincount(layer[curved], minlength=len(layers)))])
-    pp_src, pp_lo, pp_hi = src[curved], lo[curved, None], hi[curved, None]
+    n_pp = np.bincount(layer[curved], minlength=L)
+    pp_off = np.concatenate([[0], np.cumsum(n_pp)])
     pp_splines = [splines[i] for i in curved]
     tables = _taylor_rows(pp_splines)
+    pp_lo, pp_hi = lo[curved, None], hi[curved, None]
+    pp_rows, pp_dst = row[vsrc[curved]], tloc[curved].tolist()
 
-    plans = []
-    for l in range(len(layers)):
-        a0, a1, p0, p1 = aff_off[l], aff_off[l + 1], pp_off[l], pp_off[l + 1]
-        plans.append(LayerPlan(
-            width_out=widths[l + 1],
-            weight=weights[w_off[l] : w_off[l + 1]].reshape(w_out[l], w_in[l]) if a1 > a0 else None,
-            bias=bias[out_off[l] : out_off[l + 1], None],
-            aff_src=aff_src[a0:a1],
-            aff_lo=aff_lo[a0:a1],
-            aff_hi=aff_hi[a0:a1],
-            pp_src=pp_src[p0:p1],
+    steps = []
+    v_off, pp_off, k_off, w_off, k = (a.tolist() for a in (v_off, pp_off, k_off, w_off, k))
+    for l in range(L):
+        v0, v1 = v_off[l + 1], v_off[l + 2]
+        if v1 == v0:
+            continue  # every neuron of the boundary is an alias
+        p0, p1 = pp_off[l], pp_off[l + 1]
+        pp = _NO_PP if p1 == p0 else dict(
+            pp_rows=_run(pp_rows[p0:p1]),
             pp_lo=pp_lo[p0:p1],
             pp_hi=pp_hi[p0:p1],
-            pp_dst=tuple(dst_list[i] for i in curved[p0:p1]),
-            src_lo=src_lo[in_off[l] : in_off[l + 1], None],
-            src_hi=src_hi[in_off[l] : in_off[l + 1], None],
+            pp_dst=tuple(pp_dst[p0:p1]),
             **_pp_part(pp_splines[p0:p1], tables[p0:p1], pp_lo[p0:p1]),
+        )
+        r0 = int(row[v0])
+        steps.append(Step(
+            rows=slice(r0, r0 + v1 - v0),
+            v0=v0,
+            weight=weights[w_off[l] : w_off[l + 1]].reshape(v1 - v0, k[l]) if k[l] else None,
+            bias=bias[v0 - widths[0] : v1 - widths[0], None],
+            gather=_run(gather[k_off[l] : k_off[l + 1]]),
+            lo=vlo[v0:v1],
+            hi=vhi[v0:v1],
+            checked=bool(rd_off[v1] > rd_off[v0]),
+            **pp,
         ))
-    return NetPlan(widths=widths, layers=tuple(plans))
+    return NetPlan(
+        widths=widths,
+        n_rows=n_rows,
+        steps=tuple(steps),
+        in_lo=vlo[: widths[0]],
+        in_hi=vhi[: widths[0]],
+        out_rows=tuple(row[out_vals].tolist()),
+        rd_off=rd_off,
+        rd_lo=lo[by_val],
+        rd_hi=hi[by_val],
+        max_gather=max(k, default=0),
+        max_pp=int(n_pp.max(initial=0)),
+    )
 
 
-def _layer_forward(lp: LayerPlan, cur: np.ndarray) -> tuple[np.ndarray, int]:
-    """One layer on feature-major activations; returns (next activations, oob)."""
+# a non-uniform grid with at most this many inner knots finds a point's
+# segment by one comparison per inner knot, in place; a finer one takes
+# `searchsorted`, which allocates its result
+_COUNTED_KNOTS = 8
+
+
+class _Workspace:
+    """Every per-chunk array of one `forward_batch` call, carved from one
+    float buffer, one index buffer and one mask, sized for `cols` points."""
+
+    def __init__(self, plan: NetPlan, cols: int):
+        self.plan = plan
+        self.f = np.empty((plan.n_rows + plan.max_gather + 4 * plan.max_pp) * cols)
+        self.i = np.empty(plan.max_pp * cols, dtype=np.intp)
+        self.b = np.empty(cols, dtype=bool)
+
+    def views(self, m: int):
+        """(table, gather, t, u, val, dt, row, mask) for a chunk of m points."""
+        p = self.plan
+        sizes = np.cumsum([0, p.n_rows, p.max_gather] + [p.max_pp] * 4) * m
+        floats = [self.f[a:b].reshape(-1, m) for a, b in zip(sizes[:-1], sizes[1:])]
+        return (*floats, self.i[: p.max_pp * m].reshape(-1, m), self.b[:m])
+
+
+def _read(tab, rows, buf):
+    """Table rows `rows` (see `_run`): a view of a run, else gathered into `buf`."""
+    if isinstance(rows, slice):
+        return tab[rows]
+    return tab.take(rows, axis=0, out=buf[: rows.size], mode="clip")
+
+
+def _check(plan: NetPlan, rows, lo, hi, v0: int) -> int:
+    """Out-of-domain count of the values just written to `rows` (ids v0...).
+    Values inside the tightest domain of their readers have none; any other
+    value counts each reader's points outside its domain."""
+    # a NaN row has a NaN min, which fails `>=` and so takes the slow path
+    inside = (rows.min(axis=1) >= lo) & (rows.max(axis=1) <= hi)
+    if inside.all():
+        return 0
     oob = 0
-    hits = bool((cur < lp.src_lo).any() or (cur > lp.src_hi).any())
-    if lp.weight is None:
-        out = np.zeros((lp.width_out, cur.shape[1]))
-    else:
-        out = lp.weight @ cur
-        out += lp.bias
-        if hits:
-            t = cur[lp.aff_src]
-            oob += int(np.count_nonzero(t < lp.aff_lo) + np.count_nonzero(t > lp.aff_hi))
-    if not lp.pp_dst:
-        return out, oob
-    t = cur[lp.pp_src]
+    for i in np.flatnonzero(~inside).tolist():
+        a, b = plan.rd_off[v0 + i], plan.rd_off[v0 + i + 1]
+        x = rows[i]
+        oob += int(np.count_nonzero(x < plan.rd_lo[a:b, None]) + np.count_nonzero(x > plan.rd_hi[a:b, None]))
+    return oob
+
+
+def _pp_forward(st: Step, tab, rows, t, u, val, dt, row, mask, hits: bool) -> None:
+    """Add the step's pp edges into `rows`; t, u, val, dt, row hold at least
+    E_p rows of scratch, `mask` one. `hits` is whether any value of the chunk
+    lies outside a reader's domain; only then can these edges have points
+    outside their domains, which take the continuation rows."""
+    E = len(st.pp_dst)
+    u, val, dt, row = u[:E], val[:E], dt[:E], row[:E]
+    t = _read(tab, st.pp_rows, t)
     # table row by index arithmetic, first + floor((t - a)(G-1)/(b-a)) clipped
     # to the edge's segments; truncation is floor once u >= first
-    u = t * lp.pp_scale
-    u += lp.pp_shift
+    np.multiply(t, st.pp_scale, out=u)
+    u += st.pp_shift
     # fmax/fmin, unlike clip, send NaN to a valid row
-    np.fmax(u, lp.pp_first, out=u)
-    np.fmin(u, lp.pp_last, out=u)
-    row = u.astype(np.intp)
-    for i, knots, first in lp.pp_searched:
-        seg = np.searchsorted(knots, t[i], side="right") - 1
-        row[i] = np.clip(seg, 0, knots.size - 2) + first
+    np.fmax(u, st.pp_first, out=u)
+    np.fmin(u, st.pp_last, out=u)
+    np.copyto(row, u, casting="unsafe")
+    for i, knots, first in st.pp_searched:
+        # the last segment, less one per inner knot above t; NaN compares
+        # above none, so it lands in the last segment as in searchsorted
+        if knots.size - 2 > _COUNTED_KNOTS:
+            row[i] = np.clip(np.searchsorted(knots, t[i], side="right") - 1, 0, knots.size - 2) + first
+            continue
+        row[i].fill(first + knots.size - 2)
+        for knot in knots[1:-1].tolist():
+            np.less(t[i], knot, out=mask)
+            np.subtract(row[i], mask, out=row[i])
     if hits:
-        below = t < lp.pp_lo
-        above = t > lp.pp_hi
-        oob += int(np.count_nonzero(below) + np.count_nonzero(above))
-        row = np.where(below, lp.pp_below, np.where(above, lp.pp_above, row))
-    val = lp.pp_coef[0][row]
-    if len(lp.pp_coef) > 1:
-        dt = t - lp.pp_left[row]
-        for coef in lp.pp_coef[1:]:
+        np.copyto(row, st.pp_below, where=t < st.pp_lo)
+        np.copyto(row, st.pp_above, where=t > st.pp_hi)
+    st.pp_coef[0].take(row, out=val, mode="clip")
+    if len(st.pp_coef) > 1:
+        st.pp_left.take(row, out=dt, mode="clip")
+        np.subtract(t, dt, out=dt)
+        for coef in st.pp_coef[1:]:
             val *= dt
-            val += coef[row]
+            val += coef.take(row, out=u, mode="clip")
     # one in-place row add per edge: at these widths a 0/1 scatter matmul costs
     # several times more, and row adds sum in edge order for any batch size
-    for i, d in enumerate(lp.pp_dst):
-        out[d] += val[i]
-    return out, oob
+    for i, d in enumerate(st.pp_dst):
+        rows[d] += val[i]
 
 
 def forward_batch(plan: NetPlan, X) -> tuple[np.ndarray, int]:
-    """Network forward over an (npoints, n_0) matrix, CHUNK rows at a time.
+    """Network forward over an (npoints, n_0) matrix, CHUNK points at a time.
 
     Returns (outputs, out_of_domain_count).
     """
     X = np.asarray(X, dtype=np.float64)
+    n0 = plan.widths[0]
     out = np.empty((X.shape[0], plan.widths[-1]))
     oob = 0
+    ws = _Workspace(plan, min(CHUNK, X.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):  # see the bias sum in build_plan
         for start in range(0, X.shape[0], CHUNK):
-            cur = np.ascontiguousarray(X[start : start + CHUNK].T)
-            for lp in plan.layers:
-                cur, hits = _layer_forward(lp, cur)
-                oob += hits
-            out[start : start + CHUNK] = cur.T
+            stop = min(start + CHUNK, X.shape[0])
+            if start == 0 or stop - start < CHUNK:  # the first chunk and a short last one
+                tab, gat, t, u, val, dt, row, mask = ws.views(stop - start)
+            oob0 = oob
+            tab[:n0] = X[start:stop].T
+            oob += _check(plan, tab[:n0], plan.in_lo, plan.in_hi, 0)
+            for st in plan.steps:
+                rows = tab[st.rows]
+                if st.weight is None:
+                    rows.fill(0.0)
+                else:
+                    np.matmul(st.weight, _read(tab, st.gather, gat), out=rows)
+                    rows += st.bias
+                if st.pp_dst:
+                    _pp_forward(st, tab, rows, t, u, val, dt, row, mask, oob > oob0)
+                if st.checked:
+                    oob += _check(plan, rows, st.lo, st.hi, st.v0)
+            for j, r in enumerate(plan.out_rows):
+                out[start:stop, j] = tab[r]
     return out, oob

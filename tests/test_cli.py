@@ -17,8 +17,8 @@ from kanforge.cli import (
     main,
     random_tree,
 )
-from kanforge.compiler import compile_on_box
-from kanforge.exprtree import parse_expression, tree_stats
+from kanforge.compiler import MAX_GRID, compile_on_box
+from kanforge.exprtree import MAX_COORD, parse_expression, tree_stats
 from kanforge.kannet import serialize
 from kanforge.rangecert import affine_box
 
@@ -63,6 +63,20 @@ class TestCompileCommand:
     def test_grid_must_be_sane(self, tmp_path, capsys):
         rc = main(["compile", "-e", "x1", "--grid", "1", "-o", str(tmp_path / "k")])
         assert rc == 2
+
+    def test_grid_limit(self, tmp_path, capsys):
+        prefix = str(tmp_path / "k")
+        assert main(["compile", "-e", "sin(x1)", "--grid", str(MAX_GRID), "--samples", "100", "-o", prefix]) == 0
+        assert main(["compile", "-e", "sin(x1)", "--grid", str(MAX_GRID + 1), "-o", prefix]) == 2
+        assert "grid must be an integer in [2, 10000]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", [f"x1*x{MAX_COORD + 1}", "sin(x1*x100000000)", "x" + "9" * 5000])
+    def test_coordinate_past_limit_exit_2(self, tmp_path, capsys, expr):
+        prefix = str(tmp_path / "k")
+        assert main(["compile", "-e", expr, "-o", prefix]) == 2
+        assert "variable index above the limit" in capsys.readouterr().err
+        assert main(["compile", "-e", "x1", "--samples", "10", "-o", prefix]) == 0
+        assert main(["verify", "--net", prefix + ".net.json", "-e", expr, "--samples", "10"]) == 2
 
     # deep input once exited 2 (recursion limit); the test ids are kept
     @pytest.mark.parametrize("expr", [
@@ -188,8 +202,8 @@ class TestVerifyCommand:
         assert main(argv) == 0
         assert main(argv + ["--grid", "12", "--order", "4", "--faithful-widths"]) == 0
 
-    @pytest.mark.parametrize("key, value", [("grid", 1), ("grid", "5"), ("grid", 5.0), ("order", 1),
-                                            ("faithful_widths", "yes")])
+    @pytest.mark.parametrize("key, value", [("grid", 1), ("grid", "5"), ("grid", 5.0), ("grid", MAX_GRID + 1),
+                                            ("order", 1), ("faithful_widths", "yes")])
     def test_rejected_certificate_config_exit_2(self, tmp_path, capsys, key, value):
         prefix = str(tmp_path / "kan")
         cmd_compile("sin(x1)", FAST, out=prefix, fmt="json", stream=io.StringIO())

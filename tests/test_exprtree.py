@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kanforge.compiler import build_schedule
 from kanforge.exprtree import (
+    MAX_COORD,
     Leaf,
     Node,
     OpKind,
@@ -65,6 +66,18 @@ class TestParse:
     def test_variable_index_zero(self):
         with pytest.raises(ParseError, match="x1"):
             parse_expression("x0*x1")
+
+    def test_variable_index_limit(self):
+        assert parse_expression(f"x{MAX_COORD}") == Leaf(MAX_COORD)
+        assert parse_expression(f"x000{MAX_COORD}") == Leaf(MAX_COORD)
+        for text in (f"x{MAX_COORD + 1}", f"x1+x{MAX_COORD + 1}0", "x" + "9" * 5000):
+            with pytest.raises(ParseError, match=f"limit x{MAX_COORD}"):
+                parse_expression(text)
+        with pytest.raises(ValueError):
+            Leaf(MAX_COORD + 1)
+        # a non-ASCII digit is no index: an unknown name, not an int() crash
+        with pytest.raises(ParseError, match="unknown"):
+            parse_expression("x\u00b2")
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):

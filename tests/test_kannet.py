@@ -81,9 +81,14 @@ def _oob_of(fn, *args):
 class TestPlanForward:
     """The plan forward against the per-edge de Boor reference and scipy."""
 
-    def _check(self, net, rng):
-        X = rng.uniform(-0.05, 1.05, size=(400, net.n_inputs))
-        np.testing.assert_allclose(forward_batch(net, X), _deboor_forward(net, X), rtol=0, atol=1e-12)
+    def _check(self, net, rng, rows=400):
+        X = rng.uniform(-0.05, 1.05, size=(rows, net.n_inputs))
+        got, got_oob = _oob_of(forward_batch, net, X)
+        ref, ref_oob = _oob_of(_deboor_forward, net, X)
+        assert got.shape == ref.shape == (rows, net.widths[-1])
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        # one count per edge evaluated outside its domain, identity wires included
+        assert got_oob == ref_oob
 
     def test_random_trees_both_modes(self, rng):
         for _ in range(40):
@@ -93,9 +98,18 @@ class TestPlanForward:
                 self._check(net, rng)
 
     def test_fanout(self, rng):
-        for expr in ("x1*x1", "sin(x1*x1)+x1", "relu(x2-x1)*relu(x2-x1)"):
-            net, _ = compile_tree(parse_expression(expr), CFG)
-            self._check(net, rng)
+        # two neurons aliasing one value: the fan-out copies of a squared
+        # operand, and an operand read twice through an exact wire
+        for expr in ("x1*x1", "sin(x1*x1)+x1", "relu(x2-x1)*relu(x2-x1)", "x4*x4+x4-x4", "x1*relu(x1)",
+                     "cos(x4*x4+x4-x4)*(cos(x4)*(x6-cos(x1)))"):
+            for cfg in (CFG, CFG_FAITHFUL):
+                net, _ = compile_tree(parse_expression(expr), cfg)
+                self._check(net, rng)
+
+    @pytest.mark.parametrize("rows", [0, 1, kernels.CHUNK + 1])
+    def test_row_counts(self, rng, rows):
+        net, _ = compile_tree(parse_expression("cos(x4*x4+x4-x4)*(cos(x4)*(x6-cos(x1)))"), CFG_FAITHFUL)
+        self._check(net, rng, rows)
 
     def test_compile_on_box(self, rng):
         for _ in range(10):
@@ -115,6 +129,9 @@ class TestPlanForward:
             Edge(1, 2, Spline(3, np.array([-0.5, 0.1, 0.2, 0.7, 1.5]), rng.normal(size=7))),
             Edge(1, 3, line_spline(0.25, 0.75, 1.0, -2.0)),
             Edge(1, 0, Spline(3, np.linspace(-0.2, 1.2, 9), rng.normal(size=11))),
+            # a fine non-uniform grid: more inner knots than are counted in place
+            Edge(0, 3, Spline(2, np.sort(rng.uniform(-0.8, 2.2, size=kernels._COUNTED_KNOTS + 4)),
+                              rng.normal(size=kernels._COUNTED_KNOTS + 5))),
         ]
         net = KanNetwork(widths=(2, 4), layers=(tuple(edges),),
                          wire_tags=(("x1", "x2"), tuple(f"node{j}" for j in range(4))))
@@ -183,8 +200,8 @@ class TestPlanForward:
             assert rep.product == math.prod(per_edge)
 
         plan = nets[1].packed()
-        mixed, affine_only, empty, curved_only, _ = plan.layers
-        assert mixed.weight is not None and len(mixed.pp_dst) == 2
+        mixed, affine_only, empty, curved_only, _ = plan.steps
+        assert mixed.weight is not None and mixed.pp_dst == (1, 3)
         assert affine_only.weight is not None and affine_only.pp_dst == ()
         assert empty.weight is None and empty.pp_dst == () and not empty.bias.any()
         assert curved_only.weight is None and curved_only.pp_dst == (0, 0, 1, 1)
@@ -192,9 +209,38 @@ class TestPlanForward:
         intercepts = [e.spline._boundary[0] - e.spline._boundary[1] * e.spline.domain[0] for e in layers[0][:3]]
         assert mixed.bias[0, 0] == (intercepts[0] + intercepts[1]) + intercepts[2]
         assert mixed.weight[0].tolist() == [1.0, -1.0, 2.5]
-        # source 0's tightest domain over its edges
-        assert (mixed.src_lo[0, 0], mixed.src_hi[0, 0]) == (-0.5, 0.5)
-        assert np.all(empty.src_lo == -np.inf) and np.all(empty.src_hi == np.inf)
+        # each value is checked against the tightest domain of its readers:
+        # input 0 feeds [-1, 2] (twice) and [-0.5, 0.5]; the edgeless
+        # layer's zeros feed the curved-only layer
+        assert (plan.in_lo[0], plan.in_hi[0]) == (-0.5, 0.5)
+        assert empty.lo.tolist() == [0.25, 0.25, -0.5] and empty.hi.tolist() == [1.5, 1.5, 1.5]
+        # no neuron here has an identity as its only edge: every one is a new value
+        assert sum(st.rows.stop - st.rows.start for st in plan.steps) == sum(nets[1].widths[1:])
+
+    def test_forwarded_outputs_alias_inputs(self):
+        # a faithful net forwards every input to the end by identity wires
+        net, _ = compile_tree(parse_expression("sin(x1*x2)+x3"), CFG_FAITHFUL)
+        plan = net.packed()
+        assert net.widths[-1] == 4
+        assert plan.out_rows[1:] == (0, 1, 2)
+        assert plan.out_rows[0] not in (0, 1, 2)
+
+    @staticmethod
+    def _chain(width):
+        """The wide-compile chains: +, *, - cycling, every fourth term wrapped."""
+        terms = [f"{('sin', 'relu', 'cos', 'abs')[j // 4 % 4]}(x{j + 1})" if j % 4 == 3 else f"x{j + 1}"
+                 for j in range(width)]
+        return terms[0] + "".join("+*-"[(j - 1) % 3] + terms[j] for j in range(1, width))
+
+    def test_table_rows_follow_width(self):
+        # rows are reused once their value's last reader has run, so the table
+        # grows with the network's width, not its depth
+        rng = np.random.default_rng(11)
+        trees = [random_tree(rng, 6) for _ in range(400)]
+        nets = [compile_tree(tree, cfg)[0] for tree in trees for cfg in (CFG, CFG_FAITHFUL)]
+        nets += [compile_tree(parse_expression(self._chain(w)), CFG)[0] for w in range(16, 41)]
+        for net in nets:
+            assert net.packed().n_rows <= 3 * max(net.widths)
 
     def test_chunked_rows_match_row_slices(self, rng):
         net, _ = compile_tree(parse_expression("sin((x1+x2)*x3)*relu(x1-x2)"), CFG)
