@@ -30,9 +30,9 @@ layer's non-identity edges:
   rule and added into their targets in edge order.
 
 The segment of a point comes from index arithmetic on uniform grids and, on
-any other grid, from counting the inner knots at or below it (`searchsorted`
-past `_COUNTED_KNOTS` inner knots; the compiler's only such grid is the
-three-knot hinge).
+any other grid, from counting the inner knots at or below it, one in-place
+comparison per inner knot (the compiler's only such grids have one inner
+knot: the hinge and the quarter-square midpoint).
 
 A step's new values take consecutive rows of the table, allocated before
 the rows of the values it reads last are released, so no step writes a row
@@ -50,10 +50,14 @@ cut each step's views out of these arrays. The pp rows of all curved edges
 come from one stacked de Boor pass per (order, grid size).
 
 `forward_batch` runs the program over fixed chunks of CHUNK points. The
-table and every per-chunk scratch array are views of one workspace
-allocated per call, so memory stays bounded for any batch size and nothing
-CHUNK-sized is allocated inside the chunk loop, outside the two rare paths
-named here (an out-of-domain hit, a fine non-uniform grid).
+table and every per-chunk scratch array are views of one workspace: one
+float buffer, one index buffer and one mask per thread, shared by every call
+and grown, never shrunk, to the largest size a call has needed. Memory stays
+bounded for any batch size, nothing CHUNK-sized is allocated inside the
+chunk loop outside the rare out-of-domain path named below, and consecutive
+forwards (the sample blocks of one sup-error pass, or nets of different
+sizes) reuse pages already touched instead of mapping fresh ones. The price
+is that the largest workspace a thread has used stays allocated.
 
 Out-of-domain evaluations are counted and returned, never raised: one count
 per edge evaluated at a point outside its domain, identity wires included,
@@ -71,6 +75,7 @@ plan is tested against.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +178,7 @@ class Step:
     pp_last: np.ndarray        # (E_p, 1) table row of the last segment, as float
     pp_below: np.ndarray       # (E_p, 1) table row continuing below the domain
     pp_above: np.ndarray       # (E_p, 1) table row continuing above the domain
-    pp_searched: tuple         # (edge, distinct knots, first row) per non-uniform grid
+    pp_counted: tuple          # (edge, distinct knots, first row) per non-uniform grid
     pp_left: np.ndarray        # (R,) left end of each table row
     pp_coef: np.ndarray        # (K+1, R) Taylor coefficients, highest power first
     pp_dst: tuple[int, ...]    # offset in `rows` of each edge's target
@@ -246,7 +251,7 @@ def _empty(shape, dtype=np.float64) -> np.ndarray:
 _NO_PP = dict(
     pp_rows=_empty(0, np.intp), pp_lo=_empty((0, 1)), pp_hi=_empty((0, 1)),
     pp_scale=_empty((0, 1)), pp_shift=_empty((0, 1)), pp_first=_empty((0, 1)), pp_last=_empty((0, 1)),
-    pp_below=_empty((0, 1), np.intp), pp_above=_empty((0, 1), np.intp), pp_searched=(),
+    pp_below=_empty((0, 1), np.intp), pp_above=_empty((0, 1), np.intp), pp_counted=(),
     pp_left=_empty(0), pp_coef=_empty((1, 0)), pp_dst=(),
 )
 
@@ -258,7 +263,7 @@ def _pp_part(splines, tables, lo: np.ndarray) -> dict:
     # a table of order k < K fills the K+1-row table's last k+1 rows: the rest
     # are the zero coefficients of the powers above k
     coef = np.zeros((K + 1, sum(s.knots.size + 1 for s in splines)))
-    left, searched = [], []
+    left, counted = [], []
     first, nseg, scale = [], [], []
     rows = 0
     for i, (s, table) in enumerate(zip(splines, tables)):
@@ -273,7 +278,7 @@ def _pp_part(splines, tables, lo: np.ndarray) -> dict:
             scale.append((G - 1) / (b - a))
         else:
             scale.append(0.0)
-            searched.append((i, s.knots, rows + 1))
+            counted.append((i, s.knots, rows + 1))
         rows += G + 1
     first_row = _col(first)
     last_row = first_row + _col(nseg) - 1
@@ -284,7 +289,7 @@ def _pp_part(splines, tables, lo: np.ndarray) -> dict:
         pp_last=last_row,
         pp_below=(first_row - 1).astype(np.intp),
         pp_above=(last_row + 1).astype(np.intp),
-        pp_searched=tuple(searched),
+        pp_counted=tuple(counted),
         pp_left=np.concatenate(left),
         pp_coef=coef,
     )
@@ -445,28 +450,27 @@ def build_plan(widths, layers) -> NetPlan:
     )
 
 
-# a non-uniform grid with at most this many inner knots finds a point's
-# segment by one comparison per inner knot, in place; a finer one takes
-# `searchsorted`, which allocates its result
-_COUNTED_KNOTS = 8
+# the forward's workspace buffers, one per dtype and thread (see `_buffer`)
+_workspace = threading.local()
 
 
-class _Workspace:
-    """Every per-chunk array of one `forward_batch` call, carved from one
-    float buffer, one index buffer and one mask, sized for `cols` points."""
+def _buffer(dtype, size: int) -> np.ndarray:
+    """The first `size` elements of this thread's workspace buffer of
+    `dtype`, replaced by a larger one when it is too small."""
+    bufs = _workspace.__dict__
+    buf = bufs.get(dtype)
+    if buf is None or buf.size < size:
+        buf = bufs[dtype] = np.empty(size, dtype)
+    return buf[:size]
 
-    def __init__(self, plan: NetPlan, cols: int):
-        self.plan = plan
-        self.f = np.empty((plan.n_rows + plan.max_gather + 4 * plan.max_pp) * cols)
-        self.i = np.empty(plan.max_pp * cols, dtype=np.intp)
-        self.b = np.empty(cols, dtype=bool)
 
-    def views(self, m: int):
-        """(table, gather, t, u, val, dt, row, mask) for a chunk of m points."""
-        p = self.plan
-        sizes = np.cumsum([0, p.n_rows, p.max_gather] + [p.max_pp] * 4) * m
-        floats = [self.f[a:b].reshape(-1, m) for a, b in zip(sizes[:-1], sizes[1:])]
-        return (*floats, self.i[: p.max_pp * m].reshape(-1, m), self.b[:m])
+def _views(plan: NetPlan, m: int):
+    """(table, gather, t, u, val, dt, row, mask) for a chunk of m points, as
+    views of the workspace."""
+    sizes = np.cumsum([0, plan.n_rows, plan.max_gather] + [plan.max_pp] * 4) * m
+    f = _buffer(np.float64, int(sizes[-1]))
+    floats = [f[a:b].reshape(-1, m) for a, b in zip(sizes[:-1], sizes[1:])]
+    return (*floats, _buffer(np.intp, plan.max_pp * m).reshape(-1, m), _buffer(np.bool_, m))
 
 
 def _read(tab, rows, buf):
@@ -508,12 +512,9 @@ def _pp_forward(st: Step, tab, rows, t, u, val, dt, row, mask, hits: bool) -> No
     np.fmax(u, st.pp_first, out=u)
     np.fmin(u, st.pp_last, out=u)
     np.copyto(row, u, casting="unsafe")
-    for i, knots, first in st.pp_searched:
+    for i, knots, first in st.pp_counted:
         # the last segment, less one per inner knot above t; NaN compares
-        # above none, so it lands in the last segment as in searchsorted
-        if knots.size - 2 > _COUNTED_KNOTS:
-            row[i] = np.clip(np.searchsorted(knots, t[i], side="right") - 1, 0, knots.size - 2) + first
-            continue
+        # above none, so it lands in the last segment as in `eval_spline_batch`
         row[i].fill(first + knots.size - 2)
         for knot in knots[1:-1].tolist():
             np.less(t[i], knot, out=mask)
@@ -543,12 +544,11 @@ def forward_batch(plan: NetPlan, X) -> tuple[np.ndarray, int]:
     n0 = plan.widths[0]
     out = np.empty((X.shape[0], plan.widths[-1]))
     oob = 0
-    ws = _Workspace(plan, min(CHUNK, X.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):  # see the bias sum in build_plan
         for start in range(0, X.shape[0], CHUNK):
             stop = min(start + CHUNK, X.shape[0])
             if start == 0 or stop - start < CHUNK:  # the first chunk and a short last one
-                tab, gat, t, u, val, dt, row, mask = ws.views(stop - start)
+                tab, gat, t, u, val, dt, row, mask = _views(plan, stop - start)
             oob0 = oob
             tab[:n0] = X[start:stop].T
             oob += _check(plan, tab[:n0], plan.in_lo, plan.in_hi, 0)

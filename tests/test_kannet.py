@@ -111,6 +111,18 @@ class TestPlanForward:
         net, _ = compile_tree(parse_expression("cos(x4*x4+x4-x4)*(cos(x4)*(x6-cos(x1)))"), CFG_FAITHFUL)
         self._check(net, rng, rows)
 
+    def test_workspace_shared_across_calls(self, rng):
+        # a smaller net after a larger one runs in the larger one's buffer,
+        # and calls that fit it allocate no new one
+        big, _ = compile_tree(parse_expression("cos(x4*x4+x4-x4)*(cos(x4)*(x6-cos(x1)))"), CFG_FAITHFUL)
+        small, _ = compile_tree(parse_expression("x1*x2"), CFG)
+        self._check(big, rng, kernels.CHUNK + 1)
+        buf = kernels._buffer(np.float64, 0).base
+        self._check(small, rng, kernels.CHUNK + 1)
+        self._check(big, rng, 3)
+        self._check(big, rng, kernels.CHUNK + 1)
+        assert kernels._buffer(np.float64, 0).base is buf
+
     def test_compile_on_box(self, rng):
         for _ in range(10):
             tree = random_tree(rng, 4)
@@ -129,9 +141,8 @@ class TestPlanForward:
             Edge(1, 2, Spline(3, np.array([-0.5, 0.1, 0.2, 0.7, 1.5]), rng.normal(size=7))),
             Edge(1, 3, line_spline(0.25, 0.75, 1.0, -2.0)),
             Edge(1, 0, Spline(3, np.linspace(-0.2, 1.2, 9), rng.normal(size=11))),
-            # a fine non-uniform grid: more inner knots than are counted in place
-            Edge(0, 3, Spline(2, np.sort(rng.uniform(-0.8, 2.2, size=kernels._COUNTED_KNOTS + 4)),
-                              rng.normal(size=kernels._COUNTED_KNOTS + 5))),
+            # a fine non-uniform grid: ten inner knots, each counted in place
+            Edge(0, 3, Spline(2, np.sort(rng.uniform(-0.8, 2.2, size=12)), rng.normal(size=13))),
         ]
         net = KanNetwork(widths=(2, 4), layers=(tuple(edges),),
                          wire_tags=(("x1", "x2"), tuple(f"node{j}" for j in range(4))))
