@@ -4,9 +4,10 @@ Times packed-network forward passes on compiled networks of increasing size:
 the slot program (`kernels.forward_batch`: identity wires are aliases, each
 layer evaluates only its other edges, affine ones as one small matmul and
 curved ones in pp form) against a reference that evaluates every edge with
-its own de Boor call. Building the program (`kernels.build_plan`, which a
-network runs once and caches) is timed on its own and reported next to the
-forward it serves. Also times de Boor batch evaluation of a single spline
+its own de Boor call. Building the program (`kernels.edge_table` and
+`kernels.build_plan`, which a network runs once and caches) is timed on its
+own and reported next to the forward it serves, with the network's edge
+and distinct spline counts. Also times de Boor batch evaluation of a single spline
 (`Spline.eval_batch`). Run from the repo root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [npoints]
@@ -64,13 +65,14 @@ def main(npoints: int) -> None:
     for name, expr in CASES:
         net, _ = compile_tree(parse_expression(expr), CompileConfig())
         X = rng.uniform(0.0, 1.0, size=(npoints, net.n_inputs))
-        t_build = _time(lambda: kernels.build_plan(net.widths, net.layers))
+        t_build = _time(lambda: kernels.build_plan(net.widths, kernels.edge_table(net.layers)))
         plan = net.packed()
         t_plan = _time(lambda: kernels.forward_batch(plan, X))
         t_ref = _time(lambda: deboor_forward(net, X))
-        edges = sum(len(layer) for layer in net.layers)
+        edges = net.edge_table()
         print(
-            f"  {name:24s} {edges:4d} edges  build: {t_build * 1e3:7.2f} ms  plan: {t_plan * 1e3:8.2f} ms"
+            f"  {name:24s} {edges.sid.size:4d} edges {len(edges.splines):3d} splines"
+            f"  build: {t_build * 1e3:7.2f} ms  plan: {t_plan * 1e3:8.2f} ms"
             f"  de Boor per edge: {t_ref * 1e3:8.2f} ms  speedup: {t_ref / t_plan:5.1f}x"
         )
 

@@ -58,6 +58,7 @@ from .rangecert import AnnotatedTree, affine_box, annotate_ranges, apply_affine,
 from .spline import cubic_interpolant, sup_error
 
 __all__ = [
+    "MAX_SAMPLES",
     "RunConfig",
     "random_tree",
     "balanced_additive_tree",
@@ -70,6 +71,12 @@ __all__ = [
 ]
 
 
+# largest --samples: the sampled checks stream their points in fixed blocks,
+# so memory stays bounded, but time grows linearly with the count (a corpus
+# compile takes about 20 ms at 10^5 samples, so about 20 s at the limit)
+MAX_SAMPLES = 10**8
+
+
 @dataclass(frozen=True)
 class RunConfig:
     grid: int = 35
@@ -80,8 +87,9 @@ class RunConfig:
 
     def __post_init__(self):
         self.compile_config()  # validates grid and order
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        # checked here, before any command starts work
+        if type(self.samples) is not int or not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must be an integer in [1, {MAX_SAMPLES}]")
 
     def compile_config(self, faithful: bool | None = None) -> CompileConfig:
         return CompileConfig(
@@ -259,14 +267,17 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
                 box = affine_box(cert.box)
                 if len(box.intervals) != net.n_inputs:
                     raise ValueError(f"box has {len(box.intervals)} intervals, network reads {net.n_inputs}")
-        # ValueError covers invalid JSON and boxes; KeyError and TypeError missing or mistyped fields
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        # ValueError covers invalid JSON and boxes, RecursionError JSON nested too
+        # deep to decode; KeyError and TypeError missing or mistyped fields
+        except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
             print(f"error: bad certificate: {exc}", file=sys.stderr)
             return 2
-        # the certificate hashes serialize(net), the text `compile` writes: such a
-        # file matches as read and is the network's JSON, since
-        # serialize(deserialize(text)) == text, so it seeds the cache the
-        # recomputed certificate's hash reads; any other layout is re-serialized
+        # the certificate hashes serialize(net), the compact kanforge/2 text
+        # `compile` writes: such a file matches as read and is the network's
+        # JSON, since serialize(deserialize(text)) == text, so it seeds the
+        # cache the recomputed certificate's hash reads. Any other text of the
+        # same network (re-indented, or its spline table reordered) is
+        # re-serialized and hashed again
         if hashlib.sha256(data).hexdigest() == cert.net_sha256:
             object.__setattr__(net, "_json", text)
         elif hashlib.sha256(serialize(net).encode()).hexdigest() != cert.net_sha256:
@@ -406,7 +417,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, default=3,
                    help="spline order, checked (>= 2) and recorded in the certificate "
                         "(default 3; verify --cert takes the certificate's)")
-    p.add_argument("--samples", type=int, default=100_000, help="verification sample count (default 1e5)")
+    p.add_argument("--samples", type=int, default=100_000,
+                   help=f"verification sample count (default 1e5, at most {MAX_SAMPLES:,})")
     p.add_argument("--seed", type=int, default=42, help="RNG seed (KANFORGE_SEED overrides)")
     p.add_argument("--faithful-widths", action="store_true",
                    help="build the proof-faithful construction (inputs forwarded to the last layer; "

@@ -78,7 +78,8 @@ __all__ = [
     "certify",
 ]
 
-VERSION = "0.1.0"
+# bumped with kannet.FORMAT: the certificate hashes the net file
+VERSION = "0.2.0"
 
 # width bound constant from the widest primitive block (the multiplication
 # block spans 4 neurons counting its forwarded operands)

@@ -9,15 +9,30 @@ block-internal wire).
 The layer-wise Lipschitz product multiplies, over transformation layers, the
 maximum outgoing edge Lipschitz constant of any source neuron; it is exact
 because every edge constant is extracted from the spline's derivative
-structure rather than sampled.
+structure rather than sampled. Each distinct spline's constant is extracted
+once, however many edges share it.
+
+Net files (format `kanforge/2`) are one compact JSON object:
+
+    {"format":"kanforge/2","widths":[...],"splines":[...],
+     "layers":[[[src,dst,spline],...],...],"wire_tags":[[...],...]}
+
+`splines` holds one `Spline.to_dict()` per distinct `Spline` object, in order
+of first use over the edges in layer order, and each layer lists its edges
+as `[src, dst, spline_index]` triples. A compiled network forwards every live
+value on shared identity wires, so it has far fewer distinct splines than
+edges. Loading builds one `Spline` per table entry, so shared splines come
+back shared, and `serialize(deserialize(text)) == text` for every text
+`serialize` wrote. `kanforge/1` files, which wrote every edge's spline in
+full, are rejected at `$.format`.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import marshal
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +53,14 @@ __all__ = [
     "deserialize",
 ]
 
-FORMAT = "kanforge/1"
+FORMAT = "kanforge/2"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """One spline from neuron `src` of a boundary to neuron `dst` of the next.
+    A named tuple: a wide network has hundreds of edges, built by every
+    compile and every load, and a tuple is the cheapest object to build."""
+
     src: int
     dst: int
     spline: Spline
@@ -53,6 +71,7 @@ class KanNetwork:
     widths: tuple[int, ...]
     layers: tuple[tuple[Edge, ...], ...]
     wire_tags: tuple[tuple[str, ...], ...]
+    _edges: kernels.EdgeTable = field(init=False, repr=False, default=None)
     _packed: kernels.NetPlan = field(init=False, repr=False, default=None)
     _json: str = field(init=False, repr=False, default=None)
 
@@ -72,15 +91,25 @@ class KanNetwork:
             if len(tags) != w:
                 raise ValueError(f"wire_tags[{m}] must have {w} entries")
         for l, edges in enumerate(self.layers):
-            seen = set()
-            for e in edges:
-                if not (0 <= e.src < self.widths[l]):
-                    raise ValueError(f"layers[{l}] edge source {e.src} out of range")
-                if not (0 <= e.dst < self.widths[l + 1]):
-                    raise ValueError(f"layers[{l}] edge target {e.dst} out of range")
-                if (e.src, e.dst) in seen:
-                    raise ValueError(f"layers[{l}] duplicate edge ({e.src}, {e.dst})")
-                seen.add((e.src, e.dst))
+            if not edges:
+                continue
+            src, dst, _ = zip(*edges)
+            # each layer is checked at once; only a failing check walks its edges
+            if (min(src) < 0 or max(src) >= self.widths[l] or min(dst) < 0 or max(dst) >= self.widths[l + 1]
+                    or len(set(zip(src, dst))) != len(edges)):
+                self._edge_error(l)
+
+    def _edge_error(self, l: int):
+        """Raise the ValueError of layer l's first invalid edge."""
+        seen = set()
+        for e in self.layers[l]:
+            if not (0 <= e.src < self.widths[l]):
+                raise ValueError(f"layers[{l}] edge source {e.src} out of range")
+            if not (0 <= e.dst < self.widths[l + 1]):
+                raise ValueError(f"layers[{l}] edge target {e.dst} out of range")
+            if (e.src, e.dst) in seen:
+                raise ValueError(f"layers[{l}] duplicate edge ({e.src}, {e.dst})")
+            seen.add((e.src, e.dst))
 
     @property
     def n_inputs(self) -> int:
@@ -90,10 +119,17 @@ class KanNetwork:
     def n_layers(self) -> int:
         return len(self.layers)
 
+    def edge_table(self) -> kernels.EdgeTable:
+        """The edges as flat arrays over the distinct splines, built on first
+        use and cached: the net file, the plan and the product read it."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", kernels.edge_table(self.layers))
+        return self._edges
+
     def packed(self) -> kernels.NetPlan:
         """The network's forward plan, built on first use and cached."""
         if self._packed is None:
-            object.__setattr__(self, "_packed", kernels.build_plan(self.widths, self.layers))
+            object.__setattr__(self, "_packed", kernels.build_plan(self.widths, self.edge_table()))
         return self._packed
 
 
@@ -126,14 +162,13 @@ class ProductReport:
 
 def lipschitz_product(net: KanNetwork) -> ProductReport:
     # m[start[l] + i]: the largest Lipschitz constant on an edge out of neuron
-    # i of boundary l; fmax, like a `>` compare, passes over a NaN constant
+    # i of boundary l; fmax, like a `>` compare, passes over a NaN constant.
+    # Each distinct spline's constant is taken once and scattered to its edges
     start = list(itertools.accumulate(net.widths[:-1], initial=0))
+    t = net.edge_table()
+    lips = np.array([spline_lipschitz(s) for s in t.splines])
     m = np.zeros(start[-1])
-    np.fmax.at(
-        m,
-        [start[l] + e.src for l, edges in enumerate(net.layers) for e in edges],
-        [spline_lipschitz(e.spline) for edges in net.layers for e in edges],
-    )
+    np.fmax.at(m, t.src + np.repeat(start[:-1], t.counts), lips[t.sid])
     per_layer = np.maximum.reduceat(m, start[:-1]).tolist()
     product = 1.0
     for mu in per_layer:
@@ -197,69 +232,20 @@ def serialize(net: KanNetwork) -> str:
 
 
 def _to_json(net: KanNetwork) -> str:
-    """`json.dumps(doc, indent=2)` of the network document, assembled by hand.
-
-    A value nested d levels deep prints as its own indent=2 dump with 2*d more
-    spaces after each newline. So every distinct spline is dumped once (the
-    compiler shares identity-wire splines across edges) and the fixed edge,
-    layer and document skeleton around them is spelled out.
-    """
-    bodies: dict[int, str] = {}
-    layers = []
-    for edges in net.layers:
-        items = []
-        for e in edges:
-            body = bodies.get(id(e.spline))
-            if body is None:
-                body = bodies[id(e.spline)] = _spline_json(e.spline, 5)
-            items.append(
-                f'{{\n          "from": {e.src},\n          "to": {e.dst},\n          "spline": {body}\n        }}'
-            )
-        layers.append('{\n      "edges": ' + _nested_list(items, 3) + "\n    }")
-    tags = [_nested_list([_json_str(t) for t in row], 2) for row in net.wire_tags]
-    return (
-        '{\n  "format": ' + _nested(FORMAT, 1)
-        + ',\n  "widths": ' + _nested(list(net.widths), 1)
-        + ',\n  "layers": ' + _nested_list(layers, 1)
-        + ',\n  "wire_tags": ' + _nested_list(tags, 1)
-        + "\n}"
-    )
-
-
-# the C string encoder `json.dumps` applies to every str under ensure_ascii
-_json_str = json.encoder.encode_basestring_ascii
-
-
-def _nested(value, depth: int) -> str:
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
-
-
-def _spline_json(s: Spline, depth: int) -> str:
-    """`_nested(s.to_dict(), depth)`, with one C-encoder dump of its three float
-    lists (`indent` selects the pure-Python encoder) laid out one item per
-    line: no float's text holds a bracket or the ", " item separator."""
-    pad = "\n" + "  " * (depth + 1)
-    item = "," + pad + "  "
-    domain, knots, coefs = (
-        "[" + pad + "  " + part.replace(", ", item) + pad + "]"
-        for part in json.dumps([list(s.domain), s.knots.tolist(), s.coefs.tolist()])[2:-2].split("], [")
-    )
-    return (
-        "{" + pad + '"order": ' + str(s.order)
-        + "," + pad + '"domain": ' + domain
-        + "," + pad + '"grid_points": ' + str(s.grid_points)
-        + "," + pad + '"knots": ' + knots
-        + "," + pad + '"coefficients": ' + coefs
-        + "\n" + "  " * depth + "}"
-    )
-
-
-def _nested_list(items: list[str], depth: int) -> str:
-    # a list at `depth` whose items are already printed for depth + 1
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+    """One compact `json.dumps` of the network document: the spline table,
+    then each layer's `[src, dst, spline_index]` triples."""
+    t = net.edge_table()
+    triples = iter(np.stack([t.src, t.dst, t.sid], axis=1).tolist())
+    layers = [list(itertools.islice(triples, n)) for n in t.counts]
+    doc = {
+        "format": FORMAT,
+        "widths": list(net.widths),
+        "splines": [s.to_dict() for s in t.splines],
+        "layers": layers,
+        "wire_tags": [list(tags) for tags in net.wire_tags],
+    }
+    # the document is built here, so it holds no cycle to look for
+    return json.dumps(doc, separators=(",", ":"), check_circular=False)
 
 
 def _require(cond: bool, message: str, path: str):
@@ -267,17 +253,31 @@ def _require(cond: bool, message: str, path: str):
         raise SchemaError(message, path)
 
 
+def _is_index(v) -> bool:
+    return type(v) is int  # a JSON integer; bool, an int subclass, is not one
+
+
 def deserialize(text: str) -> KanNetwork:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc.msg}", "$") from exc
+    except (ValueError, RecursionError) as exc:  # also integers past the digit limit, deep nesting
+        raise SchemaError(f"invalid JSON: {exc}", "$") from exc
     _require(isinstance(doc, dict), "document must be an object", "$")
     _require(doc.get("format") == FORMAT, f"format must be {FORMAT!r}", "$.format")
     widths = doc.get("widths")
     _require(isinstance(widths, list) and len(widths) >= 2, "widths must be a list of >= 2 ints", "$.widths")
     for m, w in enumerate(widths):
-        _require(isinstance(w, int) and w >= 1, "width must be a positive integer", f"$.widths[{m}]")
+        _require(_is_index(w) and w >= 1, "width must be a positive integer", f"$.widths[{m}]")
+    table = doc.get("splines")
+    _require(isinstance(table, list), "splines must be a list of spline objects", "$.splines")
+    # one Spline per table entry: edges sharing an entry share the spline
+    splines = []
+    for i, sp in enumerate(table):
+        _require(isinstance(sp, dict), "spline must be an object", f"$.splines[{i}]")
+        try:
+            splines.append(Spline.from_dict(sp))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad spline: {exc}", f"$.splines[{i}]") from exc
     raw_layers = doc.get("layers")
     _require(
         isinstance(raw_layers, list) and len(raw_layers) == len(widths) - 1,
@@ -285,33 +285,23 @@ def deserialize(text: str) -> KanNetwork:
         "$.layers",
     )
     layers = []
-    # one Spline per distinct spline document, so splines the compiler shared
-    # across edges stay shared. The key is the document in marshal's version-2
-    # format, which writes every value with its type and every float as its
-    # IEEE bytes: equal keys are equal documents, -0.0 and 0.0 stay apart,
-    # and no float is formatted as text (a compact json.dumps costs ~40x more)
-    splines: dict[bytes, Spline] = {}
-    for l, entry in enumerate(raw_layers):
-        path = f"$.layers[{l}]"
-        _require(isinstance(entry, dict) and isinstance(entry.get("edges"), list), "layer must carry an edge list", path)
-        edges = []
-        for i, raw in enumerate(entry["edges"]):
-            epath = f"{path}.edges[{i}]"
-            _require(isinstance(raw, dict), "edge must be an object", epath)
-            src, dst = raw.get("from"), raw.get("to")
-            _require(isinstance(src, int) and 0 <= src < widths[l], f"edge source must be in [0, {widths[l]})", f"{epath}.from")
-            _require(isinstance(dst, int) and 0 <= dst < widths[l + 1], f"edge target must be in [0, {widths[l + 1]})", f"{epath}.to")
-            sp = raw.get("spline")
-            _require(isinstance(sp, dict), "edge must carry a spline object", f"{epath}.spline")
-            try:
-                key = marshal.dumps(sp, 2)
-                spline = splines.get(key)
-                if spline is None:
-                    spline = splines[key] = Spline.from_dict(sp)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"bad spline: {exc}", f"{epath}.spline") from exc
-            edges.append(Edge(src, dst, spline))
-        layers.append(tuple(edges))
+    for l, triples in enumerate(raw_layers):
+        _require(isinstance(triples, list), "layer must be a list of [src, dst, spline] triples", f"$.layers[{l}]")
+        if not triples:
+            layers.append(())
+            continue
+        # the whole layer is checked at once; only a failing check walks it
+        # triple by triple for the path
+        ok = set(map(type, triples)) == {list} and set(map(len, triples)) == {3}
+        if ok:
+            src, dst, idx = zip(*triples)
+            ok = all(
+                set(map(type, col)) == {int} and min(col) >= 0 and max(col) < bound
+                for col, bound in ((src, widths[l]), (dst, widths[l + 1]), (idx, len(splines)))
+            )
+        if not ok:
+            _layer_error(triples, l, widths, len(splines))
+        layers.append(tuple(map(Edge._make, zip(src, dst, map(splines.__getitem__, idx)))))
     tags = doc.get("wire_tags")
     _require(isinstance(tags, list) and len(tags) == len(widths), "wire_tags must cover every boundary", "$.wire_tags")
     for m, entry in enumerate(tags):
@@ -328,3 +318,13 @@ def deserialize(text: str) -> KanNetwork:
         )
     except ValueError as exc:
         raise SchemaError(str(exc), "$") from exc
+
+
+def _layer_error(triples: list, l: int, widths: list, n_splines: int):
+    """Raise the SchemaError of layer l's first malformed triple."""
+    for i, t in enumerate(triples):
+        path = f"$.layers[{l}][{i}]"
+        _require(isinstance(t, list) and len(t) == 3, "edge must be a [src, dst, spline] triple", path)
+        for value, name, bound in zip(t, ("source", "target", "spline index"), (widths[l], widths[l + 1], n_splines)):
+            _require(_is_index(value) and 0 <= value < bound, f"edge {name} must be an integer in [0, {bound})", path)
+    raise SchemaError("malformed edge triples", f"$.layers[{l}]")

@@ -22,12 +22,12 @@ layer's non-identity edges:
   gathered) and runs one matmul, then adds the bias, whose intercepts are
   summed in edge order. The slope is `(c1 - c0)/(b - a)`, the
   spline's derivative bit for bit, so negation wires stay exact;
-- every other edge becomes rows of one padded piecewise-polynomial (pp)
-  table: one row per segment holding the Taylor coefficients at the
-  segment's left knot (de Boor, A Practical Guide to Splines, ch. VII),
-  framed by one row per side holding the boundary value and slope of the
-  linear continuation outside the domain. Rows are evaluated by Horner's
-  rule and added into their targets in edge order.
+- every other edge reads its spline's rows of the network's padded
+  piecewise-polynomial (pp) table: one row per segment holding the Taylor
+  coefficients at the segment's left knot (de Boor, A Practical Guide to
+  Splines, ch. VII), framed by one row per side holding the boundary value
+  and slope of the linear continuation outside the domain. Rows are
+  evaluated by Horner's rule and added into their targets in edge order.
 
 The segment of a point comes from index arithmetic on uniform grids and, on
 any other grid, from counting the inner knots at or below it, one in-place
@@ -40,14 +40,23 @@ it reads. A row is reused once its value's last reader has run, so the table
 follows the network's width, not its depth. Output neurons keep their rows;
 a forwarded input stays an alias of its input row.
 
-The plan is built from whole-network arrays: one pass over every edge, in
-layer order, gathers its layer, source, target, domain ends, boundary value
-and slope, and whether it is affine or an identity. Aliases resolve by
-pointer jumping over all neurons at once; weights, biases and per-value
-domains are filled by one index assignment, `np.add.at`, `np.maximum.at` and
-`np.minimum.at` each. Python walks the layers only to allocate rows and to
-cut each step's views out of these arrays. The pp rows of all curved edges
-come from one stacked de Boor pass per (order, grid size).
+The plan is built per distinct spline, from whole-network arrays. A
+compiled network shares one `Spline` among all edges with the same spline
+(most edges are identity wires), so it has far fewer distinct splines than
+edges. `edge_table` makes one C-level pass per field over the edges, in
+layer order, for source, target and an index into the distinct splines.
+Domain ends, boundary value and slope, and whether a spline is affine are
+read once per distinct spline and gathered to the edges by that index.
+Aliases resolve by pointer jumping over all neurons at once; weights,
+biases and per-value domains are filled by one index assignment,
+`np.add.at`, `np.maximum.at` and `np.minimum.at` each. The network has one
+pp table, over its distinct curved splines, whose Taylor rows come from one
+stacked de Boor pass per (order, grid size); the uniform-grid test also runs
+once per spline. Each step reads a view of the table's coefficients for the
+powers up to K, K the largest order among its edges, and its edges index
+their spline's rows.
+Python walks the layers only to allocate rows and to cut each step's views
+out of these arrays.
 
 `forward_batch` runs the program over fixed chunks of CHUNK points. The
 table and every per-chunk scratch array are views of one workspace: one
@@ -75,6 +84,8 @@ plan is tested against.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -83,8 +94,10 @@ import numpy as np
 __all__ = [
     "CHUNK",
     "KMAX",
+    "EdgeTable",
     "NetPlan",
     "Step",
+    "edge_table",
     "build_plan",
     "forward_batch",
     "eval_spline_batch",
@@ -173,14 +186,14 @@ class Step:
     pp_lo: np.ndarray          # (E_p, 1) domain ends
     pp_hi: np.ndarray
     pp_scale: np.ndarray       # (E_p, 1) (G-1)/(b-a) on uniform grids, 0 on others
-    pp_shift: np.ndarray       # (E_p, 1) first - a*scale: t*scale + shift is the table row
-    pp_first: np.ndarray       # (E_p, 1) table row of the first segment, as float
-    pp_last: np.ndarray        # (E_p, 1) table row of the last segment, as float
-    pp_below: np.ndarray       # (E_p, 1) table row continuing below the domain
-    pp_above: np.ndarray       # (E_p, 1) table row continuing above the domain
+    pp_shift: np.ndarray       # (E_p, 1) first - a*scale: t*scale + shift is the pp table row
+    pp_first: np.ndarray       # (E_p, 1) pp table row of the first segment, as float
+    pp_last: np.ndarray        # (E_p, 1) pp table row of the last segment, as float
+    pp_below: np.ndarray       # (E_p, 1) pp table row continuing below the domain
+    pp_above: np.ndarray       # (E_p, 1) pp table row continuing above the domain
     pp_counted: tuple          # (edge, distinct knots, first row) per non-uniform grid
-    pp_left: np.ndarray        # (R,) left end of each table row
-    pp_coef: np.ndarray        # (K+1, R) Taylor coefficients, highest power first
+    pp_left: np.ndarray        # (R,) left end of each row of the network's pp table
+    pp_coef: np.ndarray        # (K+1, R) its last K+1 coefficient rows, K the step's largest order
     pp_dst: tuple[int, ...]    # offset in `rows` of each edge's target
 
 
@@ -201,23 +214,35 @@ class NetPlan:
     max_pp: int                  # largest pp edge count of a step
 
 
-def _taylor_rows(splines) -> list[np.ndarray]:
-    """pp table rows of each spline at its own order k: (k+1, G+1) Taylor
-    coefficients, highest power first. Column 0 continues below the domain,
-    columns 1..G-1 are the segments at their left knots, column G continues
-    above the domain. Splines of one order and grid size go through de Boor
-    together, as one stack."""
+def _pp_table(splines):
+    """The network's pp table over its distinct curved splines.
+
+    Returns (coef, left, start, uniform). `coef` is (K+1, R), K the largest
+    order: column r holds the Taylor coefficients of pp table row r, highest
+    power first, and `left[r]` is the point they are taken at. Spline n
+    takes the G+1 rows from `start[n]`: the first continues below the
+    domain, the next G-1 are the segments at their left knots, the last
+    continues above the domain. An order-k spline fills the last k+1
+    coefficient rows; the rest are the zero coefficients of the powers above
+    k. `uniform[n]` is whether spline n's segment comes from index
+    arithmetic: an order >= 1 spline on a uniform grid (order 0 is
+    discontinuous at its knots, so it always counts knots). Splines of one
+    order and grid size go through de Boor together, as one stack.
+    """
+    start = [0, *itertools.accumulate(s.knots.size + 1 for s in splines)]
+    K = max(s.order for s in splines)
+    coef = np.zeros((K + 1, start[-1]))
+    left = np.empty(start[-1])
     groups: dict[tuple[int, int], list[int]] = {}
     for n, s in enumerate(splines):
         groups.setdefault((s.order, s.knots.size), []).append(n)
-    tables = [None] * len(splines)
     for (k, G), members in groups.items():
         stack = [splines[n] for n in members]
         T = np.array([s._T for s in stack])
         c = np.array([s.coefs for s in stack])
         knots = np.array([s.knots for s in stack])
         fa, sa, fb, sb = np.array([s._boundary for s in stack]).T
-        coef = np.zeros((len(stack), k + 1, G + 1))
+        table = np.zeros((k + 1, len(stack), G + 1))
         r = np.arange(G - 1)
         fact = 1.0
         for m in range(k + 1):
@@ -228,13 +253,15 @@ def _taylor_rows(splines) -> list[np.ndarray]:
                 c = p * (c[:, 1:] - c[:, :-1]) / (T[:, p + 1 : p + size] - T[:, 1:size])
                 T = T[:, 1:-1]
                 fact *= m
-            coef[:, k - m, 1:-1] = _deboor(T, c, q, r + q, knots[:, :-1]) / fact
-        coef[:, k, 0], coef[:, k, -1] = fa, fb
+            table[k - m, :, 1:-1] = _deboor(T, c, q, r + q, knots[:, :-1]) / fact
+        table[k, :, 0], table[k, :, -1] = fa, fb
         if k >= 1:
-            coef[:, k - 1, 0], coef[:, k - 1, -1] = sa, sb
-        for n, table in zip(members, coef):
-            tables[n] = table
-    return tables
+            table[k - 1, :, 0], table[k - 1, :, -1] = sa, sb
+        rows = np.array([start[n] for n in members])[:, None] + np.arange(G + 1)
+        coef[K - k :, rows] = table
+        left[rows] = np.concatenate([knots[:, :1], knots[:, :-1], knots[:, -1:]], axis=1)
+    uniform = [s.order >= 1 and np.array_equal(s.knots, np.linspace(*s.domain, s.knots.size)) for s in splines]
+    return coef, left, start[:-1], uniform
 
 
 def _col(values) -> np.ndarray:
@@ -254,45 +281,6 @@ _NO_PP = dict(
     pp_below=_empty((0, 1), np.intp), pp_above=_empty((0, 1), np.intp), pp_counted=(),
     pp_left=_empty(0), pp_coef=_empty((1, 0)), pp_dst=(),
 )
-
-
-def _pp_part(splines, tables, lo: np.ndarray) -> dict:
-    """pp-table fields of one step's curved edges, given their `_taylor_rows`;
-    `lo` holds their lower domain ends as an (E_p, 1) column."""
-    K = max(s.order for s in splines)
-    # a table of order k < K fills the K+1-row table's last k+1 rows: the rest
-    # are the zero coefficients of the powers above k
-    coef = np.zeros((K + 1, sum(s.knots.size + 1 for s in splines)))
-    left, counted = [], []
-    first, nseg, scale = [], [], []
-    rows = 0
-    for i, (s, table) in enumerate(zip(splines, tables)):
-        a, b = s.domain
-        G = s.knots.size
-        coef[K - s.order :, rows : rows + G + 1] = table
-        left.append(np.concatenate([s.knots[:1], s.knots[:-1], s.knots[-1:]]))
-        first.append(rows + 1)
-        nseg.append(G - 1)
-        # order 0 is discontinuous at its knots, so it always takes the exact lookup
-        if s.order >= 1 and np.array_equal(s.knots, np.linspace(a, b, G)):
-            scale.append((G - 1) / (b - a))
-        else:
-            scale.append(0.0)
-            counted.append((i, s.knots, rows + 1))
-        rows += G + 1
-    first_row = _col(first)
-    last_row = first_row + _col(nseg) - 1
-    return dict(
-        pp_scale=_col(scale),
-        pp_shift=first_row - lo * _col(scale),
-        pp_first=first_row,
-        pp_last=last_row,
-        pp_below=(first_row - 1).astype(np.intp),
-        pp_above=(last_row + 1).astype(np.intp),
-        pp_counted=tuple(counted),
-        pp_left=np.concatenate(left),
-        pp_coef=coef,
-    )
 
 
 def _allocate_rows(n_inputs: int, n_new: list[int], free_at: list[int]) -> tuple[np.ndarray, int]:
@@ -332,18 +320,50 @@ def _run(rows: np.ndarray) -> slice | np.ndarray:
     return rows
 
 
-def build_plan(widths, layers) -> NetPlan:
-    """Slot program of a network: `layers[l]` holds the edges (objects with
-    `src`, `dst`, `spline`) from boundary l to boundary l + 1."""
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """A network's edges as flat arrays, in layer order, with their splines
+    as indices into the distinct spline objects."""
+
+    splines: list          # the distinct spline objects, in order of first use
+    sid: np.ndarray        # (E,) each edge's index into `splines`
+    src: np.ndarray        # (E,) source neuron in the layer's input boundary
+    dst: np.ndarray        # (E,) target neuron in the layer's output boundary
+    counts: list[int]      # edges per layer
+
+
+_SPLINE, _SRC, _DST = (operator.attrgetter(name) for name in ("spline", "src", "dst"))
+
+
+def edge_table(layers) -> EdgeTable:
+    """The `EdgeTable` of `layers[l]`, the edges (objects with `src`, `dst`,
+    `spline`) from boundary l to boundary l + 1: one C-level pass per field."""
+    edges = list(itertools.chain.from_iterable(layers))
+    splines = list(map(_SPLINE, edges))
+    ids = list(map(id, splines))
+    first = dict(zip(ids, splines))  # a key keeps the position of its first use
+    pos = dict(zip(first, range(len(first))))
+    E = len(edges)
+    return EdgeTable(
+        splines=list(first.values()),
+        sid=np.fromiter(map(pos.__getitem__, ids), np.intp, E),
+        src=np.fromiter(map(_SRC, edges), np.intp, E),
+        dst=np.fromiter(map(_DST, edges), np.intp, E),
+        counts=[len(e) for e in layers],
+    )
+
+
+def build_plan(widths, edges: EdgeTable) -> NetPlan:
+    """Slot program of a network with boundary `widths` and `edges`."""
     widths = tuple(int(w) for w in widths)
-    L = len(layers)
-    # one pass over every edge, in layer order, into flat per-edge arrays
-    splines = [e.spline for edges in layers for e in edges]
-    src = np.array([e.src for edges in layers for e in edges], dtype=np.intp)
-    dst = np.array([e.dst for edges in layers for e in edges], dtype=np.intp)
-    lo, hi, fa, sa = np.array([s.domain + s._boundary[:2] for s in splines]).reshape(-1, 4).T
-    affine = np.array([s.order == 1 and s.knots.size == 2 for s in splines], dtype=bool)
-    layer = np.repeat(np.arange(L), [len(edges) for edges in layers])
+    L = len(edges.counts)
+    # spline fields are read once per distinct spline and gathered by its id
+    splines, sid, src, dst = edges.splines, edges.sid, edges.src, edges.dst
+    per_spline = np.array([s.domain + s._boundary[:2] for s in splines]).reshape(-1, 4)
+    lo, hi, fa, sa = per_spline[sid].T
+    curved_spline = np.array([s.order != 1 or s.knots.size != 2 for s in splines], dtype=bool)
+    affine = ~curved_spline[sid]
+    layer = np.repeat(np.arange(L), edges.counts)
 
     # neurons numbered across all boundaries; an exact identity that is its
     # target's only edge makes the target an alias of its source
@@ -399,15 +419,32 @@ def build_plan(widths, layers) -> NetPlan:
         np.add.at(bias, val[gdst[aff]] - widths[0], fa[aff] - sa[aff] * lo[aff])
     gather = row[val[cols]]
 
-    # curved edges: the Taylor rows of all of them at once, then a pp table
-    # in each step that has any
+    # curved edges: the network's one pp table over its distinct curved
+    # splines, and per edge the rows of its spline; each step reads the
+    # table's last K + 1 coefficient rows, K the largest order among its edges
     curved = np.flatnonzero(~affine)
     n_pp = np.bincount(layer[curved], minlength=L)
     pp_off = np.concatenate([[0], np.cumsum(n_pp)])
-    pp_splines = [splines[i] for i in curved]
-    tables = _taylor_rows(pp_splines)
-    pp_lo, pp_hi = lo[curved, None], hi[curved, None]
-    pp_rows, pp_dst = row[vsrc[curved]], tloc[curved].tolist()
+    if curved.size:
+        pp_splines = [splines[i] for i in np.flatnonzero(curved_spline).tolist()]
+        coef, left, start, uniform = _pp_table(pp_splines)
+        # per pp spline, gathered to each curved edge by its index `which`
+        which = (np.cumsum(curved_spline) - 1)[sid[curved]]
+        order = np.array([s.order for s in pp_splines])[which].tolist()
+        pp_first = _col(start)[which] + 1.0
+        pp_last = pp_first + _col([s.knots.size - 2 for s in pp_splines])[which]
+        pp_scale = _col([(s.knots.size - 1) / (s.domain[1] - s.domain[0]) if u else 0.0
+                         for s, u in zip(pp_splines, uniform)])[which]
+        pp_lo, pp_hi = lo[curved, None], hi[curved, None]
+        pp_shift = pp_first - pp_lo * pp_scale
+        pp_below, pp_above = (pp_first - 1.0).astype(np.intp), (pp_last + 1.0).astype(np.intp)
+        pp_rows, pp_dst = row[vsrc[curved]], tloc[curved].tolist()
+        # per step, its edges on grids that are not uniform
+        counted = [[] for _ in range(L)]
+        pp_layer = layer[curved].tolist()
+        for j in np.flatnonzero(~np.array(uniform)[which]).tolist():
+            l = pp_layer[j]
+            counted[l].append((j - int(pp_off[l]), pp_splines[which[j]].knots, int(pp_first[j, 0])))
 
     steps = []
     v_off, pp_off, k_off, w_off, k = (a.tolist() for a in (v_off, pp_off, k_off, w_off, k))
@@ -420,8 +457,16 @@ def build_plan(widths, layers) -> NetPlan:
             pp_rows=_run(pp_rows[p0:p1]),
             pp_lo=pp_lo[p0:p1],
             pp_hi=pp_hi[p0:p1],
+            pp_scale=pp_scale[p0:p1],
+            pp_shift=pp_shift[p0:p1],
+            pp_first=pp_first[p0:p1],
+            pp_last=pp_last[p0:p1],
+            pp_below=pp_below[p0:p1],
+            pp_above=pp_above[p0:p1],
+            pp_counted=tuple(counted[l]),
+            pp_left=left,
+            pp_coef=coef[len(coef) - 1 - max(order[p0:p1]) :],
             pp_dst=tuple(pp_dst[p0:p1]),
-            **_pp_part(pp_splines[p0:p1], tables[p0:p1], pp_lo[p0:p1]),
         )
         r0 = int(row[v0])
         steps.append(Step(

@@ -78,32 +78,37 @@ class Spline:
     _lip: float | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "order", operator.index(self.order))
+        k = operator.index(self.order)
+        object.__setattr__(self, "order", k)
         knots = np.asarray(self.knots, dtype=np.float64)
         coefs = np.asarray(self.coefs, dtype=np.float64)
-        if not 0 <= self.order < kernels.KMAX:
+        if not 0 <= k < kernels.KMAX:
             raise ValueError(f"order must be in [0, {kernels.KMAX - 1}]")
-        if (knots.ndim != 1 or knots.size < 2 or not np.all(np.diff(knots) > 0)
-                or not math.isfinite(knots[-1] - knots[0])):
+        # validated and derived on Python floats: the same IEEE arithmetic as
+        # on numpy scalars, without a numpy call per field. `<` fails on NaN
+        ks = knots.tolist() if knots.ndim == 1 else []
+        if len(ks) < 2 or not all(map(operator.lt, ks, ks[1:])) or not math.isfinite(ks[-1] - ks[0]):
             raise ValueError("knots must be >= 2 strictly increasing grid points spanning a finite width")
-        expected = knots.size + self.order - 1
-        if coefs.size != expected:
+        expected = len(ks) + k - 1
+        if coefs.ndim != 1 or coefs.size != expected:
             raise ValueError(f"expected {expected} coefficients, got {coefs.size}")
-        if not np.all(np.isfinite(coefs)):
+        cs = coefs.tolist()
+        if not all(map(math.isfinite, cs)):
             raise ValueError("non-finite coefficient")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "coefs", coefs)
-        T = _clamped(knots, self.order)
-        object.__setattr__(self, "_T", T)
-        object.__setattr__(self, "domain", (float(knots[0]), float(knots[-1])))
-        k, c, nb = self.order, coefs, coefs.size
+        a, b = ks[0], ks[-1]
+        object.__setattr__(self, "_T", np.array([a] * k + ks + [b] * k))
+        object.__setattr__(self, "domain", (a, b))
         if k == 0:
             sa = sb = 0.0
         else:
-            # the first and last coefficients of derivative(), in the same arithmetic
-            sa = float(k * (c[1] - c[0]) / (T[k + 1] - T[1]))
-            sb = float(k * (c[nb - 1] - c[nb - 2]) / (T[nb - 1 + k] - T[nb - 1]))
-        object.__setattr__(self, "_boundary", (float(c[0]), sa, float(c[-1]), sb))
+            # the first and last coefficients of derivative(): the clamped
+            # knots T[k + 1] - T[1] and T[nb - 1 + k] - T[nb - 1] are the end
+            # segments
+            sa = k * (cs[1] - cs[0]) / (ks[1] - a)
+            sb = k * (cs[-1] - cs[-2]) / (b - ks[-2])
+        object.__setattr__(self, "_boundary", (cs[0], sa, cs[-1], sb))
 
     @property
     def grid_points(self) -> int:
@@ -130,25 +135,41 @@ class Spline:
         return vals
 
     def to_dict(self) -> dict:
-        a, b = self.domain
         return {
             "order": self.order,
-            "domain": [a, b],
+            "domain": list(self.domain),
             "grid_points": self.grid_points,
-            "knots": [float(x) for x in self.knots],
-            "coefficients": [float(x) for x in self.coefs],
+            "knots": self.knots.tolist(),
+            "coefficients": self.coefs.tolist(),
         }
 
     @staticmethod
     def from_dict(d: dict) -> "Spline":
-        s = Spline(int(d["order"]), np.array(d["knots"]), np.array(d["coefficients"]))
+        """The spline of a `to_dict` document. Every value must have the JSON
+        type `to_dict` writes (an int that is not a bool for `order`, numbers
+        for the floats), so no other document is coerced into a spline."""
+        order, knots, coefs = d["order"], d["knots"], d["coefficients"]
+        if type(order) is not int:
+            raise ValueError(f"order {order!r} is not an integer")
+        for name, vals in (("knots", knots), ("coefficients", coefs)):
+            if type(vals) is not list or not _NUMBERS.issuperset(map(type, vals)):
+                raise ValueError(f"{name} must be a list of numbers")
+        try:
+            s = Spline(order, np.array(knots, dtype=np.float64), np.array(coefs, dtype=np.float64))
+        except OverflowError as exc:  # an int past the float range
+            raise ValueError(str(exc)) from exc
         # the metadata `to_dict` writes must agree with the knots it restates
-        if list(s.domain) != d["domain"]:
-            raise ValueError(f"domain {d['domain']!r} disagrees with the knots {list(s.domain)!r}")
+        domain = d["domain"]
+        if type(domain) is not list or not _NUMBERS.issuperset(map(type, domain)) or domain != list(s.domain):
+            raise ValueError(f"domain {domain!r} disagrees with the knots {list(s.domain)!r}")
         grid = d["grid_points"]
         if type(grid) is not int or grid != s.grid_points:
             raise ValueError(f"grid_points {grid!r} disagrees with the {s.grid_points} knots")
         return s
+
+
+# the JSON number types `from_dict` accepts for a float (bool is not one)
+_NUMBERS = frozenset((int, float))
 
 
 def pl_interpolant(f, a: float, b: float, G: int) -> Spline:

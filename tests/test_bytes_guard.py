@@ -1,7 +1,8 @@
 """Net and certificate bytes of a fixed expression set, pinned by SHA-256.
 
 The JSON formats promise byte-identical output for identical input unless the
-format version changes. Each group below hashes the serialized network and
+format version changes. The digests below are those of net format
+`kanforge/2` and certificate version 0.2.0. Each group below hashes the serialized network and
 the certificate of every compile in it; a changed digest means some compile
 now writes different bytes.
 """
@@ -61,12 +62,12 @@ GROUPS = {
 }
 
 EXPECTED = {
-    "random-default": "51a2f38da1e190037d93fb09326bbdc2d997729f0db0165a9eb913eaaf48e7d5",
-    "random-faithful": "6eec1c6f4518384b84ff2520793013c39e7538221035abd3a10d770df6c3a58e",
-    "chain-8": "e66eea6e96e2341b219805a4bce6e3d6bb936127812e15c6814b911aaf7080b4",
-    "chain-24": "0c6f8a00d546047bacd862253e37ba1f05b19df31d15296e231aab32bc40ebb3",
-    "fanout": "4c90e455801734d244d346b5db0ea8d35112d82d9e230750ff76956099548f89",
-    "box": "f2b55248a0c90724d0a77458b41be55ea2566190588b40f9738a8d2e152146a0",
+    "random-default": "aa5897a210db35f980384408b0a337ed8cb2b13131da8509346ec979446cb4b8",
+    "random-faithful": "e1ccaf64f69e6b4d4c90d6d55c701f09a8c7ff20919e3d1158a9f449063a95b6",
+    "chain-8": "7bb76ed58d9427f62653f8a1920c237d8393d9adac4be01d4fac3fc3a4937ea3",
+    "chain-24": "c747be24f2530b9b73d6db397abc37d900011948993e8c488593958cc8efefd9",
+    "fanout": "4423527cb4f922fb7dd9b68bf96a187e583d1a17e09a1b43ea26ce73120b46aa",
+    "box": "1c072d30c3d066300e355dcd6bfb5063ae04968d4fe058756bdcde0744b165f3",
 }
 
 

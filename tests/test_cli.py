@@ -7,6 +7,7 @@ import pytest
 
 from kanforge import cli, compiler
 from kanforge.cli import (
+    MAX_SAMPLES,
     RunConfig,
     balanced_additive_tree,
     cmd_compile,
@@ -25,6 +26,15 @@ from kanforge.rangecert import affine_box
 from conftest import nan_network
 
 FAST = RunConfig(samples=2000)
+
+
+def _scale_edge(doc: dict, l: int, i: int, factor: float) -> None:
+    """Scale edge i of layer l in a net document through a new spline table
+    entry of its own: the entry it names may be shared by other edges."""
+    entry = dict(doc["splines"][doc["layers"][l][i][2]])
+    entry["coefficients"] = [factor * c for c in entry["coefficients"]]
+    doc["splines"].append(entry)
+    doc["layers"][l][i][2] = len(doc["splines"]) - 1
 
 
 def _compile_and_verify(tmp_path, expr: str) -> tuple[int, list[dict]]:
@@ -108,8 +118,7 @@ class TestVerifyCommand:
         cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
         doc = json.loads((tmp_path / "kan.net.json").read_text())
         # double an edge: the measured product must now exceed the certificate
-        edge = doc["layers"][0]["edges"][0]
-        edge["spline"]["coefficients"] = [2 * c for c in edge["spline"]["coefficients"]]
+        _scale_edge(doc, 0, 0, 2.0)
         (tmp_path / "tampered.net.json").write_text(json.dumps(doc))
         rc = cmd_verify(str(tmp_path / "tampered.net.json"), "x1*x2", FAST,
                         fmt="json", stream=io.StringIO())
@@ -129,8 +138,7 @@ class TestVerifyCommand:
         prefix = tmp_path / "kan"
         cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
         doc = json.loads((tmp_path / "kan.net.json").read_text())
-        edge = doc["layers"][0]["edges"][0]
-        edge["spline"]["coefficients"] = [factor * c for c in edge["spline"]["coefficients"]]
+        _scale_edge(doc, 0, 0, factor)
         (tmp_path / "v.net.json").write_text(json.dumps(doc))
         calls.clear()
         buf = io.StringIO()
@@ -165,8 +173,7 @@ class TestVerifyCommand:
         prefix = tmp_path / "kan"
         cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
         doc = json.loads((tmp_path / "kan.net.json").read_text())
-        edge = doc["layers"][0]["edges"][0]
-        edge["spline"]["coefficients"] = [2 * c for c in edge["spline"]["coefficients"]]
+        _scale_edge(doc, 0, 0, 2.0)
         (tmp_path / "kan.net.json").write_text(json.dumps(doc, indent=2))
         rc = cmd_verify(str(prefix) + ".net.json", "x1*x2", FAST,
                         cert_path=str(prefix) + ".cert.json", fmt="json", stream=io.StringIO())
@@ -260,11 +267,35 @@ class TestVerifyCommand:
         cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
         path = tmp_path / "kan.net.json"
         doc = json.loads(path.read_text())
-        doc["layers"][0]["edges"][0]["spline"][field] = value
+        k = doc["layers"][0][0][2]
+        doc["splines"][k][field] = value
         path.write_text(json.dumps(doc, indent=2))
         assert main(["verify", "--net", str(path), "-e", "x1*x2", "--samples", "2000"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "$.layers[0].edges[0].spline" in err
+        assert err.startswith("error: ") and f"$.splines[{k}]" in err
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda doc: doc["splines"][0].update(order=1.9), "$.splines[0]"),
+        (lambda doc: doc["splines"][0].update(order=True), "$.splines[0]"),
+        (lambda doc: doc["splines"][0].update(knots=[str(t) for t in doc["splines"][0]["knots"]]), "$.splines[0]"),
+        (lambda doc: doc["splines"][0].update(coefficients=[True, False]), "$.splines[0]"),
+        (lambda doc: doc["widths"].__setitem__(1, True), "$.widths[1]"),
+        (lambda doc: doc["layers"][0][0].__setitem__(0, True), "$.layers[0][0]"),
+        (lambda doc: doc["layers"][0][0].__setitem__(2, 0.0), "$.layers[0][0]"),
+    ], ids=["float-order", "bool-order", "string-knots", "bool-coefficients", "bool-width", "bool-source",
+            "float-spline-index"])
+    def test_coerced_json_value_exit_2(self, tmp_path, capsys, edit, path):
+        # values serialize never writes are bad input, not a coerced network
+        prefix = tmp_path / "kan"
+        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        net_path = tmp_path / "kan.net.json"
+        doc = json.loads(net_path.read_text())
+        edit(doc)
+        net_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--net", str(net_path), "-e", "x1*x2", "--samples", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"(at {path})" in err
 
     @pytest.mark.parametrize("field, value", [("per_node", 5), ("config", None)])
     def test_malformed_cert_field_exit_2(self, tmp_path, capsys, field, value):
@@ -276,6 +307,18 @@ class TestVerifyCommand:
         else:
             doc[field] = value
         (tmp_path / "bad.cert.json").write_text(json.dumps(doc))
+        rc = cmd_verify(str(prefix) + ".net.json", "x1*x2", FAST,
+                        cert_path=str(tmp_path / "bad.cert.json"), fmt="json", stream=io.StringIO())
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: bad certificate")
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"version": ' + "1" * 5000 + "}"],
+                             ids=["deep-nesting", "long-integer"])
+    def test_cert_json_the_decoder_refuses_exit_2(self, tmp_path, capsys, text):
+        prefix = tmp_path / "kan"
+        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        (tmp_path / "bad.cert.json").write_text(text)
+        capsys.readouterr()
         rc = cmd_verify(str(prefix) + ".net.json", "x1*x2", FAST,
                         cert_path=str(tmp_path / "bad.cert.json"), fmt="json", stream=io.StringIO())
         assert rc == 2
@@ -333,12 +376,13 @@ class TestVerifyCommand:
         cmd_compile("x1", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
         path = tmp_path / "kan.net.json"
         doc = json.loads(path.read_text())
-        spline = doc["layers"][0]["edges"][0]["spline"]
+        k = doc["layers"][0][0][2]
+        spline = doc["splines"][k]
         spline["knots"] = spline["domain"] = [0.0, float("inf")]
         path.write_text(json.dumps(doc, indent=2))
         assert main(["verify", "--net", str(path), "-e", "x1", "--samples", "2000"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "$.layers[0].edges[0].spline" in err
+        assert err.startswith("error: ") and f"$.splines[{k}]" in err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_nan_network_fails_sup_error_row(self, tmp_path, capsys):
@@ -454,6 +498,37 @@ class TestParser:
         assert json.loads(capsys.readouterr().out)[0]["G"] == 5
         assert main(["sweep-rate", "-o", str(tmp_path / "b.csv")]) == 0
         assert capsys.readouterr().out.startswith("G,error,h4,ratio\n")
+
+
+class TestSampleLimit:
+    """--samples is bounded by MAX_SAMPLES, checked in RunConfig before any
+    command starts; these tests never run a sampled pass."""
+
+    def test_run_config_limit(self):
+        assert RunConfig(samples=MAX_SAMPLES).samples == MAX_SAMPLES
+        for bad in (MAX_SAMPLES + 1, 0, 2000.0, True):
+            with pytest.raises(ValueError, match="samples must be an integer"):
+                RunConfig(samples=bad)
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "-e", "x1"],
+        ["verify", "--net", "missing.net.json", "-e", "x1"],
+        ["table-products"],
+        ["sweep-rate"],
+        ["fuzz", "--trees", "1"],
+    ], ids=["compile", "verify", "table-products", "sweep-rate", "fuzz"])
+    def test_main_limit(self, monkeypatch, capsys, argv):
+        # every command is stubbed: at the limit it is reached with the
+        # count, one past it main exits 2 before reaching it
+        seen = []
+        for name in ("cmd_compile", "cmd_verify", "cmd_table_products", "cmd_sweep_rate", "cmd_fuzz"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: seen.append(args) or 0)
+        assert main(argv + ["--samples", str(MAX_SAMPLES)]) == 0
+        assert [a for a in seen[0] if isinstance(a, RunConfig)][0].samples == MAX_SAMPLES
+        capsys.readouterr()
+        assert main(argv + ["--samples", str(MAX_SAMPLES + 1)]) == 2
+        assert len(seen) == 1
+        assert f"samples must be an integer in [1, {MAX_SAMPLES}]" in capsys.readouterr().err
 
 
 class TestDeterminism:

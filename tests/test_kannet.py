@@ -253,6 +253,20 @@ class TestPlanForward:
         for net in nets:
             assert net.packed().n_rows <= 3 * max(net.widths)
 
+    def test_one_pp_table_over_distinct_curved_splines(self):
+        # the plan's pp table holds G+1 rows per distinct curved spline, not
+        # per curved edge, and every step reads a view of it
+        net, _ = compile_tree(parse_expression(self._chain(28)), CFG)
+        edges = [e for layer in net.layers for e in layer]
+        curved = {id(e.spline): e.spline for e in edges if not (e.spline.order == 1 and e.spline.knots.size == 2)}
+        pp_steps = [st for st in net.packed().steps if st.pp_dst]
+        assert sum(len(st.pp_dst) for st in pp_steps) > len(curved) > 1
+        base = pp_steps[0].pp_coef.base
+        assert base.shape == (1 + max(s.order for s in curved.values()), sum(s.knots.size + 1 for s in curved.values()))
+        for st in pp_steps:
+            assert st.pp_coef.base is base and st.pp_left is pp_steps[0].pp_left
+            assert st.pp_coef.shape[1] == base.shape[1]
+
     def test_chunked_rows_match_row_slices(self, rng):
         net, _ = compile_tree(parse_expression("sin((x1+x2)*x3)*relu(x1-x2)"), CFG)
         X = rng.uniform(-0.05, 1.05, size=(3 * kernels.CHUNK + 7, net.n_inputs))
@@ -363,6 +377,11 @@ class TestJacobian:
                 assert np.linalg.norm(jacobian_fd(net, x)) <= upper + 1e-6
 
 
+def _entry(doc, l, i):
+    """The spline table entry of edge i of layer l in a net document."""
+    return doc["splines"][doc["layers"][l][i][2]]
+
+
 class TestSerialization:
     def test_round_trip_preserves_product_bitwise(self):
         net, _ = compile_tree(parse_expression("sin(x1*x2)"), CFG)
@@ -386,57 +405,79 @@ class TestSerialization:
                 assert serialize(net) is text
                 assert serialize(deserialize(text)) == text
 
+    def test_text_round_trips_on_random_trees(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            tree = random_tree(rng, 5)
+            n = tree_stats(tree).n
+            nets = [compile_tree(tree, cfg)[0] for cfg in (CFG, CFG_FAITHFUL)]
+            nets.append(compile_on_box(tree, affine_box([(-1.0 - p, 0.5 + p) for p in range(n)]), CFG)[0])
+            for net in nets:
+                text = serialize(net)
+                assert serialize(deserialize(text)) == text
+
     @staticmethod
     def _reference_text(net):
+        # the table in order of first use over the edges in layer order
+        index = {}
+        for layer in net.layers:
+            for e in layer:
+                index.setdefault(id(e.spline), (len(index), e.spline))
         doc = {
-            "format": "kanforge/1",
+            "format": "kanforge/2",
             "widths": list(net.widths),
-            "layers": [
-                {"edges": [{"from": e.src, "to": e.dst, "spline": e.spline.to_dict()} for e in edges]}
-                for edges in net.layers
-            ],
+            "splines": [s.to_dict() for _, s in index.values()],
+            "layers": [[[e.src, e.dst, index[id(e.spline)][0]] for e in layer] for layer in net.layers],
             "wire_tags": [list(tags) for tags in net.wire_tags],
         }
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, separators=(",", ":"))
 
-    def test_text_equals_indented_json_dump(self, rng):
+    def test_text_equals_compact_json_dump(self, rng):
         nets = [compile_tree(random_tree(rng, 5), cfg)[0] for cfg in (CFG, CFG_FAITHFUL) for _ in range(10)]
         nets.append(compile_on_box(parse_expression("x1*x2"), affine_box([(-1, 0), (0, 2)]), CFG)[0])
-        # an edgeless layer, a shared spline and tags that need escaping
+        # an edgeless layer, a shared spline, an equal but distinct one, and
+        # tags that need escaping
         wire = line_spline(-0.0, 1.0, -0.0, 1.0)
         nets.append(KanNetwork(
-            widths=(2, 2, 1),
-            layers=((Edge(0, 0, wire), Edge(1, 1, wire)), ()),
-            wire_tags=(("x\u00e9", 'q"\\'), ("a\nb", "\u2603"), ("out",)),
+            widths=(3, 3, 1),
+            layers=((Edge(0, 0, wire), Edge(1, 1, wire), Edge(2, 2, line_spline(-0.0, 1.0, -0.0, 1.0))), ()),
+            wire_tags=(("x\u00e9", 'q"\\', "x3"), ("a\nb", "\u2603", "c"), ("out",)),
         ))
         for net in nets:
             assert serialize(net) == self._reference_text(net)
+        assert json.loads(serialize(nets[-1]))["layers"] == [[[0, 0, 0], [1, 1, 0], [2, 2, 1]], []]
 
-    def test_float_layout_matches_indented_dump(self):
+    def test_float_layout_matches_compact_dump(self):
         # signed zeros, subnormals and extreme exponents keep their repr
         spl = Spline(2, np.array([-0.0, 5e-324, 1e-300, 0.1, 1e300]),
                      np.array([0.0, -0.0, 2.5e-8, 1 / 3, -1e22, 123456789.125]))
         net = KanNetwork(widths=(1, 1), layers=((Edge(0, 0, spl),),), wire_tags=(("x1",), ("node0",)))
         assert serialize(net) == self._reference_text(net)
+        back = deserialize(serialize(net)).layers[0][0].spline
+        assert back.knots.tobytes() == spl.knots.tobytes() and back.coefs.tobytes() == spl.coefs.tobytes()
 
     def test_shared_splines_come_back_shared(self, rng):
         nets = [compile_tree(parse_expression("x1*x2*x3*x4"), CFG_FAITHFUL)[0]]
         nets += [compile_tree(random_tree(rng, 5), CFG)[0] for _ in range(10)]
         for net in nets:
             text = serialize(net)
+            doc = json.loads(text)
             net2 = deserialize(text)
             edges = [e for layer in net.layers for e in layer]
             edges2 = [e for layer in net2.layers for e in layer]
-            # a spline shared by edges of the compiled net is one object after loading
+            # one Spline per table entry: edges naming one entry share it
+            by_entry = {}
+            for (_, _, k), e2 in zip((t for layer in doc["layers"] for t in layer), edges2):
+                assert by_entry.setdefault(k, e2.spline) is e2.spline
+            assert len({id(e.spline) for e in edges2}) == len(by_entry) == len(doc["splines"])
+            # a spline shared by edges of the compiled net is one table entry
             first = {}
             for e, e2 in zip(edges, edges2):
                 assert first.setdefault(id(e.spline), e2.spline) is e2.spline
-            docs = {json.dumps(raw["spline"]) for layer in json.loads(text)["layers"] for raw in layer["edges"]}
-            assert len({id(e.spline) for e in edges2}) == len(docs)
             assert serialize(KanNetwork(net2.widths, net2.layers, net2.wire_tags)) == text
         # the faithful chain forwards its inputs through shared identity wires
-        assert len({id(e.spline) for layer in deserialize(serialize(nets[0])).layers for e in layer}) < sum(
-            len(layer) for layer in nets[0].layers)
+        doc = json.loads(serialize(nets[0]))
+        assert len(doc["splines"]) < sum(len(layer) for layer in doc["layers"])
 
     def test_signed_zero_wires_stay_apart_after_loading(self):
         neg, pos = line_spline(-0.0, 1.0, -0.0, 1.0), line_spline(0.0, 1.0, 0.0, 1.0)
@@ -451,15 +492,35 @@ class TestSerialization:
     def test_spline_metadata_disagreeing_with_knots_rejected_with_path(self, field, value):
         net, _ = compile_tree(parse_expression("x1*x2"), CFG)
         doc = json.loads(serialize(net))
-        doc["layers"][1]["edges"][0]["spline"][field] = value
+        k = doc["layers"][1][0][2]
+        doc["splines"][k][field] = value
         with pytest.raises(SchemaError) as exc:
             deserialize(json.dumps(doc))
-        assert exc.value.path == "$.layers[1].edges[0].spline"
+        assert exc.value.path == f"$.splines[{k}]"
         assert field in str(exc.value)
 
     def test_format_version_pinned(self):
         net, _ = compile_tree(parse_expression("x1"), CFG)
-        assert json.loads(serialize(net))["format"] == "kanforge/1"
+        assert json.loads(serialize(net))["format"] == "kanforge/2"
+
+    def test_bad_format_rejected(self):
+        with pytest.raises(SchemaError):
+            deserialize(json.dumps({"format": "other/9", "widths": [1, 1], "layers": [], "wire_tags": []}))
+
+    def test_format_1_rejected_at_format(self):
+        # the per-edge layout of format 1 has no reader
+        net, _ = compile_tree(parse_expression("x1*x2"), CFG)
+        doc = json.loads(serialize(net))
+        old = {
+            "format": "kanforge/1",
+            "widths": doc["widths"],
+            "layers": [{"edges": [{"from": s, "to": d, "spline": doc["splines"][k]} for s, d, k in layer]}
+                       for layer in doc["layers"]],
+            "wire_tags": doc["wire_tags"],
+        }
+        with pytest.raises(SchemaError) as exc:
+            deserialize(json.dumps(old, indent=2))
+        assert exc.value.path == "$.format"
 
     def test_negative_width_rejected_with_path(self):
         net, _ = compile_tree(parse_expression("x1*x2"), CFG)
@@ -472,32 +533,68 @@ class TestSerialization:
     def test_edge_out_of_range_rejected_with_path(self):
         net, _ = compile_tree(parse_expression("x1*x2"), CFG)
         doc = json.loads(serialize(net))
-        doc["layers"][0]["edges"][0]["from"] = 7
+        doc["layers"][0][0][0] = 7
         with pytest.raises(SchemaError) as exc:
             deserialize(json.dumps(doc))
-        assert exc.value.path == "$.layers[0].edges[0].from"
+        assert exc.value.path == "$.layers[0][0]"
+        assert "source" in str(exc.value)
 
-    def test_bad_format_rejected(self):
-        with pytest.raises(SchemaError):
-            deserialize(json.dumps({"format": "other/9", "widths": [1, 1], "layers": [], "wire_tags": []}))
+    @pytest.mark.parametrize("edit, path", [
+        (lambda doc: doc["layers"][1][1].append(0), "$.layers[1][1]"),
+        (lambda doc: doc["layers"][1][1].pop(), "$.layers[1][1]"),
+        (lambda doc: doc["layers"][1].__setitem__(0, {"from": 0, "to": 0, "spline": 0}), "$.layers[1][0]"),
+        (lambda doc: doc["layers"][1][1].__setitem__(2, len(doc["splines"])), "$.layers[1][1]"),
+        (lambda doc: doc["layers"][1][1].__setitem__(2, -1), "$.layers[1][1]"),
+        (lambda doc: doc["layers"][1][1].__setitem__(1, 1.0), "$.layers[1][1]"),
+        (lambda doc: doc["layers"][1][1].__setitem__(2, 0.0), "$.layers[1][1]"),
+        (lambda doc: doc["layers"][1][1].__setitem__(0, True), "$.layers[1][1]"),
+        (lambda doc: doc["layers"][1][1].__setitem__(2, False), "$.layers[1][1]"),
+        (lambda doc: doc["layers"].__setitem__(2, {}), "$.layers[2]"),
+        (lambda doc: doc.pop("splines"), "$.splines"),
+        (lambda doc: doc.__setitem__("splines", {}), "$.splines"),
+        (lambda doc: doc["splines"].__setitem__(0, [1, 2]), "$.splines[0]"),
+        (lambda doc: doc["widths"].__setitem__(0, True), "$.widths[0]"),
+    ], ids=["long-triple", "short-triple", "edge-object", "index-past-table", "negative-index", "float-target",
+            "float-index", "bool-source", "bool-index", "layer-object", "no-splines", "splines-object",
+            "entry-list", "bool-width"])
+    def test_malformed_document_rejected_with_path(self, edit, path):
+        net, _ = compile_tree(parse_expression("x1*x2"), CFG)
+        doc = json.loads(serialize(net))
+        edit(doc)
+        with pytest.raises(SchemaError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.path == path
+
+    def test_duplicate_edge_rejected(self):
+        net, _ = compile_tree(parse_expression("x1*x2"), CFG)
+        doc = json.loads(serialize(net))
+        doc["layers"][1].append(list(doc["layers"][1][0]))
+        with pytest.raises(SchemaError, match="duplicate edge"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000], ids=["long-integer", "deep-nesting"])
+    def test_json_the_decoder_refuses_rejected(self, text):
+        with pytest.raises(SchemaError) as exc:
+            deserialize(text)
+        assert exc.value.path == "$"
 
     def test_order_beyond_kernel_bound_rejected(self):
         net, _ = compile_tree(parse_expression("x1"), CFG)
         doc = json.loads(serialize(net))
-        sp = doc["layers"][0]["edges"][0]["spline"]
+        sp = _entry(doc, 0, 0)
         sp["order"] = kernels.KMAX
         sp["coefficients"] = [0.0] * (len(sp["knots"]) + kernels.KMAX - 1)
         with pytest.raises(SchemaError) as exc:
             deserialize(json.dumps(doc))
-        assert "spline" in exc.value.path
+        assert exc.value.path == "$.splines[0]"
 
     def test_bad_spline_rejected_with_path(self):
         net, _ = compile_tree(parse_expression("x1"), CFG)
         doc = json.loads(serialize(net))
-        doc["layers"][0]["edges"][0]["spline"]["coefficients"] = [0.0]
+        _entry(doc, 0, 0)["coefficients"] = [0.0]
         with pytest.raises(SchemaError) as exc:
             deserialize(json.dumps(doc))
-        assert "spline" in exc.value.path
+        assert exc.value.path == "$.splines[0]"
 
 
 class TestNetworkInvariants:

@@ -113,6 +113,31 @@ class TestEval:
         assert s(-1.0) == pytest.approx(0.0)  # slope 0 at a=0
         assert sp.oob_hits() - before == 2
 
+    def test_derived_fields_bit_equal_to_array_forms(self, rng):
+        # domain, clamped knots and boundary value/slope, derived on Python
+        # floats, equal their numpy forms bit for bit: the slopes are the
+        # first and last coefficients of derivative()
+        for _ in range(300):
+            k = int(rng.integers(0, 6))
+            G = int(rng.integers(2, 9))
+            knots = np.sort(rng.normal(0, 3, G)) * 10.0 ** rng.integers(-8, 9)
+            if rng.random() < 0.2:
+                knots[0] = -0.0 if knots[1] > 0 else knots[0]
+            if not np.all(np.diff(knots) > 0):
+                continue
+            coefs = rng.normal(0, 2, G + k - 1) * 10.0 ** rng.integers(-8, 9)
+            s = sp.Spline(k, knots, coefs)
+            T = np.concatenate([np.repeat(knots[0], k), knots, np.repeat(knots[-1], k)])
+            assert s._T.tobytes() == T.tobytes()
+            assert np.array(s.domain).tobytes() == knots[[0, -1]].tobytes()
+            fa, sa, fb, sb = s._boundary
+            assert np.array([fa, fb]).tobytes() == coefs[[0, -1]].tobytes()
+            if k:
+                d = s._derivative_coefs()
+                assert np.array([sa, sb]).tobytes() == d[[0, -1]].tobytes()
+            else:
+                assert sa == sb == 0.0
+
     def test_scipy_oracle_random_splines(self, rng):
         BSpline = pytest.importorskip("scipy.interpolate").BSpline
         for _ in range(100):
@@ -282,6 +307,39 @@ class TestSerialization:
         sp.Spline.from_dict(d)
         d[field] = value
         with pytest.raises(ValueError, match=field):
+            sp.Spline.from_dict(d)
+
+    @pytest.mark.parametrize("field, value", [
+        ("order", 1.9),
+        ("order", 1.0),
+        ("order", True),
+        ("order", "1"),
+        ("knots", ["0", "1"]),
+        ("knots", [False, True]),
+        ("knots", "01"),
+        ("coefficients", [True, False]),
+        ("coefficients", [None, 1.0]),
+        ("domain", [False, True]),
+    ])
+    def test_coerced_json_values_rejected(self, field, value):
+        # only the JSON types to_dict writes load: no bool or float for an int,
+        # no string or bool for a float
+        d = sp.line_spline(0.0, 1.0, 0.0, 1.0).to_dict()
+        d[field] = value
+        with pytest.raises(ValueError, match=field):
+            sp.Spline.from_dict(d)
+
+    def test_integer_knots_and_coefficients_load_as_floats(self):
+        d = sp.line_spline(0.0, 1.0, 0.0, 1.0).to_dict()
+        d.update(knots=[0, 1], coefficients=[0, 1], domain=[0, 1])
+        s = sp.Spline.from_dict(d)
+        assert s.to_dict() == sp.line_spline(0.0, 1.0, 0.0, 1.0).to_dict()
+        assert s.knots.dtype == s.coefs.dtype == np.float64
+
+    def test_integer_past_float_range_rejected(self):
+        d = sp.line_spline(0.0, 1.0, 0.0, 1.0).to_dict()
+        d["coefficients"] = [0, 10**400]
+        with pytest.raises(ValueError):
             sp.Spline.from_dict(d)
 
     def test_missing_metadata_rejected(self):
