@@ -6,7 +6,8 @@ expression or certificate mismatch between a certificate and its inputs.
 Deeply nested expressions are not bad input: no tree pass recurses, so they
 compile.
 
-KANFORGE_SEED, when set, takes precedence over --seed.
+KANFORGE_SEED, when set, takes precedence over --seed; either must be a
+non-negative integer.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .spline import cubic_interpolant, sup_error
 
 __all__ = [
     "MAX_SAMPLES",
+    "MAX_FUZZ_DEPTH",
     "RunConfig",
     "random_tree",
     "balanced_additive_tree",
@@ -76,27 +78,26 @@ __all__ = [
 # compile takes about 20 ms at 10^5 samples, so about 20 s at the limit)
 MAX_SAMPLES = 10**8
 
+# largest fuzz --max-depth: a random tree's nodes have 10/7 children on
+# average until leaves take over at about 0.3 * max_depth, so its size grows
+# exponentially with the depth (median 6 nodes at 5, 700 at 64, 7400 at 100)
+MAX_FUZZ_DEPTH = 64
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    grid: int = 35
-    order: int = 3
+    """A command's settings: what to compile with, and the sample count and
+    seed of the sampled checks. Checked here, before any command starts work."""
+
+    compile: CompileConfig = CompileConfig()
     samples: int = 100_000
     seed: int = 42
-    faithful_widths: bool = False
 
     def __post_init__(self):
-        self.compile_config()  # validates grid and order
-        # checked here, before any command starts work
         if type(self.samples) is not int or not 1 <= self.samples <= MAX_SAMPLES:
             raise ValueError(f"samples must be an integer in [1, {MAX_SAMPLES}]")
-
-    def compile_config(self, faithful: bool | None = None) -> CompileConfig:
-        return CompileConfig(
-            grid=self.grid,
-            order=self.order,
-            faithful_widths=self.faithful_widths if faithful is None else faithful,
-        )
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +106,31 @@ class RunConfig:
 _OPS = list(OpKind)
 
 
-def random_tree(rng: np.random.Generator, max_depth: int, depth: int = 0) -> CompTree:
+def random_tree(rng: np.random.Generator, max_depth: int) -> CompTree:
     """Seeded random tree: uniform op kinds, leaf probability growing with depth,
-    leaf coordinates uniform over {1..6}."""
-    if depth >= max_depth or rng.random() < depth / max_depth:
-        return Leaf(int(rng.integers(1, 7)))
-    op = _OPS[int(rng.integers(len(_OPS)))]
-    return Node(op, tuple(random_tree(rng, max_depth, depth + 1) for _ in range(op.arity)))
+    leaf coordinates uniform over {1..6}.
+
+    The draws are made in pre-order, a node's before its children's. An
+    explicit stack holds the open ancestors of the next draw, so no depth is
+    too deep to build.
+    """
+    open_nodes: list[tuple[OpKind, list[CompTree]]] = []
+    while True:
+        depth = len(open_nodes)
+        if depth < max_depth and rng.random() >= depth / max_depth:
+            open_nodes.append((_OPS[int(rng.integers(len(_OPS)))], []))
+            continue
+        tree = Leaf(int(rng.integers(1, 7)))
+        # hand the finished subtree up until an ancestor still lacks a child
+        while open_nodes:
+            op, args = open_nodes[-1]
+            args.append(tree)
+            if len(args) < op.arity:
+                break
+            open_nodes.pop()
+            tree = Node(op, tuple(args))
+        else:
+            return tree
 
 
 def balanced_additive_tree(depth: int) -> CompTree:
@@ -181,7 +200,7 @@ def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str =
     try:
         tree = parse_expression(expr)
         ann = annotate_ranges(tree)
-        net, cert = compile_tree(tree, config.compile_config(), annotated=ann)
+        net, cert = compile_tree(tree, config.compile, annotated=ann)
     except (ParseError, CompileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -256,13 +275,11 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
     except (OSError, UnicodeDecodeError, SchemaError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    compile_config, box, cert = config.compile_config(), None, None
+    box, cert = None, None
     if cert_path:
         try:
             with open(cert_path, encoding="utf-8") as fh:
                 cert = Certificate.from_json(fh.read())
-            # the certificate is recomputed as it was issued: its config, its box
-            compile_config = CompileConfig(grid=cert.grid, order=cert.order, faithful_widths=cert.faithful)
             if cert.box is not None:
                 box = affine_box(cert.box)
                 if len(box.intervals) != net.n_inputs:
@@ -287,6 +304,8 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
             print(f"error: expression mismatch: certificate was issued for {cert.expr!r}", file=sys.stderr)
             return 4
     ann = annotate_ranges(tree)
+    # a certificate is recomputed as it was issued: with its own config and box
+    compile_config = cert.config if cert is not None else config.compile
     recomputed = recompute_certificate(tree, net, compile_config, box, annotated=ann)
     if cert is not None and cert != recomputed:
         name = next(f.name for f in fields(Certificate) if getattr(cert, f.name) != getattr(recomputed, f.name))
@@ -318,7 +337,7 @@ def cmd_table_products(config: RunConfig, out: str | None = None, fmt: str = "cs
     ok = True
     for name, expr in _PRODUCT_FAMILIES:
         tree = parse_expression(expr)
-        net, cert = compile_tree(tree, config.compile_config(faithful=True))
+        net, cert = compile_tree(tree, replace(config.compile, faithful_widths=True))
         p = lipschitz_product(net).product
         stats = tree_stats(tree)
         rows.append({"f": name, "n": stats.n, "N": stats.internal, "P_measured": p, "P_bound": cert.p_bound})
@@ -370,8 +389,8 @@ def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str 
     offending tree for reproduction and exits nonzero.
     """
     stream = stream if stream is not None else sys.stdout
-    if trees < 1 or max_depth < 1:
-        print("error: tree count and depth must be >= 1", file=sys.stderr)
+    if trees < 1 or not 1 <= max_depth <= MAX_FUZZ_DEPTH:
+        print(f"error: tree count must be >= 1 and depth in [1, {MAX_FUZZ_DEPTH}]", file=sys.stderr)
         return 2
     rng = np.random.default_rng(config.seed)
     failures = []
@@ -380,7 +399,7 @@ def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str 
         sample_seed = int(rng.integers(2**31))
         try:
             ann = annotate_ranges(tree)
-            net, cert = compile_tree(tree, config.compile_config(), annotated=ann)
+            net, cert = compile_tree(tree, config.compile, annotated=ann)
             report = verify_report(tree, net, cert, ann, config.samples, sample_seed)
             if not report.ok:
                 raise CertificationError(report.failure.message())
@@ -414,9 +433,6 @@ def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=35,
                    help="spline grid points per trig block (default 35; verify --cert takes the certificate's)")
-    p.add_argument("--order", type=int, default=3,
-                   help="spline order, checked (>= 2) and recorded in the certificate "
-                        "(default 3; verify --cert takes the certificate's)")
     p.add_argument("--samples", type=int, default=100_000,
                    help=f"verification sample count (default 1e5, at most {MAX_SAMPLES:,})")
     p.add_argument("--seed", type=int, default=42, help="RNG seed (KANFORGE_SEED overrides)")
@@ -433,11 +449,9 @@ def _config_from(args) -> RunConfig:
     if env is not None:
         seed = int(env)
     return RunConfig(
-        grid=args.grid,
-        order=args.order,
+        compile=CompileConfig(grid=args.grid, faithful_widths=args.faithful_widths),
         samples=args.samples,
         seed=seed,
-        faithful_widths=args.faithful_widths,
     )
 
 
@@ -468,7 +482,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="random-tree compile/certify/verify property run")
     p.add_argument("--trees", type=int, default=1000)
-    p.add_argument("--max-depth", type=int, default=5)
+    p.add_argument("--max-depth", type=int, default=5,
+                   help=f"random tree depth (default 5, at most {MAX_FUZZ_DEPTH})")
     _add_config_flags(p)
     return parser
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -78,8 +78,9 @@ __all__ = [
     "certify",
 ]
 
-# bumped with kannet.FORMAT: the certificate hashes the net file
-VERSION = "0.2.0"
+# bumped whenever the certificate's bytes change, so also with kannet.FORMAT:
+# the certificate hashes the net file
+VERSION = "0.3.0"
 
 # width bound constant from the widest primitive block (the multiplication
 # block spans 4 neurons counting its forwarded operands)
@@ -109,8 +110,9 @@ MAX_GRID = 10_000
 
 @dataclass(frozen=True)
 class CompileConfig:
+    """Every setting the compiler reads; a certificate stores it as its `config`."""
+
     grid: int = 35
-    order: int = 3
     faithful_widths: bool = False
 
     def __post_init__(self):
@@ -118,8 +120,6 @@ class CompileConfig:
         # for more grid is bad input like a --grid flag
         if type(self.grid) is not int or not 2 <= self.grid <= MAX_GRID:
             raise ValueError(f"grid must be an integer in [2, {MAX_GRID}]")
-        if type(self.order) is not int or self.order < 2:
-            raise ValueError("order must be an integer >= 2 (exact squaring edges need it)")
         if type(self.faithful_widths) is not bool:
             raise ValueError("faithful_widths must be true or false")
 
@@ -192,9 +192,7 @@ class Certificate:
     per_node: tuple[NodeCert, ...]
     expr: str
     net_sha256: str
-    grid: int
-    order: int
-    faithful: bool
+    config: CompileConfig
     box: tuple[tuple[float, float], ...] | None = None
     box_factor: float | None = None
     version: str = VERSION
@@ -202,7 +200,7 @@ class Certificate:
     def to_json(self) -> str:
         doc = {
             "version": self.version,
-            "config": {"grid": self.grid, "order": self.order, "faithful_widths": self.faithful},
+            "config": asdict(self.config),
             "expr": self.expr,
             "net_sha256": self.net_sha256,
             "n": self.n,
@@ -231,11 +229,18 @@ class Certificate:
                 for c in self.per_node
             ],
         }
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, separators=(",", ":"))
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
+        """The certificate a file holds. Its `config` is outside input: keys
+        other than exactly `CompileConfig`'s fields are a ValueError, so no
+        field silently takes its default."""
         doc = json.loads(text)
+        config = doc["config"]
+        names = {f.name for f in fields(CompileConfig)}
+        if not isinstance(config, dict) or config.keys() != names:
+            raise ValueError(f"config must hold exactly the keys {sorted(names)}")
         return Certificate(
             n=doc["n"],
             internal=doc["internal_nodes"],
@@ -255,9 +260,7 @@ class Certificate:
             ),
             expr=doc["expr"],
             net_sha256=doc["net_sha256"],
-            grid=doc["config"]["grid"],
-            order=doc["config"]["order"],
-            faithful=doc["config"]["faithful_widths"],
+            config=CompileConfig(**config),
             box=tuple(tuple(iv) for iv in doc["box"]) if doc.get("box") is not None else None,
             box_factor=doc.get("box_factor"),
             version=doc["version"],
@@ -444,9 +447,7 @@ def _certificate(
         per_node=tuple(per_node),
         expr=render(tree),
         net_sha256=_net_hash(net),
-        grid=config.grid,
-        order=config.order,
-        faithful=config.faithful_widths,
+        config=config,
     )
 
 

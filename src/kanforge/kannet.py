@@ -90,14 +90,22 @@ class KanNetwork:
                 raise ValueError(f"widths[{m}] must be >= 1")
             if len(tags) != w:
                 raise ValueError(f"wire_tags[{m}] must have {w} entries")
-        for l, edges in enumerate(self.layers):
-            if not edges:
-                continue
-            src, dst, _ = zip(*edges)
-            # each layer is checked at once; only a failing check walks its edges
-            if (min(src) < 0 or max(src) >= self.widths[l] or min(dst) < 0 or max(dst) >= self.widths[l + 1]
-                    or len(set(zip(src, dst))) != len(edges)):
-                self._edge_error(l)
+        # one pass builds the edge table, whose arrays are checked at once;
+        # only a failing check walks the layers for the message
+        t = kernels.edge_table(self.layers)
+        object.__setattr__(self, "_edges", t)
+        if t.src.size:
+            layer = np.repeat(np.arange(self.n_layers), t.counts)
+            w = np.array(self.widths)
+            # each (layer, src, dst) as one number: neurons counted over all
+            # boundaries. The stable sort is the one the plan's argsort runs;
+            # numpy's default sort loads more code (0.3 MB of peak RSS)
+            off = np.cumsum(w) - w
+            pair = np.sort((off[layer] + t.src) * w.sum() + off[layer + 1] + t.dst, kind="stable")
+            if ((t.src < 0) | (t.src >= w[layer]) | (t.dst < 0) | (t.dst >= w[layer + 1])).any() or \
+                    (pair[1:] == pair[:-1]).any():
+                for l in range(self.n_layers):
+                    self._edge_error(l)
 
     def _edge_error(self, l: int):
         """Raise the ValueError of layer l's first invalid edge."""
@@ -120,10 +128,8 @@ class KanNetwork:
         return len(self.layers)
 
     def edge_table(self) -> kernels.EdgeTable:
-        """The edges as flat arrays over the distinct splines, built on first
-        use and cached: the net file, the plan and the product read it."""
-        if self._edges is None:
-            object.__setattr__(self, "_edges", kernels.edge_table(self.layers))
+        """The edges as flat arrays over the distinct splines, built with the
+        network: the net file, the plan and the product read it."""
         return self._edges
 
     def packed(self) -> kernels.NetPlan:

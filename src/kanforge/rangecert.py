@@ -307,11 +307,6 @@ class AffineBox:
                 raise ValueError(f"degenerate box interval [{iv.lo}, {iv.hi}]")
 
     @property
-    def lip_h(self) -> float:
-        """Lipschitz constant of the map: the widest interval length."""
-        return max(iv.length for iv in self.intervals)
-
-    @property
     def lip_h_inv(self) -> float:
         """Lipschitz constant of the inverse: 1 over the narrowest length."""
         return 1.0 / min(iv.length for iv in self.intervals)

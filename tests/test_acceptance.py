@@ -22,8 +22,8 @@ from kanforge.rangecert import annotate_ranges
 
 from conftest import predicted_faithful_widths
 
-CFG = CompileConfig(grid=35, order=3)
-CFG_FAITHFUL = CompileConfig(grid=35, order=3, faithful_widths=True)
+CFG = CompileConfig(grid=35)
+CFG_FAITHFUL = CompileConfig(grid=35, faithful_widths=True)
 
 CORPUS_SIZE = 1000
 ERROR_SAMPLES = 100_000

@@ -2,7 +2,9 @@
 
 The JSON formats promise byte-identical output for identical input unless the
 format version changes. The digests below are those of net format
-`kanforge/2` and certificate version 0.2.0. Each group below hashes the serialized network and
+`kanforge/2` and certificate version 0.3.0 (compact JSON, `config` holding
+`grid` and `faithful_widths`); the nets are the same bytes as under
+certificate version 0.2.0. Each group below hashes the serialized network and
 the certificate of every compile in it; a changed digest means some compile
 now writes different bytes.
 """
@@ -18,8 +20,8 @@ from kanforge.exprtree import parse_expression
 from kanforge.kannet import serialize
 from kanforge.rangecert import affine_box
 
-CFG = CompileConfig(grid=35, order=3)
-CFG_FAITHFUL = CompileConfig(grid=35, order=3, faithful_widths=True)
+CFG = CompileConfig(grid=35)
+CFG_FAITHFUL = CompileConfig(grid=35, faithful_widths=True)
 
 _WRAPPERS = ("sin", "relu", "cos", "abs")
 
@@ -62,12 +64,12 @@ GROUPS = {
 }
 
 EXPECTED = {
-    "random-default": "aa5897a210db35f980384408b0a337ed8cb2b13131da8509346ec979446cb4b8",
-    "random-faithful": "e1ccaf64f69e6b4d4c90d6d55c701f09a8c7ff20919e3d1158a9f449063a95b6",
-    "chain-8": "7bb76ed58d9427f62653f8a1920c237d8393d9adac4be01d4fac3fc3a4937ea3",
-    "chain-24": "c747be24f2530b9b73d6db397abc37d900011948993e8c488593958cc8efefd9",
-    "fanout": "4423527cb4f922fb7dd9b68bf96a187e583d1a17e09a1b43ea26ce73120b46aa",
-    "box": "1c072d30c3d066300e355dcd6bfb5063ae04968d4fe058756bdcde0744b165f3",
+    "random-default": "23b4de4b7e05b09d613211ec57c054ddfd9b884e2ab34ab51e0d51cbbf751329",
+    "random-faithful": "d24cbf5552f3eb5bfa9ed69475a3715a7c774b79a2b70960cc496bf15e450f64",
+    "chain-8": "36dbff0745fc4d25bf05e9088e253af920ccb9b9234899ddf49e47aad5cab212",
+    "chain-24": "98bc66d82e19ea49106b77f5a0a3b54075178335246efcabe8856658cbdc8afb",
+    "fanout": "e9600eb49107eccc8413b9dc4c5bce8d0d424a655632bc8752d3b068f311c362",
+    "box": "a175fb029817565e1f1364924c7b4665a6ec9a6b4b664c9273a1a124bbdf56fa",
 }
 
 

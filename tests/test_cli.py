@@ -1,12 +1,15 @@
 import io
 import json
 import math
+import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from kanforge import cli, compiler
 from kanforge.cli import (
+    MAX_FUZZ_DEPTH,
     MAX_SAMPLES,
     RunConfig,
     balanced_additive_tree,
@@ -19,7 +22,7 @@ from kanforge.cli import (
     random_tree,
 )
 from kanforge.compiler import MAX_GRID, compile_on_box
-from kanforge.exprtree import MAX_COORD, parse_expression, tree_stats
+from kanforge.exprtree import MAX_COORD, Leaf, Node, OpKind, parse_expression, render, tree_stats
 from kanforge.kannet import serialize
 from kanforge.rangecert import affine_box
 
@@ -207,16 +210,23 @@ class TestVerifyCommand:
         argv = ["verify", "--net", prefix + ".net.json", "--cert", prefix + ".cert.json", "-e", "sin(x1)",
                 "--samples", "2000"]
         assert main(argv) == 0
-        assert main(argv + ["--grid", "12", "--order", "4", "--faithful-widths"]) == 0
+        assert main(argv + ["--grid", "12", "--faithful-widths"]) == 0
 
-    @pytest.mark.parametrize("key, value", [("grid", 1), ("grid", "5"), ("grid", 5.0), ("grid", MAX_GRID + 1),
-                                            ("order", 1), ("faithful_widths", "yes")])
+    # the config must hold exactly CompileConfig's fields: a missing one takes
+    # no default, and a 0.2.0 certificate's `order` is an unknown key
+    @pytest.mark.parametrize("key, value", [
+        ("grid", 1), ("grid", "5"), ("grid", 5.0), ("grid", MAX_GRID + 1), ("order", 3), ("faithful_widths", "yes"),
+        pytest.param("faithful_widths", None, id="missing-faithful_widths"), ("samples", 2000),
+    ])
     def test_rejected_certificate_config_exit_2(self, tmp_path, capsys, key, value):
         prefix = str(tmp_path / "kan")
         cmd_compile("sin(x1)", FAST, out=prefix, fmt="json", stream=io.StringIO())
         path = tmp_path / "kan.cert.json"
         doc = json.loads(path.read_text())
-        doc["config"][key] = value
+        if value is None:
+            del doc["config"][key]
+        else:
+            doc["config"][key] = value
         path.write_text(json.dumps(doc, indent=2))
         capsys.readouterr()
         rc = cmd_verify(prefix + ".net.json", "sin(x1)", FAST, cert_path=str(path), fmt="json",
@@ -437,6 +447,24 @@ class TestSweepRate:
         assert max(ratios) / min(ratios) < 2.0
 
 
+def _random_tree_recursive(rng, max_depth: int, depth: int = 0):
+    """The recursive builder `random_tree` replaced, kept as its oracle."""
+    if depth >= max_depth or rng.random() < depth / max_depth:
+        return Leaf(int(rng.integers(1, 7)))
+    op = list(OpKind)[int(rng.integers(len(OpKind)))]
+    return Node(op, tuple(_random_tree_recursive(rng, max_depth, depth + 1) for _ in range(op.arity)))
+
+
+class _SinChainRng:
+    """Draws that never stop a branch early and always pick sin, then x1."""
+
+    def random(self):
+        return 1.0
+
+    def integers(self, low, high=None):
+        return list(OpKind).index(OpKind.SIN) if high is None else low
+
+
 class TestFuzz:
     def test_small_run_passes(self, capsys):
         rc = cmd_fuzz(RunConfig(samples=1500, seed=5), trees=40, max_depth=4)
@@ -475,6 +503,28 @@ class TestFuzz:
 
     def test_rejects_bad_counts(self, capsys):
         assert cmd_fuzz(RunConfig(), trees=0) == 2
+        assert cmd_fuzz(RunConfig(), max_depth=0) == 2
+        # random trees grow exponentially with the depth, so a deep one is
+        # refused before any is drawn
+        assert cmd_fuzz(RunConfig(), max_depth=MAX_FUZZ_DEPTH + 1) == 2
+        assert main(["fuzz", "--trees", "3", "--max-depth", "3000"]) == 2
+        assert f"depth in [1, {MAX_FUZZ_DEPTH}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_depth", [1, 2, 5, 9, 16])
+    def test_random_tree_matches_recursive_oracle(self, max_depth):
+        # the same trees from the same draws, and the stream left at the same place
+        for seed in range(5):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(40):
+                got, want = random_tree(a, max_depth), _random_tree_recursive(b, max_depth)
+                assert render(got) == render(want)
+            assert a.random() == b.random()
+
+    def test_random_tree_builds_past_the_recursion_limit(self):
+        depth = 4 * sys.getrecursionlimit()
+        tree = random_tree(_SinChainRng(), depth)
+        assert tree_stats(tree).depth == depth
+        assert render(tree) == "sin(" * depth + "x1" + ")" * depth
 
     def test_random_tree_distribution_bounds(self, rng):
         for _ in range(200):
@@ -493,11 +543,36 @@ class TestParser:
     def test_built_once_per_process(self):
         assert cli._parser() is cli._parser()
 
+    def test_order_flag_gone(self, capsys):
+        # the compiler never read a spline order, so there is no flag for one
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "-e", "x1", "--order", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --order 3" in capsys.readouterr().err
+
     def test_defaults_do_not_leak_between_calls(self, tmp_path, capsys):
         assert main(["sweep-rate", "--format", "json", "-o", str(tmp_path / "a.csv")]) == 0
         assert json.loads(capsys.readouterr().out)[0]["G"] == 5
         assert main(["sweep-rate", "-o", str(tmp_path / "b.csv")]) == 0
         assert capsys.readouterr().out.startswith("G,error,h4,ratio\n")
+
+
+_COMMANDS = [
+    ["compile", "-e", "x1"],
+    ["verify", "--net", "missing.net.json", "-e", "x1"],
+    ["table-products"],
+    ["sweep-rate"],
+    ["fuzz", "--trees", "1"],
+]
+_COMMAND_IDS = [argv[0] for argv in _COMMANDS]
+
+
+def _stub_commands(monkeypatch) -> list:
+    """Replace every command by a stub; returns the list of their argument tuples."""
+    seen = []
+    for name in ("cmd_compile", "cmd_verify", "cmd_table_products", "cmd_sweep_rate", "cmd_fuzz"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: seen.append(args) or 0)
+    return seen
 
 
 class TestSampleLimit:
@@ -510,25 +585,46 @@ class TestSampleLimit:
             with pytest.raises(ValueError, match="samples must be an integer"):
                 RunConfig(samples=bad)
 
-    @pytest.mark.parametrize("argv", [
-        ["compile", "-e", "x1"],
-        ["verify", "--net", "missing.net.json", "-e", "x1"],
-        ["table-products"],
-        ["sweep-rate"],
-        ["fuzz", "--trees", "1"],
-    ], ids=["compile", "verify", "table-products", "sweep-rate", "fuzz"])
+    @pytest.mark.parametrize("argv", _COMMANDS, ids=_COMMAND_IDS)
     def test_main_limit(self, monkeypatch, capsys, argv):
         # every command is stubbed: at the limit it is reached with the
         # count, one past it main exits 2 before reaching it
-        seen = []
-        for name in ("cmd_compile", "cmd_verify", "cmd_table_products", "cmd_sweep_rate", "cmd_fuzz"):
-            monkeypatch.setattr(cli, name, lambda *args, **kwargs: seen.append(args) or 0)
+        seen = _stub_commands(monkeypatch)
         assert main(argv + ["--samples", str(MAX_SAMPLES)]) == 0
         assert [a for a in seen[0] if isinstance(a, RunConfig)][0].samples == MAX_SAMPLES
         capsys.readouterr()
         assert main(argv + ["--samples", str(MAX_SAMPLES + 1)]) == 2
         assert len(seen) == 1
         assert f"samples must be an integer in [1, {MAX_SAMPLES}]" in capsys.readouterr().err
+
+
+class TestSeed:
+    """--seed and KANFORGE_SEED must be non-negative integers, checked in
+    RunConfig before any command starts."""
+
+    def test_run_config_seed(self):
+        assert RunConfig(seed=0).seed == 0
+        for bad in (-1, 1.0, True, "3"):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                RunConfig(seed=bad)
+
+    @pytest.mark.parametrize("env", [None, "-3"], ids=["flag", "env"])
+    @pytest.mark.parametrize("argv", _COMMANDS, ids=_COMMAND_IDS)
+    def test_negative_seed_exit_2(self, monkeypatch, capsys, argv, env):
+        seen = _stub_commands(monkeypatch)
+        if env is None:
+            monkeypatch.delenv("KANFORGE_SEED", raising=False)
+            argv = argv + ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("KANFORGE_SEED", env)
+        assert main(argv) == 2
+        assert seen == []
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_compile_writes_nothing(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("KANFORGE_SEED", raising=False)
+        assert main(["compile", "-e", "x1", "--seed", "-1", "-o", str(tmp_path / "k")]) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

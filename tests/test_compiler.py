@@ -31,8 +31,8 @@ from conftest import nan_network
 from conftest import predicted_faithful_widths as _predicted_faithful_widths
 from test_bytes_guard import _chain
 
-CFG = CompileConfig(grid=35, order=3)
-CFG_FAITHFUL = CompileConfig(grid=35, order=3, faithful_widths=True)
+CFG = CompileConfig(grid=35)
+CFG_FAITHFUL = CompileConfig(grid=35, faithful_widths=True)
 
 
 class TestCompileExamples:
@@ -470,7 +470,7 @@ class TestCorpusProperties:
         tree = parse_expression("sin(x1)")
         ratios = []
         for G in (5, 12, 35):
-            cfg = CompileConfig(grid=G, order=3)
+            cfg = CompileConfig(grid=G)
             net, _ = compile_tree(tree, cfg)
             err = measured_sup_error(tree, net, 40_000, seed=13)
             ratios.append(err * (G - 1) ** 2)

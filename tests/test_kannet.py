@@ -23,8 +23,8 @@ from kanforge.kannet import (
 from kanforge.rangecert import affine_box
 from kanforge.spline import Spline, line_spline, spline_lipschitz
 
-CFG = CompileConfig(grid=35, order=3)
-CFG_FAITHFUL = CompileConfig(grid=35, order=3, faithful_widths=True)
+CFG = CompileConfig(grid=35)
+CFG_FAITHFUL = CompileConfig(grid=35, faithful_widths=True)
 
 
 def _single_edge_net(spl, n=1):
@@ -597,6 +597,21 @@ class TestSerialization:
         assert exc.value.path == "$.splines[0]"
 
 
+def _first_edge_error(widths, layers):
+    """The message of the first invalid edge, walking layer by layer, or None."""
+    for l, edges in enumerate(layers):
+        seen = set()
+        for src, dst, _ in edges:
+            if not 0 <= src < widths[l]:
+                return f"layers[{l}] edge source {src} out of range"
+            if not 0 <= dst < widths[l + 1]:
+                return f"layers[{l}] edge target {dst} out of range"
+            if (src, dst) in seen:
+                return f"layers[{l}] duplicate edge ({src}, {dst})"
+            seen.add((src, dst))
+    return None
+
+
 class TestNetworkInvariants:
     def test_edge_indices_validated(self):
         with pytest.raises(ValueError):
@@ -610,6 +625,30 @@ class TestNetworkInvariants:
         e = Edge(0, 0, line_spline(0, 1, 0, 1))
         with pytest.raises(ValueError):
             KanNetwork(widths=(1, 1), layers=((e, e),), wire_tags=(("x1",), ("node0",)))
+
+    def test_edge_checks_match_per_edge_oracle(self, rng):
+        # the constructor checks all edges at once as arrays; it must accept
+        # and reject exactly what a walk over each layer's edges does, with
+        # that walk's message (a pair may recur in another layer)
+        s = line_spline(0, 1, 0, 1)
+        rejected = 0
+        for _ in range(300):
+            widths = tuple(int(w) for w in rng.integers(1, 4, size=int(rng.integers(2, 5))))
+            layers = tuple(
+                tuple(Edge(int(rng.integers(-1, widths[l] + 1)), int(rng.integers(-1, widths[l + 1] + 1)), s)
+                      for _ in range(int(rng.integers(0, 4))))
+                for l in range(len(widths) - 1)
+            )
+            tags = tuple(("t",) * w for w in widths)
+            want = _first_edge_error(widths, layers)
+            if want is None:
+                KanNetwork(widths=widths, layers=layers, wire_tags=tags)
+            else:
+                rejected += 1
+                with pytest.raises(ValueError) as exc:
+                    KanNetwork(widths=widths, layers=layers, wire_tags=tags)
+                assert str(exc.value) == want
+        assert 0 < rejected < 300
 
     def test_wire_tag_arity_checked(self):
         with pytest.raises(ValueError):
