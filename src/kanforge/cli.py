@@ -284,12 +284,13 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
                 box = affine_box(cert.box)
                 if len(box.intervals) != net.n_inputs:
                     raise ValueError(f"box has {len(box.intervals)} intervals, network reads {net.n_inputs}")
-        # ValueError covers invalid JSON and boxes, RecursionError JSON nested too
-        # deep to decode; KeyError and TypeError missing or mistyped fields
-        except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        # ValueError covers invalid JSON, inexact keys and boxes, RecursionError
+        # JSON nested too deep to decode, TypeError mistyped fields and
+        # OverflowError a box bound past the float range
+        except (OSError, TypeError, ValueError, RecursionError, OverflowError) as exc:
             print(f"error: bad certificate: {exc}", file=sys.stderr)
             return 2
-        # the certificate hashes serialize(net), the compact kanforge/2 text
+        # the certificate hashes serialize(net), the compact kanforge/3 text
         # `compile` writes: such a file matches as read and is the network's
         # JSON, since serialize(deserialize(text)) == text, so it seeds the
         # cache the recomputed certificate's hash reads. Any other text of the

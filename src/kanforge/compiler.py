@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .rangecert import (
     lip_budget,
     sample_blocks,
 )
-from .spline import Spline, line_spline
+from .spline import Spline, exact_keys, init_fields, line_spline
 
 __all__ = [
     "MAX_GRID",
@@ -80,7 +80,7 @@ __all__ = [
 
 # bumped whenever the certificate's bytes change, so also with kannet.FORMAT:
 # the certificate hashes the net file
-VERSION = "0.3.0"
+VERSION = "0.4.0"
 
 # width bound constant from the widest primitive block (the multiplication
 # block spans 4 neurons counting its forwarded operands)
@@ -198,73 +198,32 @@ class Certificate:
     version: str = VERSION
 
     def to_json(self) -> str:
-        doc = {
-            "version": self.version,
-            "config": asdict(self.config),
-            "expr": self.expr,
-            "net_sha256": self.net_sha256,
-            "n": self.n,
-            "internal_nodes": self.internal,
-            "depth": self.depth,
-            "l_f": self.l_f,
-            "widths": list(self.widths),
-            "p_bound": self.p_bound,
-            "p_simplified": self.p_simplified,
-            "c_star": self.c_star,
-            "width_bound": self.width_bound,
-            "error_bound": self.error_bound,
-            "eps_op": self.eps_op,
-            "rate_exponent": self.rate_exponent,
-            "box": [list(iv) for iv in self.box] if self.box is not None else None,
-            "box_factor": self.box_factor,
-            "per_node": [
-                {
-                    "id": c.node_id,
-                    "op": c.op,
-                    "c_op": c.c_op,
-                    "lambda_op": c.lambda_op,
-                    "eps_op": c.eps_op,
-                    "a5_ok": c.a5_ok,
-                }
-                for c in self.per_node
-            ],
-        }
+        """The certificate's JSON text: every field under its own name."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["config"] = vars(self.config)
+        doc["per_node"] = [vars(c) for c in self.per_node]
         return json.dumps(doc, separators=(",", ":"))
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
-        """The certificate a file holds. Its `config` is outside input: keys
-        other than exactly `CompileConfig`'s fields are a ValueError, so no
-        field silently takes its default."""
-        doc = json.loads(text)
-        config = doc["config"]
-        names = {f.name for f in fields(CompileConfig)}
-        if not isinstance(config, dict) or config.keys() != names:
-            raise ValueError(f"config must hold exactly the keys {sorted(names)}")
-        return Certificate(
-            n=doc["n"],
-            internal=doc["internal_nodes"],
-            depth=doc["depth"],
-            l_f=doc["l_f"],
-            widths=tuple(doc["widths"]),
-            p_bound=doc["p_bound"],
-            p_simplified=doc["p_simplified"],
-            c_star=doc["c_star"],
-            width_bound=doc["width_bound"],
-            error_bound=doc["error_bound"],
-            eps_op=doc["eps_op"],
-            rate_exponent=doc["rate_exponent"],
-            per_node=tuple(
-                NodeCert(c["id"], c["op"], c["c_op"], c["lambda_op"], c["eps_op"], c["a5_ok"])
-                for c in doc["per_node"]
-            ),
-            expr=doc["expr"],
-            net_sha256=doc["net_sha256"],
-            config=CompileConfig(**config),
-            box=tuple(tuple(iv) for iv in doc["box"]) if doc.get("box") is not None else None,
-            box_factor=doc.get("box_factor"),
-            version=doc["version"],
-        )
+        """The certificate a file holds. A file is outside input: its top
+        level, its `config` and each `per_node` entry must hold exactly their
+        dataclass's fields (a ValueError otherwise), so nothing is ignored
+        and no field silently takes its default. Only the fields JSON has no
+        type for are converted."""
+        doc = exact_keys(json.loads(text), _CERT_FIELDS, "certificate")
+        return Certificate(**{
+            **doc,
+            "widths": tuple(doc["widths"]),
+            "per_node": tuple(NodeCert(**exact_keys(c, _NODE_FIELDS, "per_node entry")) for c in doc["per_node"]),
+            "config": CompileConfig(**exact_keys(doc["config"], _CONFIG_FIELDS, "config")),
+            "box": tuple(map(tuple, doc["box"])) if doc["box"] is not None else None,
+        })
+
+
+_CERT_FIELDS = init_fields(Certificate)
+_CONFIG_FIELDS = init_fields(CompileConfig)
+_NODE_FIELDS = init_fields(NodeCert)
 
 
 def _net_hash(net: KanNetwork) -> str:

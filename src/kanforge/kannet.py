@@ -12,19 +12,21 @@ because every edge constant is extracted from the spline's derivative
 structure rather than sampled. Each distinct spline's constant is extracted
 once, however many edges share it.
 
-Net files (format `kanforge/2`) are one compact JSON object:
+Net files (format `kanforge/3`) are one compact JSON object:
 
-    {"format":"kanforge/2","widths":[...],"splines":[...],
+    {"format":"kanforge/3","widths":[...],"splines":[...],
      "layers":[[[src,dst,spline],...],...],"wire_tags":[[...],...]}
 
 `splines` holds one `Spline.to_dict()` per distinct `Spline` object, in order
-of first use over the edges in layer order, and each layer lists its edges
-as `[src, dst, spline_index]` triples. A compiled network forwards every live
+of first use over the edges in layer order: its constructor fields
+`{"order":k,"knots":[...],"coefs":[...]}`. Each layer lists its edges as
+`[src, dst, spline_index]` triples. A compiled network forwards every live
 value on shared identity wires, so it has far fewer distinct splines than
 edges. Loading builds one `Spline` per table entry, so shared splines come
 back shared, and `serialize(deserialize(text)) == text` for every text
-`serialize` wrote. `kanforge/1` files, which wrote every edge's spline in
-full, are rejected at `$.format`.
+`serialize` wrote. The document and each table entry hold exactly their
+keys; files of earlier formats, whose entries restated `domain` and
+`grid_points`, are rejected at `$.format`.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ __all__ = [
     "deserialize",
 ]
 
-FORMAT = "kanforge/2"
+FORMAT = "kanforge/3"
+# the keys of a net document
+_KEYS = frozenset(("format", "widths", "splines", "layers", "wire_tags"))
 
 
 class Edge(NamedTuple):
@@ -270,20 +274,25 @@ def deserialize(text: str) -> KanNetwork:
         raise SchemaError(f"invalid JSON: {exc}", "$") from exc
     _require(isinstance(doc, dict), "document must be an object", "$")
     _require(doc.get("format") == FORMAT, f"format must be {FORMAT!r}", "$.format")
+    # a missing key fails its own check below, at its own path
+    _require(doc.keys() <= _KEYS, f"unknown keys {sorted(doc.keys() - _KEYS)}", "$")
     widths = doc.get("widths")
     _require(isinstance(widths, list) and len(widths) >= 2, "widths must be a list of >= 2 ints", "$.widths")
     for m, w in enumerate(widths):
         _require(_is_index(w) and w >= 1, "width must be a positive integer", f"$.widths[{m}]")
     table = doc.get("splines")
     _require(isinstance(table, list), "splines must be a list of spline objects", "$.splines")
-    # one Spline per table entry: edges sharing an entry share the spline
+    # one Spline per table entry: edges sharing an entry share the spline.
+    # Its Lipschitz constant, cached on it, is taken here: an edge without a
+    # finite one (order 0, or a derivative past the float range) is bad input
     splines = []
     for i, sp in enumerate(table):
-        _require(isinstance(sp, dict), "spline must be an object", f"$.splines[{i}]")
         try:
-            splines.append(Spline.from_dict(sp))
-        except (KeyError, TypeError, ValueError) as exc:
+            s = Spline.from_dict(sp)
+            spline_lipschitz(s)
+        except ValueError as exc:
             raise SchemaError(f"bad spline: {exc}", f"$.splines[{i}]") from exc
+        splines.append(s)
     raw_layers = doc.get("layers")
     _require(
         isinstance(raw_layers, list) and len(raw_layers) == len(widths) - 1,

@@ -58,23 +58,6 @@ class Block:
     def c_op(self) -> int:
         return len(self.layers)
 
-    def forward(self, *args: float) -> float:
-        """Standalone evaluation of the block (scalar, for verification)."""
-        vals = [float(a) for a in args]
-        for edges, ranges in zip(self.layers, self.neuron_ranges):
-            out = [0.0] * len(ranges)
-            for src, dst, s in edges:
-                out[dst] += s(vals[src])
-            vals = out
-        return vals[0]
-
-    def measured_lambda(self) -> float:
-        """Product over layers of the measured max edge Lipschitz constant."""
-        prod = 1.0
-        for edges in self.layers:
-            prod *= max(spline_lipschitz(s) for _, _, s in edges)
-        return prod
-
 
 _PAIR = struct.Struct("=2d")  # the native bytes of a 2-element float64 array
 

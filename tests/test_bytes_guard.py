@@ -2,11 +2,14 @@
 
 The JSON formats promise byte-identical output for identical input unless the
 format version changes. The digests below are those of net format
-`kanforge/2` and certificate version 0.3.0 (compact JSON, `config` holding
-`grid` and `faithful_widths`); the nets are the same bytes as under
-certificate version 0.2.0. Each group below hashes the serialized network and
-the certificate of every compile in it; a changed digest means some compile
-now writes different bytes.
+`kanforge/3` and certificate version 0.4.0: compact JSON, each document its
+objects' fields under their own names (a spline table entry `order`, `knots`,
+`coefs`; a certificate `internal` and per-node `node_id`). Against
+`kanforge/2` and 0.3.0 only keys moved: the parsed documents are equal once
+the entries' `domain`/`grid_points` are dropped and the renamed keys mapped,
+apart from `format`, `version` and `net_sha256`. Each group below hashes the
+serialized network and the certificate of every compile in it; a changed
+digest means some compile now writes different bytes.
 """
 
 import hashlib
@@ -64,12 +67,12 @@ GROUPS = {
 }
 
 EXPECTED = {
-    "random-default": "23b4de4b7e05b09d613211ec57c054ddfd9b884e2ab34ab51e0d51cbbf751329",
-    "random-faithful": "d24cbf5552f3eb5bfa9ed69475a3715a7c774b79a2b70960cc496bf15e450f64",
-    "chain-8": "36dbff0745fc4d25bf05e9088e253af920ccb9b9234899ddf49e47aad5cab212",
-    "chain-24": "98bc66d82e19ea49106b77f5a0a3b54075178335246efcabe8856658cbdc8afb",
-    "fanout": "e9600eb49107eccc8413b9dc4c5bce8d0d424a655632bc8752d3b068f311c362",
-    "box": "a175fb029817565e1f1364924c7b4665a6ec9a6b4b664c9273a1a124bbdf56fa",
+    "random-default": "8f673f84f1a2148dddda22a425967dc4cfbce469987bc5349c7c090650e07a40",
+    "random-faithful": "a68f7a4dd27c879788f93897a52c761aa6c8e1ee8b41fc1d49b704bea75320dc",
+    "chain-8": "d78ce991b4538dab2e3ee79475e058f08f4e00f593b2cdbd4e367c467b1b1a87",
+    "chain-24": "9833f8b46b3be8b6dc16548115b33b7c7d95b909c70f3cc9d571d9124e8a8220",
+    "fanout": "1519dda239ce5ed7268aa122793fbcca638bb589408ae0c3a8010ae0b0e936b6",
+    "box": "311d615179e4e8999eeacfbd8cd21604373f78513b5c6dcfcf3d4e62b7a81241",
 }
 
 

@@ -35,7 +35,7 @@ def _scale_edge(doc: dict, l: int, i: int, factor: float) -> None:
     """Scale edge i of layer l in a net document through a new spline table
     entry of its own: the entry it names may be shared by other edges."""
     entry = dict(doc["splines"][doc["layers"][l][i][2]])
-    entry["coefficients"] = [factor * c for c in entry["coefficients"]]
+    entry["coefs"] = [factor * c for c in entry["coefs"]]
     doc["splines"].append(entry)
     doc["layers"][l][i][2] = len(doc["splines"]) - 1
 
@@ -239,9 +239,9 @@ class TestVerifyCommand:
         ({"p_bound": 1e-9}, "p_bound"),
         ({"per_node": []}, "per_node"),
         ({"widths": [1]}, "widths"),
-        ({"internal_nodes": 7}, "internal"),
+        ({"internal": 7}, "internal"),
         ({"error_bound": 0, "p_bound": 1e-9, "per_node": [], "widths": [1], "l_f": 999}, "l_f"),
-    ], ids=["error_bound", "p_bound", "per_node", "widths", "internal_nodes", "five-fields"])
+    ], ids=["error_bound", "p_bound", "per_node", "widths", "internal", "five-fields"])
     def test_edited_certificate_exit_4(self, tmp_path, capsys, edits, field):
         prefix = str(tmp_path / "kan")
         expr = "sin(x1*x2)+x1"
@@ -271,31 +271,52 @@ class TestVerifyCommand:
     def test_missing_net_file(self, capsys):
         assert cmd_verify("/nonexistent.json", "x1", FAST) == 2
 
-    @pytest.mark.parametrize("field, value", [("domain", [0.0, 7.5]), ("grid_points", 3)])
-    def test_spline_metadata_disagreeing_with_knots_exit_2(self, tmp_path, capsys, field, value):
-        prefix = tmp_path / "kan"
-        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
-        path = tmp_path / "kan.net.json"
+    # every level of both files holds exactly its keys: a missing key takes no
+    # default and an unknown one, such as a kanforge/2 or 0.3.0 name, is not
+    # ignored
+    @pytest.mark.parametrize("suffix, level, edit, where", [
+        ("net", lambda doc: doc, lambda d: d.pop("wire_tags"), "(at $.wire_tags)"),
+        ("net", lambda doc: doc, lambda d: d.update(comment="hi"), "(at $)"),
+        ("net", lambda doc: doc["splines"][0], lambda d: d.pop("coefs"), "(at $.splines[0])"),
+        ("net", lambda doc: doc["splines"][0], lambda d: d.update(grid_points=2), "(at $.splines[0])"),
+        ("cert", lambda doc: doc, lambda d: d.pop("box"), "bad certificate"),
+        ("cert", lambda doc: doc, lambda d: d.update(internal_nodes=d["internal"]), "bad certificate"),
+        ("cert", lambda doc: doc["per_node"][0], lambda d: d.pop("a5_ok"), "bad certificate"),
+        ("cert", lambda doc: doc["per_node"][0], lambda d: d.update(id=d["node_id"]), "bad certificate"),
+    ], ids=["net-missing", "net-unknown", "spline-missing", "spline-unknown", "cert-missing", "cert-unknown",
+            "per_node-missing", "per_node-unknown"])
+    def test_inexact_keys_exit_2(self, tmp_path, capsys, suffix, level, edit, where):
+        prefix = str(tmp_path / "kan")
+        cmd_compile("x1*x2", FAST, out=prefix, fmt="json", stream=io.StringIO())
+        path = tmp_path / f"kan.{suffix}.json"
         doc = json.loads(path.read_text())
-        k = doc["layers"][0][0][2]
-        doc["splines"][k][field] = value
-        path.write_text(json.dumps(doc, indent=2))
-        assert main(["verify", "--net", str(path), "-e", "x1*x2", "--samples", "2000"]) == 2
+        edit(level(doc))
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = ["verify", "--net", prefix + ".net.json", "-e", "x1*x2", "--samples", "2000"]
+        assert main(argv + (["--cert", str(path)] if suffix == "cert" else [])) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"$.splines[{k}]" in err
+        assert err.startswith("error: ") and where in err
 
     @pytest.mark.parametrize("edit, path", [
         (lambda doc: doc["splines"][0].update(order=1.9), "$.splines[0]"),
         (lambda doc: doc["splines"][0].update(order=True), "$.splines[0]"),
         (lambda doc: doc["splines"][0].update(knots=[str(t) for t in doc["splines"][0]["knots"]]), "$.splines[0]"),
-        (lambda doc: doc["splines"][0].update(coefficients=[True, False]), "$.splines[0]"),
+        (lambda doc: doc["splines"][0].update(coefs=[True, False]), "$.splines[0]"),
         (lambda doc: doc["widths"].__setitem__(1, True), "$.widths[1]"),
         (lambda doc: doc["layers"][0][0].__setitem__(0, True), "$.layers[0][0]"),
         (lambda doc: doc["layers"][0][0].__setitem__(2, 0.0), "$.layers[0][0]"),
+        (lambda doc: doc["splines"][0].update(order=0, knots=[0.0, 1.0], coefs=[1.0]), "$.splines[0]"),
+        (lambda doc: doc["splines"][0].update(order=1, knots=[0.0, 1e-300], coefs=[0.0, 1e300]), "$.splines[0]"),
+        (lambda doc: doc["splines"][0].update(order=3, knots=[0.0, 5e-324], coefs=[0.0, 0.0, 0.0, 1.0]),
+         "$.splines[0]"),
     ], ids=["float-order", "bool-order", "string-knots", "bool-coefficients", "bool-width", "bool-source",
-            "float-spline-index"])
+            "float-spline-index", "order-0", "overflowing-slope", "overflowing-cubic-slope"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_coerced_json_value_exit_2(self, tmp_path, capsys, edit, path):
-        # values serialize never writes are bad input, not a coerced network
+        # values serialize never writes are bad input, not a coerced network;
+        # so are edges without a finite Lipschitz constant, which the product
+        # and the certificate could not hold
         prefix = tmp_path / "kan"
         cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
         net_path = tmp_path / "kan.net.json"
@@ -307,7 +328,7 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"(at {path})" in err
 
-    @pytest.mark.parametrize("field, value", [("per_node", 5), ("config", None)])
+    @pytest.mark.parametrize("field, value", [("per_node", 5), ("config", None), ("box", [[0, 10**400]])])
     def test_malformed_cert_field_exit_2(self, tmp_path, capsys, field, value):
         prefix = tmp_path / "kan"
         cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
@@ -388,7 +409,7 @@ class TestVerifyCommand:
         doc = json.loads(path.read_text())
         k = doc["layers"][0][0][2]
         spline = doc["splines"][k]
-        spline["knots"] = spline["domain"] = [0.0, float("inf")]
+        spline["knots"] = [0.0, float("inf")]
         path.write_text(json.dumps(doc, indent=2))
         assert main(["verify", "--net", str(path), "-e", "x1", "--samples", "2000"]) == 2
         err = capsys.readouterr().err

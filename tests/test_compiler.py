@@ -1,7 +1,8 @@
 import itertools
+import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,15 +22,15 @@ from kanforge.compiler import (
     measured_sup_error,
 )
 from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_expression, render, tree_stats
-from kanforge.kannet import Edge, KanNetwork, forward, forward_batch, lipschitz_product, serialize
+from kanforge.kannet import Edge, KanNetwork, deserialize, forward, forward_batch, lipschitz_product, serialize
 from kanforge.kernels import CHUNK
 from kanforge.primblocks import EdgeSplines, build_block
 from kanforge.rangecert import Interval, affine_box, annotate_ranges, apply_affine, verify_ranges_numerically
-from kanforge.spline import line_spline
+from kanforge.spline import Spline, line_spline
 
 from conftest import nan_network
 from conftest import predicted_faithful_widths as _predicted_faithful_widths
-from test_bytes_guard import _chain
+from test_bytes_guard import GROUPS, _chain
 
 CFG = CompileConfig(grid=35)
 CFG_FAITHFUL = CompileConfig(grid=35, faithful_widths=True)
@@ -565,8 +566,12 @@ class TestStreamedSamples:
             measured_sup_error(tree, net, 0, 1)
 
 
+def _keys(cls) -> set[str]:
+    return {f.name for f in fields(cls) if f.init}
+
+
 def test_certificate_json_round_trip():
-    from kanforge.compiler import Certificate
+    from kanforge.compiler import Certificate, NodeCert
 
     _, cert = compile_tree(parse_expression("sin((x1+x2)*x3)"), CFG)
     again = Certificate.from_json(cert.to_json())
@@ -575,3 +580,19 @@ def test_certificate_json_round_trip():
     _, box_cert = compile_on_box(parse_expression("sin(x1*x2)+x1"), affine_box([(-2.0, 1.0), (0.5, 3.0)]), CFG)
     assert box_cert.box is not None
     assert Certificate.from_json(box_cert.to_json()) == box_cert
+    # over every bytes-guard input both files load back equal, and each key
+    # at every level is a field of its dataclass under its own name (a net's
+    # `format` and `splines` table aside), so the names cannot drift apart
+    for name, make in GROUPS.items():
+        for net, cert in make():
+            text = cert.to_json()
+            assert Certificate.from_json(text) == cert, name
+            doc = json.loads(text)
+            assert doc.keys() == _keys(Certificate)
+            assert doc["config"].keys() == _keys(CompileConfig)
+            assert all(c.keys() == _keys(NodeCert) for c in doc["per_node"])
+            net_text = serialize(net)
+            assert serialize(deserialize(net_text)) == net_text, name
+            doc = json.loads(net_text)
+            assert doc.keys() == _keys(KanNetwork) | {"format", "splines"}
+            assert all(sp.keys() == _keys(Spline) for sp in doc["splines"])

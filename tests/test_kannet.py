@@ -424,7 +424,7 @@ class TestSerialization:
             for e in layer:
                 index.setdefault(id(e.spline), (len(index), e.spline))
         doc = {
-            "format": "kanforge/2",
+            "format": "kanforge/3",
             "widths": list(net.widths),
             "splines": [s.to_dict() for _, s in index.values()],
             "layers": [[[e.src, e.dst, index[id(e.spline)][0]] for e in layer] for layer in net.layers],
@@ -488,20 +488,9 @@ class TestSerialization:
         assert a is not b
         assert serialize(KanNetwork(net2.widths, net2.layers, net2.wire_tags)) == serialize(net)
 
-    @pytest.mark.parametrize("field, value", [("domain", [0.0, 7.5]), ("grid_points", 5)])
-    def test_spline_metadata_disagreeing_with_knots_rejected_with_path(self, field, value):
-        net, _ = compile_tree(parse_expression("x1*x2"), CFG)
-        doc = json.loads(serialize(net))
-        k = doc["layers"][1][0][2]
-        doc["splines"][k][field] = value
-        with pytest.raises(SchemaError) as exc:
-            deserialize(json.dumps(doc))
-        assert exc.value.path == f"$.splines[{k}]"
-        assert field in str(exc.value)
-
     def test_format_version_pinned(self):
         net, _ = compile_tree(parse_expression("x1"), CFG)
-        assert json.loads(serialize(net))["format"] == "kanforge/2"
+        assert json.loads(serialize(net))["format"] == "kanforge/3"
 
     def test_bad_format_rejected(self):
         with pytest.raises(SchemaError):
@@ -520,6 +509,19 @@ class TestSerialization:
         }
         with pytest.raises(SchemaError) as exc:
             deserialize(json.dumps(old, indent=2))
+        assert exc.value.path == "$.format"
+
+    def test_format_2_rejected_at_format(self):
+        # format 2 entries restated `domain` and `grid_points` and named the
+        # coefficients `coefficients`; it has no reader either
+        net, _ = compile_tree(parse_expression("x1*x2"), CFG)
+        doc = json.loads(serialize(net))
+        doc["format"] = "kanforge/2"
+        for sp in doc["splines"]:
+            sp.update(domain=[sp["knots"][0], sp["knots"][-1]], grid_points=len(sp["knots"]),
+                      coefficients=sp.pop("coefs"))
+        with pytest.raises(SchemaError) as exc:
+            deserialize(json.dumps(doc))
         assert exc.value.path == "$.format"
 
     def test_negative_width_rejected_with_path(self):
@@ -554,10 +556,14 @@ class TestSerialization:
         (lambda doc: doc.__setitem__("splines", {}), "$.splines"),
         (lambda doc: doc["splines"].__setitem__(0, [1, 2]), "$.splines[0]"),
         (lambda doc: doc["widths"].__setitem__(0, True), "$.widths[0]"),
+        (lambda doc: doc.update(domain=[0.0, 1.0]), "$"),
+        (lambda doc: doc["splines"][0].pop("knots"), "$.splines[0]"),
+        (lambda doc: doc["splines"][0].update(domain=[0.0, 1.0]), "$.splines[0]"),
     ], ids=["long-triple", "short-triple", "edge-object", "index-past-table", "negative-index", "float-target",
             "float-index", "bool-source", "bool-index", "layer-object", "no-splines", "splines-object",
-            "entry-list", "bool-width"])
+            "entry-list", "bool-width", "unknown-key", "entry-missing-key", "entry-unknown-key"])
     def test_malformed_document_rejected_with_path(self, edit, path):
+        # a document and each spline table entry hold exactly their keys
         net, _ = compile_tree(parse_expression("x1*x2"), CFG)
         doc = json.loads(serialize(net))
         edit(doc)
@@ -583,7 +589,7 @@ class TestSerialization:
         doc = json.loads(serialize(net))
         sp = _entry(doc, 0, 0)
         sp["order"] = kernels.KMAX
-        sp["coefficients"] = [0.0] * (len(sp["knots"]) + kernels.KMAX - 1)
+        sp["coefs"] = [0.0] * (len(sp["knots"]) + kernels.KMAX - 1)
         with pytest.raises(SchemaError) as exc:
             deserialize(json.dumps(doc))
         assert exc.value.path == "$.splines[0]"
@@ -591,7 +597,7 @@ class TestSerialization:
     def test_bad_spline_rejected_with_path(self):
         net, _ = compile_tree(parse_expression("x1"), CFG)
         doc = json.loads(serialize(net))
-        _entry(doc, 0, 0)["coefficients"] = [0.0]
+        _entry(doc, 0, 0)["coefs"] = [0.0]
         with pytest.raises(SchemaError) as exc:
             deserialize(json.dumps(doc))
         assert exc.value.path == "$.splines[0]"
