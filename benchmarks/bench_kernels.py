@@ -4,15 +4,15 @@ Times packed-network forward passes on compiled networks of increasing size:
 the slot program (`kernels.forward_batch`: identity wires are aliases, each
 layer evaluates only its other edges, affine ones as one small matmul and
 curved ones in pp form) against a reference that evaluates every edge with
-its own de Boor call. Building the program (`kernels.edge_table` and
-`kernels.build_plan`, which a network runs once and caches) is timed on its
-own and reported next to the forward it serves, with the network's edge
-and distinct spline counts. Also times de Boor batch evaluation of a single spline
+its own de Boor call. Building the program (`kernels.build_plan`, which a
+network runs once and caches) is timed on its own and reported next to the
+forward it serves, with the network's edge and spline table counts. Also times de Boor batch evaluation of a single spline
 (`Spline.eval_batch`). Run from the repo root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [npoints]
 """
 
+import itertools
 import sys
 import time
 
@@ -44,10 +44,11 @@ def _time(fn, repeats=5):
 def deboor_forward(net, X):
     """Reference forward: one de Boor evaluation per edge over all points."""
     cur = X
-    for l, edges in enumerate(net.layers):
+    triples = iter(net.edges.tolist())
+    for l, n in enumerate(net.counts):
         nxt = np.zeros((X.shape[0], net.widths[l + 1]))
-        for e in edges:
-            nxt[:, e.dst] += e.spline.eval_batch(cur[:, e.src])
+        for src, dst, k in itertools.islice(triples, n):
+            nxt[:, dst] += net.splines[k].eval_batch(cur[:, src])
         cur = nxt
     return cur
 
@@ -65,13 +66,12 @@ def main(npoints: int) -> None:
     for name, expr in CASES:
         net, _ = compile_tree(parse_expression(expr), CompileConfig())
         X = rng.uniform(0.0, 1.0, size=(npoints, net.n_inputs))
-        t_build = _time(lambda: kernels.build_plan(net.widths, kernels.edge_table(net.layers)))
+        t_build = _time(lambda: kernels.build_plan(net))
         plan = net.packed()
         t_plan = _time(lambda: kernels.forward_batch(plan, X))
         t_ref = _time(lambda: deboor_forward(net, X))
-        edges = net.edge_table()
         print(
-            f"  {name:24s} {edges.sid.size:4d} edges {len(edges.splines):3d} splines"
+            f"  {name:24s} {len(net.edges):4d} edges {len(net.splines):3d} splines"
             f"  build: {t_build * 1e3:7.2f} ms  plan: {t_plan * 1e3:8.2f} ms"
             f"  de Boor per edge: {t_ref * 1e3:8.2f} ms  speedup: {t_ref / t_plan:5.1f}x"
         )

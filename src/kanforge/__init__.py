@@ -35,7 +35,6 @@ from .exprtree import (
     validate_opset,
 )
 from .kannet import (
-    Edge,
     KanNetwork,
     ProductReport,
     SchemaError,

@@ -7,7 +7,9 @@ network is built live: no forwarded value lacks a downstream consumer.
 `faithful_widths=True` runs the same builder but forwards every input to the
 end, which is the proof's construction with its width accounting
 n_l <= n + 2 w_max N. One `EdgeSplines` per compile gives every distinct
-edge one `Spline`.
+edge one `Spline`, and each layer appends its edges to the network as the
+net file holds them: `[src, dst, spline_index]` triples into one spline
+table.
 
 When a binary node reads the same source wire twice (e.g. x1*x1), an
 identity fan-out layer duplicates the wire first: the forward form admits a
@@ -23,6 +25,7 @@ the certified on-domain Lipschitz constant of the edge.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -42,7 +45,7 @@ from .exprtree import (
     tree_stats,
     validate_opset,
 )
-from .kannet import Edge, KanNetwork, ProductReport, forward_batch, lipschitz_product, serialize
+from .kannet import KanNetwork, ProductReport, forward_batch, lipschitz_product, serialize
 from .primblocks import Block, EdgeSplines, build_block
 from .rangecert import (
     BLOCK_DEPTH,
@@ -242,10 +245,11 @@ def _build_blocks(ann: AnnotatedTree, G: int, splines: EdgeSplines) -> dict[int,
 
 def _leaf_network(tree: Leaf, n: int) -> KanNetwork:
     # base case: single identity layer reading the one live coordinate
-    edge = Edge(tree.coord - 1, 0, line_spline(0.0, 1.0, 0.0, 1.0))
     return KanNetwork(
         widths=(n, 1),
-        layers=((edge,),),
+        splines=(line_spline(0.0, 1.0, 0.0, 1.0),),
+        edges=[(tree.coord - 1, 0, 0)],
+        counts=(1,),
         wire_tags=(tuple(f"x{p}" for p in range(1, n + 1)), ("node0",)),
     )
 
@@ -284,7 +288,11 @@ def _build_network(
     pos = {w[0]: i for i, w in enumerate(cur)}
     widths = [n]
     wire_tags = [tuple(w[2] for w in cur)]
-    layers: list[tuple[Edge, ...]] = []
+    # the spline table: each spline's index, in order of first use (a
+    # `Spline` hashes by identity)
+    table: dict[Spline, int] = {}
+    triples: list[int] = []        # [src, dst, spline index] of every edge, flat
+    counts: list[int] = []         # edges per layer
 
     def advance(outs: list[_Wire], out_edges, lead: bool = False) -> int:
         # one layer: identity edges for the wires still read later, then the
@@ -292,12 +300,13 @@ def _build_network(
         # forwarded wires, or lead them on the network's output layer.
         # Returns the position of outs[0].
         nonlocal fwd, cur, pos
-        layer = len(layers)
-        fwd = [w for w in fwd if last.get(w[0], 0) > layer]
+        fwd = [w for w in fwd if last.get(w[0], 0) > len(counts)]
         base, offset = (0, len(outs)) if lead else (len(fwd), 0)
-        edges = [Edge(pos[w[0]], offset + i, w[3]) for i, w in enumerate(fwd)]
-        edges += [Edge(src, base + dst, spl) for src, dst, spl in out_edges]
-        layers.append(tuple(edges))
+        for i, w in enumerate(fwd):
+            triples.extend((pos[w[0]], offset + i, table.setdefault(w[3], len(table))))
+        for src, dst, spl in out_edges:
+            triples.extend((src, base + dst, table.setdefault(spl, len(table))))
+        counts.append(len(fwd) + len(out_edges))
         cur = outs + fwd if lead else fwd + outs
         pos = {w[0]: i for i, w in enumerate(cur) if w[0] is not None}
         widths.append(len(cur))
@@ -327,7 +336,8 @@ def _build_network(
         if entry is not schedule[-1]:
             fwd.append((entry.produced, out_range, f"node{nid}", splines.ident(out_range)))
 
-    return KanNetwork(widths=tuple(widths), layers=tuple(layers), wire_tags=tuple(wire_tags))
+    return KanNetwork(widths=tuple(widths), splines=tuple(table), edges=triples, counts=tuple(counts),
+                      wire_tags=tuple(wire_tags))
 
 
 def dead_wire_elimination(net: KanNetwork, outputs: set[int] | None = None) -> KanNetwork:
@@ -345,31 +355,27 @@ def dead_wire_elimination(net: KanNetwork, outputs: set[int] | None = None) -> K
     it goes together with those perfbench lines in a later benchmark change.
     """
     L = net.n_layers
-    keep: list[set[int]] = [set() for _ in range(L + 1)]
-    keep[L] = set(range(net.widths[L])) if outputs is None else set(outputs)
-    if not keep[L]:
+    keep = [np.zeros(w, dtype=bool) for w in net.widths]
+    keep[L][sorted(outputs) if outputs is not None else slice(None)] = True
+    if not keep[L].any():
         raise ValueError("at least one output neuron must be kept")
-    for l in range(L - 1, -1, -1):
-        keep[l] = {e.src for e in net.layers[l] if e.dst in keep[l + 1]}
-    keep[0] = set(range(net.widths[0]))
-    index = [
-        {old: new for new, old in enumerate(sorted(k))}
-        for k in keep
-    ]
-    layers = []
-    for l in range(L):
-        layers.append(
-            tuple(
-                Edge(index[l][e.src], index[l + 1][e.dst], e.spline)
-                for e in net.layers[l]
-                if e.src in keep[l] and e.dst in keep[l + 1]
-            )
-        )
-    widths = tuple(len(k) for k in keep)
-    tags = tuple(
-        tuple(net.wire_tags[m][old] for old in sorted(keep[m])) for m in range(L + 1)
+    keep[0][:] = True
+    layers = np.split(net.edges, np.cumsum(net.counts[:-1]))
+    for l in range(L - 1, 0, -1):
+        src, dst = layers[l][:, 0], layers[l][:, 1]
+        keep[l][src[keep[l + 1][dst]]] = True
+    # the kept edges, renumbered to the kept neurons; the constructor drops
+    # the table entries no kept edge names
+    index = [np.cumsum(k) - 1 for k in keep]
+    kept = [e[keep[l][e[:, 0]] & keep[l + 1][e[:, 1]]] for l, e in enumerate(layers)]
+    edges = [np.column_stack([index[l][e[:, 0]], index[l + 1][e[:, 1]], e[:, 2]]) for l, e in enumerate(kept)]
+    return KanNetwork(
+        widths=tuple(int(k.sum()) for k in keep),
+        splines=net.splines,
+        edges=np.concatenate(edges),
+        counts=tuple(len(e) for e in kept),
+        wire_tags=tuple(tuple(itertools.compress(tags, k.tolist())) for tags, k in zip(net.wire_tags, keep)),
     )
-    return KanNetwork(widths=widths, layers=layers, wire_tags=tags)
 
 
 def _certificate(
@@ -460,12 +466,12 @@ def compile_on_box(
     n = net0.n_inputs
     if len(box.intervals) != n:
         raise CompileError(f"box has {len(box.intervals)} intervals, tree reads {n} coordinates")
-    pre = tuple(
-        Edge(p, p, line_spline(iv.lo, iv.hi, 0.0, 1.0)) for p, iv in enumerate(box.intervals)
-    )
+    # the pre-layer's edge p reads coordinate p through table entry p, ahead of net0's table
     net = KanNetwork(
         widths=(n,) + net0.widths,
-        layers=(pre,) + net0.layers,
+        splines=tuple(line_spline(iv.lo, iv.hi, 0.0, 1.0) for iv in box.intervals) + net0.splines,
+        edges=np.concatenate([np.repeat(np.arange(n), 3).reshape(n, 3), net0.edges + (0, 0, n)]),
+        counts=(n,) + net0.counts,
         wire_tags=(tuple(f"box:x{p}" for p in range(1, n + 1)),) + net0.wire_tags,
     )
     cert = _on_box(replace(cert0, widths=net.widths, net_sha256=_net_hash(net)), box)

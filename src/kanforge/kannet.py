@@ -9,24 +9,27 @@ block-internal wire).
 The layer-wise Lipschitz product multiplies, over transformation layers, the
 maximum outgoing edge Lipschitz constant of any source neuron; it is exact
 because every edge constant is extracted from the spline's derivative
-structure rather than sampled. Each distinct spline's constant is extracted
+structure rather than sampled. Each table entry's constant is extracted
 once, however many edges share it.
 
-Net files (format `kanforge/3`) are one compact JSON object:
+`KanNetwork` holds a network in its net file's form, which the compiler and
+the loader build and the plan, the product and `serialize` read. Net files
+(format `kanforge/3`) are one compact JSON object:
 
     {"format":"kanforge/3","widths":[...],"splines":[...],
      "layers":[[[src,dst,spline],...],...],"wire_tags":[[...],...]}
 
-`splines` holds one `Spline.to_dict()` per distinct `Spline` object, in order
-of first use over the edges in layer order: its constructor fields
-`{"order":k,"knots":[...],"coefs":[...]}`. Each layer lists its edges as
-`[src, dst, spline_index]` triples. A compiled network forwards every live
-value on shared identity wires, so it has far fewer distinct splines than
-edges. Loading builds one `Spline` per table entry, so shared splines come
-back shared, and `serialize(deserialize(text)) == text` for every text
-`serialize` wrote. The document and each table entry hold exactly their
-keys; files of earlier formats, whose entries restated `domain` and
-`grid_points`, are rejected at `$.format`.
+`splines` is the spline table, one `Spline.to_dict()` per entry: its
+constructor fields `{"order":k,"knots":[...],"coefs":[...]}`. Each layer
+lists its edges as `[src, dst, spline_index]` triples. A compiled network
+forwards every live value on shared identity wires, so its table has far
+fewer entries than it has edges. The table is kept in order of first use
+over the edges in layer order, without unused entries, so
+`serialize(deserialize(text)) == text` for every text `serialize` wrote and
+a permuted or padded table re-serializes to that text. Loading builds one
+`Spline` per table entry, so shared splines come back shared. The document
+and each table entry hold exactly their keys; files of earlier formats,
+whose entries restated `domain` and `grid_points`, are rejected at `$.format`.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from . import kernels
 from .spline import Spline, spline_lipschitz
 
 __all__ = [
-    "Edge",
     "KanNetwork",
     "ProductReport",
     "SchemaError",
@@ -61,9 +63,8 @@ _KEYS = frozenset(("format", "widths", "splines", "layers", "wire_tags"))
 
 
 class Edge(NamedTuple):
-    """One spline from neuron `src` of a boundary to neuron `dst` of the next.
-    A named tuple: a wide network has hundreds of edges, built by every
-    compile and every load, and a tuple is the cheapest object to build."""
+    """One edge of the `KanNetwork.layers` view: the spline from neuron `src`
+    of a boundary to neuron `dst` of the next."""
 
     src: int
     dst: int
@@ -72,56 +73,46 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class KanNetwork:
+    """The net file's form. The constructor checks every edge, renumbers the
+    table to first use over the edges and drops unused entries; equal but
+    distinct spline objects stay distinct entries. The triples are read-only."""
+
     widths: tuple[int, ...]
-    layers: tuple[tuple[Edge, ...], ...]
+    splines: tuple[Spline, ...]  # the spline table
+    edges: np.ndarray            # (E, 3) [src, dst, spline index] per edge, in layer order
+    counts: tuple[int, ...]      # edges per layer
     wire_tags: tuple[tuple[str, ...], ...]
-    _edges: kernels.EdgeTable = field(init=False, repr=False, default=None)
     _packed: kernels.NetPlan = field(init=False, repr=False, default=None)
     _json: str = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(self.widths))
-        object.__setattr__(self, "layers", tuple(tuple(edges) for edges in self.layers))
+        widths, splines, counts = tuple(self.widths), tuple(self.splines), tuple(self.counts)
+        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 3)
         object.__setattr__(self, "wire_tags", tuple(tuple(tags) for tags in self.wire_tags))
-        if len(self.widths) < 2:
+        if len(widths) < 2:
             raise ValueError("a network needs at least one transformation layer")
-        if len(self.layers) != len(self.widths) - 1:
+        if len(counts) != len(widths) - 1:
             raise ValueError("layer count must be len(widths) - 1")
-        if len(self.wire_tags) != len(self.widths):
+        if min(counts) < 0 or sum(counts) != len(edges):
+            raise ValueError("counts must split the edges into layers")
+        if len(self.wire_tags) != len(widths):
             raise ValueError("wire_tags must cover every boundary")
-        for m, (w, tags) in enumerate(zip(self.widths, self.wire_tags)):
+        for m, (w, tags) in enumerate(zip(widths, self.wire_tags)):
             if w < 1:
                 raise ValueError(f"widths[{m}] must be >= 1")
             if len(tags) != w:
                 raise ValueError(f"wire_tags[{m}] must have {w} entries")
-        # one pass builds the edge table, whose arrays are checked at once;
-        # only a failing check walks the layers for the message
-        t = kernels.edge_table(self.layers)
-        object.__setattr__(self, "_edges", t)
-        if t.src.size:
-            layer = np.repeat(np.arange(self.n_layers), t.counts)
-            w = np.array(self.widths)
-            # each (layer, src, dst) as one number: neurons counted over all
-            # boundaries. The stable sort is the one the plan's argsort runs;
-            # numpy's default sort loads more code (0.3 MB of peak RSS)
-            off = np.cumsum(w) - w
-            pair = np.sort((off[layer] + t.src) * w.sum() + off[layer + 1] + t.dst, kind="stable")
-            if ((t.src < 0) | (t.src >= w[layer]) | (t.dst < 0) | (t.dst >= w[layer + 1])).any() or \
-                    (pair[1:] == pair[:-1]).any():
-                for l in range(self.n_layers):
-                    self._edge_error(l)
-
-    def _edge_error(self, l: int):
-        """Raise the ValueError of layer l's first invalid edge."""
-        seen = set()
-        for e in self.layers[l]:
-            if not (0 <= e.src < self.widths[l]):
-                raise ValueError(f"layers[{l}] edge source {e.src} out of range")
-            if not (0 <= e.dst < self.widths[l + 1]):
-                raise ValueError(f"layers[{l}] edge target {e.dst} out of range")
-            if (e.src, e.dst) in seen:
-                raise ValueError(f"layers[{l}] duplicate edge ({e.src}, {e.dst})")
-            seen.add((e.src, e.dst))
+        _check_edges(widths, len(splines), edges, counts)
+        # the table in order of first use; unused entries are dropped
+        first = list(dict.fromkeys(edges[:, 2].tolist()))
+        if first != list(range(len(splines))):
+            renumber = np.zeros(len(splines), dtype=np.intp)
+            renumber[first] = np.arange(len(first))
+            edges[:, 2] = renumber[edges[:, 2]]
+            splines = tuple(splines[k] for k in first)
+        edges.flags.writeable = False
+        for name, value in (("widths", widths), ("splines", splines), ("edges", edges), ("counts", counts)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_inputs(self) -> int:
@@ -129,18 +120,50 @@ class KanNetwork:
 
     @property
     def n_layers(self) -> int:
-        return len(self.layers)
+        return len(self.counts)
 
-    def edge_table(self) -> kernels.EdgeTable:
-        """The edges as flat arrays over the distinct splines, built with the
-        network: the net file, the plan and the product read it."""
-        return self._edges
+    @property
+    def layers(self) -> tuple[tuple[Edge, ...], ...]:
+        """Each layer's edges as `Edge` records, built on every access: only
+        the benchmark's trace counters read them, the program reads the
+        arrays."""
+        edges = iter([Edge(s, d, self.splines[k]) for s, d, k in self.edges.tolist()])
+        return tuple(tuple(itertools.islice(edges, n)) for n in self.counts)
 
     def packed(self) -> kernels.NetPlan:
         """The network's forward plan, built on first use and cached."""
         if self._packed is None:
-            object.__setattr__(self, "_packed", kernels.build_plan(self.widths, self.edge_table()))
+            object.__setattr__(self, "_packed", kernels.build_plan(self))
         return self._packed
+
+
+def _check_edges(widths: tuple[int, ...], n_splines: int, edges: np.ndarray, counts: tuple[int, ...]):
+    """Raise the ValueError of the first invalid edge, in layer order: a
+    source, target or spline index out of range, or a (source, target) pair
+    already taken in its layer."""
+    layer = np.repeat(np.arange(len(counts)), counts)
+    w = np.array(widths)
+    src, dst, sid = edges.T
+    bad = (src < 0) | (src >= w[layer]) | (dst < 0) | (dst >= w[layer + 1]) | (sid < 0) | (sid >= n_splines)
+    # each (layer, src, dst) as one number: neurons counted over all
+    # boundaries. The stable sort marks every repeat after the pair's first
+    # edge; numpy's default sort loads more code (0.3 MB of peak RSS)
+    off = np.cumsum(w) - w
+    pair = (off[layer] + src) * w.sum() + off[layer + 1] + dst
+    order = np.argsort(pair, kind="stable")
+    bad[order[1:][pair[order[1:]] == pair[order[:-1]]]] = True
+    if not bad.any():
+        return
+    i = int(np.flatnonzero(bad)[0])
+    l = int(layer[i])
+    s, d, k = edges[i].tolist()
+    if not 0 <= s < widths[l]:
+        raise ValueError(f"layers[{l}] edge source {s} out of range")
+    if not 0 <= d < widths[l + 1]:
+        raise ValueError(f"layers[{l}] edge target {d} out of range")
+    if not 0 <= k < n_splines:
+        raise ValueError(f"layers[{l}] edge spline index {k} out of range")
+    raise ValueError(f"layers[{l}] duplicate edge ({s}, {d})")
 
 
 def forward(net: KanNetwork, x) -> np.ndarray:
@@ -173,12 +196,11 @@ class ProductReport:
 def lipschitz_product(net: KanNetwork) -> ProductReport:
     # m[start[l] + i]: the largest Lipschitz constant on an edge out of neuron
     # i of boundary l; fmax, like a `>` compare, passes over a NaN constant.
-    # Each distinct spline's constant is taken once and scattered to its edges
+    # Each table entry's constant is taken once and scattered to its edges
     start = list(itertools.accumulate(net.widths[:-1], initial=0))
-    t = net.edge_table()
-    lips = np.array([spline_lipschitz(s) for s in t.splines])
+    lips = np.array([spline_lipschitz(s) for s in net.splines])
     m = np.zeros(start[-1])
-    np.fmax.at(m, t.src + np.repeat(start[:-1], t.counts), lips[t.sid])
+    np.fmax.at(m, net.edges[:, 0] + np.repeat(start[:-1], net.counts), lips[net.edges[:, 2]])
     per_layer = np.maximum.reduceat(m, start[:-1]).tolist()
     product = 1.0
     for mu in per_layer:
@@ -244,13 +266,12 @@ def serialize(net: KanNetwork) -> str:
 def _to_json(net: KanNetwork) -> str:
     """One compact `json.dumps` of the network document: the spline table,
     then each layer's `[src, dst, spline_index]` triples."""
-    t = net.edge_table()
-    triples = iter(np.stack([t.src, t.dst, t.sid], axis=1).tolist())
-    layers = [list(itertools.islice(triples, n)) for n in t.counts]
+    triples = iter(net.edges.tolist())
+    layers = [list(itertools.islice(triples, n)) for n in net.counts]
     doc = {
         "format": FORMAT,
         "widths": list(net.widths),
-        "splines": [s.to_dict() for s in t.splines],
+        "splines": [s.to_dict() for s in net.splines],
         "layers": layers,
         "wire_tags": [list(tags) for tags in net.wire_tags],
     }
@@ -299,11 +320,9 @@ def deserialize(text: str) -> KanNetwork:
         "layers must be a list of length len(widths) - 1",
         "$.layers",
     )
-    layers = []
     for l, triples in enumerate(raw_layers):
         _require(isinstance(triples, list), "layer must be a list of [src, dst, spline] triples", f"$.layers[{l}]")
         if not triples:
-            layers.append(())
             continue
         # the whole layer is checked at once; only a failing check walks it
         # triple by triple for the path
@@ -316,7 +335,6 @@ def deserialize(text: str) -> KanNetwork:
             )
         if not ok:
             _layer_error(triples, l, widths, len(splines))
-        layers.append(tuple(map(Edge._make, zip(src, dst, map(splines.__getitem__, idx)))))
     tags = doc.get("wire_tags")
     _require(isinstance(tags, list) and len(tags) == len(widths), "wire_tags must cover every boundary", "$.wire_tags")
     for m, entry in enumerate(tags):
@@ -326,9 +344,13 @@ def deserialize(text: str) -> KanNetwork:
             f"$.wire_tags[{m}]",
         )
     try:
+        # the checked triples of every layer as one array, read in one pass
+        triples = itertools.chain.from_iterable(itertools.chain.from_iterable(raw_layers))
         return KanNetwork(
             widths=tuple(widths),
-            layers=tuple(layers),
+            splines=tuple(splines),
+            edges=np.fromiter(triples, np.intp),
+            counts=tuple(map(len, raw_layers)),
             wire_tags=tuple(tuple(entry) for entry in tags),
         )
     except ValueError as exc:

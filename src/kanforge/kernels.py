@@ -40,17 +40,16 @@ it reads. A row is reused once its value's last reader has run, so the table
 follows the network's width, not its depth. Output neurons keep their rows;
 a forwarded input stays an alias of its input row.
 
-The plan is built per distinct spline, from whole-network arrays. A
-compiled network shares one `Spline` among all edges with the same spline
-(most edges are identity wires), so it has far fewer distinct splines than
-edges. `edge_table` makes one C-level pass per field over the edges, in
-layer order, for source, target and an index into the distinct splines.
-Domain ends, boundary value and slope, and whether a spline is affine are
-read once per distinct spline and gathered to the edges by that index.
+The plan is built per spline table entry, from the network's own arrays:
+the `[src, dst, spline_index]` triples of every edge in layer order, as the
+net file holds them. A compiled network has far fewer table entries than
+edges (most edges are identity wires sharing a few entries). Domain ends,
+boundary value and slope, and whether a spline is affine are read once per
+entry and gathered to the edges by their index.
 Aliases resolve by pointer jumping over all neurons at once; weights,
 biases and per-value domains are filled by one index assignment,
 `np.add.at`, `np.maximum.at` and `np.minimum.at` each. The network has one
-pp table, over its distinct curved splines, whose Taylor rows come from one
+pp table, over its curved table entries, whose Taylor rows come from one
 stacked de Boor pass per (order, grid size); the uniform-grid test also runs
 once per spline. Each step reads a view of the table's coefficients for the
 powers up to K, K the largest order among its edges, and its edges index
@@ -85,7 +84,6 @@ plan is tested against.
 from __future__ import annotations
 
 import itertools
-import operator
 import threading
 from dataclasses import dataclass
 
@@ -94,10 +92,8 @@ import numpy as np
 __all__ = [
     "CHUNK",
     "KMAX",
-    "EdgeTable",
     "NetPlan",
     "Step",
-    "edge_table",
     "build_plan",
     "forward_batch",
     "eval_spline_batch",
@@ -320,50 +316,18 @@ def _run(rows: np.ndarray) -> slice | np.ndarray:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeTable:
-    """A network's edges as flat arrays, in layer order, with their splines
-    as indices into the distinct spline objects."""
-
-    splines: list          # the distinct spline objects, in order of first use
-    sid: np.ndarray        # (E,) each edge's index into `splines`
-    src: np.ndarray        # (E,) source neuron in the layer's input boundary
-    dst: np.ndarray        # (E,) target neuron in the layer's output boundary
-    counts: list[int]      # edges per layer
-
-
-_SPLINE, _SRC, _DST = (operator.attrgetter(name) for name in ("spline", "src", "dst"))
-
-
-def edge_table(layers) -> EdgeTable:
-    """The `EdgeTable` of `layers[l]`, the edges (objects with `src`, `dst`,
-    `spline`) from boundary l to boundary l + 1: one C-level pass per field."""
-    edges = list(itertools.chain.from_iterable(layers))
-    splines = list(map(_SPLINE, edges))
-    ids = list(map(id, splines))
-    first = dict(zip(ids, splines))  # a key keeps the position of its first use
-    pos = dict(zip(first, range(len(first))))
-    E = len(edges)
-    return EdgeTable(
-        splines=list(first.values()),
-        sid=np.fromiter(map(pos.__getitem__, ids), np.intp, E),
-        src=np.fromiter(map(_SRC, edges), np.intp, E),
-        dst=np.fromiter(map(_DST, edges), np.intp, E),
-        counts=[len(e) for e in layers],
-    )
-
-
-def build_plan(widths, edges: EdgeTable) -> NetPlan:
-    """Slot program of a network with boundary `widths` and `edges`."""
-    widths = tuple(int(w) for w in widths)
-    L = len(edges.counts)
-    # spline fields are read once per distinct spline and gathered by its id
-    splines, sid, src, dst = edges.splines, edges.sid, edges.src, edges.dst
+def build_plan(net) -> NetPlan:
+    """Slot program of `net`, a `kannet.KanNetwork`: its boundary widths,
+    spline table, edge triples and edges per layer."""
+    widths, splines, counts = net.widths, net.splines, net.counts
+    L = len(counts)
+    # spline fields are read once per table entry and gathered by its index
+    src, dst, sid = net.edges.T
     per_spline = np.array([s.domain + s._boundary[:2] for s in splines]).reshape(-1, 4)
     lo, hi, fa, sa = per_spline[sid].T
     curved_spline = np.array([s.order != 1 or s.knots.size != 2 for s in splines], dtype=bool)
     affine = ~curved_spline[sid]
-    layer = np.repeat(np.arange(L), edges.counts)
+    layer = np.repeat(np.arange(L), counts)
 
     # neurons numbered across all boundaries; an exact identity that is its
     # target's only edge makes the target an alias of its source

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -59,21 +61,39 @@ def predicted_faithful_widths(tree):
     return tuple(widths)
 
 
+def network(widths, splines, layers, wire_tags=None):
+    """A `KanNetwork` written as a net file writes it: the spline table, then
+    each layer's `(src, dst, spline_index)` triples. `wire_tags` defaults to
+    `n<boundary>.<neuron>`."""
+    from kanforge.kannet import KanNetwork
+
+    if wire_tags is None:
+        wire_tags = tuple(tuple(f"n{m}.{i}" for i in range(w)) for m, w in enumerate(widths))
+    return KanNetwork(
+        widths=tuple(widths),
+        splines=tuple(splines),
+        edges=[t for layer in layers for t in layer],
+        counts=tuple(len(layer) for layer in layers),
+        wire_tags=wire_tags,
+    )
+
+
+def edges_by_layer(net):
+    """Each layer's `(src, dst, spline)` edges of `net`, read from its
+    spline table and triples."""
+    triples = iter(net.edges.tolist())
+    return [[(s, d, net.splines[k]) for s, d, k in itertools.islice(triples, n)] for n in net.counts]
+
+
 def nan_network():
     """A network for x1+x2 whose edges are constants +-1e308: Lipschitz 0,
     but the hidden sums overflow to +-inf and the output is NaN."""
-    from kanforge.kannet import Edge, KanNetwork
     from kanforge.spline import line_spline
 
-    def const(v):
-        return line_spline(0.0, 1.0, v, v)
-
-    return KanNetwork(
-        widths=(2, 2, 1),
-        layers=(
-            (Edge(0, 0, const(1e308)), Edge(1, 0, const(1e308)),
-             Edge(0, 1, const(-1e308)), Edge(1, 1, const(-1e308))),
-            (Edge(0, 0, const(1e308)), Edge(1, 0, const(-1e308))),
-        ),
-        wire_tags=(("x1", "x2"), ("a", "b"), ("out",)),
+    big, neg = line_spline(0.0, 1.0, 1e308, 1e308), line_spline(0.0, 1.0, -1e308, -1e308)
+    return network(
+        (2, 2, 1),
+        (big, neg),
+        [[(0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1)], [(0, 0, 0), (1, 0, 1)]],
+        (("x1", "x2"), ("a", "b"), ("out",)),
     )

@@ -172,6 +172,34 @@ class TestVerifyCommand:
         assert rc == 0
         assert len(calls) == builds
 
+    def test_permuted_table_loads_as_compiled_network(self, tmp_path, monkeypatch):
+        # a file whose spline table is reversed and padded with an unused entry
+        # is the compiled network: loading renumbers the table to first use and
+        # drops the unused entry, so it re-serializes to the compiled text and
+        # verifies against the certificate after one re-serialization
+        from kanforge import kannet
+
+        prefix = tmp_path / "kan"
+        cmd_compile("sin(x1*x2)", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        text = (tmp_path / "kan.net.json").read_text()
+        doc = json.loads(text)
+        n = len(doc["splines"])
+        doc["splines"] = doc["splines"][::-1] + [{"order": 1, "knots": [0.0, 1.0], "coefs": [0.0, 2.0]}]
+        for layer in doc["layers"]:
+            for triple in layer:
+                triple[2] = n - 1 - triple[2]
+        net_path = tmp_path / "permuted.net.json"
+        net_path.write_text(json.dumps(doc, separators=(",", ":")))
+        assert net_path.read_text() != text
+        assert serialize(kannet.deserialize(net_path.read_text())) == text
+        calls = []
+        real = kannet._to_json
+        monkeypatch.setattr(kannet, "_to_json", lambda net: calls.append(net) or real(net))
+        rc = cmd_verify(str(net_path), "sin(x1*x2)", FAST, cert_path=str(prefix) + ".cert.json",
+                        fmt="json", stream=io.StringIO())
+        assert rc == 0
+        assert len(calls) == 1
+
     def test_tampered_net_with_cert_is_hash_mismatch(self, tmp_path):
         prefix = tmp_path / "kan"
         cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())

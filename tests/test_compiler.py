@@ -22,7 +22,7 @@ from kanforge.compiler import (
     measured_sup_error,
 )
 from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_expression, render, tree_stats
-from kanforge.kannet import Edge, KanNetwork, deserialize, forward, forward_batch, lipschitz_product, serialize
+from kanforge.kannet import KanNetwork, deserialize, forward, forward_batch, lipschitz_product, serialize
 from kanforge.kernels import CHUNK
 from kanforge.primblocks import EdgeSplines, build_block
 from kanforge.rangecert import Interval, affine_box, annotate_ranges, apply_affine, verify_ranges_numerically
@@ -34,6 +34,13 @@ from test_bytes_guard import GROUPS, _chain
 
 CFG = CompileConfig(grid=35)
 CFG_FAITHFUL = CompileConfig(grid=35, faithful_widths=True)
+
+
+def _with_spline(net, i, spl):
+    """`net` with edge i (in layer order) reading `spl`, a new table entry."""
+    edges = net.edges.copy()
+    edges[i, 2] = len(net.splines)
+    return KanNetwork(net.widths, net.splines + (spl,), edges, net.counts, net.wire_tags)
 
 
 class TestCompileExamples:
@@ -201,11 +208,8 @@ class TestCertify:
     def test_tampered_network_fails_naming_inequality(self):
         tree = parse_expression("x1*x2")
         net, _ = compile_tree(tree, CFG)
-        doubled = KanNetwork(
-            widths=net.widths,
-            layers=((Edge(0, 0, line_spline(0, 1, 0, 2)),) + net.layers[0][1:],) + net.layers[1:],
-            wire_tags=net.wire_tags,
-        )
+        assert net.edges[0, :2].tolist() == [0, 0]
+        doubled = _with_spline(net, 0, line_spline(0, 1, 0, 2))
         with pytest.raises(CertificationError, match="P <= p_bound"):
             certify(tree, doubled, CFG, samples=100, seed=6)
 
@@ -259,10 +263,10 @@ class TestCertifyRecomputeAndCheck:
     def test_failed_error_check_carries_measurement(self):
         tree = parse_expression("x1+x2")
         net, cert = compile_tree(tree, CFG)
-        edge = net.layers[-1][0]
-        (a, b), (va, vb) = edge.spline.domain, edge.spline.coefs
-        shifted = Edge(edge.src, edge.dst, line_spline(a, b, va + 1.0, vb + 1.0))
-        other = KanNetwork(net.widths, net.layers[:-1] + ((shifted,) + net.layers[-1][1:],), net.wire_tags)
+        i = sum(net.counts[:-1])  # the last layer's first edge
+        spl = net.splines[net.edges[i, 2]]
+        (a, b), (va, vb) = spl.domain, spl.coefs
+        other = _with_spline(net, i, line_spline(a, b, va + 1.0, vb + 1.0))
         report = check_certificate(tree, other, cert, 500, 3)
         row = report.failure
         assert row is report.rows[-1] and row.name.startswith("sup error")
@@ -331,8 +335,7 @@ class TestIdentityWires:
 
     def test_wires_are_shared_across_layers(self):
         net, _ = compile_tree(parse_expression("x1*x2*x3*x4"), CFG_FAITHFUL)
-        splines = [e.spline for edges in net.layers for e in edges]
-        assert len({id(s) for s in splines}) < len(splines)
+        assert len({id(s) for s in net.splines}) == len(net.splines) < len(net.edges)
 
     def test_built_edges_share_with_lines(self):
         # relu on [0, 1] is the identity line's document, a 3-knot hinge is not
@@ -351,8 +354,7 @@ class TestIdentityWires:
     def test_no_spline_outlives_its_compile(self):
         tree = parse_expression("sin(x1*x2)+x1*x2")
         first, second = (compile_tree(tree, CFG)[0] for _ in range(2))
-        ids = {id(e.spline) for edges in first.layers for e in edges}
-        assert not ids & {id(e.spline) for edges in second.layers for e in edges}
+        assert not set(map(id, first.splines)) & set(map(id, second.splines))
         assert serialize(first) == serialize(second)
 
 
@@ -366,8 +368,7 @@ class TestSplineSharing:
         for tree in trees:
             for cfg in (CFG, CFG_FAITHFUL):
                 net, _ = compile_tree(tree, cfg)
-                splines = {id(e.spline): e.spline for edges in net.layers for e in edges}.values()
-                assert len(splines) == len({_doc_key(s) for s in splines}), render(tree)
+                assert len(net.splines) == len({_doc_key(s) for s in net.splines}), render(tree)
 
 
 def _pruned_faithful(tree):
@@ -582,7 +583,8 @@ def test_certificate_json_round_trip():
     assert Certificate.from_json(box_cert.to_json()) == box_cert
     # over every bytes-guard input both files load back equal, and each key
     # at every level is a field of its dataclass under its own name (a net's
-    # `format` and `splines` table aside), so the names cannot drift apart
+    # `format` aside, and its `layers`: the `edges` triples cut by `counts`),
+    # so the names cannot drift apart
     for name, make in GROUPS.items():
         for net, cert in make():
             text = cert.to_json()
@@ -594,5 +596,5 @@ def test_certificate_json_round_trip():
             net_text = serialize(net)
             assert serialize(deserialize(net_text)) == net_text, name
             doc = json.loads(net_text)
-            assert doc.keys() == _keys(KanNetwork) | {"format", "splines"}
+            assert doc.keys() == _keys(KanNetwork) - {"edges", "counts"} | {"format", "layers"}
             assert all(sp.keys() == _keys(Spline) for sp in doc["splines"])

@@ -9,7 +9,6 @@ from kanforge.cli import random_tree
 from kanforge.compiler import CompileConfig, compile_on_box, compile_tree
 from kanforge.exprtree import parse_expression, tree_stats
 from kanforge.kannet import (
-    Edge,
     KanNetwork,
     SchemaError,
     deserialize,
@@ -23,16 +22,14 @@ from kanforge.kannet import (
 from kanforge.rangecert import affine_box
 from kanforge.spline import Spline, line_spline, spline_lipschitz
 
+from conftest import edges_by_layer, network
+
 CFG = CompileConfig(grid=35)
 CFG_FAITHFUL = CompileConfig(grid=35, faithful_widths=True)
 
 
 def _single_edge_net(spl, n=1):
-    return KanNetwork(
-        widths=(n, 1),
-        layers=((Edge(0, 0, spl),),),
-        wire_tags=(tuple(f"x{p}" for p in range(1, n + 1)), ("node0",)),
-    )
+    return network((n, 1), (spl,), [[(0, 0, 0)]], (tuple(f"x{p}" for p in range(1, n + 1)), ("node0",)))
 
 
 class TestForward:
@@ -64,10 +61,10 @@ class TestForward:
 def _deboor_forward(net, X):
     """Reference forward: every edge through its own de Boor evaluation."""
     cur = np.asarray(X, dtype=np.float64)
-    for l, edges in enumerate(net.layers):
+    for l, edges in enumerate(edges_by_layer(net)):
         nxt = np.zeros((cur.shape[0], net.widths[l + 1]))
-        for e in edges:
-            nxt[:, e.dst] += e.spline.eval_batch(cur[:, e.src])
+        for src, dst, spl in edges:
+            nxt[:, dst] += spl.eval_batch(cur[:, src])
         cur = nxt
     return cur
 
@@ -134,30 +131,29 @@ class TestPlanForward:
     def test_every_order_against_scipy(self, rng):
         BSpline = pytest.importorskip("scipy.interpolate").BSpline
         hinge = np.array([-0.3, 0.0, 0.9])
-        edges = [
-            Edge(0, 0, Spline(0, np.array([-1.0, -0.2, 0.5, 2.0]), rng.normal(size=3))),
-            Edge(0, 1, Spline(1, hinge, np.array([0.0, 0.0, 0.9]))),
-            Edge(0, 2, Spline(2, np.linspace(0.0, 1.0, 5), rng.normal(size=6))),
-            Edge(1, 2, Spline(3, np.array([-0.5, 0.1, 0.2, 0.7, 1.5]), rng.normal(size=7))),
-            Edge(1, 3, line_spline(0.25, 0.75, 1.0, -2.0)),
-            Edge(1, 0, Spline(3, np.linspace(-0.2, 1.2, 9), rng.normal(size=11))),
+        splines = [
+            Spline(0, np.array([-1.0, -0.2, 0.5, 2.0]), rng.normal(size=3)),
+            Spline(1, hinge, np.array([0.0, 0.0, 0.9])),
+            Spline(2, np.linspace(0.0, 1.0, 5), rng.normal(size=6)),
+            Spline(3, np.array([-0.5, 0.1, 0.2, 0.7, 1.5]), rng.normal(size=7)),
+            line_spline(0.25, 0.75, 1.0, -2.0),
+            Spline(3, np.linspace(-0.2, 1.2, 9), rng.normal(size=11)),
             # a fine non-uniform grid: ten inner knots, each counted in place
-            Edge(0, 3, Spline(2, np.sort(rng.uniform(-0.8, 2.2, size=12)), rng.normal(size=13))),
+            Spline(2, np.sort(rng.uniform(-0.8, 2.2, size=12)), rng.normal(size=13)),
         ]
-        net = KanNetwork(widths=(2, 4), layers=(tuple(edges),),
-                         wire_tags=(("x1", "x2"), tuple(f"node{j}" for j in range(4))))
+        triples = [(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 2, 3), (1, 3, 4), (1, 0, 5), (0, 3, 6)]
+        net = network((2, 4), splines, [triples], (("x1", "x2"), tuple(f"node{j}" for j in range(4))))
         X = rng.uniform(-1.5, 2.5, size=(3000, 2))
         # every knot of every edge, hit exactly
-        knots = np.concatenate([e.spline.knots for e in edges])
+        knots = np.concatenate([s.knots for s in splines])
         X = np.vstack([X, np.column_stack([knots, knots])])
         got, got_oob = _oob_of(forward_batch, net, X)
         ref, ref_oob = _oob_of(_deboor_forward, net, X)
         assert got_oob == ref_oob > 0
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
-        for e in edges:
-            s = e.spline
+        for (src, _, _), s in zip(triples, splines):
             a, b = s.domain
-            t = X[:, e.src]
+            t = X[:, src]
             inside = (t >= a) & (t <= b)
             mine = forward_batch(_single_edge_net(s), t[inside, None])[:, 0]
             want = BSpline(s._T, s.coefs, s.order)(t[inside])
@@ -165,39 +161,38 @@ class TestPlanForward:
             np.testing.assert_allclose(mine, want, rtol=0, atol=1e-12)
 
     @staticmethod
-    def _hand_built_layers(rng):
-        wire = line_spline(-1.0, 2.0, -1.0, 2.0)
-        neg = line_spline(-1.0, 2.0, 1.0, -2.0)
-        quad = Spline(2, np.linspace(-1.0, 2.0, 4), rng.normal(size=5))
-        cubic = Spline(3, np.array([-0.5, 0.1, 0.2, 0.7, 1.5]), rng.normal(size=7))
-        trig = spline.pl_interpolant(math.sin, 0.25, 1.5, 9)
-        return [
+    def _hand_built_table(rng):
+        """The spline table and each layer's triples of a hand-built network."""
+        wire, neg, quad, cubic, trig = range(5)
+        table = [
+            line_spline(-1.0, 2.0, -1.0, 2.0),
+            line_spline(-1.0, 2.0, 1.0, -2.0),
+            Spline(2, np.linspace(-1.0, 2.0, 4), rng.normal(size=5)),
+            Spline(3, np.array([-0.5, 0.1, 0.2, 0.7, 1.5]), rng.normal(size=7)),
+            spline.pl_interpolant(math.sin, 0.25, 1.5, 9),
+            line_spline(0.0, 1.0, 0.5, 3.0),
+            line_spline(-0.5, 0.5, 1.0, 0.0),
+            line_spline(-3.0, 3.0, 0.0, 1.5),
+        ]
+        return table, [
             # mixed; three affine edges into target 0; source 0 feeds the
             # domains [-1, 2] (twice) and [-0.5, 0.5]
-            (Edge(0, 0, wire), Edge(1, 0, neg), Edge(2, 0, line_spline(0.0, 1.0, 0.5, 3.0)),
-             Edge(0, 1, quad), Edge(0, 2, line_spline(-0.5, 0.5, 1.0, 0.0)),
-             Edge(1, 3, cubic), Edge(2, 3, wire)),
+            [(0, 0, wire), (1, 0, neg), (2, 0, 5), (0, 1, quad), (0, 2, 6), (1, 3, cubic), (2, 3, wire)],
             # affine only, sharing `wire` across edges and with layer 0
-            (Edge(0, 0, wire), Edge(1, 0, wire), Edge(2, 1, neg),
-             Edge(3, 2, line_spline(-3.0, 3.0, 0.0, 1.5)), Edge(3, 0, neg)),
+            [(0, 0, wire), (1, 0, wire), (2, 1, neg), (3, 2, 7), (3, 0, neg)],
             # curved only, sharing `quad` and `cubic` with layer 0
-            (Edge(0, 0, quad), Edge(1, 0, trig), Edge(2, 1, cubic), Edge(0, 1, trig)),
+            [(0, 0, quad), (1, 0, trig), (2, 1, cubic), (0, 1, trig)],
             # mixed
-            (Edge(0, 0, wire), Edge(1, 0, quad)),
+            [(0, 0, wire), (1, 0, quad)],
         ]
 
-    @staticmethod
-    def _network(layers, widths):
-        return KanNetwork(widths=widths, layers=layers,
-                          wire_tags=tuple(tuple(f"n{m}.{i}" for i in range(w)) for m, w in enumerate(widths)))
-
     def test_hand_built_network(self, rng):
-        layers = self._hand_built_layers(rng)
+        table, layers = self._hand_built_table(rng)
         nets = [
-            self._network(layers, (3, 4, 3, 2, 1)),
+            network((3, 4, 3, 2, 1), table, layers),
             # an edgeless layer: everything after it sees zeros, where `trig`
             # is below its domain
-            self._network(layers[:2] + [()] + layers[2:], (3, 4, 3, 3, 2, 1)),
+            network((3, 4, 3, 3, 2, 1), table, layers[:2] + [[]] + layers[2:]),
         ]
         X = np.vstack([rng.uniform(-1.5, 2.5, size=(3000, 3)), rng.uniform(0.0, 0.5, size=(500, 3))])
         for net in nets:
@@ -206,7 +201,8 @@ class TestPlanForward:
             assert got_oob == ref_oob > 0
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
             rep = lipschitz_product(net)
-            per_edge = [max((spline_lipschitz(e.spline) for e in edges), default=0.0) for edges in net.layers]
+            per_edge = [max((spline_lipschitz(spl) for _, _, spl in edges), default=0.0)
+                        for edges in edges_by_layer(net)]
             assert rep.per_layer == tuple(per_edge)
             assert rep.product == math.prod(per_edge)
 
@@ -217,7 +213,7 @@ class TestPlanForward:
         assert empty.weight is None and empty.pp_dst == () and not empty.bias.any()
         assert curved_only.weight is None and curved_only.pp_dst == (0, 0, 1, 1)
         # the affine edges into target 0 add their intercepts in edge order
-        intercepts = [e.spline._boundary[0] - e.spline._boundary[1] * e.spline.domain[0] for e in layers[0][:3]]
+        intercepts = [table[k]._boundary[0] - table[k]._boundary[1] * table[k].domain[0] for _, _, k in layers[0][:3]]
         assert mixed.bias[0, 0] == (intercepts[0] + intercepts[1]) + intercepts[2]
         assert mixed.weight[0].tolist() == [1.0, -1.0, 2.5]
         # each value is checked against the tightest domain of its readers:
@@ -257,12 +253,11 @@ class TestPlanForward:
         # the plan's pp table holds G+1 rows per distinct curved spline, not
         # per curved edge, and every step reads a view of it
         net, _ = compile_tree(parse_expression(self._chain(28)), CFG)
-        edges = [e for layer in net.layers for e in layer]
-        curved = {id(e.spline): e.spline for e in edges if not (e.spline.order == 1 and e.spline.knots.size == 2)}
+        curved = [s for s in net.splines if not (s.order == 1 and s.knots.size == 2)]
         pp_steps = [st for st in net.packed().steps if st.pp_dst]
         assert sum(len(st.pp_dst) for st in pp_steps) > len(curved) > 1
         base = pp_steps[0].pp_coef.base
-        assert base.shape == (1 + max(s.order for s in curved.values()), sum(s.knots.size + 1 for s in curved.values()))
+        assert base.shape == (1 + max(s.order for s in curved), sum(s.knots.size + 1 for s in curved))
         for st in pp_steps:
             assert st.pp_coef.base is base and st.pp_left is pp_steps[0].pp_left
             assert st.pp_coef.shape[1] == base.shape[1]
@@ -298,8 +293,8 @@ class TestLipschitzProduct:
     def test_identity_wire_floor_in_faithful_nets(self):
         for expr in ("x1*x2", "sin(x1*x2)", "sin(x1)", "relu(x1-x2)*cos(x3)"):
             net, _ = compile_tree(parse_expression(expr), CFG_FAITHFUL)
-            for edges in net.layers:
-                assert any(spline_lipschitz(e.spline) == 1.0 for e in edges)
+            for edges in edges_by_layer(net):
+                assert any(spline_lipschitz(spl) == 1.0 for _, _, spl in edges)
             assert lipschitz_product(net).product == 1.0
 
 
@@ -420,14 +415,14 @@ class TestSerialization:
     def _reference_text(net):
         # the table in order of first use over the edges in layer order
         index = {}
-        for layer in net.layers:
-            for e in layer:
-                index.setdefault(id(e.spline), (len(index), e.spline))
+        for layer in edges_by_layer(net):
+            for _, _, spl in layer:
+                index.setdefault(id(spl), (len(index), spl))
         doc = {
             "format": "kanforge/3",
             "widths": list(net.widths),
             "splines": [s.to_dict() for _, s in index.values()],
-            "layers": [[[e.src, e.dst, index[id(e.spline)][0]] for e in layer] for layer in net.layers],
+            "layers": [[[src, dst, index[id(spl)][0]] for src, dst, spl in layer] for layer in edges_by_layer(net)],
             "wire_tags": [list(tags) for tags in net.wire_tags],
         }
         return json.dumps(doc, separators=(",", ":"))
@@ -437,11 +432,10 @@ class TestSerialization:
         nets.append(compile_on_box(parse_expression("x1*x2"), affine_box([(-1, 0), (0, 2)]), CFG)[0])
         # an edgeless layer, a shared spline, an equal but distinct one, and
         # tags that need escaping
-        wire = line_spline(-0.0, 1.0, -0.0, 1.0)
-        nets.append(KanNetwork(
-            widths=(3, 3, 1),
-            layers=((Edge(0, 0, wire), Edge(1, 1, wire), Edge(2, 2, line_spline(-0.0, 1.0, -0.0, 1.0))), ()),
-            wire_tags=(("x\u00e9", 'q"\\', "x3"), ("a\nb", "\u2603", "c"), ("out",)),
+        wire, equal = line_spline(-0.0, 1.0, -0.0, 1.0), line_spline(-0.0, 1.0, -0.0, 1.0)
+        nets.append(network(
+            (3, 3, 1), (wire, equal), [[(0, 0, 0), (1, 1, 0), (2, 2, 1)], []],
+            (("x\u00e9", 'q"\\', "x3"), ("a\nb", "\u2603", "c"), ("out",)),
         ))
         for net in nets:
             assert serialize(net) == self._reference_text(net)
@@ -451,9 +445,9 @@ class TestSerialization:
         # signed zeros, subnormals and extreme exponents keep their repr
         spl = Spline(2, np.array([-0.0, 5e-324, 1e-300, 0.1, 1e300]),
                      np.array([0.0, -0.0, 2.5e-8, 1 / 3, -1e22, 123456789.125]))
-        net = KanNetwork(widths=(1, 1), layers=((Edge(0, 0, spl),),), wire_tags=(("x1",), ("node0",)))
+        net = _single_edge_net(spl)
         assert serialize(net) == self._reference_text(net)
-        back = deserialize(serialize(net)).layers[0][0].spline
+        (back,) = deserialize(serialize(net)).splines
         assert back.knots.tobytes() == spl.knots.tobytes() and back.coefs.tobytes() == spl.coefs.tobytes()
 
     def test_shared_splines_come_back_shared(self, rng):
@@ -463,30 +457,29 @@ class TestSerialization:
             text = serialize(net)
             doc = json.loads(text)
             net2 = deserialize(text)
-            edges = [e for layer in net.layers for e in layer]
-            edges2 = [e for layer in net2.layers for e in layer]
+            edges = [e for layer in edges_by_layer(net) for e in layer]
+            edges2 = [e for layer in edges_by_layer(net2) for e in layer]
             # one Spline per table entry: edges naming one entry share it
             by_entry = {}
-            for (_, _, k), e2 in zip((t for layer in doc["layers"] for t in layer), edges2):
-                assert by_entry.setdefault(k, e2.spline) is e2.spline
-            assert len({id(e.spline) for e in edges2}) == len(by_entry) == len(doc["splines"])
+            for (_, _, k), (_, _, spl2) in zip((t for layer in doc["layers"] for t in layer), edges2):
+                assert by_entry.setdefault(k, spl2) is spl2
+            assert len({id(spl2) for _, _, spl2 in edges2}) == len(by_entry) == len(doc["splines"])
             # a spline shared by edges of the compiled net is one table entry
             first = {}
-            for e, e2 in zip(edges, edges2):
-                assert first.setdefault(id(e.spline), e2.spline) is e2.spline
-            assert serialize(KanNetwork(net2.widths, net2.layers, net2.wire_tags)) == text
+            for (_, _, spl), (_, _, spl2) in zip(edges, edges2):
+                assert first.setdefault(id(spl), spl2) is spl2
+            assert serialize(KanNetwork(net2.widths, net2.splines, net2.edges, net2.counts, net2.wire_tags)) == text
         # the faithful chain forwards its inputs through shared identity wires
         doc = json.loads(serialize(nets[0]))
         assert len(doc["splines"]) < sum(len(layer) for layer in doc["layers"])
 
     def test_signed_zero_wires_stay_apart_after_loading(self):
         neg, pos = line_spline(-0.0, 1.0, -0.0, 1.0), line_spline(0.0, 1.0, 0.0, 1.0)
-        net = KanNetwork(widths=(2, 2), layers=((Edge(0, 0, neg), Edge(1, 1, pos)),),
-                         wire_tags=(("x1", "x2"), ("a", "b")))
+        net = network((2, 2), (neg, pos), [[(0, 0, 0), (1, 1, 1)]], (("x1", "x2"), ("a", "b")))
         net2 = deserialize(serialize(net))
-        a, b = (e.spline for e in net2.layers[0])
+        a, b = net2.splines
         assert a is not b
-        assert serialize(KanNetwork(net2.widths, net2.layers, net2.wire_tags)) == serialize(net)
+        assert serialize(KanNetwork(net2.widths, net2.splines, net2.edges, net2.counts, net2.wire_tags)) == serialize(net)
 
     def test_format_version_pinned(self):
         net, _ = compile_tree(parse_expression("x1"), CFG)
@@ -621,16 +614,11 @@ def _first_edge_error(widths, layers):
 class TestNetworkInvariants:
     def test_edge_indices_validated(self):
         with pytest.raises(ValueError):
-            KanNetwork(
-                widths=(1, 1),
-                layers=((Edge(1, 0, line_spline(0, 1, 0, 1)),),),
-                wire_tags=(("x1",), ("node0",)),
-            )
+            network((1, 1), (line_spline(0, 1, 0, 1),), [[(1, 0, 0)]])
 
     def test_duplicate_edges_rejected(self):
-        e = Edge(0, 0, line_spline(0, 1, 0, 1))
         with pytest.raises(ValueError):
-            KanNetwork(widths=(1, 1), layers=((e, e),), wire_tags=(("x1",), ("node0",)))
+            network((1, 1), (line_spline(0, 1, 0, 1),), [[(0, 0, 0), (0, 0, 0)]])
 
     def test_edge_checks_match_per_edge_oracle(self, rng):
         # the constructor checks all edges at once as arrays; it must accept
@@ -641,25 +629,46 @@ class TestNetworkInvariants:
         for _ in range(300):
             widths = tuple(int(w) for w in rng.integers(1, 4, size=int(rng.integers(2, 5))))
             layers = tuple(
-                tuple(Edge(int(rng.integers(-1, widths[l] + 1)), int(rng.integers(-1, widths[l + 1] + 1)), s)
+                tuple((int(rng.integers(-1, widths[l] + 1)), int(rng.integers(-1, widths[l + 1] + 1)), 0)
                       for _ in range(int(rng.integers(0, 4))))
                 for l in range(len(widths) - 1)
             )
             tags = tuple(("t",) * w for w in widths)
             want = _first_edge_error(widths, layers)
             if want is None:
-                KanNetwork(widths=widths, layers=layers, wire_tags=tags)
+                network(widths, (s,), layers, tags)
             else:
                 rejected += 1
                 with pytest.raises(ValueError) as exc:
-                    KanNetwork(widths=widths, layers=layers, wire_tags=tags)
+                    network(widths, (s,), layers, tags)
                 assert str(exc.value) == want
         assert 0 < rejected < 300
 
+    def test_spline_index_validated(self):
+        s = line_spline(0, 1, 0, 1)
+        for k in (-1, 1):
+            with pytest.raises(ValueError, match=rf"^layers\[1\] edge spline index {k} out of range$"):
+                network((1, 1, 1), (s,), [[(0, 0, 0)], [(0, 0, k)]])
+
+    def test_counts_split_the_edges(self):
+        s = line_spline(0, 1, 0, 1)
+        for counts in ((2,), (0,), (2, -1)):
+            with pytest.raises(ValueError):
+                KanNetwork(widths=(1,) * (len(counts) + 1), splines=(s,), edges=[(0, 0, 0)], counts=counts,
+                           wire_tags=(("x1",),) * (len(counts) + 1))
+
+    def test_table_renumbered_to_first_use(self):
+        # a permuted table with an unused entry is the table in order of first
+        # use; equal but distinct splines stay apart, and the triples are read-only
+        a, b, unused = line_spline(0, 1, 0, 1), line_spline(0, 1, 0, 1), line_spline(0, 1, 0, 2)
+        net = network((2, 2, 1), (unused, b, a), [[(0, 0, 2), (1, 1, 1), (0, 1, 2)], [(1, 0, 1)]])
+        assert net.splines[0] is a and net.splines[1] is b and len(net.splines) == 2
+        assert net.edges.tolist() == [[0, 0, 0], [1, 1, 1], [0, 1, 0], [1, 0, 1]]
+        assert serialize(net) == serialize(network((2, 2, 1), (a, b), [[(0, 0, 0), (1, 1, 1), (0, 1, 0)], [(1, 0, 1)]]))
+        with pytest.raises(ValueError):
+            net.edges[0, 0] = 1
+        assert network((1, 1), (a,), [[]]).splines == ()
+
     def test_wire_tag_arity_checked(self):
         with pytest.raises(ValueError):
-            KanNetwork(
-                widths=(1, 1),
-                layers=((Edge(0, 0, line_spline(0, 1, 0, 1)),),),
-                wire_tags=(("x1", "x2"), ("node0",)),
-            )
+            network((1, 1), (line_spline(0, 1, 0, 1),), [[(0, 0, 0)]], (("x1", "x2"), ("node0",)))

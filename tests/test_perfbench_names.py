@@ -8,10 +8,17 @@ in the package would otherwise surface only as a crash of `perfbench/run.py`.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from kanforge import cli, compiler, kannet  # noqa: F401  (cli holds a span target)
+from kanforge.compiler import CompileConfig, compile_tree
+from kanforge.exprtree import parse_expression
+from kanforge.kannet import serialize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,3 +53,29 @@ def test_run_reads_name(name):
 @pytest.mark.parametrize("name", ["check", "workloads"])
 def test_module_imports_resolve(name):
     _load(name)
+
+
+def test_trace_counters_read_every_edge():
+    # under --trace 1 the counter hooks walk `net.layers`: the forward's edge
+    # evaluations and dead-wire elimination's edge counts must cover every
+    # [src, dst, spline] triple of the net files. The tracer wraps module
+    # attributes, so the calls go through the modules
+    def triples(net):
+        return sum(map(len, json.loads(serialize(net))["layers"]))
+
+    tree = parse_expression("sin((x1+x2)*x3)")
+    net, _ = compile_tree(tree, CompileConfig())
+    faithful, _ = compile_tree(tree, CompileConfig(faithful_widths=True))
+    X = np.random.default_rng(0).uniform(0.0, 1.0, size=(7, 3))
+    tracer = _load("spans").Tracer()
+    tracer.install()
+    try:
+        kannet.forward_batch(net, X)
+        compiler.dead_wire_elimination(faithful, outputs={0})
+    finally:
+        tracer.uninstall()
+    c = tracer.counters
+    assert c["kernels.edge_evals"] == 7 * triples(net)
+    assert sum(c[f"kernels.edges.{cls}"] for cls in ("affine2", "quad", "trig_pl", "pwl")) == 7 * triples(net)
+    assert c["compiler.dead_wire_elimination.edges_in"] == triples(faithful)
+    assert c["compiler.dead_wire_elimination.edges_out"] == triples(net) < triples(faithful)
