@@ -2,12 +2,19 @@
 
 Times packed-network forward passes on compiled networks of increasing size:
 the slot program (`kernels.forward_batch`: identity wires are aliases, each
-layer evaluates only its other edges, affine ones as one small matmul and
-curved ones in pp form) against a reference that evaluates every edge with
-its own de Boor call. Building the program (`kernels.build_plan`, which a
-network runs once and caches) is timed on its own and reported next to the
-forward it serves, with the network's edge and spline table counts. Also times de Boor batch evaluation of a single spline
-(`Spline.eval_batch`). Run from the repo root:
+layer evaluates only its other edges, affine ones as one small matmul,
+one-knot ones by Horner plus a truncated power, and the other curved ones
+in pp form) against a reference that evaluates every edge with its own de
+Boor call. Building the program (`kernels.build_plan`, which a network runs
+once and caches) is timed on its own and reported next to the forward it
+serves, with the network's edge and spline table counts. A second row per
+network splits the forward by edge class: each class's edge count and the
+time spent in its kernel (`_affine_forward`, `_one_knot_forward`,
+`_pp_forward`), best of the repeats; the rest of the forward is the
+out-of-domain checks and the chunk loop. Affine edges include the identity
+wires, which cost nothing when they are their target's only edge. Also
+times de Boor batch evaluation of a single spline (`Spline.eval_batch`).
+Run from the repo root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [npoints]
 """
@@ -32,6 +39,10 @@ CASES = [
 ]
 
 
+# each edge class and the kernel that evaluates it in `forward_batch`
+KERNELS = {"affine": "_affine_forward", "one-knot": "_one_knot_forward", "pp": "_pp_forward"}
+
+
 def _time(fn, repeats=5):
     best = float("inf")
     for _ in range(repeats):
@@ -51,6 +62,45 @@ def deboor_forward(net, X):
             nxt[:, dst] += net.splines[k].eval_batch(cur[:, src])
         cur = nxt
     return cur
+
+
+def class_mix(net) -> dict[str, int]:
+    """Edges per class: the one-knot and pp edges of the plan's steps, and
+    the rest affine."""
+    steps = net.packed().steps
+    mix = {
+        "one-knot": sum(len(st.one_knot.dst) for st in steps if st.one_knot is not None),
+        "pp": sum(len(st.pp.dst) for st in steps if st.pp is not None),
+    }
+    return {"affine": len(net.edges) - sum(mix.values()), **mix}
+
+
+def time_by_class(plan, X, repeats=5) -> dict[str, float]:
+    """Seconds spent in each class's kernel during `forward_batch(plan, X)`,
+    the best of `repeats` forwards per class."""
+    spent = dict.fromkeys(KERNELS, 0.0)
+    best = dict.fromkeys(KERNELS, float("inf"))
+    originals = {cls: getattr(kernels, name) for cls, name in KERNELS.items()}
+
+    def timed(cls, kernel):
+        def run(*args):
+            t0 = time.perf_counter()
+            kernel(*args)
+            spent[cls] += time.perf_counter() - t0
+        return run
+
+    try:
+        for cls, name in KERNELS.items():
+            setattr(kernels, name, timed(cls, originals[cls]))
+        for _ in range(repeats):
+            spent.update(dict.fromkeys(KERNELS, 0.0))
+            kernels.forward_batch(plan, X)
+            for cls in best:
+                best[cls] = min(best[cls], spent[cls])
+    finally:
+        for cls, name in KERNELS.items():
+            setattr(kernels, name, originals[cls])
+    return best
 
 
 def main(npoints: int) -> None:
@@ -75,6 +125,9 @@ def main(npoints: int) -> None:
             f"  build: {t_build * 1e3:7.2f} ms  plan: {t_plan * 1e3:8.2f} ms"
             f"  de Boor per edge: {t_ref * 1e3:8.2f} ms  speedup: {t_ref / t_plan:5.1f}x"
         )
+        mix, by_class = class_mix(net), time_by_class(plan, X)
+        print(f"  {'':24s} by class:" + "".join(
+            f"  {cls} {mix[cls]:4d} edges {by_class[cls] * 1e3:8.2f} ms" for cls in KERNELS))
 
 
 if __name__ == "__main__":

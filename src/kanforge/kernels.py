@@ -22,17 +22,31 @@ layer's non-identity edges:
   gathered) and runs one matmul, then adds the bias, whose intercepts are
   summed in edge order. The slope is `(c1 - c0)/(b - a)`, the
   spline's derivative bit for bit, so negation wires stay exact;
-- every other edge reads its spline's rows of the network's padded
-  piecewise-polynomial (pp) table: one row per segment holding the Taylor
-  coefficients at the segment's left knot (de Boor, A Practical Guide to
-  Splines, ch. VII), framed by one row per side holding the boundary value
-  and slope of the linear continuation outside the domain. Rows are
-  evaluated by Horner's rule and added into their targets in edge order.
+- curved edges take one of two paths, chosen once per spline table entry:
+  - one-knot edges, of order >= 1 with at most one inner knot m: the
+    compiler's quarter-squares (order 2 on 3 knots, `t^2/4` on both sides
+    of the midpoint) and relu/abs hinges, 55-83% of the curved edges of
+    the benchmark's compiled pools. An order-k spline with one simple knot
+    is one polynomial piece plus `jump * (t - m)_+^k`, the jump that of the top
+    Taylor coefficient at m (de Boor, A Practical Guide to Splines, ch.
+    VIII), so the edge is Horner's rule in `t - m` plus, where the jump is
+    not exactly 0.0, one truncated power: no segment index and no gather.
+    The polynomial is the longer piece's and the truncated power spans the
+    shorter one, which keeps the cancellation between the two at the scale
+    of the spline's values;
+  - every other curved edge reads its spline's rows of the network's padded
+    piecewise-polynomial (pp) table: one row per segment holding the Taylor
+    coefficients at the segment's left knot (de Boor, ch. VII), framed by
+    one row per side holding the boundary value and slope of the linear
+    continuation outside the domain. Its segment comes from index
+    arithmetic on uniform grids and, on any other grid, from counting the
+    inner knots at or below the point, one in-place comparison per inner
+    knot. Its rows are gathered per point and evaluated by Horner's rule.
 
-The segment of a point comes from index arithmetic on uniform grids and, on
-any other grid, from counting the inner knots at or below it, one in-place
-comparison per inner knot (the compiler's only such grids have one inner
-knot: the hinge and the quarter-square midpoint).
+  The pp edges add into their targets in edge order, then the one-knot
+  edges in the order their step holds them, those with a jump first. Steps whose
+  affine intercepts are all exactly 0.0 (every step of identity and
+  negation wires) skip the bias add.
 
 A step's new values take consecutive rows of the table, allocated before
 the rows of the values it reads last are released, so no step writes a row
@@ -44,20 +58,25 @@ The plan is built per spline table entry, from the network's own arrays:
 the `[src, dst, spline_index]` triples of every edge in layer order, as the
 net file holds them. A compiled network has far fewer table entries than
 edges (most edges are identity wires sharing a few entries). Domain ends,
-boundary value and slope, and whether a spline is affine are read once per
-entry and gathered to the edges by their index.
+boundary value and slope, whether a spline is affine and its curved class
+are read once per entry and gathered to the edges by their index.
 Aliases resolve by pointer jumping over all neurons at once; weights,
 biases and per-value domains are filled by one index assignment,
 `np.add.at`, `np.maximum.at` and `np.minimum.at` each. The network has one
 pp table, over its curved table entries, whose Taylor rows come from one
-stacked de Boor pass per (order, grid size); the uniform-grid test also runs
-once per spline. Each step reads a view of the table's coefficients for the
+stacked de Boor pass per (order, grid size); the one-knot coefficients and
+jumps are read from it, and the uniform-grid test runs once per pp-path
+spline. Each pp step reads a view of the table's coefficients for the
 powers up to K, K the largest order among its edges, and its edges index
-their spline's rows.
-Python walks the layers only to allocate rows and to cut each step's views
-out of these arrays.
+their spline's rows. Python walks the layers only to allocate rows and to
+cut each step's views out of these arrays.
 
-`forward_batch` runs the program over fixed chunks of CHUNK points. The
+`forward_batch` runs the program over fixed chunks of CHUNK points. CHUNK
+is 16384: every step costs a few dozen numpy calls per chunk whatever its
+size, so longer chunks spend less per point on call overhead (the sampled
+checks stream their points in blocks of the same size, 7 per 10^5 samples),
+while a compiled network's workspace stays a few MB. On the corpus-certify
+networks 16384 was about 5% faster than 8192 and 32768 no faster again. The
 table and every per-chunk scratch array are views of one workspace: one
 float buffer, one index buffer and one mask per thread, shared by every call
 and grown, never shrunk, to the largest size a call has needed. Memory stays
@@ -72,7 +91,10 @@ per edge evaluated at a point outside its domain, identity wires included,
 as the de Boor reference counts them. Each value is checked once, when it is
 written, against the tightest domain of all the edges that read it; only on
 a hit are its readers counted one by one, and only after a hit in a chunk do
-its pp edges look for points to send to their continuation rows.
+its pp edges look for points to send to their continuation rows and its
+one-knot edges overwrite their points outside the domain with the linear
+continuation. A point's value therefore never depends on the other points
+in its chunk.
 
 Single splines
 --------------
@@ -93,6 +115,8 @@ __all__ = [
     "CHUNK",
     "KMAX",
     "NetPlan",
+    "OneKnotEdges",
+    "PpEdges",
     "Step",
     "build_plan",
     "forward_batch",
@@ -107,7 +131,7 @@ HAS_NUMBA = USE_NUMBA = False
 KMAX = 16
 
 # points per forward chunk: the columns of the forward's value table
-CHUNK = 8192
+CHUNK = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +183,44 @@ def eval_spline_batch(s, ts) -> tuple[np.ndarray, int]:
 # network forward: the slot program
 
 @dataclass(frozen=True, eq=False)
+class PpEdges:
+    """A step's curved edges that find their segment in the network's pp
+    table, one row of the scratch per edge (see `_pp_forward`)."""
+
+    rows: slice | np.ndarray   # (E,) table row of each edge's source
+    lo: np.ndarray             # (E, 1) domain ends
+    hi: np.ndarray
+    scale: np.ndarray          # (E, 1) (G-1)/(b-a) on uniform grids, 0 on others
+    shift: np.ndarray          # (E, 1) first - a*scale: t*scale + shift is the pp table row
+    first: np.ndarray          # (E, 1) pp table row of the first segment, as float
+    last: np.ndarray           # (E, 1) pp table row of the last segment, as float
+    below: np.ndarray          # (E, 1) pp table row continuing below the domain
+    above: np.ndarray          # (E, 1) pp table row continuing above the domain
+    counted: tuple             # (edge, distinct knots, first row) per non-uniform grid
+    left: np.ndarray           # (R,) left end of each row of the network's pp table
+    coef: np.ndarray           # (K+1, R) its last K+1 coefficient rows, K the step's largest order
+    dst: tuple[int, ...]       # offset in the step's rows of each edge's target
+
+
+@dataclass(frozen=True, eq=False)
+class OneKnotEdges:
+    """A step's curved edges of order >= 1 with at most one inner knot, one
+    row of the scratch per edge (see `_one_knot_forward`): the J edges that
+    jump at their knot first, higher orders first among them."""
+
+    rows: slice | np.ndarray   # (E,) table row of each edge's source
+    lo: np.ndarray             # (E, 1) domain ends
+    hi: np.ndarray
+    knot: np.ndarray           # (E, 1) the inner knot, or lo without one
+    coef: np.ndarray           # (K+1, E, 1) longer piece's Taylor coefficients at the knot, highest power first
+    jump: np.ndarray           # (J, 1) jump of the top coefficient onto the shorter piece
+    side: np.ndarray           # (2, J, 1) bounds of t - knot on the shorter piece: (0, inf) or (-inf, 0)
+    powers: tuple[int, ...]    # per power p = 2, 3, ...: how many of the J edges have order >= p
+    ends: np.ndarray           # (4, E, 1) fa, sa, fb, sb: value and slope continuing below and above
+    dst: tuple[int, ...]       # offset in the step's rows of each edge's target
+
+
+@dataclass(frozen=True, eq=False)
 class Step:
     """One transformation layer: its non-identity edges, summed into the
     consecutive table rows `rows`, one per new value of the layer.
@@ -171,26 +233,15 @@ class Step:
     v0: int                    # value id of the first new value
     # affine edges: weight @ table[gather] + bias; weight is None without any
     weight: np.ndarray | None  # (n, k), one column per source neuron
-    bias: np.ndarray           # (n, 1) intercepts, summed in edge order
+    bias: np.ndarray | None    # (n, 1) intercepts, summed in edge order; None when all are 0.0
     gather: slice | np.ndarray # (k,) table row of each column's source (see `_run`)
     # per new value: the tightest domain over every edge reading it
     lo: np.ndarray             # (n,) max lower end (-inf without readers)
     hi: np.ndarray             # (n,) min upper end (+inf without readers)
     checked: bool              # whether any new value has a reader
-    # pp edges, one row of the scratch per edge
-    pp_rows: slice | np.ndarray  # (E_p,) table row of each edge's source
-    pp_lo: np.ndarray          # (E_p, 1) domain ends
-    pp_hi: np.ndarray
-    pp_scale: np.ndarray       # (E_p, 1) (G-1)/(b-a) on uniform grids, 0 on others
-    pp_shift: np.ndarray       # (E_p, 1) first - a*scale: t*scale + shift is the pp table row
-    pp_first: np.ndarray       # (E_p, 1) pp table row of the first segment, as float
-    pp_last: np.ndarray        # (E_p, 1) pp table row of the last segment, as float
-    pp_below: np.ndarray       # (E_p, 1) pp table row continuing below the domain
-    pp_above: np.ndarray       # (E_p, 1) pp table row continuing above the domain
-    pp_counted: tuple          # (edge, distinct knots, first row) per non-uniform grid
-    pp_left: np.ndarray        # (R,) left end of each row of the network's pp table
-    pp_coef: np.ndarray        # (K+1, R) its last K+1 coefficient rows, K the step's largest order
-    pp_dst: tuple[int, ...]    # offset in `rows` of each edge's target
+    # the curved edges of either class; None without any
+    pp: PpEdges | None
+    one_knot: OneKnotEdges | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,23 +258,21 @@ class NetPlan:
     rd_lo: np.ndarray
     rd_hi: np.ndarray
     max_gather: int              # largest weight column count of a step
-    max_pp: int                  # largest pp edge count of a step
+    max_pp: int                  # largest curved edge count of one class in a step
 
 
 def _pp_table(splines):
     """The network's pp table over its distinct curved splines.
 
-    Returns (coef, left, start, uniform). `coef` is (K+1, R), K the largest
+    Returns (coef, left, start). `coef` is (K+1, R), K the largest
     order: column r holds the Taylor coefficients of pp table row r, highest
     power first, and `left[r]` is the point they are taken at. Spline n
     takes the G+1 rows from `start[n]`: the first continues below the
     domain, the next G-1 are the segments at their left knots, the last
     continues above the domain. An order-k spline fills the last k+1
     coefficient rows; the rest are the zero coefficients of the powers above
-    k. `uniform[n]` is whether spline n's segment comes from index
-    arithmetic: an order >= 1 spline on a uniform grid (order 0 is
-    discontinuous at its knots, so it always counts knots). Splines of one
-    order and grid size go through de Boor together, as one stack.
+    k. Splines of one order and grid size go through de Boor together, as
+    one stack.
     """
     start = [0, *itertools.accumulate(s.knots.size + 1 for s in splines)]
     K = max(s.order for s in splines)
@@ -256,27 +305,21 @@ def _pp_table(splines):
         rows = np.array([start[n] for n in members])[:, None] + np.arange(G + 1)
         coef[K - k :, rows] = table
         left[rows] = np.concatenate([knots[:, :1], knots[:, :-1], knots[:, -1:]], axis=1)
-    uniform = [s.order >= 1 and np.array_equal(s.knots, np.linspace(*s.domain, s.knots.size)) for s in splines]
-    return coef, left, start[:-1], uniform
+    return coef, left, start[:-1]
+
+
+def _is_linspace(knots: list[float]) -> bool:
+    """Whether strictly increasing `knots` equal `np.linspace(knots[0],
+    knots[-1], len(knots))`, by its float operations (start + i * step, the
+    end set exactly) without its fixed cost per call. Their step is never
+    0.0, so linspace's branch for a subnormal step does not arise."""
+    a, n = knots[0], len(knots) - 1
+    step = (knots[-1] - a) / n
+    return all(x == i * step + a for i, x in enumerate(knots[:-1]))
 
 
 def _col(values) -> np.ndarray:
     return np.array(values, dtype=np.float64).reshape(-1, 1)
-
-
-def _empty(shape, dtype=np.float64) -> np.ndarray:
-    a = np.zeros(shape, dtype=dtype)
-    a.flags.writeable = False
-    return a
-
-
-# the pp-table fields of every step without curved edges, shared read-only
-_NO_PP = dict(
-    pp_rows=_empty(0, np.intp), pp_lo=_empty((0, 1)), pp_hi=_empty((0, 1)),
-    pp_scale=_empty((0, 1)), pp_shift=_empty((0, 1)), pp_first=_empty((0, 1)), pp_last=_empty((0, 1)),
-    pp_below=_empty((0, 1), np.intp), pp_above=_empty((0, 1), np.intp), pp_counted=(),
-    pp_left=_empty(0), pp_coef=_empty((1, 0)), pp_dst=(),
-)
 
 
 def _allocate_rows(n_inputs: int, n_new: list[int], free_at: list[int]) -> tuple[np.ndarray, int]:
@@ -323,8 +366,8 @@ def build_plan(net) -> NetPlan:
     L = len(counts)
     # spline fields are read once per table entry and gathered by its index
     src, dst, sid = net.edges.T
-    per_spline = np.array([s.domain + s._boundary[:2] for s in splines]).reshape(-1, 4)
-    lo, hi, fa, sa = per_spline[sid].T
+    per_spline = np.array([s.domain + s._boundary for s in splines]).reshape(-1, 6)
+    lo, hi, fa, sa = per_spline[sid, :4].T
     curved_spline = np.array([s.order != 1 or s.knots.size != 2 for s in splines], dtype=bool)
     affine = ~curved_spline[sid]
     layer = np.repeat(np.arange(L), counts)
@@ -380,69 +423,145 @@ def build_plan(net) -> NetPlan:
     # edges near the float limit may sum to inf (here and in the forward);
     # the check rows report the non-finite output, so numpy does not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(bias, val[gdst[aff]] - widths[0], fa[aff] - sa[aff] * lo[aff])
+        intercepts = fa[aff] - sa[aff] * lo[aff]
+        np.add.at(bias, val[gdst[aff]] - widths[0], intercepts)
     gather = row[val[cols]]
 
     # curved edges: the network's one pp table over its distinct curved
-    # splines, and per edge the rows of its spline; each step reads the
-    # table's last K + 1 coefficient rows, K the largest order among its edges
+    # splines. An entry of order >= 1 with at most one inner knot is
+    # one-knot: its edges need no segment search. Every other curved edge
+    # reads its spline's rows of the table, each step the table's last K + 1
+    # coefficient rows, K the largest order among its edges
     curved = np.flatnonzero(~affine)
-    n_pp = np.bincount(layer[curved], minlength=L)
-    pp_off = np.concatenate([[0], np.cumsum(n_pp)])
+    ppe = tpe = curved
     if curved.size:
         pp_splines = [splines[i] for i in np.flatnonzero(curved_spline).tolist()]
-        coef, left, start, uniform = _pp_table(pp_splines)
+        order = np.array([s.order for s in pp_splines])
+        size = np.array([s.knots.size for s in pp_splines])
+        is_one_knot = (order >= 1) & (size <= 3)
+        coef, left, start = _pp_table(pp_splines)
+        C, first = len(coef), np.array(start) + 1
         # per pp spline, gathered to each curved edge by its index `which`
         which = (np.cumsum(curved_spline) - 1)[sid[curved]]
-        order = np.array([s.order for s in pp_splines])[which].tolist()
-        pp_first = _col(start)[which] + 1.0
-        pp_last = pp_first + _col([s.knots.size - 2 for s in pp_splines])[which]
+        split = is_one_knot[which]
+        ppe, which_pp = curved[~split], which[~split]
+        tpe, which_tp = curved[split], which[split]
+    if ppe.size:
+        # the segment comes from index arithmetic on a uniform grid of order >= 1
+        # (order 0 is discontinuous at its knots, so it always counts knots)
+        uniform = [not ok and s.order >= 1 and _is_linspace(s.knots.tolist())
+                   for s, ok in zip(pp_splines, is_one_knot.tolist())]
+        pp_first = _col(first)[which_pp]
+        pp_last = pp_first + _col(size - 2)[which_pp]
         pp_scale = _col([(s.knots.size - 1) / (s.domain[1] - s.domain[0]) if u else 0.0
-                         for s, u in zip(pp_splines, uniform)])[which]
-        pp_lo, pp_hi = lo[curved, None], hi[curved, None]
+                         for s, u in zip(pp_splines, uniform)])[which_pp]
+        pp_lo, pp_hi = lo[ppe, None], hi[ppe, None]
         pp_shift = pp_first - pp_lo * pp_scale
         pp_below, pp_above = (pp_first - 1.0).astype(np.intp), (pp_last + 1.0).astype(np.intp)
-        pp_rows, pp_dst = row[vsrc[curved]], tloc[curved].tolist()
+        pp_rows, pp_dst = row[vsrc[ppe]], tloc[ppe].tolist()
+        pp_order = order[which_pp].tolist()
+        pp_off = np.searchsorted(layer[ppe], np.arange(L + 1)).tolist()
         # per step, its edges on grids that are not uniform
         counted = [[] for _ in range(L)]
-        pp_layer = layer[curved].tolist()
-        for j in np.flatnonzero(~np.array(uniform)[which]).tolist():
+        pp_layer = layer[ppe].tolist()
+        for j in np.flatnonzero(~np.array(uniform)[which_pp]).tolist():
             l = pp_layer[j]
-            counted[l].append((j - int(pp_off[l]), pp_splines[which[j]].knots, int(pp_first[j, 0])))
+            counted[l].append((j - pp_off[l], pp_splines[which_pp[j]].knots, int(pp_first[j, 0])))
+    if tpe.size:
+        # an order-k spline with one simple inner knot m is its first piece
+        # plus jump * (t - m)_+^k, the jump that of the top Taylor coefficient
+        # (de Boor, A Practical Guide to Splines, ch. VIII), and equally its
+        # second piece minus jump * (t - m)_-^k. Both pieces are expanded at
+        # m, where their coefficients below the top agree (the spline is
+        # C^(k-1) there): the second piece's row, with the first piece's top
+        # coefficient when the first is the longer. The truncated power then
+        # spans the shorter piece only, which keeps its cancellation at the
+        # scale of the spline's values. Without an inner knot: the one
+        # piece's row at lo, and no jump
+        knot, below = [], []
+        for s in pp_splines:
+            a, b = s.domain
+            m = s.knots[1].item() if s.knots.size == 3 else a
+            knot.append(m)
+            below.append(b - m > m - a)
+        top = C - 1 - order
+        at_m = first + (size == 3)
+        c_first, c_m = coef[top, first], coef[top, at_m]
+        jump = np.where(below, c_first - c_m, c_m - c_first)
+        tp_coef = coef[:, at_m]
+        tp_coef[top, np.arange(top.size)] = np.where(below, c_m, c_first)
+        side = np.array([(-np.inf, 0.0) if x else (0.0, np.inf) for x in below]).T
+        # within a step: the edges that jump first, higher orders first among
+        # them. By this key, layer l's edges start above 2lC - C and those
+        # without a jump above 2lC (orders lie in 1..C-1)
+        key = (layer[tpe] * 2 + (jump[which_tp] == 0.0)) * C - order[which_tp]
+        perm = np.argsort(key, kind="stable")
+        tpe, which_tp, key = tpe[perm], which_tp[perm], key[perm]
+        tp_off, jump_end = np.searchsorted(key, 2 * C * np.arange(L + 1)[:, None] + [0.5 - C, 0.5]).T.tolist()
+        ends = per_spline[sid[tpe]].T[..., None]
+        tp_lo, tp_hi, tp_ends = ends[0], ends[1], ends[2:]
+        tp_knot, tp_coef = _col(knot)[which_tp], tp_coef[:, which_tp, None]
+        tp_jump, tp_side = jump[which_tp, None], side[:, which_tp, None]
+        tp_rows, tp_dst = row[vsrc[tpe]], tloc[tpe].tolist()
+        tp_order = order[which_tp].tolist()
+
+    # a step adds its biases only when some intercept is not exactly 0.0
+    has_bias = np.bincount(layer[aff], intercepts != 0.0, minlength=L).tolist()
 
     steps = []
-    v_off, pp_off, k_off, w_off, k = (a.tolist() for a in (v_off, pp_off, k_off, w_off, k))
+    max_pp = 0
+    v_off, k_off, w_off, k = (a.tolist() for a in (v_off, k_off, w_off, k))
     for l in range(L):
         v0, v1 = v_off[l + 1], v_off[l + 2]
         if v1 == v0:
             continue  # every neuron of the boundary is an alias
-        p0, p1 = pp_off[l], pp_off[l + 1]
-        pp = _NO_PP if p1 == p0 else dict(
-            pp_rows=_run(pp_rows[p0:p1]),
-            pp_lo=pp_lo[p0:p1],
-            pp_hi=pp_hi[p0:p1],
-            pp_scale=pp_scale[p0:p1],
-            pp_shift=pp_shift[p0:p1],
-            pp_first=pp_first[p0:p1],
-            pp_last=pp_last[p0:p1],
-            pp_below=pp_below[p0:p1],
-            pp_above=pp_above[p0:p1],
-            pp_counted=tuple(counted[l]),
-            pp_left=left,
-            pp_coef=coef[len(coef) - 1 - max(order[p0:p1]) :],
-            pp_dst=tuple(pp_dst[p0:p1]),
-        )
+        pp = one_knot = None
+        if ppe.size and pp_off[l + 1] > pp_off[l]:
+            p0, p1 = pp_off[l], pp_off[l + 1]
+            max_pp = max(max_pp, p1 - p0)
+            pp = PpEdges(
+                rows=_run(pp_rows[p0:p1]),
+                lo=pp_lo[p0:p1],
+                hi=pp_hi[p0:p1],
+                scale=pp_scale[p0:p1],
+                shift=pp_shift[p0:p1],
+                first=pp_first[p0:p1],
+                last=pp_last[p0:p1],
+                below=pp_below[p0:p1],
+                above=pp_above[p0:p1],
+                counted=tuple(counted[l]),
+                left=left,
+                coef=coef[C - 1 - max(pp_order[p0:p1]) :],
+                dst=tuple(pp_dst[p0:p1]),
+            )
+        if tpe.size and tp_off[l + 1] > tp_off[l]:
+            e0, j1, e1 = tp_off[l], jump_end[l], tp_off[l + 1]
+            max_pp = max(max_pp, e1 - e0)
+            jumps = tp_order[e0:j1]
+            one_knot = OneKnotEdges(
+                rows=_run(tp_rows[e0:e1]),
+                lo=tp_lo[e0:e1],
+                hi=tp_hi[e0:e1],
+                knot=tp_knot[e0:e1],
+                coef=tp_coef[C - 1 - max(tp_order[e0:e1]) :, e0:e1],
+                jump=tp_jump[e0:j1],
+                side=tp_side[:, e0:j1],
+                powers=tuple(sum(o >= p for o in jumps) for p in range(2, max(jumps, default=1) + 1)),
+                ends=tp_ends[:, e0:e1],
+                dst=tuple(tp_dst[e0:e1]),
+            )
         r0 = int(row[v0])
         steps.append(Step(
             rows=slice(r0, r0 + v1 - v0),
             v0=v0,
             weight=weights[w_off[l] : w_off[l + 1]].reshape(v1 - v0, k[l]) if k[l] else None,
-            bias=bias[v0 - widths[0] : v1 - widths[0], None],
+            bias=bias[v0 - widths[0] : v1 - widths[0], None] if has_bias[l] else None,
             gather=_run(gather[k_off[l] : k_off[l + 1]]),
             lo=vlo[v0:v1],
             hi=vhi[v0:v1],
             checked=bool(rd_off[v1] > rd_off[v0]),
-            **pp,
+            pp=pp,
+            one_knot=one_knot,
         ))
     return NetPlan(
         widths=widths,
@@ -455,7 +574,7 @@ def build_plan(net) -> NetPlan:
         rd_lo=lo[by_val],
         rd_hi=hi[by_val],
         max_gather=max(k, default=0),
-        max_pp=int(n_pp.max(initial=0)),
+        max_pp=max_pp,
     )
 
 
@@ -505,23 +624,34 @@ def _check(plan: NetPlan, rows, lo, hi, v0: int) -> int:
     return oob
 
 
-def _pp_forward(st: Step, tab, rows, t, u, val, dt, row, mask, hits: bool) -> None:
-    """Add the step's pp edges into `rows`; t, u, val, dt, row hold at least
-    E_p rows of scratch, `mask` one. `hits` is whether any value of the chunk
+def _affine_forward(st: Step, tab, rows, gat) -> None:
+    """Write the step's affine edges into `rows`: one matmul over the source
+    rows (gathered into `gat` unless they are one run), then the bias."""
+    if st.weight is None:
+        rows.fill(0.0)
+        return
+    np.matmul(st.weight, _read(tab, st.gather, gat), out=rows)
+    if st.bias is not None:
+        rows += st.bias
+
+
+def _pp_forward(e: PpEdges, tab, rows, t, u, val, dt, row, mask, hits: bool) -> None:
+    """Add the pp edges `e` into `rows`; t, u, val, dt, row hold at least
+    E rows of scratch, `mask` one. `hits` is whether any value of the chunk
     lies outside a reader's domain; only then can these edges have points
     outside their domains, which take the continuation rows."""
-    E = len(st.pp_dst)
+    E = len(e.dst)
     u, val, dt, row = u[:E], val[:E], dt[:E], row[:E]
-    t = _read(tab, st.pp_rows, t)
+    t = _read(tab, e.rows, t)
     # table row by index arithmetic, first + floor((t - a)(G-1)/(b-a)) clipped
     # to the edge's segments; truncation is floor once u >= first
-    np.multiply(t, st.pp_scale, out=u)
-    u += st.pp_shift
+    np.multiply(t, e.scale, out=u)
+    u += e.shift
     # fmax/fmin, unlike clip, send NaN to a valid row
-    np.fmax(u, st.pp_first, out=u)
-    np.fmin(u, st.pp_last, out=u)
+    np.fmax(u, e.first, out=u)
+    np.fmin(u, e.last, out=u)
     np.copyto(row, u, casting="unsafe")
-    for i, knots, first in st.pp_counted:
+    for i, knots, first in e.counted:
         # the last segment, less one per inner knot above t; NaN compares
         # above none, so it lands in the last segment as in `eval_spline_batch`
         row[i].fill(first + knots.size - 2)
@@ -529,18 +659,56 @@ def _pp_forward(st: Step, tab, rows, t, u, val, dt, row, mask, hits: bool) -> No
             np.less(t[i], knot, out=mask)
             np.subtract(row[i], mask, out=row[i])
     if hits:
-        np.copyto(row, st.pp_below, where=t < st.pp_lo)
-        np.copyto(row, st.pp_above, where=t > st.pp_hi)
-    st.pp_coef[0].take(row, out=val, mode="clip")
-    if len(st.pp_coef) > 1:
-        st.pp_left.take(row, out=dt, mode="clip")
+        np.copyto(row, e.below, where=t < e.lo)
+        np.copyto(row, e.above, where=t > e.hi)
+    e.coef[0].take(row, out=val, mode="clip")
+    if len(e.coef) > 1:
+        e.left.take(row, out=dt, mode="clip")
         np.subtract(t, dt, out=dt)
-        for coef in st.pp_coef[1:]:
+        for coef in e.coef[1:]:
             val *= dt
             val += coef.take(row, out=u, mode="clip")
     # one in-place row add per edge: at these widths a 0/1 scatter matmul costs
     # several times more, and row adds sum in edge order for any batch size
-    for i, d in enumerate(st.pp_dst):
+    for i, d in enumerate(e.dst):
+        rows[d] += val[i]
+
+
+def _one_knot_forward(e: OneKnotEdges, tab, rows, t, w, val, dt, hits: bool) -> None:
+    """Add the one-knot edges `e` into `rows`: Horner in t - knot on the
+    longer piece, plus jump * (t - knot)^k on the shorter one for the edges
+    that jump. No segment index and no gather. t, w, val, dt hold at least E
+    rows of scratch. `hits` is as in `_pp_forward`: only then can points lie
+    outside an edge's domain, and they are overwritten with its linear
+    continuation, so a point's value never depends on the rest of its chunk."""
+    E, J = len(e.dst), len(e.jump)
+    val, dt = val[:E], dt[:E]
+    t = _read(tab, e.rows, t)
+    np.subtract(t, e.knot, out=dt)
+    np.multiply(dt, e.coef[0], out=val)
+    val += e.coef[1]
+    for coef in e.coef[2:]:
+        val *= dt
+        val += coef
+    if J:
+        # the truncated power of the first J edges, summed in the scratch of dt
+        w = w[:J]
+        np.clip(dt[:J], *e.side, out=w)
+        acc = np.multiply(w, e.jump, out=dt[:J])
+        for n in e.powers:
+            acc[:n] *= w[:n]
+        val[:J] += acc
+    if hits:
+        fa, sa, fb, sb = e.ends
+        np.subtract(t, e.lo, out=dt)
+        dt *= sa
+        dt += fa
+        np.copyto(val, dt, where=t < e.lo)
+        np.subtract(t, e.hi, out=dt)
+        dt *= sb
+        dt += fb
+        np.copyto(val, dt, where=t > e.hi)
+    for i, d in enumerate(e.dst):
         rows[d] += val[i]
 
 
@@ -563,13 +731,11 @@ def forward_batch(plan: NetPlan, X) -> tuple[np.ndarray, int]:
             oob += _check(plan, tab[:n0], plan.in_lo, plan.in_hi, 0)
             for st in plan.steps:
                 rows = tab[st.rows]
-                if st.weight is None:
-                    rows.fill(0.0)
-                else:
-                    np.matmul(st.weight, _read(tab, st.gather, gat), out=rows)
-                    rows += st.bias
-                if st.pp_dst:
-                    _pp_forward(st, tab, rows, t, u, val, dt, row, mask, oob > oob0)
+                _affine_forward(st, tab, rows, gat)
+                if st.pp is not None:
+                    _pp_forward(st.pp, tab, rows, t, u, val, dt, row, mask, oob > oob0)
+                if st.one_knot is not None:
+                    _one_knot_forward(st.one_knot, tab, rows, t, u, val, dt, oob > oob0)
                 if st.checked:
                     oob += _check(plan, rows, st.lo, st.hi, st.v0)
             for j, r in enumerate(plan.out_rows):

@@ -520,7 +520,9 @@ def _reference_node_max(tree, xs) -> dict:
 class TestStreamedSamples:
     EXPR = "sin((x1+x2)*x3)-relu(x4)*x4"
 
-    @pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    # sample counts at the ends of a block and inside one
+    @pytest.mark.parametrize("samples", [1, CHUNK // 2 - 1, CHUNK // 2, CHUNK // 2 + 1, 3 * CHUNK // 2 + 7,
+                                         CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
     @pytest.mark.parametrize("boxed", [False, True])
     def test_sup_error_bit_equal_to_monolithic(self, samples, boxed):
         tree = parse_expression(self.EXPR)
@@ -530,7 +532,8 @@ class TestStreamedSamples:
         assert got == _monolithic_sup_error(tree, net, samples, 17, box=box)
         assert got > 0.0
 
-    @pytest.mark.parametrize("limit", [1, CHUNK - 1, CHUNK, CHUNK + 5, 2 * CHUNK + 3, 3 * CHUNK + 7, None])
+    @pytest.mark.parametrize("limit", [1, CHUNK // 2 - 1, CHUNK // 2, CHUNK // 2 + 5, CHUNK + 3, 3 * CHUNK // 2 + 7,
+                                       CHUNK - 1, CHUNK, CHUNK + 5, 2 * CHUNK + 3, 3 * CHUNK + 7, None])
     def test_node_maxima_over_row_prefix(self, limit):
         # the range cap may fall inside a block, between blocks, or past the stream
         tree = parse_expression(self.EXPR)

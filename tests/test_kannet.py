@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kanforge import kernels, spline
 from kanforge.cli import random_tree
@@ -69,6 +71,11 @@ def _deboor_forward(net, X):
     return cur
 
 
+def _edges(group):
+    """Edge count of a step's `pp` or `one_knot` group."""
+    return 0 if group is None else len(group.dst)
+
+
 def _oob_of(fn, *args):
     before = spline.oob_hits()
     out = fn(*args)
@@ -103,7 +110,7 @@ class TestPlanForward:
                 net, _ = compile_tree(parse_expression(expr), cfg)
                 self._check(net, rng)
 
-    @pytest.mark.parametrize("rows", [0, 1, kernels.CHUNK + 1])
+    @pytest.mark.parametrize("rows", [0, 1, kernels.CHUNK // 2 + 1, kernels.CHUNK + 1])
     def test_row_counts(self, rng, rows):
         net, _ = compile_tree(parse_expression("cos(x4*x4+x4-x4)*(cos(x4)*(x6-cos(x1)))"), CFG_FAITHFUL)
         self._check(net, rng, rows)
@@ -208,10 +215,12 @@ class TestPlanForward:
 
         plan = nets[1].packed()
         mixed, affine_only, empty, curved_only, _ = plan.steps
-        assert mixed.weight is not None and mixed.pp_dst == (1, 3)
-        assert affine_only.weight is not None and affine_only.pp_dst == ()
-        assert empty.weight is None and empty.pp_dst == () and not empty.bias.any()
-        assert curved_only.weight is None and curved_only.pp_dst == (0, 0, 1, 1)
+        assert mixed.weight is not None and mixed.pp.dst == (1, 3)
+        assert affine_only.weight is not None and affine_only.pp is None
+        # a step whose intercepts are all 0.0 adds no bias
+        assert empty.weight is None and empty.pp is None and empty.bias is None
+        assert curved_only.weight is None and curved_only.pp.dst == (0, 0, 1, 1)
+        assert all(st.one_knot is None for st in plan.steps)
         # the affine edges into target 0 add their intercepts in edge order
         intercepts = [table[k]._boundary[0] - table[k]._boundary[1] * table[k].domain[0] for _, _, k in layers[0][:3]]
         assert mixed.bias[0, 0] == (intercepts[0] + intercepts[1]) + intercepts[2]
@@ -251,23 +260,99 @@ class TestPlanForward:
 
     def test_one_pp_table_over_distinct_curved_splines(self):
         # the plan's pp table holds G+1 rows per distinct curved spline, not
-        # per curved edge, and every step reads a view of it
+        # per curved edge (of either class), and every pp step reads a view of it
         net, _ = compile_tree(parse_expression(self._chain(28)), CFG)
         curved = [s for s in net.splines if not (s.order == 1 and s.knots.size == 2)]
-        pp_steps = [st for st in net.packed().steps if st.pp_dst]
-        assert sum(len(st.pp_dst) for st in pp_steps) > len(curved) > 1
-        base = pp_steps[0].pp_coef.base
+        steps = net.packed().steps
+        assert sum(_edges(st.pp) + _edges(st.one_knot) for st in steps) > len(curved) > 1
+        pp = [st.pp for st in steps if st.pp is not None]
+        base = pp[0].coef.base
         assert base.shape == (1 + max(s.order for s in curved), sum(s.knots.size + 1 for s in curved))
-        for st in pp_steps:
-            assert st.pp_coef.base is base and st.pp_left is pp_steps[0].pp_left
-            assert st.pp_coef.shape[1] == base.shape[1]
+        for e in pp:
+            assert e.coef.base is base and e.left is pp[0].left
+            assert e.coef.shape[1] == base.shape[1]
 
     def test_chunked_rows_match_row_slices(self, rng):
+        n = 3 * kernels.CHUNK + 7
+        cuts = [0, 5, kernels.CHUNK + 1, 2 * kernels.CHUNK, 3 * kernels.CHUNK + 3, n]
         net, _ = compile_tree(parse_expression("sin((x1+x2)*x3)*relu(x1-x2)"), CFG)
-        X = rng.uniform(-0.05, 1.05, size=(3 * kernels.CHUNK + 7, net.n_inputs))
-        cuts = [0, 5, kernels.CHUNK + 1, 2 * kernels.CHUNK, 3 * kernels.CHUNK + 3, len(X)]
-        parts = [forward_batch(net, X[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-        np.testing.assert_array_equal(forward_batch(net, X), np.vstack(parts))
+        cases = [(net, rng.uniform(-0.05, 1.05, size=(n, net.n_inputs)))]
+        # mostly inside [0, 1]: rows 5 .. CHUNK-1 lie in a chunk with a domain
+        # hit in the whole batch and in a clean one in the slice [5, CHUNK+1)
+        for expr in ("relu(x1-x2)", "x1*x2"):
+            net, _ = compile_tree(parse_expression(expr), CFG)
+            X = rng.uniform(0.0, 1.0, size=(n, 2))
+            X[[2, 2 * kernels.CHUNK + 100]] = [1.0 + 1e-3, -1e-3]
+            assert _oob_of(forward_batch, net, X[:5])[1] > 0 == _oob_of(forward_batch, net, X[5 : kernels.CHUNK + 1])[1]
+            cases.append((net, X))
+        for net, X in cases:
+            parts = [forward_batch(net, X[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+            np.testing.assert_array_equal(forward_batch(net, X), np.vstack(parts))
+
+    @pytest.mark.parametrize("expr, n", [("x1*x2", 2), ("relu(x1-x2)", 1), ("sin(x1)", 0)])
+    def test_one_knot_routing(self, expr, n):
+        # the quarter-square and hinge edges take the one-knot kernel, trig
+        # interpolants the pp path
+        net, _ = compile_tree(parse_expression(expr), CFG)
+        steps = net.packed().steps
+        curved = sum(not (s.order == 1 and s.knots.size == 2) for s in net.splines)
+        assert sum(_edges(st.one_knot) for st in steps) == n
+        assert sum(_edges(st.pp) for st in steps) == curved - n
+
+
+@st.composite
+def _one_knot_splines(draw):
+    """Splines with at most one inner knot on O(1) domains: random ones of
+    orders 1-4 (a jump at the inner knot), quarter-squares and hinges."""
+    kind = draw(st.sampled_from(["random", "quarter", "relu", "abs"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(-1.0, 0.5)
+    b = a + rng.uniform(0.25, 2.0)
+    if kind == "quarter":
+        return kind, spline.exact_poly_spline([0.0, 0.0, 0.25], a, b, 2, 3)
+    if kind != "random":
+        f = (lambda t: max(t, 0.0)) if kind == "relu" else abs
+        knots = [min(a, -0.25), 0.0, max(b, 0.25)]
+        return kind, Spline(1, np.array(knots), np.array([f(t) for t in knots]))
+    k = draw(st.integers(1, 4))
+    n_knots = draw(st.sampled_from([2, 3])) if k >= 2 else 3
+    knots = [a, a + (b - a) * rng.uniform(0.02, 0.98), b] if n_knots == 3 else [a, b]
+    return kind, Spline(k, np.array(knots), rng.normal(size=n_knots + k - 1))
+
+
+class TestOneKnotEdges:
+    """The one-knot kernel on one-edge nets, against de Boor and scipy."""
+
+    @given(_one_knot_splines(), st.integers(0, 2**32 - 1))
+    # an inner knot near either end: the truncated power must span the
+    # shorter piece, or the longer one's polynomial loses about 1e-8 here
+    @example(("random", Spline(4, np.array([-1.0, -0.96, 1.0]), np.array([0.3, -1.2, 0.8, 1.5, -0.4, 0.9]))), 0)
+    @example(("random", Spline(4, np.array([-1.0, 0.96, 1.0]), np.array([0.3, -1.2, 0.8, 1.5, -0.4, 0.9]))), 0)
+    @settings(max_examples=300, deadline=None)
+    def test_against_deboor_and_scipy(self, kind_spline, seed):
+        kind, s = kind_spline
+        BSpline = pytest.importorskip("scipy.interpolate").BSpline
+        rng = np.random.default_rng(seed)
+        a, b = s.domain
+        inside = np.concatenate([rng.uniform(a, b, 200), s.knots])
+        outside = np.concatenate([a - rng.uniform(1e-9, 1.0, 20), b + rng.uniform(1e-9, 1.0, 20)])
+        t = np.concatenate([inside, outside, [np.nan]])
+        net = _single_edge_net(s)
+        (step,) = net.packed().steps
+        assert _edges(step.one_knot) == 1 and step.pp is None
+        if kind != "quarter" and s.knots.size == 3:
+            assert len(step.one_knot.jump) == 1  # random coefficients and hinges jump at the knot
+
+        got, got_oob = _oob_of(forward_batch, net, t[:, None])
+        want, want_oob = kernels.eval_spline_batch(s, t)
+        assert got_oob == want_oob == outside.size
+        np.testing.assert_allclose(got[:, 0], want, rtol=0, atol=1e-12)
+        # the linear continuation takes the reference's arithmetic, bit for bit
+        np.testing.assert_array_equal(got[inside.size : -1, 0], want[inside.size : -1])
+        assert np.isnan(got[-1, 0])
+        np.testing.assert_allclose(got[: inside.size, 0], BSpline(s._T, s.coefs, s.order)(inside), rtol=0, atol=1e-12)
+        # a point's value does not depend on the chunk's other points
+        np.testing.assert_array_equal(forward_batch(net, inside[:, None]), got[: inside.size])
 
 
 class TestLipschitzProduct:

@@ -156,7 +156,7 @@ class TestVerifyRanges:
         assert rep.entries[0].measured == 8.0
         assert rep.entries[0].certified == 8.0
 
-    @pytest.mark.parametrize("samples", [1, CHUNK, 2 * CHUNK + 9])
+    @pytest.mark.parametrize("samples", [1, CHUNK // 2, CHUNK, CHUNK + 9, 2 * CHUNK + 9])
     def test_streamed_equals_one_draw_reference(self, samples):
         # reference: one draw of every row plus the corner, max |value| per node
         t = parse_expression("sin((x1+x2)*x3)-abs(x4-x1)*cos(x2)")
