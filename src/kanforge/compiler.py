@@ -45,7 +45,7 @@ from .exprtree import (
     tree_stats,
     validate_opset,
 )
-from .kannet import KanNetwork, ProductReport, forward_batch, lipschitz_product, serialize
+from .kannet import KanNetwork, ProductReport, forward_batch, lipschitz_product, loads, read, serialize
 from .primblocks import Block, EdgeSplines, build_block
 from .rangecert import (
     BLOCK_DEPTH,
@@ -59,7 +59,7 @@ from .rangecert import (
     lip_budget,
     sample_blocks,
 )
-from .spline import Spline, exact_keys, init_fields, line_spline
+from .spline import Spline, line_spline
 
 __all__ = [
     "MAX_GRID",
@@ -121,10 +121,8 @@ class CompileConfig:
     def __post_init__(self):
         # checked here, before anything is built, so a certificate file asking
         # for more grid is bad input like a --grid flag
-        if type(self.grid) is not int or not 2 <= self.grid <= MAX_GRID:
+        if not 2 <= self.grid <= MAX_GRID:
             raise ValueError(f"grid must be an integer in [2, {MAX_GRID}]")
-        if type(self.faithful_widths) is not bool:
-            raise ValueError("faithful_widths must be true or false")
 
 
 WireKey = tuple[str, int]  # ("input", coord) or ("node", node_id)
@@ -209,24 +207,9 @@ class Certificate:
 
     @staticmethod
     def from_json(text: str) -> "Certificate":
-        """The certificate a file holds. A file is outside input: its top
-        level, its `config` and each `per_node` entry must hold exactly their
-        dataclass's fields (a ValueError otherwise), so nothing is ignored
-        and no field silently takes its default. Only the fields JSON has no
-        type for are converted."""
-        doc = exact_keys(json.loads(text), _CERT_FIELDS, "certificate")
-        return Certificate(**{
-            **doc,
-            "widths": tuple(doc["widths"]),
-            "per_node": tuple(NodeCert(**exact_keys(c, _NODE_FIELDS, "per_node entry")) for c in doc["per_node"]),
-            "config": CompileConfig(**exact_keys(doc["config"], _CONFIG_FIELDS, "config")),
-            "box": tuple(map(tuple, doc["box"])) if doc["box"] is not None else None,
-        })
-
-
-_CERT_FIELDS = init_fields(Certificate)
-_CONFIG_FIELDS = init_fields(CompileConfig)
-_NODE_FIELDS = init_fields(NodeCert)
+        """The certificate a file holds, read by `kannet.read`: every level holds
+        exactly its dataclass's fields, each of its annotated type."""
+        return read(Certificate, loads(text))
 
 
 def _net_hash(net: KanNetwork) -> str:

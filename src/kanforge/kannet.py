@@ -34,10 +34,11 @@ whose entries restated `domain` and `grid_points`, are rejected at `$.format`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import NamedTuple
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -55,6 +56,8 @@ __all__ = [
     "jacobian_lower_bound",
     "serialize",
     "deserialize",
+    "loads",
+    "read",
 ]
 
 FORMAT = "kanforge/3"
@@ -62,7 +65,7 @@ FORMAT = "kanforge/3"
 _KEYS = frozenset(("format", "widths", "splines", "layers", "wire_tags"))
 
 
-class Edge(NamedTuple):
+class Edge(typing.NamedTuple):
     """One edge of the `KanNetwork.layers` view: the spline from neuron `src`
     of a boundary to neuron `dst` of the next."""
 
@@ -248,14 +251,6 @@ def jacobian_lower_bound(net: KanNetwork, x, step: float = 1e-5) -> float:
     return max(float(np.linalg.norm(g)) / denom for g in grads)
 
 
-class SchemaError(ValueError):
-    """Malformed network JSON; `path` points at the offending element."""
-
-    def __init__(self, message: str, path: str):
-        super().__init__(f"{message} (at {path})")
-        self.path = path
-
-
 def serialize(net: KanNetwork) -> str:
     """The network's JSON text, built on first use and cached on the network."""
     if net._json is None:
@@ -279,41 +274,117 @@ def _to_json(net: KanNetwork) -> str:
     return json.dumps(doc, separators=(",", ":"), check_circular=False)
 
 
+class SchemaError(ValueError):
+    """Malformed JSON input; `path` points at the offending element."""
+
+    def __init__(self, message: str, path: str):
+        super().__init__(f"{message} (at {path})")
+        self.path = path
+
+
+def _unique(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
+
+
+def loads(text: str):
+    """The JSON value of `text`; invalid JSON, nesting too deep to decode and a
+    repeated key (RFC 8259 section 4 leaves repeats open) are a SchemaError at `$`."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON: {exc}", "$") from exc
+
+
+class _Bad(Exception):
+    """args: the message, then the bad value's path parts, innermost first."""
+
+
+def read(tp, value, path: str = "$"):
+    """`value`, decoded JSON, as the annotated type `tp`: a dataclass is an
+    object of exactly its init fields, each read as its annotation; `int` is
+    an integer, not a bool; `float` a number within the float range; `bool`
+    and `str` are exact; a tuple is a list (`tuple[X, Y]` of two); `X | None`
+    is null or an X; `np.ndarray` a list of numbers. Any other value is a
+    SchemaError at its JSON path below `path`; constructors' ValueErrors pass through."""
+    try:
+        return _read(tp, value)
+    except _Bad as bad:
+        raise SchemaError(bad.args[0], path + "".join(reversed(bad.args[1:]))) from None
+
+
+@functools.cache
+def _shape(tp) -> tuple:
+    """`(origin, args)` of an annotation; of a dataclass, `dict` and its init fields' types."""
+    if not is_dataclass(tp):
+        return typing.get_origin(tp), typing.get_args(tp)
+    hints = typing.get_type_hints(tp)
+    return dict, {f.name: hints[f.name] for f in fields(tp) if f.init}
+
+
+def _read(tp, value):
+    kind = type(value)
+    if kind is tp:  # int, bool, str and float are exact
+        return value
+    try:
+        if tp is float and kind is int:
+            return float(value)
+        # one pass over the element types, not one call per element
+        if tp is np.ndarray and kind is list and {int, float}.issuperset(map(type, value)):
+            return np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer past the float range
+        pass
+    origin, args = _shape(tp)
+    if type(None) in args:  # X | None, the one union the read classes hold
+        return None if value is None else _read(args[0], value)
+    if origin is kind is dict and value.keys() != args.keys():
+        raise _Bad(f"must hold exactly the keys {sorted(args)}: "
+                   f"missing {sorted(args.keys() - value.keys())}, unknown {sorted(value.keys() - args.keys())}")
+    if origin is kind is dict or origin is tuple and kind is list and (args[-1] is ... or len(value) == len(args)):
+        # a dataclass's fields by name, a tuple's items by index
+        items = args.items() if kind is dict else enumerate([args[0]] * len(value) if args[-1] is ... else args)
+        out = {}
+        try:
+            for key, item in items:
+                out[key] = value[key] if type(value[key]) is item else _read(item, value[key])
+        except _Bad as bad:
+            bad.args += (f".{key}" if kind is dict else f"[{key}]",)
+            raise
+        return tp(**out) if kind is dict else tuple(out.values())
+    name = "a list of numbers" if tp is np.ndarray else tp.__name__ if isinstance(tp, type) else tp
+    raise _Bad(f"expected {name}, got {value!r:.60}")
+
+
 def _require(cond: bool, message: str, path: str):
     if not cond:
         raise SchemaError(message, path)
 
 
-def _is_index(v) -> bool:
-    return type(v) is int  # a JSON integer; bool, an int subclass, is not one
-
-
 def deserialize(text: str) -> KanNetwork:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also integers past the digit limit, deep nesting
-        raise SchemaError(f"invalid JSON: {exc}", "$") from exc
+    doc = loads(text)
     _require(isinstance(doc, dict), "document must be an object", "$")
     _require(doc.get("format") == FORMAT, f"format must be {FORMAT!r}", "$.format")
     # a missing key fails its own check below, at its own path
     _require(doc.keys() <= _KEYS, f"unknown keys {sorted(doc.keys() - _KEYS)}", "$")
-    widths = doc.get("widths")
-    _require(isinstance(widths, list) and len(widths) >= 2, "widths must be a list of >= 2 ints", "$.widths")
+    widths = read(tuple[int, ...], doc.get("widths"), "$.widths")
+    _require(len(widths) >= 2, "widths must be a list of >= 2 ints", "$.widths")
     for m, w in enumerate(widths):
-        _require(_is_index(w) and w >= 1, "width must be a positive integer", f"$.widths[{m}]")
+        _require(w >= 1, "width must be a positive integer", f"$.widths[{m}]")
     table = doc.get("splines")
     _require(isinstance(table, list), "splines must be a list of spline objects", "$.splines")
     # one Spline per table entry: edges sharing an entry share the spline.
     # Its Lipschitz constant, cached on it, is taken here: an edge without a
     # finite one (order 0, or a derivative past the float range) is bad input
     splines = []
-    for i, sp in enumerate(table):
+    for i, entry in enumerate(table):
         try:
-            s = Spline.from_dict(sp)
-            spline_lipschitz(s)
+            splines.append(read(Spline, entry, f"$.splines[{i}]"))
+            spline_lipschitz(splines[-1])
         except ValueError as exc:
             raise SchemaError(f"bad spline: {exc}", f"$.splines[{i}]") from exc
-        splines.append(s)
     raw_layers = doc.get("layers")
     _require(
         isinstance(raw_layers, list) and len(raw_layers) == len(widths) - 1,
@@ -335,33 +406,29 @@ def deserialize(text: str) -> KanNetwork:
             )
         if not ok:
             _layer_error(triples, l, widths, len(splines))
-    tags = doc.get("wire_tags")
-    _require(isinstance(tags, list) and len(tags) == len(widths), "wire_tags must cover every boundary", "$.wire_tags")
+    tags = read(tuple[tuple[str, ...], ...], doc.get("wire_tags"), "$.wire_tags")
+    _require(len(tags) == len(widths), "wire_tags must cover every boundary", "$.wire_tags")
     for m, entry in enumerate(tags):
-        _require(
-            isinstance(entry, list) and len(entry) == widths[m] and all(isinstance(t, str) for t in entry),
-            f"wire_tags[{m}] must be {widths[m]} strings",
-            f"$.wire_tags[{m}]",
-        )
+        _require(len(entry) == widths[m], f"wire_tags[{m}] must be {widths[m]} strings", f"$.wire_tags[{m}]")
     try:
         # the checked triples of every layer as one array, read in one pass
         triples = itertools.chain.from_iterable(itertools.chain.from_iterable(raw_layers))
         return KanNetwork(
-            widths=tuple(widths),
+            widths=widths,
             splines=tuple(splines),
             edges=np.fromiter(triples, np.intp),
             counts=tuple(map(len, raw_layers)),
-            wire_tags=tuple(tuple(entry) for entry in tags),
+            wire_tags=tags,
         )
     except ValueError as exc:
         raise SchemaError(str(exc), "$") from exc
 
 
-def _layer_error(triples: list, l: int, widths: list, n_splines: int):
+def _layer_error(triples: list, l: int, widths: tuple[int, ...], n_splines: int):
     """Raise the SchemaError of layer l's first malformed triple."""
     for i, t in enumerate(triples):
         path = f"$.layers[{l}][{i}]"
         _require(isinstance(t, list) and len(t) == 3, "edge must be a [src, dst, spline] triple", path)
         for value, name, bound in zip(t, ("source", "target", "spline index"), (widths[l], widths[l + 1], n_splines)):
-            _require(_is_index(value) and 0 <= value < bound, f"edge {name} must be an integer in [0, {bound})", path)
+            _require(0 <= read(int, value, path) < bound, f"edge {name} must be an integer in [0, {bound})", path)
     raise SchemaError("malformed edge triples", f"$.layers[{l}]")

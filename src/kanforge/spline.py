@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,50 +133,6 @@ class Spline:
     def to_dict(self) -> dict:
         """The spline's JSON document: its constructor fields by name."""
         return {"order": self.order, "knots": self.knots.tolist(), "coefs": self.coefs.tolist()}
-
-    @staticmethod
-    def from_dict(d) -> "Spline":
-        """The spline of a `to_dict` document. It must hold exactly the
-        constructor fields, each with the JSON type `to_dict` writes (an int
-        that is not a bool for `order`, numbers for the floats), so no other
-        document is coerced into a spline."""
-        exact_keys(d, _FIELDS, "spline")
-        order, knots, coefs = d["order"], d["knots"], d["coefs"]
-        if type(order) is not int:
-            raise ValueError(f"order {order!r} is not an integer")
-        for name, vals in (("knots", knots), ("coefs", coefs)):
-            if type(vals) is not list or not _NUMBERS.issuperset(map(type, vals)):
-                raise ValueError(f"{name} must be a list of numbers")
-        try:
-            return Spline(order, np.array(knots, dtype=np.float64), np.array(coefs, dtype=np.float64))
-        except OverflowError as exc:  # an int past the float range
-            raise ValueError(str(exc)) from exc
-
-
-def init_fields(cls) -> frozenset[str]:
-    """The constructor field names of dataclass `cls`: the keys of its JSON
-    document."""
-    return frozenset(f.name for f in fields(cls) if f.init)
-
-
-def exact_keys(doc, names: frozenset[str], what: str) -> dict:
-    """`doc` when it is a JSON object holding exactly the keys `names`, else a
-    ValueError naming `what`. A spline table entry and every level of a
-    certificate are their objects' fields under their own names, read back
-    under this rule: an unknown key is not ignored and a missing one takes
-    no default."""
-    if type(doc) is not dict:
-        raise ValueError(f"{what} must be an object")
-    if doc.keys() != names:
-        raise ValueError(f"{what} must hold exactly the keys {sorted(names)}: "
-                         f"missing {sorted(names - doc.keys())}, unknown {sorted(doc.keys() - names)}")
-    return doc
-
-
-_FIELDS = init_fields(Spline)
-
-# the JSON number types `from_dict` accepts for a float (bool is not one)
-_NUMBERS = frozenset((int, float))
 
 
 def pl_interpolant(f, a: float, b: float, G: int) -> Spline:

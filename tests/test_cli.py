@@ -1,7 +1,9 @@
+import dataclasses
 import io
 import json
 import math
 import sys
+import typing
 import warnings
 
 import numpy as np
@@ -21,10 +23,11 @@ from kanforge.cli import (
     main,
     random_tree,
 )
-from kanforge.compiler import MAX_GRID, compile_on_box
+from kanforge.compiler import MAX_GRID, Certificate, CompileConfig, NodeCert, compile_on_box
 from kanforge.exprtree import MAX_COORD, Leaf, Node, OpKind, parse_expression, render, tree_stats
 from kanforge.kannet import serialize
 from kanforge.rangecert import affine_box
+from kanforge.spline import Spline
 
 from conftest import nan_network
 
@@ -463,6 +466,131 @@ class TestVerifyCommand:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith("verification failed: ") and err.count("\n") == 1
+
+
+def _wrong_json(tp):
+    """One JSON value of the wrong type for annotation `tp`: a bool for an
+    int, a string for a float, an int for a bool and so on."""
+    args = typing.get_args(tp)
+    if type(None) in args:
+        return _wrong_json(args[0])
+    if typing.get_origin(tp) is tuple:
+        return 5
+    if dataclasses.is_dataclass(tp):
+        return []
+    return {int: True, float: "1.0", bool: 1, str: 5, np.ndarray: [True, False]}[tp]
+
+
+def _wrong_type_cases():
+    """One case per init field of every level of both files, generated from
+    the dataclasses, so a new field is covered without a new case."""
+    cases = []
+    for level, cls in (("cert", Certificate), ("config", CompileConfig), ("per_node", NodeCert), ("spline", Spline)):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if f.init:
+                cases.append(pytest.param(level, f.name, _wrong_json(hints[f.name]), id=f"{level}.{f.name}"))
+    return cases
+
+
+_LEVELS = {
+    "cert": lambda cert, net: cert,
+    "config": lambda cert, net: cert["config"],
+    "per_node": lambda cert, net: cert["per_node"][0],
+    "spline": lambda cert, net: net["splines"][0],
+}
+
+
+class TestTypedReader:
+    """Both files are read by one typed rule: a value of the wrong JSON type
+    or a repeated key is bad input, exit 2, never coerced, ignored or taken
+    for a mismatch."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        prefix = tmp_path_factory.mktemp("typed") / "kan"
+        assert cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO()) == 0
+        return prefix.with_suffix(".net.json").read_text(), prefix.with_suffix(".cert.json").read_text()
+
+    def _verify(self, tmp_path, capsys, files, net_text=None, cert_text=None) -> tuple[int, str]:
+        net, cert = files
+        (tmp_path / "kan.net.json").write_text(net if net_text is None else net_text)
+        (tmp_path / "kan.cert.json").write_text(cert if cert_text is None else cert_text)
+        capsys.readouterr()
+        rc = main(["verify", "--net", str(tmp_path / "kan.net.json"), "--cert", str(tmp_path / "kan.cert.json"),
+                   "-e", "x1*x2", "--samples", "2000"])
+        return rc, capsys.readouterr().err
+
+    def test_files_verify(self, tmp_path, capsys, files):
+        assert self._verify(tmp_path, capsys, files) == (0, "")
+
+    @pytest.mark.parametrize("level, name, value", _wrong_type_cases())
+    def test_wrong_type_exit_2(self, tmp_path, capsys, files, level, name, value):
+        net, cert = map(json.loads, files)
+        _LEVELS[level](cert, net)[name] = value
+        rc, err = self._verify(tmp_path, capsys, files, json.dumps(net), json.dumps(cert))
+        assert rc == 2
+        if level == "spline":
+            assert err.startswith("error: bad spline: ") and f"(at $.splines[0].{name}) (at $.splines[0])" in err
+        else:
+            path = {"cert": "$", "config": "$.config", "per_node": "$.per_node[0]"}[level]
+            assert err.startswith("error: bad certificate: ") and f"(at {path}.{name})" in err
+
+    @pytest.mark.parametrize("edits", [
+        {"internal": True, "p_bound": 1, "per_node.a5_ok": 1},
+        {"per_node.c_op": 3.0},
+        {"expr": 5},
+        {"version": ["0.4.0"]},
+    ], ids=["bool-internal-int-p_bound-int-a5_ok", "float-c_op", "int-expr", "list-version"])
+    def test_mistyped_certificate_exit_2(self, tmp_path, capsys, files, edits):
+        # these once verified (exit 0) or read as a mismatch (exit 4)
+        cert = json.loads(files[1])
+        for key, value in edits.items():
+            level, _, name = key.rpartition(".")
+            (cert["per_node"][0] if level else cert)[name] = value
+        rc, err = self._verify(tmp_path, capsys, files, cert_text=json.dumps(cert))
+        assert rc == 2
+        assert err.startswith("error: bad certificate: ")
+
+    def test_int_for_float_reads_as_float(self, tmp_path, capsys, files):
+        # a float may be written as a JSON integer: p_bound 1 is p_bound 1.0
+        cert = json.loads(files[1])
+        assert cert["p_bound"] == 1.0
+        cert["p_bound"] = 1
+        assert type(Certificate.from_json(json.dumps(cert)).p_bound) is float
+        assert self._verify(tmp_path, capsys, files, cert_text=json.dumps(cert)) == (0, "")
+
+    @pytest.mark.parametrize("suffix, first, repeat", [
+        ("cert", '"p_bound":', '"p_bound":"junk",'),
+        ("cert", '{"node_id":', '"node_id":"junk",'),
+        ("net", '"format":', '"format":"kanforge/2",'),
+        ("net", '{"order":', '"order":"junk",'),
+    ], ids=["cert-top", "per_node-entry", "net-top", "spline-entry"])
+    def test_repeated_key_exit_2(self, tmp_path, capsys, files, suffix, first, repeat):
+        # the last value of each repeated key is the valid one, which a
+        # last-wins decoder would have read
+        text = files[0] if suffix == "net" else files[1]
+        at = text.index(first) + (first[0] == "{")
+        edited = text[:at] + repeat + text[at:]
+        assert json.loads(edited) == json.loads(text)
+        rc, err = self._verify(tmp_path, capsys, files, **{f"{suffix}_text": edited})
+        assert rc == 2
+        key = repeat.split(":")[0]
+        if suffix == "net":
+            assert err.startswith(f"error: invalid JSON: repeated key '{key[1:-1]}' (at $)")
+        else:
+            assert err.startswith(f"error: bad certificate: invalid JSON: repeated key '{key[1:-1]}'")
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("argv", [["compile", "-e", "x1", "--samples", "2000"], ["table-products"],
+                                      ["sweep-rate"]], ids=["compile", "table-products", "sweep-rate"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "out"
+        assert main(argv + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
 
 
 class TestTableProducts:

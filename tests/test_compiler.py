@@ -2,14 +2,18 @@ import itertools
 import json
 import math
 import tracemalloc
-from dataclasses import fields, replace
+import typing
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kanforge import compiler
 from kanforge.cli import random_tree
 from kanforge.compiler import (
+    Certificate,
     CertificationError,
     CompileConfig,
     CompileError,
@@ -22,7 +26,7 @@ from kanforge.compiler import (
     measured_sup_error,
 )
 from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_expression, render, tree_stats
-from kanforge.kannet import KanNetwork, deserialize, forward, forward_batch, lipschitz_product, serialize
+from kanforge.kannet import KanNetwork, deserialize, forward, forward_batch, lipschitz_product, read, serialize
 from kanforge.kernels import CHUNK
 from kanforge.primblocks import EdgeSplines, build_block
 from kanforge.rangecert import Interval, affine_box, annotate_ranges, apply_affine, verify_ranges_numerically
@@ -601,3 +605,45 @@ def test_certificate_json_round_trip():
             doc = json.loads(net_text)
             assert doc.keys() == _keys(KanNetwork) - {"edges", "counts"} | {"format", "layers"}
             assert all(sp.keys() == _keys(Spline) for sp in doc["splines"])
+
+
+def _assert_annotated_types(tp, value, where: str = "$"):
+    """Every leaf of `value` has exactly the type its annotation names: a
+    float field holds a float, never an int that equals it."""
+    args = typing.get_args(tp)
+    if is_dataclass(tp):
+        assert type(value) is tp, where
+        hints = typing.get_type_hints(tp)
+        for f in fields(tp):
+            if f.init:
+                _assert_annotated_types(hints[f.name], getattr(value, f.name), f"{where}.{f.name}")
+    elif type(None) in args:
+        if value is not None:
+            _assert_annotated_types(args[0], value, where)
+    elif typing.get_origin(tp) is tuple:
+        assert type(value) is tuple, where
+        items = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        assert len(items) == len(value), where
+        for i, (item, v) in enumerate(zip(items, value)):
+            _assert_annotated_types(item, v, f"{where}[{i}]")
+    else:
+        assert type(value) is tp, f"{where} is a {type(value).__name__}, annotated {tp.__name__}"
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["default", "faithful", "box"]))
+@settings(max_examples=40, deadline=None)
+def test_reader_accepts_every_compiled_certificate(seed, mode):
+    # the compiler's certificates read back equal, with every value of its
+    # annotated type, in each mode that writes one
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, 5)
+    if mode == "box":
+        lo = rng.uniform(-3.0, 3.0, tree_stats(tree).n)
+        _, cert = compile_on_box(tree, affine_box(list(zip(lo, lo + rng.uniform(0.1, 4.0, lo.size)))), CFG)
+        assert cert.box is not None
+    else:
+        _, cert = compile_tree(tree, CFG_FAITHFUL if mode == "faithful" else CFG)
+    again = read(Certificate, json.loads(cert.to_json()))
+    assert again == cert
+    _assert_annotated_types(Certificate, cert)
+    _assert_annotated_types(Certificate, again)

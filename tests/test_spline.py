@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kanforge import spline as sp
+from kanforge.kannet import SchemaError, read
 
 
 class TestUniformKnots:
@@ -288,7 +289,7 @@ class TestSerialization:
         import json
 
         d = json.loads(json.dumps(s.to_dict()))
-        s2 = sp.Spline.from_dict(d)
+        s2 = read(sp.Spline, d)
         assert np.array_equal(s.knots, s2.knots)
         assert np.array_equal(s.coefs, s2.coefs)
         ts = rng.uniform(0.1, 2.3, 50)
@@ -304,7 +305,7 @@ class TestSerialization:
         assert d.keys() == {"order", "knots", "coefs"}
         edit(d)
         with pytest.raises(ValueError, match=key):
-            sp.Spline.from_dict(d)
+            read(sp.Spline, d)
 
     @pytest.mark.parametrize("field, value", [
         ("order", 1.9),
@@ -323,17 +324,18 @@ class TestSerialization:
         d = sp.line_spline(0.0, 1.0, 0.0, 1.0).to_dict()
         d[field] = value
         with pytest.raises(ValueError, match=field):
-            sp.Spline.from_dict(d)
+            read(sp.Spline, d)
 
     def test_integer_knots_and_coefficients_load_as_floats(self):
         d = sp.line_spline(0.0, 1.0, 0.0, 1.0).to_dict()
         d.update(knots=[0, 1], coefs=[0, 1])
-        s = sp.Spline.from_dict(d)
+        s = read(sp.Spline, d)
         assert s.to_dict() == sp.line_spline(0.0, 1.0, 0.0, 1.0).to_dict()
         assert s.knots.dtype == s.coefs.dtype == np.float64
 
     def test_integer_past_float_range_rejected(self):
         d = sp.line_spline(0.0, 1.0, 0.0, 1.0).to_dict()
         d["coefs"] = [0, 10**400]
-        with pytest.raises(ValueError):
-            sp.Spline.from_dict(d)
+        with pytest.raises(SchemaError) as exc:
+            read(sp.Spline, d)
+        assert exc.value.path == "$.coefs"
