@@ -6,8 +6,9 @@ expression or certificate mismatch between a certificate and its inputs.
 Deeply nested expressions are not bad input: no tree pass recurses, so they
 compile.
 
-KANFORGE_SEED, when set, takes precedence over --seed; either must be a
-non-negative integer.
+Each command takes only the flags it reads. KANFORGE_SEED, when set, takes
+precedence over --seed for the commands that have one (compile, verify,
+fuzz); either must be a non-negative integer.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ _PRODUCT_FAMILIES = [("xy", "x1*x2"), ("xyz", "x1*x2*x3"), ("sin(xy)", "sin(x1*x
 ]
 
 
-def cmd_table_products(config: RunConfig, out: str | None = None, fmt: str = "csv",
+def cmd_table_products(grid: int = 35, out: str | None = None, fmt: str = "csv",
                        stream=None) -> int:
     """Lipschitz products of the multiplicative/trigonometric families.
 
@@ -333,17 +334,21 @@ def cmd_table_products(config: RunConfig, out: str | None = None, fmt: str = "cs
     product is exactly 1.0 for these families.
     """
     stream = stream if stream is not None else sys.stdout
+    try:
+        config = CompileConfig(grid, faithful_widths=True)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = []
     ok = True
     for name, expr in _PRODUCT_FAMILIES:
         tree = parse_expression(expr)
-        net, cert = compile_tree(tree, replace(config.compile, faithful_widths=True))
+        net, cert = compile_tree(tree, config)
         p = lipschitz_product(net).product
         stats = tree_stats(tree)
         rows.append({"f": name, "n": stats.n, "N": stats.internal, "P_measured": p, "P_bound": cert.p_bound})
         ok = ok and p == 1.0 and p <= cert.p_bound
-    text = _csv(rows)
-    _write(out, text)
+    _write(out, _csv(rows))
     _emit(rows, fmt, stream)
     return 0 if ok else 3
 
@@ -351,8 +356,7 @@ def cmd_table_products(config: RunConfig, out: str | None = None, fmt: str = "cs
 _SWEEP_GRIDS = (5, 12, 35)
 
 
-def cmd_sweep_rate(config: RunConfig, out: str | None = None, fmt: str = "csv",
-                   stream=None) -> int:
+def cmd_sweep_rate(out: str | None = None, fmt: str = "csv", stream=None) -> int:
     """Cubic-spline error scaling for sin on [0,1] over G in {5, 12, 35}.
 
     Emits error, h^4 and their ratio; the ratio must be constant within a
@@ -367,8 +371,7 @@ def cmd_sweep_rate(config: RunConfig, out: str | None = None, fmt: str = "csv",
         h4 = (1.0 / (G - 1)) ** 4
         rows.append({"G": G, "error": err, "h4": h4, "ratio": err / h4})
         ratios.append(err / h4)
-    text = _csv(rows)
-    _write(out, text)
+    _write(out, _csv(rows))
     _emit(rows, fmt, stream)
     if max(ratios) / min(ratios) > 2.0:
         print("error: ratio error/h^4 drifts by more than a factor of 2", file=sys.stderr)
@@ -430,7 +433,8 @@ def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that compile and check: compile, verify, fuzz."""
     p.add_argument("--grid", type=int, default=35,
                    help="spline grid points per trig block (default 35; verify --cert takes the certificate's)")
     p.add_argument("--samples", type=int, default=100_000,
@@ -439,20 +443,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--faithful-widths", action="store_true",
                    help="build the proof-faithful construction (inputs forwarded to the last layer; "
                         "verify --cert takes the certificate's)")
-    p.add_argument("-o", "--out", default=None, help="output path (prefix for compile)")
-    p.add_argument("--format", choices=("json", "csv", "table"), default="table")
 
 
 def _config_from(args) -> RunConfig:
-    seed = args.seed
     env = os.environ.get("KANFORGE_SEED")
-    if env is not None:
-        seed = int(env)
-    return RunConfig(
-        compile=CompileConfig(grid=args.grid, faithful_widths=args.faithful_widths),
-        samples=args.samples,
-        seed=seed,
-    )
+    return RunConfig(compile=CompileConfig(args.grid, args.faithful_widths), samples=args.samples,
+                     seed=args.seed if env is None else int(env))
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,34 +460,40 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile an expression, write net + certificate JSON")
     p.add_argument("-e", "--expr", required=True)
-    _add_config_flags(p)
+    _add_run_flags(p)
+    p.add_argument("-o", "--out", default=None, help="output prefix (default kan)")
+    p.add_argument("--format", choices=("json", "csv", "table"), default="table")
 
     p = sub.add_parser("verify", help="re-verify a network JSON against its expression")
     p.add_argument("--net", required=True, help="network JSON path")
     p.add_argument("--cert", default=None, help="certificate JSON path (hash checked)")
     p.add_argument("-e", "--expr", required=True)
-    _add_config_flags(p)
+    _add_run_flags(p)
+    p.add_argument("--format", choices=("json", "csv", "table"), default="table")
 
     p = sub.add_parser("table-products", help="Lipschitz-product table for the standard families")
-    _add_config_flags(p)
-    p.set_defaults(format="csv")
+    p.add_argument("--grid", type=int, default=35, help="spline grid points per trig block (default 35)")
+    p.add_argument("-o", "--out", default=None, help="CSV output path")
+    p.add_argument("--format", choices=("json", "csv", "table"), default="csv")
 
     p = sub.add_parser("sweep-rate", help="cubic error-scaling sweep for sin on [0,1]")
-    _add_config_flags(p)
-    p.set_defaults(format="csv")
+    p.add_argument("-o", "--out", default=None, help="CSV output path")
+    p.add_argument("--format", choices=("json", "csv", "table"), default="csv")
 
     p = sub.add_parser("fuzz", help="random-tree compile/certify/verify property run")
     p.add_argument("--trees", type=int, default=1000)
     p.add_argument("--max-depth", type=int, default=5,
                    help=f"random tree depth (default 5, at most {MAX_FUZZ_DEPTH})")
-    _add_config_flags(p)
+    _add_run_flags(p)
+    p.add_argument("-o", "--out", default=None, help="failing-trees JSON path (default fuzz_failures.json)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _config_from(args)
+        # the commands with a seed run on a checked RunConfig
+        config = _config_from(args) if "seed" in args else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -502,9 +504,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args.net, args.expr, config, cert_path=args.cert, fmt=args.format)
         if args.command == "table-products":
-            return cmd_table_products(config, out=args.out, fmt=args.format)
+            return cmd_table_products(args.grid, out=args.out, fmt=args.format)
         if args.command == "sweep-rate":
-            return cmd_sweep_rate(config, out=args.out, fmt=args.format)
+            return cmd_sweep_rate(out=args.out, fmt=args.format)
         return cmd_fuzz(config, trees=args.trees, max_depth=args.max_depth, out=args.out)
     except OSError as exc:  # an output path `_write` cannot write
         print(f"error: {exc}", file=sys.stderr)

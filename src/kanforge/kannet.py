@@ -30,6 +30,11 @@ a permuted or padded table re-serializes to that text. Loading builds one
 `Spline` per table entry, so shared splines come back shared. The document
 and each table entry hold exactly their keys; files of earlier formats,
 whose entries restated `domain` and `grid_points`, are rejected at `$.format`.
+
+`deserialize` checks a file's JSON types, each layer as `[int, int, int]`
+triples; the `KanNetwork` constructor checks its structure: widths, layer
+and tag counts, and every edge against them. Each check is made once, and
+each fault is a SchemaError at its element's path in the file.
 """
 
 from __future__ import annotations
@@ -74,11 +79,20 @@ class Edge(typing.NamedTuple):
     spline: Spline
 
 
+class SchemaError(ValueError):
+    """Malformed JSON input; `path` points at the offending element."""
+
+    def __init__(self, message: str, path: str):
+        super().__init__(f"{message} (at {path})")
+        self.path = path
+
+
 @dataclass(frozen=True, eq=False)
 class KanNetwork:
-    """The net file's form. The constructor checks every edge, renumbers the
-    table to first use over the edges and drops unused entries; equal but
-    distinct spline objects stay distinct entries. The triples are read-only."""
+    """The net file's form. The constructor checks the structure (a fault is a
+    SchemaError at its net file path), renumbers the table to first use, drops
+    unused entries and keeps equal but distinct splines apart. The triples are
+    read-only."""
 
     widths: tuple[int, ...]
     splines: tuple[Spline, ...]  # the spline table
@@ -93,18 +107,19 @@ class KanNetwork:
         edges = np.array(self.edges, dtype=np.intp).reshape(-1, 3)
         object.__setattr__(self, "wire_tags", tuple(tuple(tags) for tags in self.wire_tags))
         if len(widths) < 2:
-            raise ValueError("a network needs at least one transformation layer")
+            raise SchemaError("a network needs at least one transformation layer", "$.widths")
         if len(counts) != len(widths) - 1:
-            raise ValueError("layer count must be len(widths) - 1")
+            raise SchemaError("layer count must be len(widths) - 1", "$.layers")
+        # no file splits its edges wrongly: each layer's count is its length
         if min(counts) < 0 or sum(counts) != len(edges):
             raise ValueError("counts must split the edges into layers")
         if len(self.wire_tags) != len(widths):
-            raise ValueError("wire_tags must cover every boundary")
+            raise SchemaError("wire_tags must cover every boundary", "$.wire_tags")
         for m, (w, tags) in enumerate(zip(widths, self.wire_tags)):
             if w < 1:
-                raise ValueError(f"widths[{m}] must be >= 1")
+                raise SchemaError(f"widths[{m}] must be >= 1", f"$.widths[{m}]")
             if len(tags) != w:
-                raise ValueError(f"wire_tags[{m}] must have {w} entries")
+                raise SchemaError(f"wire_tags[{m}] must have {w} entries", f"$.wire_tags[{m}]")
         _check_edges(widths, len(splines), edges, counts)
         # the table in order of first use; unused entries are dropped
         first = list(dict.fromkeys(edges[:, 2].tolist()))
@@ -141,9 +156,9 @@ class KanNetwork:
 
 
 def _check_edges(widths: tuple[int, ...], n_splines: int, edges: np.ndarray, counts: tuple[int, ...]):
-    """Raise the ValueError of the first invalid edge, in layer order: a
-    source, target or spline index out of range, or a (source, target) pair
-    already taken in its layer."""
+    """Raise the SchemaError of the first invalid edge, in layer order, at
+    `$.layers[l][i]`: a source, target or spline index out of range, or a
+    (source, target) pair already taken in its layer."""
     layer = np.repeat(np.arange(len(counts)), counts)
     w = np.array(widths)
     src, dst, sid = edges.T
@@ -160,13 +175,14 @@ def _check_edges(widths: tuple[int, ...], n_splines: int, edges: np.ndarray, cou
     i = int(np.flatnonzero(bad)[0])
     l = int(layer[i])
     s, d, k = edges[i].tolist()
+    path = f"$.layers[{l}][{i - sum(counts[:l])}]"
     if not 0 <= s < widths[l]:
-        raise ValueError(f"layers[{l}] edge source {s} out of range")
+        raise SchemaError(f"layers[{l}] edge source {s} out of range", path)
     if not 0 <= d < widths[l + 1]:
-        raise ValueError(f"layers[{l}] edge target {d} out of range")
+        raise SchemaError(f"layers[{l}] edge target {d} out of range", path)
     if not 0 <= k < n_splines:
-        raise ValueError(f"layers[{l}] edge spline index {k} out of range")
-    raise ValueError(f"layers[{l}] duplicate edge ({s}, {d})")
+        raise SchemaError(f"layers[{l}] edge spline index {k} out of range", path)
+    raise SchemaError(f"layers[{l}] duplicate edge ({s}, {d})", path)
 
 
 def forward(net: KanNetwork, x) -> np.ndarray:
@@ -274,14 +290,6 @@ def _to_json(net: KanNetwork) -> str:
     return json.dumps(doc, separators=(",", ":"), check_circular=False)
 
 
-class SchemaError(ValueError):
-    """Malformed JSON input; `path` points at the offending element."""
-
-    def __init__(self, message: str, path: str):
-        super().__init__(f"{message} (at {path})")
-        self.path = path
-
-
 def _unique(pairs: list) -> dict:
     doc = dict(pairs)
     if len(doc) < len(pairs):
@@ -364,15 +372,15 @@ def _require(cond: bool, message: str, path: str):
 
 
 def deserialize(text: str) -> KanNetwork:
+    """The network of a net file's text. This checks the JSON types only; the
+    `KanNetwork` constructor checks the structure. A fault of either kind is a
+    SchemaError at its path in the file."""
     doc = loads(text)
     _require(isinstance(doc, dict), "document must be an object", "$")
     _require(doc.get("format") == FORMAT, f"format must be {FORMAT!r}", "$.format")
     # a missing key fails its own check below, at its own path
     _require(doc.keys() <= _KEYS, f"unknown keys {sorted(doc.keys() - _KEYS)}", "$")
     widths = read(tuple[int, ...], doc.get("widths"), "$.widths")
-    _require(len(widths) >= 2, "widths must be a list of >= 2 ints", "$.widths")
-    for m, w in enumerate(widths):
-        _require(w >= 1, "width must be a positive integer", f"$.widths[{m}]")
     table = doc.get("splines")
     _require(isinstance(table, list), "splines must be a list of spline objects", "$.splines")
     # one Spline per table entry: edges sharing an entry share the spline.
@@ -383,52 +391,41 @@ def deserialize(text: str) -> KanNetwork:
         try:
             splines.append(read(Spline, entry, f"$.splines[{i}]"))
             spline_lipschitz(splines[-1])
+        except SchemaError:  # the reader's, at its own path
+            raise
         except ValueError as exc:
             raise SchemaError(f"bad spline: {exc}", f"$.splines[{i}]") from exc
-    raw_layers = doc.get("layers")
-    _require(
-        isinstance(raw_layers, list) and len(raw_layers) == len(widths) - 1,
-        "layers must be a list of length len(widths) - 1",
-        "$.layers",
-    )
-    for l, triples in enumerate(raw_layers):
-        _require(isinstance(triples, list), "layer must be a list of [src, dst, spline] triples", f"$.layers[{l}]")
-        if not triples:
-            continue
-        # the whole layer is checked at once; only a failing check walks it
-        # triple by triple for the path
-        ok = set(map(type, triples)) == {list} and set(map(len, triples)) == {3}
-        if ok:
-            src, dst, idx = zip(*triples)
-            ok = all(
-                set(map(type, col)) == {int} and min(col) >= 0 and max(col) < bound
-                for col, bound in ((src, widths[l]), (dst, widths[l + 1]), (idx, len(splines)))
-            )
-        if not ok:
-            _layer_error(triples, l, widths, len(splines))
-    tags = read(tuple[tuple[str, ...], ...], doc.get("wire_tags"), "$.wire_tags")
-    _require(len(tags) == len(widths), "wire_tags must cover every boundary", "$.wire_tags")
-    for m, entry in enumerate(tags):
-        _require(len(entry) == widths[m], f"wire_tags[{m}] must be {widths[m]} strings", f"$.wire_tags[{m}]")
+    layers = doc.get("layers")
+    _require(isinstance(layers, list), "layers must be a list of layers", "$.layers")
     try:
-        # the checked triples of every layer as one array, read in one pass
-        triples = itertools.chain.from_iterable(itertools.chain.from_iterable(raw_layers))
-        return KanNetwork(
-            widths=widths,
-            splines=tuple(splines),
-            edges=np.fromiter(triples, np.intp),
-            counts=tuple(map(len, raw_layers)),
-            wire_tags=tags,
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc), "$") from exc
+        # each layer's types at once, then every layer's triples as one array
+        # in one pass; only a failure walks the triples, for its path
+        if not all(map(_typed_layer, layers)):
+            _layer_error(layers)
+        edges = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(layers)), np.intp)
+    except OverflowError:  # an integer past intp
+        _layer_error(layers)
+    tags = read(tuple[tuple[str, ...], ...], doc.get("wire_tags"), "$.wire_tags")
+    return KanNetwork(widths, tuple(splines), edges, tuple(map(len, layers)), tags)
 
 
-def _layer_error(triples: list, l: int, widths: tuple[int, ...], n_splines: int):
-    """Raise the SchemaError of layer l's first malformed triple."""
-    for i, t in enumerate(triples):
-        path = f"$.layers[{l}][{i}]"
-        _require(isinstance(t, list) and len(t) == 3, "edge must be a [src, dst, spline] triple", path)
-        for value, name, bound in zip(t, ("source", "target", "spline index"), (widths[l], widths[l + 1], n_splines)):
-            _require(0 <= read(int, value, path) < bound, f"edge {name} must be an integer in [0, {bound})", path)
-    raise SchemaError("malformed edge triples", f"$.layers[{l}]")
+def _typed_layer(triples) -> bool:
+    """Whether a layer is a list of [int, int, int] lists; bools are not ints."""
+    return type(triples) is list and (not triples or set(map(type, triples)) == {list}
+                                      and set(map(len, triples)) == {3}
+                                      and set(map(type, itertools.chain.from_iterable(triples))) == {int})
+
+
+def _layer_error(layers: list):
+    """Raise the SchemaError of the first layer or triple, in file order, that
+    is not a list of three integers within intp."""
+    intp = np.iinfo(np.intp)
+    for l, triples in enumerate(layers):
+        _require(isinstance(triples, list), "layer must be a list of [src, dst, spline] triples", f"$.layers[{l}]")
+        for i, t in enumerate(triples):
+            path = f"$.layers[{l}][{i}]"
+            _require(isinstance(t, list) and len(t) == 3, "edge must be a [src, dst, spline] triple", path)
+            for value, name in zip(t, ("source", "target", "spline index")):
+                v = read(int, value, path)
+                _require(intp.min <= v <= intp.max, f"layers[{l}] edge {name} {v} out of range", path)
+    raise SchemaError("malformed edge triples", "$.layers")  # the callers saw a fault, so not reached

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from kanforge.cli import RunConfig, balanced_additive_tree, cmd_sweep_rate, cmd_table_products, random_tree
+from kanforge.cli import balanced_additive_tree, cmd_sweep_rate, cmd_table_products, random_tree
 from kanforge.compiler import CompileConfig, compile_tree, measured_sup_error
 from kanforge.exprtree import OpKind, eval_tree, parse_expression, tree_stats
 from kanforge.kannet import forward_batch, lipschitz_product
@@ -119,7 +119,7 @@ def corpus():
 def test_criterion_1_product_table(tmp_path):
     start = time.perf_counter()
     buf = io.StringIO()
-    rc = cmd_table_products(RunConfig(), out=str(tmp_path / "t.csv"), fmt="csv", stream=buf)
+    rc = cmd_table_products(out=str(tmp_path / "t.csv"), fmt="csv", stream=buf)
     elapsed = time.perf_counter() - start
     lines = (tmp_path / "t.csv").read_text().strip().splitlines()
     rows = {r.split(",")[0]: r.split(",") for r in lines[1:]}
@@ -141,7 +141,7 @@ def test_criterion_1_product_table(tmp_path):
 def test_criterion_2_rate_table(tmp_path):
     start = time.perf_counter()
     buf = io.StringIO()
-    rc = cmd_sweep_rate(RunConfig(), out=str(tmp_path / "s.csv"), fmt="csv", stream=buf)
+    rc = cmd_sweep_rate(out=str(tmp_path / "s.csv"), fmt="csv", stream=buf)
     elapsed = time.perf_counter() - start
     rows = [r.split(",") for r in (tmp_path / "s.csv").read_text().strip().splitlines()[1:]]
     errors = {int(g): float(e) for g, e, _, _ in rows}

@@ -1,13 +1,18 @@
+import copy
 import dataclasses
+import functools
 import io
 import json
 import math
+import operator
 import sys
 import typing
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kanforge import cli, compiler
 from kanforge.cli import (
@@ -23,9 +28,9 @@ from kanforge.cli import (
     main,
     random_tree,
 )
-from kanforge.compiler import MAX_GRID, Certificate, CompileConfig, NodeCert, compile_on_box
+from kanforge.compiler import MAX_GRID, Certificate, CompileConfig, NodeCert, compile_on_box, compile_tree
 from kanforge.exprtree import MAX_COORD, Leaf, Node, OpKind, parse_expression, render, tree_stats
-from kanforge.kannet import serialize
+from kanforge.kannet import SchemaError, deserialize, serialize
 from kanforge.rangecert import affine_box
 from kanforge.spline import Spline
 
@@ -330,10 +335,11 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and where in err
 
     @pytest.mark.parametrize("edit, path", [
-        (lambda doc: doc["splines"][0].update(order=1.9), "$.splines[0]"),
-        (lambda doc: doc["splines"][0].update(order=True), "$.splines[0]"),
-        (lambda doc: doc["splines"][0].update(knots=[str(t) for t in doc["splines"][0]["knots"]]), "$.splines[0]"),
-        (lambda doc: doc["splines"][0].update(coefs=[True, False]), "$.splines[0]"),
+        (lambda doc: doc["splines"][0].update(order=1.9), "$.splines[0].order"),
+        (lambda doc: doc["splines"][0].update(order=True), "$.splines[0].order"),
+        (lambda doc: doc["splines"][0].update(knots=[str(t) for t in doc["splines"][0]["knots"]]),
+         "$.splines[0].knots"),
+        (lambda doc: doc["splines"][0].update(coefs=[True, False]), "$.splines[0].coefs"),
         (lambda doc: doc["widths"].__setitem__(1, True), "$.widths[1]"),
         (lambda doc: doc["layers"][0][0].__setitem__(0, True), "$.layers[0][0]"),
         (lambda doc: doc["layers"][0][0].__setitem__(2, 0.0), "$.layers[0][0]"),
@@ -357,7 +363,7 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", "--net", str(net_path), "-e", "x1*x2", "--samples", "2000"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"(at {path})" in err
+        assert err.startswith("error: ") and err.count("(at ") == 1 and f"(at {path})" in err
 
     @pytest.mark.parametrize("field, value", [("per_node", 5), ("config", None), ("box", [[0, 10**400]])])
     def test_malformed_cert_field_exit_2(self, tmp_path, capsys, field, value):
@@ -531,7 +537,8 @@ class TestTypedReader:
         rc, err = self._verify(tmp_path, capsys, files, json.dumps(net), json.dumps(cert))
         assert rc == 2
         if level == "spline":
-            assert err.startswith("error: bad spline: ") and f"(at $.splines[0].{name}) (at $.splines[0])" in err
+            # the reader's error names its path once
+            assert err.startswith("error: ") and err.count("(at ") == 1 and f"(at $.splines[0].{name})" in err
         else:
             path = {"cert": "$", "config": "$.config", "per_node": "$.per_node[0]"}[level]
             assert err.startswith("error: bad certificate: ") and f"(at {path}.{name})" in err
@@ -582,6 +589,74 @@ class TestTypedReader:
             assert err.startswith(f"error: bad certificate: invalid JSON: repeated key '{key[1:-1]}'")
 
 
+@functools.cache
+def _net_docs() -> tuple:
+    """(expression, net document) of two compiled networks."""
+    return tuple((e, json.loads(serialize(compile_tree(parse_expression(e), CompileConfig())[0])))
+                 for e in ("x1*x2", "sin(x1*x2)"))
+
+
+def _json_paths(value, path=()):
+    """The path of every value in a JSON document: itself, each list and object, each leaf."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+@st.composite
+def _edited_net(draw):
+    """(expression, edited net document): one value replaced by a value of
+    any JSON type or an edge-breaking integer, or one triple repeated."""
+    expr, doc = draw(st.sampled_from(_net_docs()))
+    doc = copy.deepcopy(doc)
+    if draw(st.booleans()):
+        triples = [(l, i) for l, layer in enumerate(doc["layers"]) for i in range(len(layer))]
+        l, i = draw(st.sampled_from(triples))
+        doc["layers"][l].insert(draw(st.integers(0, len(doc["layers"][l]))), list(doc["layers"][l][i]))
+        return expr, doc
+    path = draw(st.sampled_from(list(_json_paths(doc))))
+    ints = [-1, 2**63, 10**30, -(10**30), *doc["widths"]]
+    value = draw(st.sampled_from([None, True, 0.5, "x", [], {}, [0, 0, 0], {"order": 1}, *ints]))
+    if not path:
+        return expr, value
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+    return expr, doc
+
+
+class TestEditedNetFile:
+    """An edited net file loads or is bad input: never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def net_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("edited") / "kan.net.json"
+
+    @settings(max_examples=300, deadline=None)
+    @given(edit=_edited_net())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_loads_or_exit_2(self, net_path, edit):
+        expr, doc = edit
+        text = json.dumps(doc)
+        try:
+            deserialize(text)
+            loaded = True
+        except SchemaError:
+            loaded = False
+        net_path.write_text(text)
+        rc = main(["verify", "--net", str(net_path), "-e", expr, "--samples", "200"])
+        assert rc in ((0, 3) if loaded else (2,))
+
+    @pytest.mark.parametrize("value", [10**30, -(10**30), 2**63], ids=["1e30", "-1e30", "2^63"])
+    def test_integer_past_intp_exit_2(self, tmp_path, capsys, value):
+        expr, doc = _net_docs()[0]
+        doc = copy.deepcopy(doc)
+        doc["layers"][0][0][2] = value
+        (tmp_path / "kan.net.json").write_text(json.dumps(doc))
+        assert main(["verify", "--net", str(tmp_path / "kan.net.json"), "-e", expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("(at $.layers[0][0])\n") and "Traceback" not in err
+
+
 class TestOutputPath:
     @pytest.mark.parametrize("argv", [["compile", "-e", "x1", "--samples", "2000"], ["table-products"],
                                       ["sweep-rate"]], ids=["compile", "table-products", "sweep-rate"])
@@ -596,7 +671,7 @@ class TestOutputPath:
 class TestTableProducts:
     def test_all_rows_exactly_one(self, tmp_path):
         buf = io.StringIO()
-        rc = cmd_table_products(RunConfig(), out=str(tmp_path / "t.csv"), fmt="csv", stream=buf)
+        rc = cmd_table_products(out=str(tmp_path / "t.csv"), fmt="csv", stream=buf)
         assert rc == 0
         lines = (tmp_path / "t.csv").read_text().strip().splitlines()
         assert lines[0] == "f,n,N,P_measured,P_bound"
@@ -611,10 +686,15 @@ class TestTableProducts:
         assert by_name["x1..x10"][1:3] == ["10", "9"]
 
 
+    def test_bad_grid_exit_2(self, capsys):
+        assert main(["table-products", "--grid", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: grid must be an integer")
+
+
 class TestSweepRate:
     def test_values_and_ratio(self, tmp_path):
         buf = io.StringIO()
-        rc = cmd_sweep_rate(RunConfig(), out=str(tmp_path / "s.csv"), fmt="csv", stream=buf)
+        rc = cmd_sweep_rate(out=str(tmp_path / "s.csv"), fmt="csv", stream=buf)
         assert rc == 0
         rows = [line.split(",") for line in (tmp_path / "s.csv").read_text().strip().splitlines()[1:]]
         errors = {int(g): float(e) for g, e, _, _ in rows}
@@ -727,6 +807,26 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments: --order 3" in capsys.readouterr().err
 
+    # each command takes only the flags it reads: none of these did anything
+    @pytest.mark.parametrize("argv", [
+        ["sweep-rate", "--grid", "5"],
+        ["sweep-rate", "--samples", "10"],
+        ["sweep-rate", "--seed", "3"],
+        ["sweep-rate", "--faithful-widths"],
+        ["table-products", "--samples", "10"],
+        ["table-products", "--seed", "3"],
+        ["table-products", "--faithful-widths"],
+        ["verify", "--net", "n.json", "-e", "x1", "-o", "out"],
+        ["fuzz", "--format", "json"],
+    ], ids=["sweep-rate-grid", "sweep-rate-samples", "sweep-rate-seed", "sweep-rate-faithful-widths",
+            "table-products-samples", "table-products-seed", "table-products-faithful-widths", "verify-out",
+            "fuzz-format"])
+    def test_unread_flag_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_defaults_do_not_leak_between_calls(self, tmp_path, capsys):
         assert main(["sweep-rate", "--format", "json", "-o", str(tmp_path / "a.csv")]) == 0
         assert json.loads(capsys.readouterr().out)[0]["G"] == 5
@@ -734,11 +834,10 @@ class TestParser:
         assert capsys.readouterr().out.startswith("G,error,h4,ratio\n")
 
 
+# the commands with a sample count and a seed
 _COMMANDS = [
     ["compile", "-e", "x1"],
     ["verify", "--net", "missing.net.json", "-e", "x1"],
-    ["table-products"],
-    ["sweep-rate"],
     ["fuzz", "--trees", "1"],
 ]
 _COMMAND_IDS = [argv[0] for argv in _COMMANDS]
@@ -777,7 +876,8 @@ class TestSampleLimit:
 
 class TestSeed:
     """--seed and KANFORGE_SEED must be non-negative integers, checked in
-    RunConfig before any command starts."""
+    RunConfig before any command with a seed starts; the others ignore the
+    variable."""
 
     def test_run_config_seed(self):
         assert RunConfig(seed=0).seed == 0
@@ -798,6 +898,13 @@ class TestSeed:
         assert seen == []
         assert "seed must be a non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["table-products"], ["sweep-rate"]], ids=["table-products", "sweep-rate"])
+    def test_commands_without_a_seed_ignore_the_variable(self, monkeypatch, argv):
+        seen = _stub_commands(monkeypatch)
+        monkeypatch.setenv("KANFORGE_SEED", "-3")
+        assert main(argv) == 0
+        assert len(seen) == 1
+
     def test_compile_writes_nothing(self, monkeypatch, tmp_path):
         monkeypatch.delenv("KANFORGE_SEED", raising=False)
         assert main(["compile", "-e", "x1", "--seed", "-1", "-o", str(tmp_path / "k")]) == 2
@@ -808,8 +915,8 @@ class TestDeterminism:
     def test_identical_seed_identical_bytes(self, tmp_path):
         cfg = RunConfig(samples=1000, seed=123)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        cmd_table_products(cfg, out=str(a), fmt="csv", stream=io.StringIO())
-        cmd_table_products(cfg, out=str(b), fmt="csv", stream=io.StringIO())
+        cmd_table_products(out=str(a), fmt="csv", stream=io.StringIO())
+        cmd_table_products(out=str(b), fmt="csv", stream=io.StringIO())
         assert a.read_bytes() == b.read_bytes()
         ja, jb = tmp_path / "ja", tmp_path / "jb"
         cmd_compile("sin((x1+x2)*x3)", cfg, out=str(ja), fmt="json", stream=io.StringIO())

@@ -653,8 +653,54 @@ class TestSerialization:
         net, _ = compile_tree(parse_expression("x1*x2"), CFG)
         doc = json.loads(serialize(net))
         doc["layers"][1].append(list(doc["layers"][1][0]))
-        with pytest.raises(SchemaError, match="duplicate edge"):
+        with pytest.raises(SchemaError, match="duplicate edge") as exc:
             deserialize(json.dumps(doc))
+        # at the second occurrence
+        assert exc.value.path == "$.layers[1][2]"
+
+    # x1*x2 has widths [2, 2, 2, 1], a 5-entry table, and two edges in layer 1
+    @pytest.mark.parametrize("edit, path", [
+        (lambda doc: doc.update(widths=[2], layers=[], wire_tags=[["x1", "x2"]]), "$.widths"),
+        (lambda doc: doc["widths"].__setitem__(1, 0), "$.widths[1]"),
+        (lambda doc: doc["widths"].__setitem__(2, -2), "$.widths[2]"),
+        (lambda doc: doc["layers"].pop(), "$.layers"),
+        (lambda doc: doc["layers"].append([]), "$.layers"),
+        (lambda doc: doc["wire_tags"].pop(), "$.wire_tags"),
+        (lambda doc: doc["wire_tags"][1].append("extra"), "$.wire_tags[1]"),
+        (lambda doc: doc["layers"][1][1].__setitem__(0, 2), "$.layers[1][1]"),
+        (lambda doc: doc["layers"][1][1].__setitem__(0, -1), "$.layers[1][1]"),
+        (lambda doc: doc["layers"][2][1].__setitem__(1, 1), "$.layers[2][1]"),
+        (lambda doc: doc["layers"][1][1].__setitem__(2, 5), "$.layers[1][1]"),
+        (lambda doc: doc["layers"][1][1].__setitem__(2, -1), "$.layers[1][1]"),
+        (lambda doc: doc["layers"][0].append([1, 0, 4]), "$.layers[0][4]"),
+    ], ids=["one-boundary", "zero-width", "negative-width", "layer-missing", "layer-extra", "tags-missing",
+            "tags-long", "source", "negative-source", "target", "spline-index", "negative-spline-index",
+            "duplicate"])
+    def test_deserialize_raises_the_constructors_error(self, edit, path):
+        # one validator: a structural fault in a file is the SchemaError the
+        # constructor raises on the same fields, message and path alike
+        net, _ = compile_tree(parse_expression("x1*x2"), CFG)
+        doc = json.loads(serialize(net))
+        edit(doc)
+        with pytest.raises(SchemaError) as want:
+            KanNetwork(widths=tuple(doc["widths"]), splines=tuple(Spline(**e) for e in doc["splines"]),
+                       edges=[t for layer in doc["layers"] for t in layer], counts=tuple(map(len, doc["layers"])),
+                       wire_tags=doc["wire_tags"])
+        with pytest.raises(SchemaError) as got:
+            deserialize(json.dumps(doc))
+        assert (str(got.value), got.value.path) == (str(want.value), want.value.path)
+        assert got.value.path == path
+
+    @pytest.mark.parametrize("value", [10**30, -(10**30), 2**63], ids=["1e30", "-1e30", "2^63"])
+    @pytest.mark.parametrize("column", [0, 1, 2], ids=["source", "target", "spline-index"])
+    def test_integer_past_intp_rejected_at_its_triple(self, column, value):
+        # no array holds it, so the type pass, not the constructor, names it
+        net, _ = compile_tree(parse_expression("x1*x2"), CFG)
+        doc = json.loads(serialize(net))
+        doc["layers"][0][0][column] = value
+        with pytest.raises(SchemaError) as exc:
+            deserialize(json.dumps(doc))
+        assert exc.value.path == "$.layers[0][0]" and f" {value} out of range" in str(exc.value)
 
     @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000], ids=["long-integer", "deep-nesting"])
     def test_json_the_decoder_refuses_rejected(self, text):
@@ -682,16 +728,18 @@ class TestSerialization:
 
 
 def _first_edge_error(widths, layers):
-    """The message of the first invalid edge, walking layer by layer, or None."""
+    """The message of the first invalid edge, walking layer by layer, with its
+    path within the layer, or None."""
     for l, edges in enumerate(layers):
         seen = set()
-        for src, dst, _ in edges:
+        for i, (src, dst, _) in enumerate(edges):
+            at = f" (at $.layers[{l}][{i}])"
             if not 0 <= src < widths[l]:
-                return f"layers[{l}] edge source {src} out of range"
+                return f"layers[{l}] edge source {src} out of range" + at
             if not 0 <= dst < widths[l + 1]:
-                return f"layers[{l}] edge target {dst} out of range"
+                return f"layers[{l}] edge target {dst} out of range" + at
             if (src, dst) in seen:
-                return f"layers[{l}] duplicate edge ({src}, {dst})"
+                return f"layers[{l}] duplicate edge ({src}, {dst})" + at
             seen.add((src, dst))
     return None
 
@@ -708,7 +756,8 @@ class TestNetworkInvariants:
     def test_edge_checks_match_per_edge_oracle(self, rng):
         # the constructor checks all edges at once as arrays; it must accept
         # and reject exactly what a walk over each layer's edges does, with
-        # that walk's message (a pair may recur in another layer)
+        # that walk's message and path (a pair may recur in another layer; a
+        # duplicate is reported at its second occurrence)
         s = line_spline(0, 1, 0, 1)
         rejected = 0
         for _ in range(300):
@@ -724,7 +773,7 @@ class TestNetworkInvariants:
                 network(widths, (s,), layers, tags)
             else:
                 rejected += 1
-                with pytest.raises(ValueError) as exc:
+                with pytest.raises(SchemaError) as exc:
                     network(widths, (s,), layers, tags)
                 assert str(exc.value) == want
         assert 0 < rejected < 300
@@ -732,8 +781,9 @@ class TestNetworkInvariants:
     def test_spline_index_validated(self):
         s = line_spline(0, 1, 0, 1)
         for k in (-1, 1):
-            with pytest.raises(ValueError, match=rf"^layers\[1\] edge spline index {k} out of range$"):
-                network((1, 1, 1), (s,), [[(0, 0, 0)], [(0, 0, k)]])
+            with pytest.raises(SchemaError, match=rf"^layers\[1\] edge spline index {k} out of range "
+                                                  rf"\(at \$\.layers\[1\]\[1\]\)$"):
+                network((1, 2, 1), (s,), [[(0, 0, 0), (0, 1, 0)], [(0, 0, 0), (1, 0, k)]])
 
     def test_counts_split_the_edges(self):
         s = line_spline(0, 1, 0, 1)
