@@ -16,7 +16,6 @@ from .compiler import (
     build_schedule,
     certify,
     check_certificate,
-    compile_on_box,
     compile_tree,
     dead_wire_elimination,
     recompute_certificate,
@@ -48,14 +47,11 @@ from .kannet import (
 )
 from .primblocks import Block, EdgeSplines, build_block
 from .rangecert import (
-    AffineBox,
     AnnotatedTree,
     Interval,
     LipBudget,
     NodeAnnotation,
-    affine_box,
     annotate_ranges,
-    apply_affine,
     lip_budget,
     partial_lip,
     range_rule,

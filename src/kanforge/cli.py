@@ -8,7 +8,8 @@ compile.
 
 Each command takes only the flags it reads. KANFORGE_SEED, when set, takes
 precedence over --seed for the commands that have one (compile, verify,
-fuzz); either must be a non-negative integer.
+fuzz); either must be a non-negative integer, the variable written in ASCII
+digits.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .compiler import (
     CheckReport,
     CompileConfig,
     CompileError,
+    _box_points,
     check_certificate,
     compile_tree,
     jacobian_row,
@@ -56,7 +58,7 @@ from .kannet import (
     lipschitz_product,
     serialize,
 )
-from .rangecert import AnnotatedTree, affine_box, annotate_ranges, apply_affine, verify_ranges_numerically
+from .rangecert import AnnotatedTree, annotate_ranges, verify_ranges_numerically
 from .spline import cubic_interpolant, sup_error
 
 __all__ = [
@@ -244,23 +246,22 @@ _RANGE_SAMPLES = 200_000
 
 def verify_report(tree: CompTree, net: KanNetwork, cert: Certificate, ann: AnnotatedTree,
                   samples: int, seed: int) -> CheckReport:
-    """`check_certificate`'s report of `cert` against `net` (behind the
-    certificate's box, if any), plus the range and Jacobian rows; `ann` is the
-    tree's `annotate_ranges`. One seeded sample pass feeds both the sup error
-    and the per-node range maxima; the 20 Jacobian probes, mapped into the
-    box, share one forward."""
-    box = affine_box(cert.box) if cert.box is not None else None
+    """`check_certificate`'s report of `cert` against `net` (behind
+    `cert.config.box`, if any), plus the range and Jacobian rows; `ann` is
+    the tree's `annotate_ranges`. One seeded sample pass feeds both the sup
+    error and the per-node range maxima; the 20 Jacobian probes, mapped into
+    the box, share one forward."""
     product = lipschitz_product(net)
     range_samples = min(samples, _RANGE_SAMPLES)
     # the error pass draws max(n, n_0) columns per row, so its rows are the
     # range check's rows only when n_0 <= n; otherwise the check draws its own
     node_max = NodeMaxima(range_samples) if net.n_inputs <= len(ann.leaf_ranges) else None
-    report = check_certificate(tree, net, cert, samples, seed, box=box,
-                               product=product, node_max=node_max, annotated=ann)
+    report = check_certificate(tree, net, cert, samples, seed, product=product, node_max=node_max,
+                               annotated=ann)
     ranges = verify_ranges_numerically(tree, range_samples, seed, annotated=ann, node_max=node_max)
     probes = np.random.default_rng(seed).uniform(0.001, 0.999, size=(20, net.n_inputs))
-    if box is not None:
-        probes = apply_affine(box, probes)
+    if cert.config.box is not None:
+        probes = _box_points(cert.config.box, probes)
     jac_max = jacobian_lower_bound(net, probes)
     return replace(report, rows=report.rows + (range_row(ranges), jacobian_row(jac_max, product.product)))
 
@@ -278,15 +279,14 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
     except (OSError, UnicodeDecodeError, SchemaError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    box, cert = None, None
+    cert = None
     if cert_path:
         try:
             with open(cert_path, encoding="utf-8") as fh:
                 cert = Certificate.from_json(fh.read())
-            if cert.box is not None:
-                box = affine_box(cert.box)
-                if len(box.intervals) != net.n_inputs:
-                    raise ValueError(f"box has {len(box.intervals)} intervals, network reads {net.n_inputs}")
+            box = cert.config.box
+            if box is not None and len(box) != net.n_inputs:
+                raise ValueError(f"box has {len(box)} intervals, network reads {net.n_inputs}")
         except (OSError, ValueError) as exc:
             print(f"error: bad certificate: {exc}", file=sys.stderr)
             return 2
@@ -305,9 +305,9 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
             print(f"error: expression mismatch: certificate was issued for {cert.expr!r}", file=sys.stderr)
             return 4
     ann = annotate_ranges(tree)
-    # a certificate is recomputed as it was issued: with its own config and box
+    # a certificate is recomputed as it was issued: with its own config, box included
     compile_config = cert.config if cert is not None else config.compile
-    recomputed = recompute_certificate(tree, net, compile_config, box, annotated=ann)
+    recomputed = recompute_certificate(tree, net, compile_config, annotated=ann)
     if cert is not None and cert != recomputed:
         name = next(f.name for f in fields(Certificate) if getattr(cert, f.name) != getattr(recomputed, f.name))
         print(f"error: certificate mismatch: {name} is {reprlib.repr(getattr(cert, name))} in the file, "
@@ -447,6 +447,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 def _config_from(args) -> RunConfig:
     env = os.environ.get("KANFORGE_SEED")
+    # ASCII digits only: int() would also take " 7", "+7", "7_0" and "７"
+    if env is not None and not (env.isascii() and env.isdigit()):
+        raise ValueError(f"KANFORGE_SEED={env!r}: seed must be a non-negative integer")
     return RunConfig(compile=CompileConfig(args.grid, args.faithful_widths), samples=args.samples,
                      seed=args.seed if env is None else int(env))
 

@@ -17,6 +17,12 @@ single edge per (source, target) pair, so the two arguments must arrive on
 distinct neurons. Fan-out edges are exact identities, so bounds are
 unaffected and only the layer count grows past the block-depth sum.
 
+A `CompileConfig.box` puts one affine layer ahead of the network: edge p
+maps coordinate p of the box onto [0,1]. The network's value at a box point
+is the tree's at the rescaled point. The pre-layer's Lipschitz constant is
+mu = max_p 1/(hi_p - lo_p), so the certified product bounds are multiplied by
+max(mu, 1), and the sampled checks map their points into the box.
+
 Certified error bounds survive boundary roundoff because edges continue
 linearly outside their domain with the boundary slope, which never exceeds
 the certified on-domain Lipschitz constant of the edge.
@@ -28,7 +34,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,12 +56,10 @@ from .primblocks import Block, EdgeSplines, build_block
 from .rangecert import (
     BLOCK_DEPTH,
     _SOUNDNESS_SLACK,
-    AffineBox,
     AnnotatedTree,
     Interval,
     RangeReport,
     annotate_ranges,
-    apply_affine,
     lip_budget,
     sample_blocks,
 )
@@ -72,7 +76,6 @@ __all__ = [
     "CheckReport",
     "build_schedule",
     "compile_tree",
-    "compile_on_box",
     "dead_wire_elimination",
     "recompute_certificate",
     "check_certificate",
@@ -83,7 +86,7 @@ __all__ = [
 
 # bumped whenever the certificate's bytes change, so also with kannet.FORMAT:
 # the certificate hashes the net file
-VERSION = "0.4.0"
+VERSION = "0.5.0"
 
 # width bound constant from the widest primitive block (the multiplication
 # block spans 4 neurons counting its forwarded operands)
@@ -113,16 +116,30 @@ MAX_GRID = 10_000
 
 @dataclass(frozen=True)
 class CompileConfig:
-    """Every setting the compiler reads; a certificate stores it as its `config`."""
+    """Every setting the compiler reads; a certificate stores it as its `config`.
+
+    `box` is one `(lo, hi)` pair per input coordinate, or None for the unit
+    cube. A box network reads points of the box through an affine pre-layer
+    onto [0,1]^n (see `compile_tree`).
+    """
 
     grid: int = 35
     faithful_widths: bool = False
+    box: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         # checked here, before anything is built, so a certificate file asking
-        # for more grid is bad input like a --grid flag
+        # for more grid, or holding a bad box, is bad input like a --grid flag
         if not 2 <= self.grid <= MAX_GRID:
             raise ValueError(f"grid must be an integer in [2, {MAX_GRID}]")
+        if self.box is not None:
+            # float pairs, so a box given as lists of ints equals the one its
+            # certificate reads back as
+            box = tuple((float(lo), float(hi)) for lo, hi in self.box)
+            for lo, hi in box:
+                if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+                    raise ValueError(f"degenerate box interval [{lo}, {hi}]")
+            object.__setattr__(self, "box", box)
 
 
 WireKey = tuple[str, int]  # ("input", coord) or ("node", node_id)
@@ -194,8 +211,6 @@ class Certificate:
     expr: str
     net_sha256: str
     config: CompileConfig
-    box: tuple[tuple[float, float], ...] | None = None
-    box_factor: float | None = None
     version: str = VERSION
 
     def to_json(self) -> str:
@@ -319,8 +334,8 @@ def _build_network(
         if entry is not schedule[-1]:
             fwd.append((entry.produced, out_range, f"node{nid}", splines.ident(out_range)))
 
-    return KanNetwork(widths=tuple(widths), splines=tuple(table), edges=triples, counts=tuple(counts),
-                      wire_tags=tuple(wire_tags))
+    return KanNetwork(widths=tuple(widths), splines=tuple(table), edges=np.array(triples, dtype=np.intp),
+                      counts=tuple(counts), wire_tags=tuple(wire_tags))
 
 
 def dead_wire_elimination(net: KanNetwork, outputs: set[int] | None = None) -> KanNetwork:
@@ -379,14 +394,19 @@ def _certificate(
         eps_op = max(eps_op, b.eps_op)
         has_trig = has_trig or a.op in (OpKind.SIN, OpKind.COS)
     error_bound = stats.internal * max(budget.c_star, 1.0) ** stats.depth * eps_op
+    p_bound, p_simplified = budget.product_bound, budget.simplified_bound
+    if config.box is not None:
+        # the pre-layer's factor max(mu, 1), mu = 1 / the narrowest side
+        factor = max(1.0 / min(hi - lo for lo, hi in config.box), 1.0)
+        p_bound, p_simplified = p_bound * factor, p_simplified * factor
     return Certificate(
         n=stats.n,
         internal=stats.internal,
         depth=stats.depth,
         l_f=budget.l_f,
         widths=net.widths,
-        p_bound=budget.product_bound,
-        p_simplified=budget.simplified_bound,
+        p_bound=p_bound,
+        p_simplified=p_simplified,
         c_star=budget.c_star,
         width_bound=stats.n + 2 * W_MAX_BLOCK * stats.internal,
         error_bound=error_bound,
@@ -406,7 +426,8 @@ def compile_tree(
 
     `annotated` is the tree's `annotate_ranges` when the caller has it
     already. One `EdgeSplines` serves the whole compile, so every distinct
-    edge is one `Spline`.
+    edge is one `Spline`. With `config.box` the network reads points of the
+    box through its affine pre-layer.
     """
     bad = validate_opset(tree, set(BLOCK_DEPTH))
     if bad:
@@ -419,46 +440,29 @@ def compile_tree(
         net = _leaf_network(tree, stats.n)
     else:
         net = _build_network(stats.n, ann, build_schedule(tree), blocks, splines, config.faithful_widths)
+    if config.box is not None:
+        net = _behind_box(net, config.box)
     return net, _certificate(tree, stats, net, config, ann, blocks)
 
 
-def _on_box(cert: Certificate, box: AffineBox) -> Certificate:
-    # bounds for a network behind the box pre-layer (see compile_on_box)
-    mu = box.lip_h_inv
-    factor = max(mu, 1.0)
-    return replace(
-        cert,
-        p_bound=cert.p_bound * factor,
-        p_simplified=cert.p_simplified * factor,
-        box=tuple((iv.lo, iv.hi) for iv in box.intervals),
-        box_factor=mu,
+def _behind_box(net: KanNetwork, box: tuple[tuple[float, float], ...]) -> KanNetwork:
+    # the pre-layer's edge p reads coordinate p through table entry p, ahead of net's table
+    n = net.n_inputs
+    if len(box) != n:
+        raise CompileError(f"box has {len(box)} intervals, tree reads {n} coordinates")
+    return KanNetwork(
+        widths=(n,) + net.widths,
+        splines=tuple(line_spline(lo, hi, 0.0, 1.0) for lo, hi in box) + net.splines,
+        edges=np.concatenate([np.repeat(np.arange(n), 3).reshape(n, 3), net.edges + (0, 0, n)]),
+        counts=(n,) + net.counts,
+        wire_tags=(tuple(f"box:x{p}" for p in range(1, n + 1)),) + net.wire_tags,
     )
 
 
-def compile_on_box(
-    tree: CompTree, box: AffineBox, config: CompileConfig = CompileConfig()
-) -> tuple[KanNetwork, Certificate]:
-    """Compile with an affine pre-layer so the network reads inputs in the box.
-
-    The pre-layer rescales each coordinate onto [0,1]; the network value at a
-    box point x equals the tree evaluated at the rescaled point. The measured
-    product picks up exactly the pre-layer factor mu = max_p 1/(b_p - a_p);
-    the certified bounds are multiplied by max(mu, 1).
-    """
-    net0, cert0 = compile_tree(tree, config)
-    n = net0.n_inputs
-    if len(box.intervals) != n:
-        raise CompileError(f"box has {len(box.intervals)} intervals, tree reads {n} coordinates")
-    # the pre-layer's edge p reads coordinate p through table entry p, ahead of net0's table
-    net = KanNetwork(
-        widths=(n,) + net0.widths,
-        splines=tuple(line_spline(iv.lo, iv.hi, 0.0, 1.0) for iv in box.intervals) + net0.splines,
-        edges=np.concatenate([np.repeat(np.arange(n), 3).reshape(n, 3), net0.edges + (0, 0, n)]),
-        counts=(n,) + net0.counts,
-        wire_tags=(tuple(f"box:x{p}" for p in range(1, n + 1)),) + net0.wire_tags,
-    )
-    cert = _on_box(replace(cert0, widths=net.widths, net_sha256=_net_hash(net)), box)
-    return net, cert
+def _box_points(box: tuple[tuple[float, float], ...], t: np.ndarray) -> np.ndarray:
+    """Points t of [0,1]^n mapped into the box: lo_p + t_p * (hi_p - lo_p)."""
+    lo, hi = np.array(box, dtype=np.float64).T
+    return lo + t * (hi - lo)
 
 
 def measured_sup_error(
@@ -466,10 +470,11 @@ def measured_sup_error(
     net: KanNetwork,
     samples: int,
     seed: int,
-    box: AffineBox | None = None,
+    box: tuple[tuple[float, float], ...] | None = None,
     node_max: NodeMaxima | None = None,
 ) -> float:
-    """Max |tree - network| over uniform samples (mapped through the box if any).
+    """Max |tree - network| over uniform samples (mapped into `box`, a
+    `CompileConfig.box`, if any).
 
     The seeded samples are drawn, evaluated and reduced one `kernels.CHUNK`
     block at a time (`rangecert.sample_blocks`), so memory stays bounded for
@@ -483,7 +488,7 @@ def measured_sup_error(
         truth = eval_tree_batch(tree, xs, node_max)
         pts = xs[:, : net.n_inputs]
         if box is not None:
-            pts = apply_affine(box, pts)
+            pts = _box_points(box, pts)
         got = forward_batch(net, pts)[:, 0]
         err = np.maximum(err, np.max(np.abs(truth - got)))
     return float(err)
@@ -493,20 +498,18 @@ def recompute_certificate(
     tree: CompTree,
     net: KanNetwork,
     config: CompileConfig = CompileConfig(),
-    box: AffineBox | None = None,
     annotated: AnnotatedTree | None = None,
 ) -> Certificate:
     """The certificate of `net` rederived from the tree: ranges, blocks, budget.
 
-    Uses the same deterministic steps as `compile_tree` (and `compile_on_box`
-    when `box` is given), so for a compiled network it equals the certificate
-    the compiler issued. `annotated` is the tree's `annotate_ranges` when the
+    Uses the same deterministic steps as `compile_tree`, box factor included,
+    so for a network compiled with `config` it equals the certificate the
+    compiler issued. `annotated` is the tree's `annotate_ranges` when the
     caller has it already.
     """
     ann = annotated if annotated is not None else annotate_ranges(tree)
     blocks = _build_blocks(ann, config.grid, EdgeSplines())
-    cert = _certificate(tree, tree_stats(tree), net, config, ann, blocks)
-    return _on_box(cert, box) if box is not None else cert
+    return _certificate(tree, tree_stats(tree), net, config, ann, blocks)
 
 
 @dataclass(frozen=True)
@@ -576,13 +579,13 @@ def check_certificate(
     cert: Certificate,
     samples: int,
     seed: int,
-    box: AffineBox | None = None,
     product: ProductReport | None = None,
     node_max: NodeMaxima | None = None,
     annotated: AnnotatedTree | None = None,
 ) -> CheckReport:
     """One `CheckRow` per inequality `cert` states, each evaluated against `net`.
 
+    The sampled error reads `net` behind `cert.config.box`, if any.
     `product` is the network's `lipschitz_product` and `annotated` the tree's
     `annotate_ranges` when the caller has them; `node_max` goes to
     `measured_sup_error`, which runs even when an earlier row fails.
@@ -595,7 +598,7 @@ def check_certificate(
         bound = a.block_bound if a is not None else math.nan
         blocks.append((f"node {nc.node_id} ({nc.op})", nc.lambda_op, bound, nc.lambda_op <= bound))
     report = product if product is not None else lipschitz_product(net)
-    err = measured_sup_error(tree, net, samples, seed, box=box, node_max=node_max)
+    err = measured_sup_error(tree, net, samples, seed, box=cert.config.box, node_max=node_max)
     rows = (
         CheckRow("n_0 = n", net.n_inputs, n, 0.0, net.n_inputs == n),
         _at_most("max width <= width bound n + 2*w_max*N", max(net.widths), cert.width_bound),
@@ -615,13 +618,12 @@ def certify(
     config: CompileConfig = CompileConfig(),
     samples: int = 100_000,
     seed: int = 42,
-    box: AffineBox | None = None,
 ) -> Certificate:
     """Recompute every bound from the tree and return the certificate, or raise
     CertificationError from the first failing row of `check_certificate`."""
     ann = annotate_ranges(tree)
-    cert = recompute_certificate(tree, net, config, box, annotated=ann)
-    failure = check_certificate(tree, net, cert, samples, seed, box, annotated=ann).failure
+    cert = recompute_certificate(tree, net, config, annotated=ann)
+    failure = check_certificate(tree, net, cert, samples, seed, annotated=ann).failure
     if failure is not None:
         raise CertificationError(failure.message())
     return cert

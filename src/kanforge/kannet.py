@@ -33,7 +33,8 @@ whose entries restated `domain` and `grid_points`, are rejected at `$.format`.
 
 `deserialize` checks a file's JSON types, each layer as `[int, int, int]`
 triples; the `KanNetwork` constructor checks its structure: widths, layer
-and tag counts, and every edge against them. Each check is made once, and
+and tag counts, and every edge against them. A library caller's triples
+that are not integers within intp fail there as a file's do. Each check is made once, and
 each fault is a SchemaError at its element's path in the file.
 """
 
@@ -104,7 +105,8 @@ class KanNetwork:
 
     def __post_init__(self):
         widths, splines, counts = tuple(self.widths), tuple(self.splines), tuple(self.counts)
-        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 3)
+        # a copy, since the table renumbering writes to it; a list's dtype is inferred
+        edges = np.array(self.edges).reshape(-1, 3)
         object.__setattr__(self, "wire_tags", tuple(tuple(tags) for tags in self.wire_tags))
         if len(widths) < 2:
             raise SchemaError("a network needs at least one transformation layer", "$.widths")
@@ -120,6 +122,8 @@ class KanNetwork:
                 raise SchemaError(f"widths[{m}] must be >= 1", f"$.widths[{m}]")
             if len(tags) != w:
                 raise SchemaError(f"wire_tags[{m}] must have {w} entries", f"$.wire_tags[{m}]")
+        if edges.dtype != np.intp:
+            edges = _intp_triples(self.edges, edges, counts)
         _check_edges(widths, len(splines), edges, counts)
         # the table in order of first use; unused entries are dropped
         first = list(dict.fromkeys(edges[:, 2].tolist()))
@@ -153,6 +157,18 @@ class KanNetwork:
         if self._packed is None:
             object.__setattr__(self, "_packed", kernels.build_plan(self))
         return self._packed
+
+
+def _intp_triples(given, edges: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """`edges`, the triples `given` as an array of another dtype, as intp. A
+    triple that is not three integers within intp fails as in a net file:
+    a SchemaError at `$.layers[l][i]`, found on the values as given."""
+    if edges.size == 0 or edges.dtype.kind in "iu" and edges.max() <= np.iinfo(np.intp).max:
+        return edges.astype(np.intp)
+    values = np.asarray(given, dtype=object).reshape(-1, 3).tolist()
+    triples = iter(values)
+    _layer_error([list(itertools.islice(triples, n)) for n in counts])
+    return np.array(values, dtype=np.intp)
 
 
 def _check_edges(widths: tuple[int, ...], n_splines: int, edges: np.ndarray, counts: tuple[int, ...]):
@@ -405,6 +421,7 @@ def deserialize(text: str) -> KanNetwork:
         edges = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(layers)), np.intp)
     except OverflowError:  # an integer past intp
         _layer_error(layers)
+        raise
     tags = read(tuple[tuple[str, ...], ...], doc.get("wire_tags"), "$.wire_tags")
     return KanNetwork(widths, tuple(splines), edges, tuple(map(len, layers)), tags)
 
@@ -418,7 +435,7 @@ def _typed_layer(triples) -> bool:
 
 def _layer_error(layers: list):
     """Raise the SchemaError of the first layer or triple, in file order, that
-    is not a list of three integers within intp."""
+    is not a list of three integers within intp, if there is one."""
     intp = np.iinfo(np.intp)
     for l, triples in enumerate(layers):
         _require(isinstance(triples, list), "layer must be a list of [src, dst, spline] triples", f"$.layers[{l}]")
@@ -428,4 +445,3 @@ def _layer_error(layers: list):
             for value, name in zip(t, ("source", "target", "spline index")):
                 v = read(int, value, path)
                 _require(intp.min <= v <= intp.max, f"layers[{l}] edge {name} {v} out of range", path)
-    raise SchemaError("malformed edge triples", "$.layers")  # the callers saw a fault, so not reached

@@ -26,7 +26,6 @@ __all__ = [
     "NodeAnnotation",
     "AnnotatedTree",
     "LipBudget",
-    "AffineBox",
     "BLOCK_DEPTH",
     "range_rule",
     "partial_lip",
@@ -35,8 +34,6 @@ __all__ = [
     "verify_ranges_numerically",
     "sample_blocks",
     "RangeReport",
-    "affine_box",
-    "apply_affine",
 ]
 
 # block depth c_op of each operation's primitive block
@@ -293,32 +290,3 @@ def verify_ranges_numerically(
             )
         )
     return RangeReport(entries=tuple(entries), samples=samples, seed=seed)
-
-
-@dataclass(frozen=True)
-class AffineBox:
-    """Componentwise affine map from [0,1]^n onto a product of intervals."""
-
-    intervals: tuple[Interval, ...]
-
-    def __post_init__(self):
-        for iv in self.intervals:
-            if not (iv.lo < iv.hi and math.isfinite(iv.lo) and math.isfinite(iv.hi)):
-                raise ValueError(f"degenerate box interval [{iv.lo}, {iv.hi}]")
-
-    @property
-    def lip_h_inv(self) -> float:
-        """Lipschitz constant of the inverse: 1 over the narrowest length."""
-        return 1.0 / min(iv.length for iv in self.intervals)
-
-
-def affine_box(intervals) -> AffineBox:
-    return AffineBox(tuple(iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals))
-
-
-def apply_affine(box: AffineBox, t) -> np.ndarray:
-    """Map a point of [0,1]^n into the box: h_p(t) = a_p + t * (b_p - a_p)."""
-    t = np.asarray(t, dtype=np.float64)
-    a = np.array([iv.lo for iv in box.intervals])
-    b = np.array([iv.hi for iv in box.intervals])
-    return a + t * (b - a)

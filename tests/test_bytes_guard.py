@@ -2,14 +2,15 @@
 
 The JSON formats promise byte-identical output for identical input unless the
 format version changes. The digests below are those of net format
-`kanforge/3` and certificate version 0.4.0: compact JSON, each document its
+`kanforge/3` and certificate version 0.5.0: compact JSON, each document its
 objects' fields under their own names (a spline table entry `order`, `knots`,
-`coefs`; a certificate `internal` and per-node `node_id`). Against
-`kanforge/2` and 0.3.0 only keys moved: the parsed documents are equal once
-the entries' `domain`/`grid_points` are dropped and the renamed keys mapped,
-apart from `format`, `version` and `net_sha256`. Each group below hashes the
-serialized network and the certificate of every compile in it; a changed
-digest means some compile now writes different bytes.
+`coefs`; a certificate `internal` and per-node `node_id`). Against 0.4.0 the
+net files are byte-identical and only certificate keys moved: the box, a
+top-level field there, is `config.box`, and the derived `box_factor` is gone;
+the parsed certificates are equal once those keys are mapped, apart from
+`version`. Each group below hashes the serialized network and the
+certificate of every compile in it; a changed digest means some compile now
+writes different bytes.
 """
 
 import hashlib
@@ -18,10 +19,9 @@ import numpy as np
 import pytest
 
 from kanforge.cli import random_tree
-from kanforge.compiler import CompileConfig, compile_on_box, compile_tree
+from kanforge.compiler import CompileConfig, compile_tree
 from kanforge.exprtree import parse_expression
 from kanforge.kannet import serialize
-from kanforge.rangecert import affine_box
 
 CFG = CompileConfig(grid=35)
 CFG_FAITHFUL = CompileConfig(grid=35, faithful_widths=True)
@@ -61,18 +61,16 @@ GROUPS = {
     "chain-8": lambda: [compile_tree(parse_expression(_chain(8)), c) for c in (CFG, CFG_FAITHFUL)],
     "chain-24": lambda: [compile_tree(parse_expression(_chain(24)), c) for c in (CFG, CFG_FAITHFUL)],
     "fanout": lambda: [compile_tree(parse_expression("x1*x1"), c) for c in (CFG, CFG_FAITHFUL)],
-    "box": lambda: [
-        compile_on_box(parse_expression("sin(x1*x2)-x3"), affine_box([(0, 2), (1, 4), (-1, 0.5)]), CFG)
-    ],
+    "box": lambda: [compile_tree(parse_expression("sin(x1*x2)-x3"), CompileConfig(box=((0, 2), (1, 4), (-1, 0.5))))],
 }
 
 EXPECTED = {
-    "random-default": "8f673f84f1a2148dddda22a425967dc4cfbce469987bc5349c7c090650e07a40",
-    "random-faithful": "a68f7a4dd27c879788f93897a52c761aa6c8e1ee8b41fc1d49b704bea75320dc",
-    "chain-8": "d78ce991b4538dab2e3ee79475e058f08f4e00f593b2cdbd4e367c467b1b1a87",
-    "chain-24": "9833f8b46b3be8b6dc16548115b33b7c7d95b909c70f3cc9d571d9124e8a8220",
-    "fanout": "1519dda239ce5ed7268aa122793fbcca638bb589408ae0c3a8010ae0b0e936b6",
-    "box": "311d615179e4e8999eeacfbd8cd21604373f78513b5c6dcfcf3d4e62b7a81241",
+    "random-default": "096a048870b800ac87eeb3b31a7960ae37a6b7a06e5ffeda47fd9f74eadb5df5",
+    "random-faithful": "0cfda522eccf9b25e9b5ec9fc3099d8646073e01be2d5dbf6ac6b48b18b8657a",
+    "chain-8": "61de83a351f65729f9306e6d8cb4afa4e63584b22136c6c79bbf415fe01c2774",
+    "chain-24": "630f3c1b904985cd205c856f818501e52ae8c2f69ff831671f9ea153360350bc",
+    "fanout": "23f0c0ed3ce05afe09dcc9f4a831b67f913b9f5b56ffb0cfdf070011a69e1cf2",
+    "box": "00487158a262570362dc582f1ef39b128776c05db4343a427ac71d3652ce0ef6",
 }
 
 

@@ -28,10 +28,9 @@ from kanforge.cli import (
     main,
     random_tree,
 )
-from kanforge.compiler import MAX_GRID, Certificate, CompileConfig, NodeCert, compile_on_box, compile_tree
+from kanforge.compiler import MAX_GRID, Certificate, CompileConfig, NodeCert, compile_tree
 from kanforge.exprtree import MAX_COORD, Leaf, Node, OpKind, parse_expression, render, tree_stats
 from kanforge.kannet import SchemaError, deserialize, serialize
-from kanforge.rangecert import affine_box
 from kanforge.spline import Spline
 
 from conftest import nan_network
@@ -253,6 +252,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("key, value", [
         ("grid", 1), ("grid", "5"), ("grid", 5.0), ("grid", MAX_GRID + 1), ("order", 3), ("faithful_widths", "yes"),
         pytest.param("faithful_widths", None, id="missing-faithful_widths"), ("samples", 2000),
+        pytest.param("box", None, id="missing-box"),
     ])
     def test_rejected_certificate_config_exit_2(self, tmp_path, capsys, key, value):
         prefix = str(tmp_path / "kan")
@@ -315,7 +315,7 @@ class TestVerifyCommand:
         ("net", lambda doc: doc, lambda d: d.update(comment="hi"), "(at $)"),
         ("net", lambda doc: doc["splines"][0], lambda d: d.pop("coefs"), "(at $.splines[0])"),
         ("net", lambda doc: doc["splines"][0], lambda d: d.update(grid_points=2), "(at $.splines[0])"),
-        ("cert", lambda doc: doc, lambda d: d.pop("box"), "bad certificate"),
+        ("cert", lambda doc: doc["config"], lambda d: d.pop("box"), "bad certificate"),
         ("cert", lambda doc: doc, lambda d: d.update(internal_nodes=d["internal"]), "bad certificate"),
         ("cert", lambda doc: doc["per_node"][0], lambda d: d.pop("a5_ok"), "bad certificate"),
         ("cert", lambda doc: doc["per_node"][0], lambda d: d.update(id=d["node_id"]), "bad certificate"),
@@ -365,15 +365,16 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("(at ") == 1 and f"(at {path})" in err
 
-    @pytest.mark.parametrize("field, value", [("per_node", 5), ("config", None), ("box", [[0, 10**400]])])
+    @pytest.mark.parametrize("field, value", [("per_node", 5), ("config", None), ("config.box", [[0, 10**400]])])
     def test_malformed_cert_field_exit_2(self, tmp_path, capsys, field, value):
         prefix = tmp_path / "kan"
         cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
         doc = json.loads((tmp_path / "kan.cert.json").read_text())
+        level, _, field = field.rpartition(".")
         if value is None:
             del doc[field]
         else:
-            doc[field] = value
+            (doc[level] if level else doc)[field] = value
         (tmp_path / "bad.cert.json").write_text(json.dumps(doc))
         rc = cmd_verify(str(prefix) + ".net.json", "x1*x2", FAST,
                         cert_path=str(tmp_path / "bad.cert.json"), fmt="json", stream=io.StringIO())
@@ -414,7 +415,7 @@ class TestVerifyCommand:
 
     def _box_files(self, tmp_path):
         tree = parse_expression("sin(x1*x2)+x1")
-        net, cert = compile_on_box(tree, affine_box([(-2.0, 1.0), (0.5, 3.0)]))
+        net, cert = compile_tree(tree, CompileConfig(box=((-2.0, 1.0), (0.5, 3.0))))
         (tmp_path / "box.net.json").write_text(serialize(net))
         (tmp_path / "box.cert.json").write_text(cert.to_json())
         return str(tmp_path / "box.net.json"), str(tmp_path / "box.cert.json")
@@ -427,13 +428,34 @@ class TestVerifyCommand:
         assert all(r["ok"] for r in json.loads(buf.getvalue()))
         # without the certificate the box is unknown and the error check fails
         assert cmd_verify(net_path, "sin(x1*x2)+x1", FAST, fmt="json", stream=io.StringIO()) == 3
+        # a certificate whose box is moved is another certificate: the
+        # recomputed bounds agree, the sampled error does not
+        doc = json.loads((tmp_path / "box.cert.json").read_text())
+        doc["config"]["box"] = [[-1.0, 2.0], [1.5, 4.0]]
+        (tmp_path / "box.cert.json").write_text(json.dumps(doc))
+        assert cmd_verify(net_path, "sin(x1*x2)+x1", FAST, cert_path=cert_path, fmt="json",
+                          stream=io.StringIO()) == 3
+
+    def test_version_0_4_0_certificate_exit_2(self, tmp_path, capsys):
+        # a 0.4.0 file held the box at the top level, with its factor, and a
+        # config without one: under the exact-key rule it is bad input
+        net_path, cert_path = self._box_files(tmp_path)
+        doc = json.loads((tmp_path / "box.cert.json").read_text())
+        box = doc["config"].pop("box")
+        doc.update(box=box, box_factor=1 / 2.5, version="0.4.0")
+        (tmp_path / "box.cert.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = cmd_verify(net_path, "sin(x1*x2)+x1", FAST, cert_path=cert_path, fmt="json", stream=io.StringIO())
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad certificate") and "unknown ['box', 'box_factor']" in err
 
     @pytest.mark.parametrize("box", [[[1.0, 1.0], [0.5, 3.0]], [[-2.0, 1.0]], [[0.0, "inf"], [0.5, 3.0]]],
                              ids=["degenerate", "arity", "infinite"])
     def test_bad_box_in_certificate_exit_2(self, tmp_path, capsys, box):
         net_path, cert_path = self._box_files(tmp_path)
         doc = json.loads((tmp_path / "box.cert.json").read_text())
-        doc["box"] = [[float(t) for t in iv] for iv in box]
+        doc["config"]["box"] = [[float(t) for t in iv] for iv in box]
         (tmp_path / "box.cert.json").write_text(json.dumps(doc))
         rc = cmd_verify(net_path, "sin(x1*x2)+x1", FAST, cert_path=cert_path, fmt="json", stream=io.StringIO())
         assert rc == 2
@@ -897,6 +919,19 @@ class TestSeed:
         assert main(argv) == 2
         assert seen == []
         assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    # only ASCII digits: int() would take the space, and reject the others
+    # with a message that does not name the variable
+    @pytest.mark.parametrize("env", ["abc", " 7", "7.0", "\uff17", ""], ids=["letters", "space", "float",
+                                                                         "full-width-digit", "empty"])
+    @pytest.mark.parametrize("argv", _COMMANDS, ids=_COMMAND_IDS)
+    def test_env_seed_not_digits_exit_2(self, monkeypatch, capsys, argv, env):
+        seen = _stub_commands(monkeypatch)
+        monkeypatch.setenv("KANFORGE_SEED", env)
+        assert main(argv) == 2
+        assert seen == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: KANFORGE_SEED={env!r}: seed must be a non-negative integer")
 
     @pytest.mark.parametrize("argv", [["table-products"], ["sweep-rate"]], ids=["table-products", "sweep-rate"])
     def test_commands_without_a_seed_ignore_the_variable(self, monkeypatch, argv):

@@ -20,7 +20,6 @@ from kanforge.compiler import (
     build_schedule,
     certify,
     check_certificate,
-    compile_on_box,
     compile_tree,
     dead_wire_elimination,
     measured_sup_error,
@@ -29,7 +28,7 @@ from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_e
 from kanforge.kannet import KanNetwork, deserialize, forward, forward_batch, lipschitz_product, read, serialize
 from kanforge.kernels import CHUNK
 from kanforge.primblocks import EdgeSplines, build_block
-from kanforge.rangecert import Interval, affine_box, annotate_ranges, apply_affine, verify_ranges_numerically
+from kanforge.rangecert import Interval, annotate_ranges, verify_ranges_numerically
 from kanforge.spline import Spline, line_spline
 
 from conftest import nan_network
@@ -249,11 +248,20 @@ class TestCertifyRecomputeAndCheck:
 
     def test_recomputed_box_certificate_equals_compiled(self):
         tree = parse_expression("sin(x1*x2)-x3")
-        box = affine_box([(0, 2), (1, 4), (-1, 0.5)])
-        net, cert = compile_on_box(tree, box, CFG)
-        got = certify(tree, net, CFG, samples=500, seed=2, box=box)
+        cfg = CompileConfig(grid=35, box=((0, 2), (1, 4), (-1, 0.5)))
+        net, cert = compile_tree(tree, cfg)
+        got = certify(tree, net, cfg, samples=500, seed=2)
         assert got == cert
         assert got.to_json() == cert.to_json()
+
+    def test_check_reads_the_certificates_box(self):
+        # the sampled error maps its points into cert.config.box: no box
+        # argument, and unmapped points would miss the tree by far more
+        tree = parse_expression("sin(x1*x2)+x1")
+        net, cert = compile_tree(tree, CompileConfig(box=((-2.0, 1.0), (0.5, 3.0))))
+        report = check_certificate(tree, net, cert, 2000, 5)
+        assert report.ok, report.failure
+        assert report.sup_error <= cert.error_bound + 1e-10
 
     def test_check_returns_measured_error(self):
         tree = parse_expression("sin((x1+x2)*x3)")
@@ -404,11 +412,12 @@ class TestLiveBuild:
 
 
 class TestCompileOnBox:
+    """`compile_tree` with a `CompileConfig.box`: the affine pre-layer."""
+
     def test_unit_box_is_identity_factor(self, rng):
         tree = parse_expression("x1*x2")
-        box = affine_box([(0, 1), (0, 1)])
-        net, cert = compile_on_box(tree, box, CFG)
-        assert cert.box_factor == 1.0
+        net, cert = compile_tree(tree, CompileConfig(box=((0, 1), (0, 1))))
+        assert lipschitz_product(net).per_layer[0] == 1.0
         assert cert.p_bound == 1.0
         X = rng.uniform(0, 1, size=(64, 2))
         base, _ = compile_tree(tree, CFG)
@@ -418,9 +427,8 @@ class TestCompileOnBox:
 
     def test_expanding_box_halves_product(self):
         tree = parse_expression("x1*x2")
-        box = affine_box([(0, 2), (0, 2)])
-        net, cert = compile_on_box(tree, box, CFG)
-        assert cert.box_factor == 0.5
+        net, cert = compile_tree(tree, CompileConfig(box=((0, 2), (0, 2))))
+        assert lipschitz_product(net).per_layer[0] == 0.5
         assert lipschitz_product(net).product == 0.5
         assert cert.p_bound == 1.0  # bound scaled by max(mu, 1) = 1
         # network value at a box point equals the tree at the rescaled point
@@ -428,23 +436,54 @@ class TestCompileOnBox:
 
     def test_shrinking_box_doubles_bound(self):
         tree = parse_expression("x1*x2")
-        box = affine_box([(0, 0.5), (0, 0.5)])
-        net, cert = compile_on_box(tree, box, CFG)
-        assert cert.box_factor == 2.0
+        cfg = CompileConfig(box=((0, 0.5), (0, 0.5)))
+        net, cert = compile_tree(tree, cfg)
+        assert lipschitz_product(net).per_layer[0] == 2.0
         assert cert.p_bound == 2.0
+        assert cert.p_bound == compile_tree(tree, CFG)[1].p_bound * 2.0
         assert lipschitz_product(net).product <= 2.0
-        certify(tree, net, CFG, samples=2000, seed=11, box=box)
+        certify(tree, net, cfg, samples=2000, seed=11)
 
     def test_box_arity_checked(self):
-        with pytest.raises(CompileError):
-            compile_on_box(parse_expression("x1*x2"), affine_box([(0, 1)]), CFG)
+        with pytest.raises(CompileError, match="box has 1 intervals, tree reads 2 coordinates"):
+            compile_tree(parse_expression("x1*x2"), CompileConfig(box=((0, 1),)))
+        with pytest.raises(CompileError, match="box has 3 intervals, tree reads 2 coordinates"):
+            compile_tree(parse_expression("x1*x2"), CompileConfig(box=((0, 1),) * 3))
 
     def test_box_certify(self):
         tree = parse_expression("sin(x1*x2)")
-        box = affine_box([(0, 2), (1, 4)])
-        net, cert = compile_on_box(tree, box, CFG)
-        got = certify(tree, net, CFG, samples=5000, seed=12, box=box)
+        cfg = CompileConfig(box=((0, 2), (1, 4)))
+        net, cert = compile_tree(tree, cfg)
+        got = certify(tree, net, cfg, samples=5000, seed=12)
         assert got.p_bound == cert.p_bound
+
+    def test_box_config_normalized_and_checked(self):
+        # a box of lists and ints is the tuple of float pairs a certificate
+        # reads back, so it compares equal to its own certificate's config
+        cfg = CompileConfig(box=[[0, 2], [1, 4.5]])
+        assert cfg.box == ((0.0, 2.0), (1.0, 4.5))
+        assert all(type(v) is float for pair in cfg.box for v in pair)
+        assert cfg == CompileConfig(box=((0.0, 2.0), (1.0, 4.5)))
+        for side in ((1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match=r"degenerate box interval \["):
+                CompileConfig(box=((0.0, 1.0), side))
+
+    def test_box_net_is_the_pre_layer_ahead_of_the_unit_net(self):
+        # the box net's bytes are the unit net's behind one affine layer that
+        # reads coordinate p through table entry p, for both builders
+        tree = parse_expression("sin(x1*x2)-x3")
+        box = ((0.0, 2.0), (1.0, 4.0), (-1.0, 0.5))
+        for cfg in (CFG, CFG_FAITHFUL):
+            unit, _ = compile_tree(tree, cfg)
+            net, cert = compile_tree(tree, replace(cfg, box=box))
+            assert net.widths == (3,) + unit.widths and cert.widths == net.widths
+            assert net.wire_tags == (("box:x1", "box:x2", "box:x3"),) + unit.wire_tags
+            assert [s.to_dict() for s in net.splines] == [
+                {"order": 1, "knots": [lo, hi], "coefs": [0.0, 1.0]} for lo, hi in box
+            ] + [s.to_dict() for s in unit.splines]
+            assert net.edges[:3].tolist() == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+            assert np.array_equal(net.edges[3:], unit.edges + (0, 0, 3))
+            assert cert.net_sha256 == compiler._net_hash(net)
 
 
 class TestCorpusProperties:
@@ -489,7 +528,8 @@ def _monolithic_sup_error(tree, net, samples, seed, box=None):
     truth = eval_tree_batch(tree, xs)
     pts = xs[:, : net.n_inputs]
     if box is not None:
-        pts = apply_affine(box, pts)
+        lo, hi = np.array([p[0] for p in box]), np.array([p[1] for p in box])
+        pts = lo + pts * (hi - lo)
     return float(np.max(np.abs(truth - forward_batch(net, pts)[:, 0])))
 
 
@@ -530,8 +570,8 @@ class TestStreamedSamples:
     @pytest.mark.parametrize("boxed", [False, True])
     def test_sup_error_bit_equal_to_monolithic(self, samples, boxed):
         tree = parse_expression(self.EXPR)
-        box = affine_box([(0, 2), (1, 4), (-1, 0.5), (0.25, 0.75)]) if boxed else None
-        net, _ = compile_on_box(tree, box, CFG) if boxed else compile_tree(tree, CFG)
+        box = ((0.0, 2.0), (1.0, 4.0), (-1.0, 0.5), (0.25, 0.75)) if boxed else None
+        net, _ = compile_tree(tree, replace(CFG, box=box))
         got = measured_sup_error(tree, net, samples, 17, box=box)
         assert got == _monolithic_sup_error(tree, net, samples, 17, box=box)
         assert got > 0.0
@@ -585,8 +625,8 @@ def test_certificate_json_round_trip():
     again = Certificate.from_json(cert.to_json())
     assert again == cert
     assert again.to_json() == cert.to_json()
-    _, box_cert = compile_on_box(parse_expression("sin(x1*x2)+x1"), affine_box([(-2.0, 1.0), (0.5, 3.0)]), CFG)
-    assert box_cert.box is not None
+    _, box_cert = compile_tree(parse_expression("sin(x1*x2)+x1"), CompileConfig(box=((-2.0, 1.0), (0.5, 3.0))))
+    assert box_cert.config.box is not None
     assert Certificate.from_json(box_cert.to_json()) == box_cert
     # over every bytes-guard input both files load back equal, and each key
     # at every level is a field of its dataclass under its own name (a net's
@@ -639,8 +679,8 @@ def test_reader_accepts_every_compiled_certificate(seed, mode):
     tree = random_tree(rng, 5)
     if mode == "box":
         lo = rng.uniform(-3.0, 3.0, tree_stats(tree).n)
-        _, cert = compile_on_box(tree, affine_box(list(zip(lo, lo + rng.uniform(0.1, 4.0, lo.size)))), CFG)
-        assert cert.box is not None
+        _, cert = compile_tree(tree, CompileConfig(box=list(zip(lo, lo + rng.uniform(0.1, 4.0, lo.size)))))
+        assert cert.config.box is not None
     else:
         _, cert = compile_tree(tree, CFG_FAITHFUL if mode == "faithful" else CFG)
     again = read(Certificate, json.loads(cert.to_json()))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kanforge import kernels, spline
+from kanforge import kannet, kernels, spline
 from kanforge.cli import random_tree
-from kanforge.compiler import CompileConfig, compile_on_box, compile_tree
+from kanforge.compiler import CompileConfig, compile_tree
 from kanforge.exprtree import parse_expression, tree_stats
 from kanforge.kannet import (
     KanNetwork,
@@ -21,7 +21,6 @@ from kanforge.kannet import (
     lipschitz_product,
     serialize,
 )
-from kanforge.rangecert import affine_box
 from kanforge.spline import Spline, line_spline, spline_lipschitz
 
 from conftest import edges_by_layer, network
@@ -131,8 +130,8 @@ class TestPlanForward:
         for _ in range(10):
             tree = random_tree(rng, 4)
             n = tree_stats(tree).n
-            box = affine_box([(-1.0 + 0.5 * p, 1.0 + p) for p in range(n)])
-            net, _ = compile_on_box(tree, box, CFG)
+            box = [(-1.0 + 0.5 * p, 1.0 + p) for p in range(n)]
+            net, _ = compile_tree(tree, CompileConfig(box=box))
             self._check(net, rng)
 
     def test_every_order_against_scipy(self, rng):
@@ -433,7 +432,7 @@ class TestJacobian:
     def test_batched_points_bit_equal_per_row(self):
         rng = np.random.default_rng(7)
         nets = [compile_tree(random_tree(rng, 5), CFG)[0] for _ in range(30)]
-        nets.append(compile_on_box(parse_expression("sin(x1*x2)-x3"), affine_box([(0, 2), (1, 4), (-1, 0.5)]), CFG)[0])
+        nets.append(compile_tree(parse_expression("sin(x1*x2)-x3"), CompileConfig(box=((0, 2), (1, 4), (-1, 0.5))))[0])
         for net in nets:
             X = rng.uniform(0.001, 0.999, size=(20, net.n_inputs))
             got = jacobian_fd(net, X)
@@ -491,7 +490,7 @@ class TestSerialization:
             tree = random_tree(rng, 5)
             n = tree_stats(tree).n
             nets = [compile_tree(tree, cfg)[0] for cfg in (CFG, CFG_FAITHFUL)]
-            nets.append(compile_on_box(tree, affine_box([(-1.0 - p, 0.5 + p) for p in range(n)]), CFG)[0])
+            nets.append(compile_tree(tree, CompileConfig(box=[(-1.0 - p, 0.5 + p) for p in range(n)]))[0])
             for net in nets:
                 text = serialize(net)
                 assert serialize(deserialize(text)) == text
@@ -514,7 +513,7 @@ class TestSerialization:
 
     def test_text_equals_compact_json_dump(self, rng):
         nets = [compile_tree(random_tree(rng, 5), cfg)[0] for cfg in (CFG, CFG_FAITHFUL) for _ in range(10)]
-        nets.append(compile_on_box(parse_expression("x1*x2"), affine_box([(-1, 0), (0, 2)]), CFG)[0])
+        nets.append(compile_tree(parse_expression("x1*x2"), CompileConfig(box=((-1, 0), (0, 2))))[0])
         # an edgeless layer, a shared spline, an equal but distinct one, and
         # tags that need escaping
         wire, equal = line_spline(-0.0, 1.0, -0.0, 1.0), line_spline(-0.0, 1.0, -0.0, 1.0)
@@ -784,6 +783,49 @@ class TestNetworkInvariants:
             with pytest.raises(SchemaError, match=rf"^layers\[1\] edge spline index {k} out of range "
                                                   rf"\(at \$\.layers\[1\]\[1\]\)$"):
                 network((1, 2, 1), (s,), [[(0, 0, 0), (0, 1, 0)], [(0, 0, 0), (1, 0, k)]])
+
+    @pytest.mark.parametrize("value, message", [
+        (0.5, "expected int, got 0.5"),
+        (1.0, "expected int, got 1.0"),
+        (10**30, f"layers[1] edge spline index {10**30} out of range"),
+        (2**63, f"layers[1] edge spline index {2**63} out of range"),
+    ], ids=["half", "integral-float", "1e30", "2^63"])
+    def test_non_integer_triple_rejected_at_its_path(self, value, message):
+        # a library caller's triples are read as a file's: never truncated
+        # or coerced, and never an OverflowError
+        with pytest.raises(SchemaError) as exc:
+            self._two_layers([(0, 0, 0), (0, 1, 0), (0, 0, 0), (1, 0, value)])
+        assert (str(exc.value), exc.value.path) == (f"{message} (at $.layers[1][1])", "$.layers[1][1]")
+
+    def test_float_array_rejected_at_its_first_triple(self):
+        # numpy holds every triple of such an array as floats
+        with pytest.raises(SchemaError, match=r"^expected int, got 0\.0 \(at \$\.layers\[0\]\[0\]\)$"):
+            self._two_layers(np.array([(0, 0, 0), (0, 1, 0), (0, 0, 0), (1, 0, 0.5)]))
+
+    @staticmethod
+    def _two_layers(edges) -> KanNetwork:
+        return KanNetwork(widths=(1, 2, 1), splines=(line_spline(0, 1, 0, 1),), edges=edges, counts=(2, 2),
+                          wire_tags=(("x1",), ("a", "b"), ("y",)))
+
+    def test_triples_of_any_integer_array_accepted(self):
+        want = [[0, 0, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0]]
+        for edges in (want, np.array(want, dtype=np.int32), np.array(want, dtype=np.uint64),
+                      np.array(want, dtype=object), np.array(want).ravel()):
+            net = self._two_layers(edges)
+            assert net.edges.dtype == np.intp and net.edges.tolist() == want
+        s = line_spline(0, 1, 0, 1)
+        for edges in ([], np.zeros((0, 3)), np.zeros(0, dtype=np.int32)):
+            net = KanNetwork(widths=(1, 1), splines=(s,), edges=edges, counts=(0,), wire_tags=(("x1",), ("y",)))
+            assert net.edges.dtype == np.intp and net.edges.shape == (0, 3) and net.splines == ()
+
+    def test_compiled_triples_take_no_conversion(self, monkeypatch):
+        # the compiler and the loader hand over intp triples, so the
+        # constructor never walks them
+        monkeypatch.setattr(kannet, "_intp_triples", None)
+        for expr in ("x1", "x1*x1", "sin(x1*x2)-relu(x3)"):
+            for cfg in (CFG, CFG_FAITHFUL, CompileConfig(box=((-1, 1),) * tree_stats(parse_expression(expr)).n)):
+                net, _ = compile_tree(parse_expression(expr), cfg)
+                deserialize(serialize(net))
 
     def test_counts_split_the_edges(self):
         s = line_spline(0, 1, 0, 1)

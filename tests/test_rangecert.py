@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kanforge.compiler import CompileConfig, _box_points, compile_tree
 from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_expression, tree_stats
+from kanforge.kannet import lipschitz_product
 from kanforge.kernels import CHUNK
 from kanforge.rangecert import (
-    AffineBox,
     Interval,
-    affine_box,
     annotate_ranges,
-    apply_affine,
     lip_budget,
     partial_lip,
     range_rule,
@@ -187,33 +186,38 @@ class TestVerifyRanges:
 
 
 class TestAffine:
+    """The input box of `CompileConfig`: its point map into the box, and the
+    pre-layer's Lipschitz constant 1 / the narrowest side."""
+
     def test_unit_box_identity(self):
-        box = affine_box([(0, 1), (0, 1)])
-        assert box.lip_h_inv == 1.0
-        np.testing.assert_array_equal(apply_affine(box, (0.3, 0.9)), [0.3, 0.9])
+        box = CompileConfig(box=[(0, 1), (0, 1)]).box
+        net, _ = compile_tree(parse_expression("x1*x2"), CompileConfig(box=box))
+        assert lipschitz_product(net).per_layer[0] == 1.0
+        np.testing.assert_array_equal(_box_points(box, np.array([0.3, 0.9])), [0.3, 0.9])
 
     def test_rectangular_box(self):
-        box = affine_box([(0, 2), (1, 4)])
-        assert box.lip_h_inv == 0.5
-        np.testing.assert_allclose(apply_affine(box, (0.5, 0.5)), [1.0, 2.5])
+        box = CompileConfig(box=[(0, 2), (1, 4)]).box
+        net, _ = compile_tree(parse_expression("x1*x2"), CompileConfig(box=box))
+        assert lipschitz_product(net).per_layer[0] == 0.5
+        np.testing.assert_allclose(_box_points(box, np.array([0.5, 0.5])), [1.0, 2.5])
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
-            AffineBox((Interval(1.0, 1.0),))
+            CompileConfig(box=((1.0, 1.0),))
 
     @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(0.01, 8)), min_size=1, max_size=5))
     @settings(max_examples=100)
     def test_axis_finite_differences_match_lip(self, spans):
-        box = affine_box([(a, a + w) for a, w in spans])
+        box = CompileConfig(box=[(a, a + w) for a, w in spans]).box
         t = np.full(len(spans), 0.25)
         delta = 0.5  # the map is affine, so any secant width measures the slope
         slopes = []
         for p in range(len(spans)):
             tp = t.copy()
             tp[p] += delta
-            slopes.append(abs(apply_affine(box, tp)[p] - apply_affine(box, t)[p]) / delta)
+            slopes.append(abs(_box_points(box, tp)[p] - _box_points(box, t)[p]) / delta)
         # the map's Lipschitz constant is the widest interval length
-        assert max(slopes) == pytest.approx(max(iv.length for iv in box.intervals), rel=1e-9)
+        assert max(slopes) == pytest.approx(max(hi - lo for lo, hi in box), rel=1e-9)
 
 
 def test_range_report_fields():

@@ -1,0 +1,20 @@
+"""Every ```python block of README.md runs as written, so the examples
+cannot name a function the package no longer has."""
+
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_has_python_examples():
+    assert len(BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_example_runs(code, capsys):
+    exec(compile(code, str(README), "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out
