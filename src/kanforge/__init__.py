@@ -31,7 +31,6 @@ from .exprtree import (
     parse_expression,
     render,
     tree_stats,
-    validate_opset,
 )
 from .kannet import (
     KanNetwork,

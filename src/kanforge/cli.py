@@ -33,6 +33,7 @@ from .compiler import (
     CompileConfig,
     CompileError,
     _box_points,
+    _check_net_box,
     check_certificate,
     compile_tree,
     jacobian_row,
@@ -284,9 +285,7 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
         try:
             with open(cert_path, encoding="utf-8") as fh:
                 cert = Certificate.from_json(fh.read())
-            box = cert.config.box
-            if box is not None and len(box) != net.n_inputs:
-                raise ValueError(f"box has {len(box)} intervals, network reads {net.n_inputs}")
+            _check_net_box(cert.config.box, net)
         except (OSError, ValueError) as exc:
             print(f"error: bad certificate: {exc}", file=sys.stderr)
             return 2

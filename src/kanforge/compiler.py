@@ -49,7 +49,6 @@ from .exprtree import (
     fold,
     render,
     tree_stats,
-    validate_opset,
 )
 from .kannet import KanNetwork, ProductReport, forward_batch, lipschitz_product, loads, read, serialize
 from .primblocks import Block, EdgeSplines, build_block
@@ -246,7 +245,7 @@ def _leaf_network(tree: Leaf, n: int) -> KanNetwork:
     return KanNetwork(
         widths=(n, 1),
         splines=(line_spline(0.0, 1.0, 0.0, 1.0),),
-        edges=[(tree.coord - 1, 0, 0)],
+        edges=np.array([(tree.coord - 1, 0, 0)], dtype=np.intp),
         counts=(1,),
         wire_tags=(tuple(f"x{p}" for p in range(1, n + 1)), ("node0",)),
     )
@@ -429,11 +428,9 @@ def compile_tree(
     edge is one `Spline`. With `config.box` the network reads points of the
     box through its affine pre-layer.
     """
-    bad = validate_opset(tree, set(BLOCK_DEPTH))
-    if bad:
-        raise CompileError(f"unsupported operations: {bad}")
     ann = annotated if annotated is not None else annotate_ranges(tree)
     stats = tree_stats(tree)
+    _check_tree_box(config, stats.n)
     splines = EdgeSplines()
     blocks = _build_blocks(ann, config.grid, splines)
     if isinstance(tree, Leaf):
@@ -445,11 +442,21 @@ def compile_tree(
     return net, _certificate(tree, stats, net, config, ann, blocks)
 
 
+def _check_tree_box(config: CompileConfig, n: int) -> None:
+    """A box must give one interval per coordinate the tree reads."""
+    if config.box is not None and len(config.box) != n:
+        raise CompileError(f"box has {len(config.box)} intervals, tree reads {n} coordinates")
+
+
+def _check_net_box(box: tuple[tuple[float, float], ...] | None, net: KanNetwork) -> None:
+    """A box must give one interval per input the network reads."""
+    if box is not None and len(box) != net.n_inputs:
+        raise ValueError(f"box has {len(box)} intervals, network reads {net.n_inputs}")
+
+
 def _behind_box(net: KanNetwork, box: tuple[tuple[float, float], ...]) -> KanNetwork:
     # the pre-layer's edge p reads coordinate p through table entry p, ahead of net's table
     n = net.n_inputs
-    if len(box) != n:
-        raise CompileError(f"box has {len(box)} intervals, tree reads {n} coordinates")
     return KanNetwork(
         widths=(n,) + net.widths,
         splines=tuple(line_spline(lo, hi, 0.0, 1.0) for lo, hi in box) + net.splines,
@@ -483,6 +490,7 @@ def measured_sup_error(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    _check_net_box(box, net)
     err = 0.0
     for xs in sample_blocks(seed, samples, max(tree_stats(tree).n, net.n_inputs)):
         truth = eval_tree_batch(tree, xs, node_max)
@@ -507,9 +515,11 @@ def recompute_certificate(
     compiler issued. `annotated` is the tree's `annotate_ranges` when the
     caller has it already.
     """
+    stats = tree_stats(tree)
+    _check_tree_box(config, stats.n)
     ann = annotated if annotated is not None else annotate_ranges(tree)
     blocks = _build_blocks(ann, config.grid, EdgeSplines())
-    return _certificate(tree, tree_stats(tree), net, config, ann, blocks)
+    return _certificate(tree, stats, net, config, ann, blocks)
 
 
 @dataclass(frozen=True)

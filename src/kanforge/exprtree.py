@@ -45,7 +45,6 @@ __all__ = [
     "eval_tree",
     "eval_tree_batch",
     "NodeMaxima",
-    "validate_opset",
     "postorder",
     "fold",
 ]
@@ -373,11 +372,3 @@ _BATCH_FN: dict[OpKind, Callable] = {
     OpKind.RELU: lambda a: np.maximum(a, 0.0),
     OpKind.ABS: np.abs,
 }
-
-
-def validate_opset(tree: CompTree, allowed: set[OpKind]) -> list[tuple[int, OpKind]]:
-    """List (node_id, op), in node-id order, for every internal node whose op
-    is outside `allowed`. An empty list means the tree is valid for the set.
-    """
-    bad = [(nid, t.op) for nid, t in postorder(tree) if isinstance(t, Node) and t.op not in allowed]
-    return sorted(bad, key=lambda b: b[0])

@@ -105,8 +105,10 @@ class KanNetwork:
 
     def __post_init__(self):
         widths, splines, counts = tuple(self.widths), tuple(self.splines), tuple(self.counts)
-        # a copy, since the table renumbering writes to it; a list's dtype is inferred
-        edges = np.array(self.edges).reshape(-1, 3)
+        # a copy, since the table renumbering writes to it. Only an array's
+        # dtype is trusted: numpy infers int64 for a list holding True, so a
+        # list or tuple is read as objects, as a net file's layers are
+        edges = np.array(self.edges, dtype=None if isinstance(self.edges, np.ndarray) else object).reshape(-1, 3)
         object.__setattr__(self, "wire_tags", tuple(tuple(tags) for tags in self.wire_tags))
         if len(widths) < 2:
             raise SchemaError("a network needs at least one transformation layer", "$.widths")
@@ -123,7 +125,7 @@ class KanNetwork:
             if len(tags) != w:
                 raise SchemaError(f"wire_tags[{m}] must have {w} entries", f"$.wire_tags[{m}]")
         if edges.dtype != np.intp:
-            edges = _intp_triples(self.edges, edges, counts)
+            edges = _intp_triples(edges, counts)
         _check_edges(widths, len(splines), edges, counts)
         # the table in order of first use; unused entries are dropped
         first = list(dict.fromkeys(edges[:, 2].tolist()))
@@ -159,13 +161,13 @@ class KanNetwork:
         return self._packed
 
 
-def _intp_triples(given, edges: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
-    """`edges`, the triples `given` as an array of another dtype, as intp. A
-    triple that is not three integers within intp fails as in a net file:
-    a SchemaError at `$.layers[l][i]`, found on the values as given."""
+def _intp_triples(edges: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """`edges`, triples of another dtype than intp, as intp. A triple that is
+    not three integers within intp fails as in a net file: a SchemaError at
+    `$.layers[l][i]`, found on the values as given."""
     if edges.size == 0 or edges.dtype.kind in "iu" and edges.max() <= np.iinfo(np.intp).max:
         return edges.astype(np.intp)
-    values = np.asarray(given, dtype=object).reshape(-1, 3).tolist()
+    values = edges.tolist()
     triples = iter(values)
     _layer_error([list(itertools.islice(triples, n)) for n in counts])
     return np.array(values, dtype=np.intp)

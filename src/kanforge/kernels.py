@@ -36,12 +36,11 @@ layer's non-identity edges:
     of the spline's values;
   - every other curved edge reads its spline's rows of the network's padded
     piecewise-polynomial (pp) table: one row per segment holding the Taylor
-    coefficients at the segment's left knot (de Boor, ch. VII), framed by
-    one row per side holding the boundary value and slope of the linear
-    continuation outside the domain. Its segment comes from index
-    arithmetic on uniform grids and, on any other grid, from counting the
-    inner knots at or below the point, one in-place comparison per inner
-    knot. Its rows are gathered per point and evaluated by Horner's rule.
+    coefficients at the segment's left knot (de Boor, ch. VII). Its segment
+    comes from index arithmetic on uniform grids and, on any other grid,
+    from counting the inner knots at or below the point, one in-place
+    comparison per inner knot. Its rows are gathered per point and
+    evaluated by Horner's rule.
 
   The pp edges add into their targets in edge order, then the one-knot
   edges in the order their step holds them, those with a jump first. Steps whose
@@ -91,10 +90,9 @@ per edge evaluated at a point outside its domain, identity wires included,
 as the de Boor reference counts them. Each value is checked once, when it is
 written, against the tightest domain of all the edges that read it; only on
 a hit are its readers counted one by one, and only after a hit in a chunk do
-its pp edges look for points to send to their continuation rows and its
-one-knot edges overwrite their points outside the domain with the linear
-continuation. A point's value therefore never depends on the other points
-in its chunk.
+its curved edges of either class overwrite their points outside the domain
+with the linear continuation (`_continue`). A point's value therefore never
+depends on the other points in its chunk.
 
 Single splines
 --------------
@@ -194,9 +192,8 @@ class PpEdges:
     shift: np.ndarray          # (E, 1) first - a*scale: t*scale + shift is the pp table row
     first: np.ndarray          # (E, 1) pp table row of the first segment, as float
     last: np.ndarray           # (E, 1) pp table row of the last segment, as float
-    below: np.ndarray          # (E, 1) pp table row continuing below the domain
-    above: np.ndarray          # (E, 1) pp table row continuing above the domain
     counted: tuple             # (edge, distinct knots, first row) per non-uniform grid
+    ends: np.ndarray           # (4, E, 1) fa, sa, fb, sb: value and slope continuing below and above
     left: np.ndarray           # (R,) left end of each row of the network's pp table
     coef: np.ndarray           # (K+1, R) its last K+1 coefficient rows, K the step's largest order
     dst: tuple[int, ...]       # offset in the step's rows of each edge's target
@@ -267,14 +264,13 @@ def _pp_table(splines):
     Returns (coef, left, start). `coef` is (K+1, R), K the largest
     order: column r holds the Taylor coefficients of pp table row r, highest
     power first, and `left[r]` is the point they are taken at. Spline n
-    takes the G+1 rows from `start[n]`: the first continues below the
-    domain, the next G-1 are the segments at their left knots, the last
-    continues above the domain. An order-k spline fills the last k+1
-    coefficient rows; the rest are the zero coefficients of the powers above
-    k. Splines of one order and grid size go through de Boor together, as
-    one stack.
+    takes the G-1 rows from `start[n]`, its segments at their left knots;
+    outside the domain the forward continues it by `_continue`. An order-k
+    spline fills the last k+1 coefficient rows; the rest are the zero
+    coefficients of the powers above k. Splines of one order and grid size
+    go through de Boor together, as one stack.
     """
-    start = [0, *itertools.accumulate(s.knots.size + 1 for s in splines)]
+    start = [0, *itertools.accumulate(s.knots.size - 1 for s in splines)]
     K = max(s.order for s in splines)
     coef = np.zeros((K + 1, start[-1]))
     left = np.empty(start[-1])
@@ -286,8 +282,7 @@ def _pp_table(splines):
         T = np.array([s._T for s in stack])
         c = np.array([s.coefs for s in stack])
         knots = np.array([s.knots for s in stack])
-        fa, sa, fb, sb = np.array([s._boundary for s in stack]).T
-        table = np.zeros((k + 1, len(stack), G + 1))
+        table = np.empty((k + 1, len(stack), G - 1))
         r = np.arange(G - 1)
         fact = 1.0
         for m in range(k + 1):
@@ -298,13 +293,10 @@ def _pp_table(splines):
                 c = p * (c[:, 1:] - c[:, :-1]) / (T[:, p + 1 : p + size] - T[:, 1:size])
                 T = T[:, 1:-1]
                 fact *= m
-            table[k - m, :, 1:-1] = _deboor(T, c, q, r + q, knots[:, :-1]) / fact
-        table[k, :, 0], table[k, :, -1] = fa, fb
-        if k >= 1:
-            table[k - 1, :, 0], table[k - 1, :, -1] = sa, sb
-        rows = np.array([start[n] for n in members])[:, None] + np.arange(G + 1)
+            table[k - m] = _deboor(T, c, q, r + q, knots[:, :-1]) / fact
+        rows = np.array([start[n] for n in members])[:, None] + r
         coef[K - k :, rows] = table
-        left[rows] = np.concatenate([knots[:, :1], knots[:, :-1], knots[:, -1:]], axis=1)
+        left[rows] = knots[:, :-1]
     return coef, left, start[:-1]
 
 
@@ -440,7 +432,7 @@ def build_plan(net) -> NetPlan:
         size = np.array([s.knots.size for s in pp_splines])
         is_one_knot = (order >= 1) & (size <= 3)
         coef, left, start = _pp_table(pp_splines)
-        C, first = len(coef), np.array(start) + 1
+        C, first = len(coef), np.array(start)
         # per pp spline, gathered to each curved edge by its index `which`
         which = (np.cumsum(curved_spline) - 1)[sid[curved]]
         split = is_one_knot[which]
@@ -455,9 +447,9 @@ def build_plan(net) -> NetPlan:
         pp_last = pp_first + _col(size - 2)[which_pp]
         pp_scale = _col([(s.knots.size - 1) / (s.domain[1] - s.domain[0]) if u else 0.0
                          for s, u in zip(pp_splines, uniform)])[which_pp]
-        pp_lo, pp_hi = lo[ppe, None], hi[ppe, None]
+        ends = per_spline[sid[ppe]].T[..., None]
+        pp_lo, pp_hi, pp_ends = ends[0], ends[1], ends[2:]
         pp_shift = pp_first - pp_lo * pp_scale
-        pp_below, pp_above = (pp_first - 1.0).astype(np.intp), (pp_last + 1.0).astype(np.intp)
         pp_rows, pp_dst = row[vsrc[ppe]], tloc[ppe].tolist()
         pp_order = order[which_pp].tolist()
         pp_off = np.searchsorted(layer[ppe], np.arange(L + 1)).tolist()
@@ -527,9 +519,8 @@ def build_plan(net) -> NetPlan:
                 shift=pp_shift[p0:p1],
                 first=pp_first[p0:p1],
                 last=pp_last[p0:p1],
-                below=pp_below[p0:p1],
-                above=pp_above[p0:p1],
                 counted=tuple(counted[l]),
+                ends=pp_ends[:, p0:p1],
                 left=left,
                 coef=coef[C - 1 - max(pp_order[p0:p1]) :],
                 dst=tuple(pp_dst[p0:p1]),
@@ -635,11 +626,28 @@ def _affine_forward(st: Step, tab, rows, gat) -> None:
         rows += st.bias
 
 
+def _continue(e: PpEdges | OneKnotEdges, t, val, dt) -> None:
+    """Overwrite the curved edges' values `val` at the points `t` outside
+    their domains with the linear continuation, fa + sa*(t - lo) below and
+    fb + sb*(t - hi) above, computed in the scratch `dt` by the float
+    operations of `eval_spline_batch`. A point's value therefore never
+    depends on the rest of its chunk."""
+    fa, sa, fb, sb = e.ends
+    np.subtract(t, e.lo, out=dt)
+    dt *= sa
+    dt += fa
+    np.copyto(val, dt, where=t < e.lo)
+    np.subtract(t, e.hi, out=dt)
+    dt *= sb
+    dt += fb
+    np.copyto(val, dt, where=t > e.hi)
+
+
 def _pp_forward(e: PpEdges, tab, rows, t, u, val, dt, row, mask, hits: bool) -> None:
     """Add the pp edges `e` into `rows`; t, u, val, dt, row hold at least
     E rows of scratch, `mask` one. `hits` is whether any value of the chunk
     lies outside a reader's domain; only then can these edges have points
-    outside their domains, which take the continuation rows."""
+    outside their domains, which `_continue` overwrites."""
     E = len(e.dst)
     u, val, dt, row = u[:E], val[:E], dt[:E], row[:E]
     t = _read(tab, e.rows, t)
@@ -658,9 +666,6 @@ def _pp_forward(e: PpEdges, tab, rows, t, u, val, dt, row, mask, hits: bool) -> 
         for knot in knots[1:-1].tolist():
             np.less(t[i], knot, out=mask)
             np.subtract(row[i], mask, out=row[i])
-    if hits:
-        np.copyto(row, e.below, where=t < e.lo)
-        np.copyto(row, e.above, where=t > e.hi)
     e.coef[0].take(row, out=val, mode="clip")
     if len(e.coef) > 1:
         e.left.take(row, out=dt, mode="clip")
@@ -668,6 +673,8 @@ def _pp_forward(e: PpEdges, tab, rows, t, u, val, dt, row, mask, hits: bool) -> 
         for coef in e.coef[1:]:
             val *= dt
             val += coef.take(row, out=u, mode="clip")
+    if hits:
+        _continue(e, t, val, dt)
     # one in-place row add per edge: at these widths a 0/1 scatter matmul costs
     # several times more, and row adds sum in edge order for any batch size
     for i, d in enumerate(e.dst):
@@ -678,9 +685,7 @@ def _one_knot_forward(e: OneKnotEdges, tab, rows, t, w, val, dt, hits: bool) -> 
     """Add the one-knot edges `e` into `rows`: Horner in t - knot on the
     longer piece, plus jump * (t - knot)^k on the shorter one for the edges
     that jump. No segment index and no gather. t, w, val, dt hold at least E
-    rows of scratch. `hits` is as in `_pp_forward`: only then can points lie
-    outside an edge's domain, and they are overwritten with its linear
-    continuation, so a point's value never depends on the rest of its chunk."""
+    rows of scratch. `hits` is as in `_pp_forward`."""
     E, J = len(e.dst), len(e.jump)
     val, dt = val[:E], dt[:E]
     t = _read(tab, e.rows, t)
@@ -699,15 +704,7 @@ def _one_knot_forward(e: OneKnotEdges, tab, rows, t, w, val, dt, hits: bool) -> 
             acc[:n] *= w[:n]
         val[:J] += acc
     if hits:
-        fa, sa, fb, sb = e.ends
-        np.subtract(t, e.lo, out=dt)
-        dt *= sa
-        dt += fa
-        np.copyto(val, dt, where=t < e.lo)
-        np.subtract(t, e.hi, out=dt)
-        dt *= sb
-        dt += fb
-        np.copyto(val, dt, where=t > e.hi)
+        _continue(e, t, val, dt)
     for i, d in enumerate(e.dst):
         rows[d] += val[i]
 

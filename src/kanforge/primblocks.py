@@ -18,6 +18,11 @@ Constructions on a domain I x J (or I):
     relu/abs  one layer, order-1 spline with a breakpoint at 0 when 0 is
               interior to I, reproducing the op exactly
 
+A point interval [c, c], a constant subterm's range, spans no knot vector:
+its edges live on [c, c + 1] (`_span`). Identity and negation wires stay
+exact lines there, and an operation's edge is the constant line through
+op(c), of Lipschitz constant 0 and error 0.
+
 Blocks emit only their internal neurons; forwarding of live values through a
 block's layers is the compiler's concern. Every block edge comes from an
 `EdgeSplines` factory, which the compiler makes once per compile and also
@@ -88,10 +93,16 @@ class EdgeSplines:
         return s
 
     def ident(self, iv: Interval) -> Spline:
-        return self.line(iv.lo, iv.hi, iv.lo, iv.hi)
+        lo, hi = _span(iv)
+        return self.line(lo, hi, lo, hi)
 
     def neg(self, iv: Interval) -> Spline:
-        return self.line(iv.lo, iv.hi, -iv.lo, -iv.hi)
+        lo, hi = _span(iv)
+        return self.line(lo, hi, -lo, -hi)
+
+    def const(self, iv: Interval, v: float) -> Spline:
+        """The constant `v` on `iv`: an operation's edge on a point interval."""
+        return self.line(*_span(iv), v, v)
 
     def built(self, recipe: tuple, build: Callable[[], Spline]) -> Spline:
         """The spline `build()` makes, built once per `recipe`: a key that
@@ -103,6 +114,12 @@ class EdgeSplines:
             doc = (s.order, s.knots.tobytes(), s.coefs.tobytes())
             s = self._recipes[recipe] = self._docs.setdefault(doc, s)
         return s
+
+
+def _span(iv: Interval) -> tuple[float, float]:
+    """The domain of an edge reading `iv`: `iv` itself, or [c, c + 1] for a
+    point interval [c, c] (a constant subterm), which no knot vector spans."""
+    return (iv.lo, iv.hi) if iv.lo < iv.hi else (iv.lo, iv.lo + 1.0)
 
 
 def _quarter_square_range(iv: Interval) -> Interval:
@@ -125,6 +142,8 @@ def _mul(g: Interval, h: Interval, out: Interval, sp: EdgeSplines) -> Block:
     r_b = range_rule(OpKind.SUB, [g, h])   # u - v
 
     def quarter_square(r: Interval) -> Spline:  # t^2/4 on r
+        if not r.lo < r.hi:
+            return sp.const(r, r.lo * r.lo / 4.0)
         return sp.built(
             (OpKind.MUL, _PAIR.pack(r.lo, r.hi)), lambda: exact_poly_spline([0.0, 0.0, 0.25], r.lo, r.hi, 2, 3)
         )
@@ -136,14 +155,18 @@ def _mul(g: Interval, h: Interval, out: Interval, sp: EdgeSplines) -> Block:
         ((0, 0, quarter_square(r_a)), (1, 1, quarter_square(r_b))),
         ((0, 0, sp.ident(r_p)), (1, 0, sp.neg(r_q))),
     )
-    # sup of |t|/2 over range(u+v) union range(u-v); layers 0 and 2 contribute 1
-    lam = max(r_a.bound, r_b.bound) / 2.0
+    # sup of |t|/2 over range(u+v) union range(u-v), 0 on a point interval;
+    # layers 0 and 2 contribute 1
+    lam = max(r.bound if r.lo < r.hi else 0.0 for r in (r_a, r_b)) / 2.0
     return Block(layers=layers, neuron_ranges=((r_a, r_b), (r_p, r_q), (out,)), lambda_op=lam, eps_op=0.0)
 
 
 def _add_sub(op: OpKind, g: Interval, h: Interval, out: Interval, sp: EdgeSplines) -> Block:
     second = sp.ident(h) if op is OpKind.ADD else sp.neg(h)
     return Block(layers=(((0, 0, sp.ident(g)), (1, 0, second)),), neuron_ranges=((out,),), lambda_op=1.0, eps_op=0.0)
+
+
+_UNARY = {OpKind.SIN: math.sin, OpKind.COS: math.cos, OpKind.RELU: lambda t: max(t, 0.0), OpKind.ABS: abs}
 
 
 def build_block(a: NodeAnnotation, G: int, splines: EdgeSplines) -> Block:
@@ -157,19 +180,20 @@ def build_block(a: NodeAnnotation, G: int, splines: EdgeSplines) -> Block:
     (iv,) = a.input_domain
     lo, hi = iv.lo, iv.hi
     eps = 0.0
-    if op in (OpKind.SIN, OpKind.COS):
-        f = math.sin if op is OpKind.SIN else math.cos
+    f = _UNARY[op]
+    if not lo < hi:
+        # a constant subterm: the constant line through op(c), exact
+        edge = splines.const(iv, f(lo))
+    elif op in (OpKind.SIN, OpKind.COS):
         edge = splines.built((op, _PAIR.pack(lo, hi), G), lambda: pl_interpolant(f, lo, hi, G))
         step = iv.length / (G - 1)
         # |sin''| = |sin| and |cos''| = |cos|, so the curvature sup is the image bound
         eps = step * step / 8.0 * out.bound
+    elif lo < 0.0 < hi:
+        knots = [lo, 0.0, hi]
+        edge = splines.built(
+            (op, _PAIR.pack(lo, hi)), lambda: Spline(1, np.array(knots), np.array([f(t) for t in knots]))
+        )
     else:
-        f = (lambda t: max(t, 0.0)) if op is OpKind.RELU else abs
-        if lo < 0.0 < hi:
-            knots = [lo, 0.0, hi]
-            edge = splines.built(
-                (op, _PAIR.pack(lo, hi)), lambda: Spline(1, np.array(knots), np.array([f(t) for t in knots]))
-            )
-        else:
-            edge = splines.line(lo, hi, f(lo), f(hi))
+        edge = splines.line(lo, hi, f(lo), f(hi))
     return Block(layers=(((0, 0, edge),),), neuron_ranges=((out,),), lambda_op=spline_lipschitz(edge), eps_op=eps)

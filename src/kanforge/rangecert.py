@@ -68,10 +68,6 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def __iter__(self):
-        yield self.lo
-        yield self.hi
-
 
 UNIT = Interval(0.0, 1.0)
 

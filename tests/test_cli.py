@@ -109,6 +109,19 @@ class TestCompileCommand:
         assert rc == 0
         assert len(rows) == 9 and all(r["ok"] for r in rows)
 
+    # relu(c) is the point range [0, 0] on the unit cube, and cos of it [1, 1]
+    @pytest.mark.parametrize("expr", [
+        "relu(cos(x1)-cos(x2)-cos(x3))+x4",
+        "x4*relu(cos(x1)-cos(x2)-cos(x3))",
+        "sin(relu(cos(x1)-cos(x2)-cos(x3)))",
+        "relu(cos(x1)-cos(x2)-cos(x3))*relu(cos(x1)-cos(x2)-cos(x3))",
+        "x4*cos(relu(cos(x1)-cos(x2)-cos(x3)))",
+    ])
+    def test_constant_subterm_compiles(self, tmp_path, expr):
+        rc, rows = _compile_and_verify(tmp_path, expr)
+        assert rc == 0
+        assert len(rows) == 9 and all(r["ok"] for r in rows)
+
 
 class TestVerifyCommand:
     def test_verify_round_trip(self, tmp_path):

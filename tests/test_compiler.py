@@ -450,6 +450,17 @@ class TestCompileOnBox:
         with pytest.raises(CompileError, match="box has 3 intervals, tree reads 2 coordinates"):
             compile_tree(parse_expression("x1*x2"), CompileConfig(box=((0, 1),) * 3))
 
+    def test_box_arity_checked_in_library_calls(self, monkeypatch):
+        tree = parse_expression("x1*x2")
+        net, cert = compile_tree(tree, CompileConfig(box=((0, 1), (0, 2))))
+        wide = CompileConfig(box=((0, 1),) * 3)
+        with pytest.raises(CompileError, match="box has 3 intervals, tree reads 2 coordinates"):
+            compiler.recompute_certificate(tree, net, wide)
+        # the sampled check fails before it draws a sample
+        monkeypatch.setattr(compiler, "sample_blocks", None)
+        with pytest.raises(ValueError, match="box has 3 intervals, network reads 2"):
+            check_certificate(tree, net, replace(cert, config=wide), 100, 0)
+
     def test_box_certify(self):
         tree = parse_expression("sin(x1*x2)")
         cfg = CompileConfig(box=((0, 2), (1, 4)))

@@ -18,7 +18,6 @@ from kanforge.exprtree import (
     postorder,
     render,
     tree_stats,
-    validate_opset,
 )
 from kanforge.rangecert import annotate_ranges, lip_budget
 
@@ -131,18 +130,6 @@ class TestEval:
 
     def test_extra_coordinates_allowed(self):
         assert eval_tree(parse_expression("x1"), [0.3, 0.9, 0.1]) == 0.3
-
-
-class TestValidateOpset:
-    def test_product_ok(self):
-        assert validate_opset(parse_expression("x1*x2"), {OpKind.ADD, OpKind.MUL}) == []
-
-    def test_sin_flagged(self):
-        bad = validate_opset(parse_expression("sin(x1*x2)"), {OpKind.ADD, OpKind.MUL})
-        assert [op for _, op in bad] == [OpKind.SIN]
-
-    def test_leaf_with_empty_opset(self):
-        assert validate_opset(Leaf(2), set()) == []
 
 
 class TestProperties:

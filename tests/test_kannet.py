@@ -232,6 +232,28 @@ class TestPlanForward:
         # no neuron here has an identity as its only edge: every one is a new value
         assert sum(st.rows.stop - st.rows.start for st in plan.steps) == sum(nets[1].widths[1:])
 
+    def test_mixed_order_pp_step_continues_to_infinity(self):
+        # every pp edge of one step continues linearly as the reference does,
+        # edge by edge, at +-inf too: an order-1 edge beside an order-2 one
+        # must not turn into 0*inf = NaN
+        rng = np.random.default_rng(5)
+        table = [Spline(k, np.linspace(-1.0, 2.0, 5), rng.normal(size=4 + k)) for k in (0, 1, 2, 3)]
+        table.append(Spline(2, np.array([-1.0, -0.2, 0.1, 2.0]), rng.normal(size=5)))
+        net = network((1, len(table)), table, [[(0, j, j) for j in range(len(table))]])
+        (step,) = net.packed().steps
+        assert _edges(step.pp) == len(table) and step.one_knot is None
+        t = np.array([-np.inf, -5.0, -1.0 - 1e-9, 0.3, 2.0, 7.0, np.inf])
+        got, got_oob = _oob_of(forward_batch, net, t[:, None])
+        outside = (t < -1.0) | (t > 2.0)
+        for j, s in enumerate(table):
+            with np.errstate(invalid="ignore"):  # order 0 continues by 0*inf = NaN
+                want, want_oob = kernels.eval_spline_batch(s, t)
+            assert want_oob == 5
+            np.testing.assert_array_equal(got[outside, j], want[outside])
+            np.testing.assert_allclose(got[~outside, j], want[~outside], rtol=0, atol=1e-12)
+        assert got_oob == 5 * len(table)
+        assert np.isinf(got[[0, -1], 1]).all()
+
     def test_forwarded_outputs_alias_inputs(self):
         # a faithful net forwards every input to the end by identity wires
         net, _ = compile_tree(parse_expression("sin(x1*x2)+x3"), CFG_FAITHFUL)
@@ -258,15 +280,16 @@ class TestPlanForward:
             assert net.packed().n_rows <= 3 * max(net.widths)
 
     def test_one_pp_table_over_distinct_curved_splines(self):
-        # the plan's pp table holds G+1 rows per distinct curved spline, not
-        # per curved edge (of either class), and every pp step reads a view of it
+        # the plan's pp table holds G-1 rows, its segments, per distinct curved
+        # spline, not per curved edge (of either class), and every pp step
+        # reads a view of it
         net, _ = compile_tree(parse_expression(self._chain(28)), CFG)
         curved = [s for s in net.splines if not (s.order == 1 and s.knots.size == 2)]
         steps = net.packed().steps
         assert sum(_edges(st.pp) + _edges(st.one_knot) for st in steps) > len(curved) > 1
         pp = [st.pp for st in steps if st.pp is not None]
         base = pp[0].coef.base
-        assert base.shape == (1 + max(s.order for s in curved), sum(s.knots.size + 1 for s in curved))
+        assert base.shape == (1 + max(s.order for s in curved), sum(s.knots.size - 1 for s in curved))
         for e in pp:
             assert e.coef.base is base and e.left is pp[0].left
             assert e.coef.shape[1] == base.shape[1]
@@ -787,9 +810,10 @@ class TestNetworkInvariants:
     @pytest.mark.parametrize("value, message", [
         (0.5, "expected int, got 0.5"),
         (1.0, "expected int, got 1.0"),
+        (True, "expected int, got True"),
         (10**30, f"layers[1] edge spline index {10**30} out of range"),
         (2**63, f"layers[1] edge spline index {2**63} out of range"),
-    ], ids=["half", "integral-float", "1e30", "2^63"])
+    ], ids=["half", "integral-float", "bool", "1e30", "2^63"])
     def test_non_integer_triple_rejected_at_its_path(self, value, message):
         # a library caller's triples are read as a file's: never truncated
         # or coerced, and never an OverflowError

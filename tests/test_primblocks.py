@@ -14,7 +14,8 @@ from kanforge.spline import spline_lipschitz, sup_error
 
 U = Interval(0.0, 1.0)
 
-intervals = st.tuples(st.floats(-4, 4), st.floats(0.05, 6)).map(
+# a point interval is a constant subterm's range
+intervals = st.tuples(st.floats(-4, 4), st.floats(0.05, 6) | st.just(0.0)).map(
     lambda ab: Interval(ab[0], ab[0] + ab[1])
 )
 
@@ -147,6 +148,32 @@ class TestPwl:
         _, b = _block("relu(x1)", Interval(-2, -1))
         assert _forward(b, -1.5) == 0.0
         assert b.lambda_op == 0.0
+
+
+class TestPointInterval:
+    """A constant subterm's point range [c, c]: its edges live on [c, c + 1]."""
+
+    @pytest.mark.parametrize("op, f", [("sin", math.sin), ("cos", math.cos), ("relu", lambda t: max(t, 0.0)),
+                                       ("abs", abs)])
+    def test_unary_is_the_constant_line(self, op, f):
+        for c in (-0.5, 0.0, 1.0):
+            a, b = _block(f"{op}(x1)", Interval(c, c))
+            (_, _, edge), = b.layers[0]
+            assert edge.domain == (c, c + 1.0) and edge.coefs.tolist() == [f(c)] * 2
+            assert (b.lambda_op, b.eps_op) == (0.0, 0.0)
+            assert b.neuron_ranges == ((a.range,),)
+
+    def test_identity_and_negation_stay_exact_lines(self):
+        sp = EdgeSplines()
+        assert sp.ident(Interval(2.0, 2.0)).coefs.tolist() == [2.0, 3.0]
+        assert sp.neg(Interval(2.0, 2.0)).coefs.tolist() == [-2.0, -3.0]
+        assert spline_lipschitz(sp.ident(Interval(2.0, 2.0))) == 1.0
+
+    def test_mul_of_two_points_is_constant(self):
+        a, b = _block("x1*x2", Interval(3.0, 3.0), Interval(-2.0, -2.0))
+        assert _forward(b, 3.0, -2.0) == -6.0
+        assert b.lambda_op == _measured_lambda(b) == 0.0
+        assert b.neuron_ranges[-1] == (a.range,) == (Interval(-6.0, -6.0),)
 
 
 class TestCertificate:
