@@ -59,8 +59,8 @@ from .rangecert import (
 from .spline import (
     Spline,
     cubic_interpolant,
-    exact_poly_spline,
     pl_interpolant,
+    quarter_square,
     spline_lipschitz,
     sup_error,
     uniform_knots,

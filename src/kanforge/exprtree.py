@@ -149,7 +149,6 @@ class TreeStats:
     n: int          # input dimension = max leaf coordinate
     internal: int   # internal node count N (leaves excluded)
     depth: int      # longest root-to-leaf path; 0 for a bare leaf
-    sparsity: int   # max over nodes of distinct leaf coordinates reachable below
 
 
 class ParseError(ValueError):
@@ -300,18 +299,15 @@ def render(tree: CompTree) -> str:
     return fold(tree, lambda t: f"x{t.coord}", _render_node)
 
 
-def _stats_node(nid: int, t: Node, args: list[tuple[int, int, int, int, int]]):
-    # (n, internal, depth, bitmask of the coordinates below, max sparsity)
-    n, internal, depth, coords, sparsity = zip(*args)
-    mask = coords[0] | coords[-1]  # one child or two
-    return max(n), sum(internal) + 1, max(depth) + 1, mask, max(mask.bit_count(), *sparsity)
+def _stats_node(nid: int, t: Node, args: list[tuple[int, int, int]]):
+    # (n, internal, depth)
+    n, internal, depth = zip(*args)
+    return max(n), sum(internal) + 1, max(depth) + 1
 
 
 def tree_stats(tree: CompTree) -> TreeStats:
-    bit: dict[int, int] = {}  # coordinate -> its bit, dense in order of appearance
-    leaf = lambda t: (t.coord, 0, 0, 1 << bit.setdefault(t.coord, len(bit)), 1)
-    n, internal, depth, _, sparsity = fold(tree, leaf, _stats_node)
-    return TreeStats(n=n, internal=internal, depth=depth, sparsity=sparsity)
+    n, internal, depth = fold(tree, lambda t: (t.coord, 0, 0), _stats_node)
+    return TreeStats(n=n, internal=internal, depth=depth)
 
 
 def eval_tree(tree: CompTree, x) -> float:

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import kernels
-from .spline import Spline, spline_lipschitz
+from .spline import Spline, _record_oob, spline_lipschitz
 
 __all__ = [
     "KanNetwork",
@@ -216,9 +216,7 @@ def forward_batch(net: KanNetwork, X) -> np.ndarray:
         raise ValueError(f"expected (npoints, {net.n_inputs}) inputs, got {X.shape}")
     out, oob = kernels.forward_batch(net.packed(), X)
     if oob:
-        from . import spline as _spline
-
-        _spline._record_oob(oob)
+        _record_oob(oob)
     return out
 
 
@@ -226,8 +224,6 @@ def forward_batch(net: KanNetwork, X) -> np.ndarray:
 class ProductReport:
     per_layer: tuple[float, ...]  # mu_l = max_i max_j Lip(phi_{l,i,j})
     product: float                # P = prod_l mu_l
-    max_width: int                # W over all boundaries including the input
-    n_layers: int
 
 
 def lipschitz_product(net: KanNetwork) -> ProductReport:
@@ -242,23 +238,21 @@ def lipschitz_product(net: KanNetwork) -> ProductReport:
     product = 1.0
     for mu in per_layer:
         product *= mu
-    return ProductReport(
-        per_layer=tuple(per_layer),
-        product=product,
-        max_width=max(net.widths),
-        n_layers=net.n_layers,
-    )
+    return ProductReport(per_layer=tuple(per_layer), product=product)
 
 
-def jacobian_fd(net: KanNetwork, x, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of output neuron 0 at x: the network's value,
-    which a `faithful_widths` net carries ahead of its forwarded inputs.
+# the central-difference step of `jacobian_fd`
+FD_STEP = 1e-5
+
+
+def jacobian_fd(net: KanNetwork, x) -> np.ndarray:
+    """Central-difference gradient of output neuron 0 at x, with step
+    `FD_STEP`: the network's value, which a `faithful_widths` net carries
+    ahead of its forwarded inputs.
 
     `x` may also be an (m, n_0) array of points; their (m, n_0) gradients
     come from one forward pass.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     x = np.asarray(x, dtype=np.float64)
     n = net.n_inputs
     if not (x.ndim <= 1 and x.size == n or x.ndim == 2 and x.shape[1] == n):
@@ -266,18 +260,18 @@ def jacobian_fd(net: KanNetwork, x, step: float = 1e-5) -> np.ndarray:
     # rows 2i and 2i+1 of each point's block of 2n rows step coordinate i up and down
     pts = np.repeat(x.reshape(-1, n), 2 * n, axis=0).reshape(-1, 2 * n, n)
     coord = np.arange(n)
-    pts[:, 2 * coord, coord] += step
-    pts[:, 2 * coord + 1, coord] -= step
+    pts[:, 2 * coord, coord] += FD_STEP
+    pts[:, 2 * coord + 1, coord] -= FD_STEP
     vals = forward_batch(net, pts.reshape(-1, n))[:, 0]
-    grad = (vals[0::2] - vals[1::2]) / (2.0 * step)
+    grad = (vals[0::2] - vals[1::2]) / (2.0 * FD_STEP)
     return grad.reshape(-1, n) if x.ndim == 2 else grad
 
 
-def jacobian_lower_bound(net: KanNetwork, x, step: float = 1e-5) -> float:
+def jacobian_lower_bound(net: KanNetwork, x) -> float:
     """max ||J_fd(x)||_2 / W^L over the point x or the (m, n_0) points x: a
     sampled lower bound for the Lipschitz product. When W^L is past the float
     range it returns 0.0, which is still a lower bound."""
-    grads = jacobian_fd(net, x, step).reshape(-1, net.n_inputs)
+    grads = jacobian_fd(net, x).reshape(-1, net.n_inputs)
     try:
         denom = float(max(net.widths)) ** net.n_layers
     except OverflowError:

@@ -164,10 +164,11 @@ def eval_spline_batch(s, ts) -> tuple[np.ndarray, int]:
     out = np.empty_like(ts)
     below = ts < a
     above = ts > b
+    # a flat end skips the slope term, which is 0*inf = NaN at t = +-inf
     if below.any():
-        out[below] = fa + sa * (ts[below] - a)
+        out[below] = fa + sa * (ts[below] - a) if sa else fa
     if above.any():
-        out[above] = fb + sb * (ts[above] - b)
+        out[above] = fb + sb * (ts[above] - b) if sb else fb
     inside = ~(below | above)
     t = ts[inside]
     if t.size:
@@ -630,16 +631,19 @@ def _continue(e: PpEdges | OneKnotEdges, t, val, dt) -> None:
     """Overwrite the curved edges' values `val` at the points `t` outside
     their domains with the linear continuation, fa + sa*(t - lo) below and
     fb + sb*(t - hi) above, computed in the scratch `dt` by the float
-    operations of `eval_spline_batch`. A point's value therefore never
-    depends on the rest of its chunk."""
+    operations of `eval_spline_batch`: an edge whose end slope is 0.0 takes
+    the end value, where 0*inf would give NaN at t = +-inf. A point's value
+    therefore never depends on the rest of its chunk."""
     fa, sa, fb, sb = e.ends
     np.subtract(t, e.lo, out=dt)
     dt *= sa
     dt += fa
+    np.copyto(dt, fa, where=sa == 0.0)
     np.copyto(val, dt, where=t < e.lo)
     np.subtract(t, e.hi, out=dt)
     dt *= sb
     dt += fb
+    np.copyto(dt, fb, where=sb == 0.0)
     np.copyto(val, dt, where=t > e.hi)
 
 

@@ -13,8 +13,9 @@ Constructions on a domain I x J (or I):
     add/sub   one layer, identity + (sign) identity summed into one target
     sin/cos   one layer, the piecewise-linear interpolant on I (G knots)
     mul       three layers via u*v = (u+v)^2/4 - (u-v)^2/4; the squaring
-              edges represent t^2/4 exactly (order-2 spline), so the only
-              approximation in any block lives in the trig interpolants
+              edges are `spline.quarter_square`, t^2/4 exactly as an
+              order-2 spline, so the only approximation in any block lives
+              in the trig interpolants
     relu/abs  one layer, order-1 spline with a breakpoint at 0 when 0 is
               interior to I, reproducing the op exactly
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from .exprtree import OpKind
 from .rangecert import Interval, NodeAnnotation, range_rule
-from .spline import Spline, exact_poly_spline, line_spline, pl_interpolant, spline_lipschitz
+from .spline import Spline, line_spline, pl_interpolant, quarter_square, spline_lipschitz
 
 __all__ = [
     "Block",
@@ -141,18 +142,16 @@ def _mul(g: Interval, h: Interval, out: Interval, sp: EdgeSplines) -> Block:
     r_a = range_rule(OpKind.ADD, [g, h])   # u + v
     r_b = range_rule(OpKind.SUB, [g, h])   # u - v
 
-    def quarter_square(r: Interval) -> Spline:  # t^2/4 on r
+    def square(r: Interval) -> Spline:  # t^2/4 on r
         if not r.lo < r.hi:
             return sp.const(r, r.lo * r.lo / 4.0)
-        return sp.built(
-            (OpKind.MUL, _PAIR.pack(r.lo, r.hi)), lambda: exact_poly_spline([0.0, 0.0, 0.25], r.lo, r.hi, 2, 3)
-        )
+        return sp.built((OpKind.MUL, _PAIR.pack(r.lo, r.hi)), lambda: quarter_square(r.lo, r.hi))
 
     r_p = _quarter_square_range(r_a)
     r_q = _quarter_square_range(r_b)
     layers = (
         ((0, 0, sp.ident(g)), (1, 0, sp.ident(h)), (0, 1, sp.ident(g)), (1, 1, sp.neg(h))),
-        ((0, 0, quarter_square(r_a)), (1, 1, quarter_square(r_b))),
+        ((0, 0, square(r_a)), (1, 1, square(r_b))),
         ((0, 0, sp.ident(r_p)), (1, 0, sp.neg(r_q))),
     )
     # sup of |t|/2 over range(u+v) union range(u-v), 0 on a point interval;

@@ -220,8 +220,6 @@ class RangeCheck:
 @dataclass(frozen=True)
 class RangeReport:
     entries: tuple[RangeCheck, ...]
-    samples: int
-    seed: int
 
     @property
     def ok(self) -> bool:
@@ -285,4 +283,4 @@ def verify_ranges_numerically(
                 ok=m <= a.range.bound + _SOUNDNESS_SLACK,
             )
         )
-    return RangeReport(entries=tuple(entries), samples=samples, seed=seed)
+    return RangeReport(entries=tuple(entries))

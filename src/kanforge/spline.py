@@ -11,6 +11,10 @@ Conventions
   is continued linearly and the hit is recorded in a module-level diagnostic
   counter (compiled networks are certified to stay in-domain up to float
   roundoff, so hits indicate roundoff-scale escapes, not errors).
+
+Edges are built by `line_spline` (affine wires), `pl_interpolant` (trig
+interpolants) and `quarter_square`, the multiplication block's t^2/4 in
+closed form.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ __all__ = [
     "uniform_knots",
     "pl_interpolant",
     "line_spline",
-    "exact_poly_spline",
+    "quarter_square",
     "cubic_interpolant",
     "spline_lipschitz",
     "sup_error",
@@ -56,10 +60,6 @@ def uniform_knots(a: float, b: float, G: int) -> np.ndarray:
     if not a < b:
         raise ValueError(f"degenerate interval [{a}, {b}]")
     return np.linspace(a, b, G)
-
-
-def _clamped(knots: np.ndarray, k: int) -> np.ndarray:
-    return np.concatenate([np.repeat(knots[0], k), knots, np.repeat(knots[-1], k)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,10 +138,7 @@ class Spline:
 def pl_interpolant(f, a: float, b: float, G: int) -> Spline:
     """Order-1 spline interpolating f at G uniform knots (linear between)."""
     grid = uniform_knots(a, b, G)
-    vals = np.array([float(f(x)) for x in grid])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite sample value from interpolated function")
-    return Spline(1, grid, vals)
+    return Spline(1, grid, np.array([float(f(x)) for x in grid]))
 
 
 def line_spline(a: float, b: float, va: float, vb: float) -> Spline:
@@ -153,41 +150,18 @@ def line_spline(a: float, b: float, va: float, vb: float) -> Spline:
     return Spline(1, np.array([a, b]), np.array([va, vb]))
 
 
-def _elem_sym(vals: np.ndarray, m: int) -> float:
-    # elementary symmetric polynomial e_m(vals)
-    e = np.zeros(m + 1)
-    e[0] = 1.0
-    for v in vals:
-        for i in range(min(m, len(vals)), 0, -1):
-            e[i] += v * e[i - 1]
-    return float(e[m])
+def quarter_square(a: float, b: float) -> Spline:
+    """t^2/4 on [a, b], exactly: the order-2 spline on the knots a, (a+b)/2, b.
 
-
-def exact_poly_spline(poly_coefs, a: float, b: float, k: int, G: int = 3) -> Spline:
-    """Represent a polynomial (coefficients low order first) exactly, k >= degree.
-
-    Control values come from the polar form: the coefficient of basis function
-    j is sum_m c_m * e_m(T_{j+1..j+k}) / C(k, m), which reproduces the
-    polynomial identically (no approximation step).
+    Each control value is the polar form (blossom) of t^2/4 at the basis
+    function's two inner clamped knots, T[j+1] * T[j+2] / 4, which
+    reproduces the polynomial identically (de Boor, A Practical Guide to
+    Splines, ch. IX). `+ 0.0` turns a -0.0 product into 0.0.
     """
-    poly_coefs = list(poly_coefs)
-    deg = len(poly_coefs) - 1
-    while deg > 0 and poly_coefs[deg] == 0:
-        deg -= 1
-    if k < deg:
-        raise ValueError(f"order {k} cannot represent a degree-{deg} polynomial")
-    grid = uniform_knots(a, b, G)
-    T = _clamped(grid, k)
-    nb = grid.size + k - 1
-    c = np.zeros(nb)
-    for j in range(nb):
-        window = T[j + 1 : j + 1 + k]
-        acc = 0.0
-        for m in range(deg + 1):
-            if poly_coefs[m] != 0.0:
-                acc += poly_coefs[m] * _elem_sym(window, m) / math.comb(k, m)
-        c[j] = acc
-    return Spline(k, grid, c)
+    grid = uniform_knots(a, b, 3)
+    lo, mid, hi = grid.tolist()
+    T = (lo, lo, lo, mid, hi, hi, hi)
+    return Spline(2, grid, np.array([0.25 * (T[j + 1] * T[j + 2]) + 0.0 for j in range(4)]))
 
 
 def _basis_matrix(grid: np.ndarray, k: int, ts: np.ndarray) -> np.ndarray:
@@ -229,21 +203,23 @@ def cubic_interpolant(f, a: float, b: float, G: int) -> Spline:
     return Spline(k, grid, coefs)
 
 
-def _segment_poly_max_abs(s: Spline) -> float:
-    # exact sup of |s| on [a, b] for order >= 2: per-segment polynomial extrema
+def _segment_max_abs(s: Spline) -> float:
+    # exact sup of |s| on [a, b] for order >= 2: its values at the knots and
+    # at the critical points inside each segment. Those come from the piece
+    # fitted in its segment's own variable u in [-1, 1], whose coefficients
+    # scale as the values of s at any knot spacing; the derivative spline's
+    # scale as 1/h and over- or underflow at extreme spacings
     k = s.order
-    grid = s.knots
-    candidates = [abs(float(v)) for v in s.eval_batch(grid)]
-    d = s.derivative()
-    for r in range(grid.size - 1):
-        x0, x1 = float(grid[r]), float(grid[r + 1])
-        # fit the segment of s' exactly (degree k-1) and take its real roots
-        xs = np.linspace(x0, x1, k + 1)
-        dv = d.eval_batch(xs)
-        poly = np.polynomial.Polynomial.fit(xs, dv, k - 1)
-        for root in poly.roots():
-            if abs(root.imag) < 1e-9 and x0 < root.real < x1:
-                candidates.append(abs(float(s(float(root.real)))))
+    us = np.polynomial.chebyshev.chebpts1(k + 1)
+    grid = s.knots.tolist()
+    candidates = np.abs(s.eval_batch(s.knots)).tolist()
+    for x0, x1 in zip(grid, grid[1:]):
+        half = (x1 - x0) / 2.0
+        piece = np.polynomial.Chebyshev.fit(us, s.eval_batch(x0 + half * (us + 1.0)), k, domain=[-1.0, 1.0])
+        for root in piece.deriv().roots():
+            x = x0 + half * (root.real + 1.0)
+            if abs(root.imag) < 1e-9 and x0 < x < x1:
+                candidates.append(abs(s(x)))
     return max(candidates)
 
 
@@ -253,7 +229,8 @@ def spline_lipschitz(s: Spline) -> float:
     The derivative of an order-k spline is an order-(k-1) spline; for k <= 2
     the supremum sits at knots (piecewise constant or linear derivative), for
     higher orders it is located per segment through the derivative's critical
-    points. Computed once per spline and cached on it.
+    points, found in the segment's own variable. Computed once per spline and
+    cached on it.
     """
     if s._lip is None:
         object.__setattr__(s, "_lip", _sup_abs_derivative(s))
@@ -264,7 +241,7 @@ def _sup_abs_derivative(s: Spline) -> float:
     if s.order == 0:
         raise ValueError("order-0 splines are not Lipschitz edge functions")
     if s.order > 2:
-        return _segment_poly_max_abs(s.derivative())
+        return _segment_max_abs(s.derivative())
     # the derivative is piecewise constant (k = 1) or a clamped order-1 spline
     # whose control values are its nodal values (k = 2): either way the sup is
     # the largest derivative coefficient in magnitude, read off without

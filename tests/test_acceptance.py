@@ -85,7 +85,7 @@ def corpus():
         jrng = np.random.default_rng(50_000 + i)
         pts = jrng.uniform(1e-3, 1.0 - 1e-3, size=(JACOBIAN_POINTS, stats.n))
         norms = _batch_jacobian_norms(net, pts)
-        denom = float(rep.max_width) ** rep.n_layers
+        denom = float(max(net.widths)) ** net.n_layers
         jac_ok = bool(np.all(norms / denom <= rep.product + 1e-6))
         has_trig = any(a.op in (OpKind.SIN, OpKind.COS) for a in ann.annotations.values())
         cor_smooth = all(

@@ -95,7 +95,7 @@ class TestStats:
 
     def test_single_leaf(self):
         s = tree_stats(Leaf(3))
-        assert (s.n, s.internal, s.depth, s.sparsity) == (3, 0, 0, 1)
+        assert (s.n, s.internal, s.depth) == (3, 0, 0)
 
     def test_balanced_add_tree_four_leaves(self):
         # hand-enumerated: 3 internal nodes, two levels
@@ -104,13 +104,10 @@ class TestStats:
             (Node(OpKind.ADD, (Leaf(1), Leaf(2))), Node(OpKind.ADD, (Leaf(3), Leaf(4)))),
         )
         s = tree_stats(t)
-        assert (s.internal, s.depth, s.n, s.sparsity) == (3, 2, 4, 4)
+        assert (s.internal, s.depth, s.n) == (3, 2, 4)
 
     def test_n_is_max_leaf_index(self):
         assert tree_stats(parse_expression("x2*x2")).n == 2
-
-    def test_sparsity_counts_distinct_coordinates(self):
-        assert tree_stats(parse_expression("x1*x1+x1")).sparsity == 1
 
 
 class TestEval:
@@ -275,7 +272,7 @@ def _check_walk(tree, coords=None):
     assert (s.n, s.internal) == (max(leaves), len(nodes))
     if coords is not None:  # a deep shape: one path carries every internal node
         assert sorted(leaves) == sorted(coords)
-        assert (s.depth, s.sparsity) == (len(nodes), len(set(coords)))
+        assert s.depth == len(nodes)
 
     # the scalar and vectorized evaluators agree at one row
     x = np.random.default_rng(len(pre)).uniform(0.0, 1.0, size=s.n)

@@ -246,13 +246,21 @@ class TestPlanForward:
         got, got_oob = _oob_of(forward_batch, net, t[:, None])
         outside = (t < -1.0) | (t > 2.0)
         for j, s in enumerate(table):
-            with np.errstate(invalid="ignore"):  # order 0 continues by 0*inf = NaN
-                want, want_oob = kernels.eval_spline_batch(s, t)
+            want, want_oob = kernels.eval_spline_batch(s, t)
             assert want_oob == 5
             np.testing.assert_array_equal(got[outside, j], want[outside])
             np.testing.assert_allclose(got[~outside, j], want[~outside], rtol=0, atol=1e-12)
         assert got_oob == 5 * len(table)
         assert np.isinf(got[[0, -1], 1]).all()
+
+    def test_flat_end_continues_to_infinity_as_the_tree(self):
+        # a relu hinge's flat end is its end value at t = -inf, where the
+        # slope term would be 0*inf = NaN; abs continues to inf
+        X = np.array([[-np.inf, 0.0], [0.0, np.inf]])
+        for cfg in (CFG, CFG_FAITHFUL):
+            for expr, want in (("relu(x1-x2)", [0.0, 0.0]), ("abs(x1-x2)", [np.inf, np.inf])):
+                net, _ = compile_tree(parse_expression(expr), cfg)
+                assert forward_batch(net, X)[:, 0].tolist() == want
 
     def test_forwarded_outputs_alias_inputs(self):
         # a faithful net forwards every input to the end by identity wires
@@ -331,7 +339,7 @@ def _one_knot_splines(draw):
     a = rng.uniform(-1.0, 0.5)
     b = a + rng.uniform(0.25, 2.0)
     if kind == "quarter":
-        return kind, spline.exact_poly_spline([0.0, 0.0, 0.25], a, b, 2, 3)
+        return kind, spline.quarter_square(a, b)
     if kind != "random":
         f = (lambda t: max(t, 0.0)) if kind == "relu" else abs
         knots = [min(a, -0.25), 0.0, max(b, 0.25)]
@@ -393,8 +401,8 @@ class TestLipschitzProduct:
     def test_report_fields(self):
         net, _ = compile_tree(parse_expression("x1*x2"), CFG)
         rep = lipschitz_product(net)
-        assert rep.max_width == 2
-        assert rep.n_layers == 3
+        assert (max(net.widths), net.n_layers) == (2, 3)
+        assert len(rep.per_layer) == 3
         assert rep.product == math.prod(rep.per_layer)
 
     def test_identity_wire_floor_in_faithful_nets(self):
@@ -447,11 +455,6 @@ class TestJacobian:
         assert bound == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-6)
         assert bound <= 1.0
 
-    def test_step_validated(self):
-        net, _ = compile_tree(parse_expression("x1*x2"), CFG)
-        with pytest.raises(ValueError):
-            jacobian_fd(net, [0.5, 0.5], step=0.0)
-
     def test_batched_points_bit_equal_per_row(self):
         rng = np.random.default_rng(7)
         nets = [compile_tree(random_tree(rng, 5), CFG)[0] for _ in range(30)]
@@ -473,7 +476,7 @@ class TestJacobian:
         for expr in ("x1*x2", "sin((x1+x2)*x3)", "(x1+x2)*(x3+x4)"):
             net, _ = compile_tree(parse_expression(expr), CFG)
             rep = lipschitz_product(net)
-            upper = rep.max_width**rep.n_layers * rep.product
+            upper = max(net.widths) ** net.n_layers * rep.product
             for _ in range(100):
                 x = rng.uniform(0.001, 0.999, net.n_inputs)
                 assert np.linalg.norm(jacobian_fd(net, x)) <= upper + 1e-6

@@ -222,6 +222,6 @@ class TestAffine:
 
 def test_range_report_fields():
     rep = verify_ranges_numerically(parse_expression("(x1+x2)*x3"), 200, seed=4)
-    assert rep.ok is True and (rep.samples, rep.seed) == (200, 4)
+    assert rep.ok is True
     assert [(e.node_id, e.op) for e in rep.entries] == [(0, "*"), (1, "+")]
     assert all(e.ok and e.measured <= e.certified for e in rep.entries)

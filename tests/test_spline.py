@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import network
 from kanforge import spline as sp
-from kanforge.kannet import SchemaError, read
+from kanforge.kannet import SchemaError, deserialize, lipschitz_product, read, serialize
 
 
 class TestUniformKnots:
@@ -51,44 +52,88 @@ class TestPLInterpolant:
             sp.pl_interpolant(lambda t: float("nan"), 0, 1, 5)
 
 
+# (a, b) -> the bit patterns (float.hex) of the four control values of t^2/4
+# on [a, b], as the general polar-form recipe this closed form replaced wrote
+# them: dyadic, signed, -0.0, 1e-300 and +-1e150 ends
+QUARTER_SQUARE_BITS = [
+    (0.0, 2.0, ['0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-1', '0x1.0000000000000p+0']),
+    (-1.0, 1.0, ['0x1.0000000000000p-2', '0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-2']),
+    (0.0, 1.0, ['0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-3', '0x1.0000000000000p-2']),
+    (-2.0, 0.0, ['0x1.0000000000000p+0', '0x1.0000000000000p-1', '0x0.0p+0', '0x0.0p+0']),
+    (-0.0, 1.0, ['0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-3', '0x1.0000000000000p-2']),
+    (-1.0, -0.0, ['0x1.0000000000000p-2', '0x1.0000000000000p-3', '0x0.0p+0', '0x0.0p+0']),
+    (-0.0, 0.5, ['0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-5', '0x1.0000000000000p-4']),
+    (-3.0, 5.0, ['0x1.2000000000000p+1', '-0x1.8000000000000p-1', '0x1.4000000000000p+0', '0x1.9000000000000p+2']),
+    (0.25, 0.75, ['0x1.0000000000000p-6', '0x1.0000000000000p-5', '0x1.8000000000000p-4', '0x1.2000000000000p-3']),
+    (-0.75, -0.25, ['0x1.2000000000000p-3', '0x1.8000000000000p-4', '0x1.0000000000000p-5', '0x1.0000000000000p-6']),
+    (-6.0, 2.0, ['0x1.2000000000000p+3', '0x1.8000000000000p+1', '-0x1.0000000000000p+0', '0x1.0000000000000p+0']),
+    (1.0, 3.0, ['0x1.0000000000000p-2', '0x1.0000000000000p-1', '0x1.8000000000000p+0', '0x1.2000000000000p+1']),
+    (-4.0, -1.0, ['0x1.0000000000000p+2', '0x1.4000000000000p+1', '0x1.4000000000000p-1', '0x1.0000000000000p-2']),
+    (0.1, 0.7, ['0x1.47ae147ae147cp-9', '0x1.47ae147ae147cp-7', '0x1.1eb851eb851ebp-4', '0x1.f5c28f5c28f5bp-4']),
+    (-0.3, 0.9, ['0x1.70a3d70a3d70ap-6', '-0x1.70a3d70a3d70ap-6', '0x1.147ae147ae148p-4', '0x1.9eb851eb851ecp-3']),
+    (-1.7, 2.3, ['0x1.71eb851eb851ep-1', '-0x1.051eb851eb852p-3', '0x1.6147ae147ae15p-3', '0x1.528f5c28f5c28p+0']),
+    (0.3, 1.1, ['0x1.70a3d70a3d70ap-6', '0x1.ae147ae147ae1p-5', '0x1.8a3d70a3d70a4p-3', '0x1.35c28f5c28f5dp-2']),
+    (-5.5, -2.25, ['0x1.e400000000000p+2', '0x1.5500000000000p+2', '0x1.1700000000000p+1', '0x1.4400000000000p+0']),
+    (1e-05, 3e-05, ['0x1.b7cdfd9d7bdbcp-36', '0x1.b7cdfd9d7bdbbp-35', '0x1.49da7e361ce4cp-33', '0x1.eec7bd512b572p-33']),
+    (-70000.0, 30000.0, ['0x1.2410110000000p+30', '0x1.4dc9380000000p+28', '-0x1.1e1a300000000p+27', '0x1.ad27480000000p+27']),
+    (-0.0025, 0.00125, ['0x1.a36e2eb1c432dp-20', '0x1.a36e2eb1c432ep-22', '-0x1.a36e2eb1c432ep-23', '0x1.a36e2eb1c432dp-22']),
+    (123.456, 789.012, ['0x1.dc4b124d099e1p+11', '0x1.b809a63f9a49cp+13', '0x1.5f898673a365cp+16', '0x1.2ff97df4e4430p+17']),
+    (-1e-300, 1e-300, ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0']),
+    (0.0, 1e-300, ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0']),
+    (1e-300, 3e-300, ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0']),
+    (-1e+150, 1e+150, ['0x1.7e43c8800759bp+994', '0x0.0p+0', '0x0.0p+0', '0x1.7e43c8800759bp+994']),
+    (1e+150, 3e+150, ['0x1.7e43c8800759bp+994', '0x1.7e43c8800759dp+995', '0x1.1eb2d66005836p+997', '0x1.ae0c419008450p+997']),
+    (-2e+150, -1e+150, ['0x1.7e43c8800759bp+996', '0x1.1eb2d66005834p+996', '0x1.1eb2d66005834p+995', '0x1.7e43c8800759bp+994']),
+    (-1e+150, 0.0, ['0x1.7e43c8800759bp+994', '0x1.7e43c8800759bp+993', '0x0.0p+0', '0x0.0p+0']),
+    (0.0, 1e+150, ['0x0.0p+0', '0x0.0p+0', '0x1.7e43c8800759bp+993', '0x1.7e43c8800759bp+994']),
+    (-1e+150, 1.0, ['0x1.7e43c8800759bp+994', '0x1.7e43c8800759bp+993', '-0x1.38d352e5096afp+495', '0x1.0000000000000p-2']),
+    (-1.0, 1e+150, ['0x1.0000000000000p-2', '-0x1.38d352e5096afp+495', '0x1.7e43c8800759bp+993', '0x1.7e43c8800759bp+994']),
+    (9.313225746154785e-10, 9.5367431640625e-07, ['0x1.0000000000000p-62', '0x1.0040000000000p-53', '0x1.0040000000000p-43', '0x1.0000000000000p-42']),
+    (-1099511627776.0, 2199023255552.0, ['0x1.0000000000000p+78', '-0x1.0000000000000p+77', '0x1.0000000000000p+78', '0x1.0000000000000p+80']),
+    (-1e-300, 1e+150, ['0x0.0p+0', '-0x1.a2fe76a3f9475p-502', '0x1.7e43c8800759bp+993', '0x1.7e43c8800759bp+994']),
+    (-1e+150, -1e-300, ['0x1.7e43c8800759bp+994', '0x1.7e43c8800759bp+993', '0x1.a2fe76a3f9475p-502', '0x0.0p+0']),
+    (1.0, 1.0000000000000009, ['0x1.0000000000000p-2', '0x1.0000000000002p-2', '0x1.0000000000006p-2', '0x1.0000000000008p-2']),
+    (-3.75, -0.0, ['0x1.c200000000000p+1', '0x1.c200000000000p+0', '0x0.0p+0', '0x0.0p+0']),
+]
+
+
 class TestExactPoly:
+    """t^2/4 as the order-2 spline `quarter_square`, exactly."""
+
     def test_quarter_square_value(self):
-        s = sp.exact_poly_spline([0, 0, 0.25], 0, 2, 2)
+        s = sp.quarter_square(0, 2)
         assert s(1.0) == 0.25
         assert s(2.0) == 1.0
 
     def test_lipschitz_on_symmetric_domain(self):
-        s = sp.exact_poly_spline([0, 0, 0.25], -1, 1, 2)
-        assert sp.spline_lipschitz(s) == 0.5
+        assert sp.spline_lipschitz(sp.quarter_square(-1, 1)) == 0.5
 
     def test_lipschitz_attained_at_right_end(self):
-        s = sp.exact_poly_spline([0, 0, 0.25], 0, 2, 2)
-        assert sp.spline_lipschitz(s) == 1.0
+        assert sp.spline_lipschitz(sp.quarter_square(0, 2)) == 1.0
 
-    def test_constant_zero(self):
-        s = sp.exact_poly_spline([0.0], 0, 1, 2)
-        assert sp.spline_lipschitz(s) == 0.0
-        assert s(0.37) == 0.0
+    @pytest.mark.parametrize("a, b, bits", QUARTER_SQUARE_BITS)
+    def test_coefficient_bits_pinned(self, a, b, bits):
+        s = sp.quarter_square(a, b)
+        assert (s.order, s.knots.tolist()) == (2, sp.uniform_knots(a, b, 3).tolist())
+        assert [c.hex() for c in s.coefs.tolist()] == bits
 
-    def test_order_too_low(self):
-        with pytest.raises(ValueError):
-            sp.exact_poly_spline([0, 0, 1], 0, 1, 1)
+    def test_product_overflow_rejected(self):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            sp.quarter_square(-1e200, 1e200)
 
-    @given(
-        st.integers(1, 4),
-        st.lists(st.floats(-3, 3), min_size=1, max_size=5),
-        st.floats(-4, 2),
-        st.floats(0.5, 4),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_polynomial_reproduction(self, k, coefs, a, width):
-        coefs = coefs[: k + 1]
+    @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6))
+    @settings(max_examples=200, deadline=None)
+    def test_values_match_scipy_within_ulps(self, a, width):
+        # the scipy B-spline of the same knots and control values is t^2/4 up
+        # to a few roundings of the largest value on the domain
+        BSpline = pytest.importorskip("scipy.interpolate").BSpline
         b = a + width
-        s = sp.exact_poly_spline(coefs, a, b, k, G=4)
-        ts = np.linspace(a, b, 257)
-        expected = sum(c * ts**m for m, c in enumerate(coefs))
-        scale = max(1.0, max(abs(c) for c in coefs)) * max(1.0, abs(a), abs(b)) ** k
-        np.testing.assert_allclose(s.eval_batch(ts), expected, atol=1e-10 * scale)
+        if not a < (a + b) / 2 < b:
+            return
+        s = sp.quarter_square(a, b)
+        ts = np.linspace(a, b, 65)
+        ulp = math.ulp(max(a * a, b * b) / 4.0)
+        assert np.max(np.abs(BSpline(s._T, s.coefs, 2)(ts) - ts * ts / 4.0)) <= 8 * ulp
 
 
 class TestEval:
@@ -107,12 +152,22 @@ class TestEval:
             sp.Spline(1, np.array(knots), np.zeros(len(knots)))
 
     def test_out_of_domain_linear_continuation_and_counter(self):
-        s = sp.exact_poly_spline([0, 0, 0.25], 0, 2, 2)
+        s = sp.quarter_square(0, 2)
         before = sp.oob_hits()
         # boundary slope at b=2 is 1, so s(3) continues as 1 + 1*(3-2)
         assert s(3.0) == pytest.approx(2.0)
         assert s(-1.0) == pytest.approx(0.0)  # slope 0 at a=0
         assert sp.oob_hits() - before == 2
+
+    def test_flat_end_at_infinity_is_the_end_value(self):
+        # slope 0 at a = 0: the continuation skips 0*inf, without a warning
+        s = sp.quarter_square(0.0, 2.0)
+        hinge = sp.Spline(1, np.array([-1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
+        with np.errstate(all="raise"):
+            assert s.eval_batch(np.array([-math.inf, math.inf])).tolist() == [0.0, math.inf]
+            assert hinge.eval_batch(np.array([-math.inf, math.inf])).tolist() == [0.0, math.inf]
+            flat = sp.line_spline(0.0, 1.0, 3.0, 3.0)
+            assert flat.eval_batch(np.array([-math.inf, math.inf])).tolist() == [3.0, 3.0]
 
     def test_derived_fields_bit_equal_to_array_forms(self, rng):
         # domain, clamped knots and boundary value/slope, derived on Python
@@ -207,6 +262,67 @@ class TestLipschitz:
             assert fd <= lip * (1 + 1e-6) + 1e-9
             assert lip <= fd * (1 + 1e-3) + 1e-6
 
+
+def _sampled_lipschitz(s, n=2001):
+    """max |s'| over n points per segment, by scipy's BSpline, sampled again
+    at n points around every local maximum of that sample."""
+    BSpline = pytest.importorskip("scipy.interpolate").BSpline
+    ds = BSpline(s._T, s.coefs, s.order).derivative()
+    g = s.knots.tolist()
+    best = 0.0
+    for x0, x1 in zip(g, g[1:]):
+        xs = np.linspace(x0, x1, n)
+        v = np.abs(ds(xs))
+        padded = np.concatenate(([-1.0], v, [-1.0]))
+        for i in np.flatnonzero((v >= padded[:-2]) & (v >= padded[2:])).tolist():
+            fine = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, n - 1)], n)
+            best = max(best, float(np.max(np.abs(ds(fine)))))
+    return best
+
+
+class TestHighOrderLipschitz:
+    """Orders >= 3 locate the critical points of |s'| on each segment in the
+    segment's own variable, so no coefficient scales as a power of 1/h: a
+    second-derivative spline's coefficients scale as h^-2 and under- or
+    overflow at extreme knot spacings."""
+
+    # 4 ulps: scipy and de Boor round the derivative's values differently
+    ROUNDING = 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("grid, scale, coefs, expected", [
+        ([1.0, 2.0, 3.0, 4.0], 1e200, [0.0, 0.0, 2.0, -1.0, 1.0, 1.0], 1.5e-200),
+        ([1.0, 2.0, 3.5, 4.0], 1e-160, [0.3, -1.0, 0.5, 2.0, -0.7, 0.1], 4.8e160),
+    ], ids=["spacing-1e200", "spacing-1e-160"])
+    def test_extreme_spacing(self, grid, scale, coefs, expected):
+        s = sp.Spline(3, np.array(grid) * scale, np.array(coefs))
+        lip = sp.spline_lipschitz(s)
+        assert lip == pytest.approx(expected, rel=1e-12)
+        sampled = _sampled_lipschitz(s)
+        assert sampled * (1 - self.ROUNDING) <= lip <= sampled * (1 + 1e-6)
+
+    def test_extreme_spacing_net_file_loads(self):
+        # loading a net file extracts each table entry's constant
+        knots = np.array([1.0, 2.0, 3.5, 4.0]) * 1e-160
+        s = sp.Spline(3, knots, np.array([0.3, -1.0, 0.5, 2.0, -0.7, 0.1]))
+        net = deserialize(serialize(network((1, 1), (s,), [[(0, 0, 0)]])))
+        assert lipschitz_product(net).product == pytest.approx(4.8e160, rel=1e-12)
+
+    @given(
+        st.integers(3, 5),
+        st.lists(st.floats(0.2, 2.0), min_size=2, max_size=6),
+        st.floats(-150, 250),
+        st.lists(st.floats(-3, 3), min_size=11, max_size=11),
+    )
+    @example(3, [1.0, 1.0, 1.0], 200.0, [0.0, 0.0, 2.0, -1.0, 1.0, 1.0] + [0.0] * 5)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_sample_at_any_scale(self, k, gaps, exponent, coefs):
+        knots = np.cumsum([1.0] + gaps) * 10.0 ** exponent
+        if not np.all(np.diff(knots) > 0):
+            return
+        s = sp.Spline(k, knots, np.array(coefs[: knots.size + k - 1]))
+        lip = sp.spline_lipschitz(s)
+        sampled = _sampled_lipschitz(s)
+        assert sampled * (1 - self.ROUNDING) <= lip <= sampled * (1 + 1e-6)
 
 class TestClosedFormLipschitz:
     """Orders 1 and 2 read the constant off the derivative coefficients
