@@ -6,7 +6,9 @@ expression or certificate mismatch between a certificate and its inputs.
 Deeply nested expressions are not bad input: no tree pass recurses, so they
 compile.
 
-Each command takes only the flags it reads. KANFORGE_SEED, when set, takes
+Each command takes only the flags it reads and writes its rows to
+`sys.stdout`. A tree's annotation is cached on the tree, so the compile and
+the checks of one command compute it once. KANFORGE_SEED, when set, takes
 precedence over --seed for the commands that have one (compile, verify,
 fuzz); either must be a non-negative integer, the variable written in ASCII
 digits.
@@ -59,7 +61,7 @@ from .kannet import (
     lipschitz_product,
     serialize,
 )
-from .rangecert import AnnotatedTree, annotate_ranges, verify_ranges_numerically
+from .rangecert import annotate_ranges, verify_ranges_numerically
 from .spline import cubic_interpolant, sup_error
 
 __all__ = [
@@ -155,13 +157,13 @@ def balanced_additive_tree(depth: int) -> CompTree:
 # ---------------------------------------------------------------------------
 # report helpers
 
-def _emit(rows: list[dict], fmt: str, stream) -> None:
+def _emit(rows: list[dict], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(rows, indent=2), file=stream)
+        print(json.dumps(rows, indent=2))
     elif fmt == "csv":
-        print(_csv(rows), end="", file=stream)
+        print(_csv(rows), end="")
     else:
-        _print_table(rows, stream)
+        _print_table(rows)
 
 
 def _csv(rows: list[dict]) -> str:
@@ -180,15 +182,15 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _print_table(rows: list[dict], stream) -> None:
+def _print_table(rows: list[dict]) -> None:
     if not rows:
         return
     cols = list(rows[0])
     data = [[_cell(r[c]) for c in cols] for r in rows]
     widths = [max(len(c), *(len(d[i]) for d in data)) for i, c in enumerate(cols)]
-    print("  ".join(c.ljust(w) for c, w in zip(cols, widths)), file=stream)
+    print("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
     for d in data:
-        print("  ".join(x.ljust(w) for x, w in zip(d, widths)), file=stream)
+        print("  ".join(x.ljust(w) for x, w in zip(d, widths)))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -200,20 +202,16 @@ def _write(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str = "table",
-                stream=None) -> int:
-    stream = stream if stream is not None else sys.stdout
+def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str = "table") -> int:
     try:
         tree = parse_expression(expr)
-        ann = annotate_ranges(tree)
-        net, cert = compile_tree(tree, config.compile, annotated=ann)
+        net, cert = compile_tree(tree, config.compile)
     except (ParseError, CompileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     prefix = out or "kan"
     _write(f"{prefix}.net.json", serialize(net))
     _write(f"{prefix}.cert.json", cert.to_json())
-    report = lipschitz_product(net)
     rows = [
         {
             "expr": cert.expr,
@@ -224,7 +222,7 @@ def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str =
             "L": net.n_layers,
             "max_width": max(net.widths),
             "width_bound": cert.width_bound,
-            "P_measured": report.product,
+            "P_measured": lipschitz_product(net).product,
             "p_bound": cert.p_bound,
             "p_simplified": cert.p_simplified,
             "c_star": cert.c_star,
@@ -232,9 +230,8 @@ def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str =
             "eps_op": cert.eps_op,
         }
     ]
-    _emit(rows, fmt, stream)
-    failure = check_certificate(tree, net, cert, config.samples, config.seed, product=report,
-                                annotated=ann).failure
+    _emit(rows, fmt)
+    failure = check_certificate(tree, net, cert, config.samples, config.seed).failure
     if failure is not None:
         print(f"certification failed: {failure.message()}", file=sys.stderr)
         return 3
@@ -245,31 +242,27 @@ def cmd_compile(expr: str, config: RunConfig, out: str | None = None, fmt: str =
 _RANGE_SAMPLES = 200_000
 
 
-def verify_report(tree: CompTree, net: KanNetwork, cert: Certificate, ann: AnnotatedTree,
-                  samples: int, seed: int) -> CheckReport:
+def verify_report(tree: CompTree, net: KanNetwork, cert: Certificate, samples: int, seed: int) -> CheckReport:
     """`check_certificate`'s report of `cert` against `net` (behind
-    `cert.config.box`, if any), plus the range and Jacobian rows; `ann` is
-    the tree's `annotate_ranges`. One seeded sample pass feeds both the sup
-    error and the per-node range maxima; the 20 Jacobian probes, mapped into
-    the box, share one forward."""
-    product = lipschitz_product(net)
+    `cert.config.box`, if any), plus the range and Jacobian rows. One seeded
+    sample pass feeds both the sup error and the per-node range maxima; the
+    20 Jacobian probes are mapped into the box."""
     range_samples = min(samples, _RANGE_SAMPLES)
     # the error pass draws max(n, n_0) columns per row, so its rows are the
     # range check's rows only when n_0 <= n; otherwise the check draws its own
-    node_max = NodeMaxima(range_samples) if net.n_inputs <= len(ann.leaf_ranges) else None
-    report = check_certificate(tree, net, cert, samples, seed, product=product, node_max=node_max,
-                               annotated=ann)
-    ranges = verify_ranges_numerically(tree, range_samples, seed, annotated=ann, node_max=node_max)
+    node_max = NodeMaxima(range_samples) if net.n_inputs <= annotate_ranges(tree).n else None
+    report = check_certificate(tree, net, cert, samples, seed, node_max=node_max)
+    ranges = verify_ranges_numerically(tree, range_samples, seed, node_max=node_max)
     probes = np.random.default_rng(seed).uniform(0.001, 0.999, size=(20, net.n_inputs))
     if cert.config.box is not None:
         probes = _box_points(cert.config.box, probes)
     jac_max = jacobian_lower_bound(net, probes)
-    return replace(report, rows=report.rows + (range_row(ranges), jacobian_row(jac_max, product.product)))
+    product = lipschitz_product(net).product
+    return replace(report, rows=report.rows + (range_row(ranges), jacobian_row(jac_max, product)))
 
 
 def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | None = None,
-               fmt: str = "table", stream=None) -> int:
-    stream = stream if stream is not None else sys.stdout
+               fmt: str = "table") -> int:
     try:
         with open(net_path, "rb") as fh:
             data = fh.read()
@@ -303,17 +296,16 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
         if rendered != cert.expr:
             print(f"error: expression mismatch: certificate was issued for {cert.expr!r}", file=sys.stderr)
             return 4
-    ann = annotate_ranges(tree)
     # a certificate is recomputed as it was issued: with its own config, box included
     compile_config = cert.config if cert is not None else config.compile
-    recomputed = recompute_certificate(tree, net, compile_config, annotated=ann)
+    recomputed = recompute_certificate(tree, net, compile_config)
     if cert is not None and cert != recomputed:
         name = next(f.name for f in fields(Certificate) if getattr(cert, f.name) != getattr(recomputed, f.name))
         print(f"error: certificate mismatch: {name} is {reprlib.repr(getattr(cert, name))} in the file, "
               f"{reprlib.repr(getattr(recomputed, name))} recomputed", file=sys.stderr)
         return 4
-    report = verify_report(tree, net, recomputed, ann, config.samples, config.seed)
-    _emit([vars(row) for row in report.rows], fmt, stream)
+    report = verify_report(tree, net, recomputed, config.samples, config.seed)
+    _emit([vars(row) for row in report.rows], fmt)
     if not report.ok:
         print(f"verification failed: {report.failure.message()}", file=sys.stderr)
         return 3
@@ -325,14 +317,12 @@ _PRODUCT_FAMILIES = [("xy", "x1*x2"), ("xyz", "x1*x2*x3"), ("sin(xy)", "sin(x1*x
 ]
 
 
-def cmd_table_products(grid: int = 35, out: str | None = None, fmt: str = "csv",
-                       stream=None) -> int:
+def cmd_table_products(grid: int = 35, out: str | None = None, fmt: str = "csv") -> int:
     """Lipschitz products of the multiplicative/trigonometric families.
 
     Uses the proof-faithful schedule (identity wires at every layer), whose
     product is exactly 1.0 for these families.
     """
-    stream = stream if stream is not None else sys.stdout
     try:
         config = CompileConfig(grid, faithful_widths=True)
     except ValueError as exc:
@@ -348,20 +338,19 @@ def cmd_table_products(grid: int = 35, out: str | None = None, fmt: str = "csv",
         rows.append({"f": name, "n": stats.n, "N": stats.internal, "P_measured": p, "P_bound": cert.p_bound})
         ok = ok and p == 1.0 and p <= cert.p_bound
     _write(out, _csv(rows))
-    _emit(rows, fmt, stream)
+    _emit(rows, fmt)
     return 0 if ok else 3
 
 
 _SWEEP_GRIDS = (5, 12, 35)
 
 
-def cmd_sweep_rate(out: str | None = None, fmt: str = "csv", stream=None) -> int:
+def cmd_sweep_rate(out: str | None = None, fmt: str = "csv") -> int:
     """Cubic-spline error scaling for sin on [0,1] over G in {5, 12, 35}.
 
     Emits error, h^4 and their ratio; the ratio must be constant within a
     factor of 2 across the sweep (fourth-order decay), else exit nonzero.
     """
-    stream = stream if stream is not None else sys.stdout
     rows = []
     ratios = []
     for G in _SWEEP_GRIDS:
@@ -371,26 +360,24 @@ def cmd_sweep_rate(out: str | None = None, fmt: str = "csv", stream=None) -> int
         rows.append({"G": G, "error": err, "h4": h4, "ratio": err / h4})
         ratios.append(err / h4)
     _write(out, _csv(rows))
-    _emit(rows, fmt, stream)
+    _emit(rows, fmt)
     if max(ratios) / min(ratios) > 2.0:
         print("error: ratio error/h^4 drifts by more than a factor of 2", file=sys.stderr)
         return 3
     return 0
 
 
-def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str | None = None,
-             stream=None) -> int:
+def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str | None = None) -> int:
     """Random-tree property run: compile, certify, verify ranges per tree.
 
-    Each tree is annotated once, for its compile and for `verify_report`,
-    which checks the compiled certificate on the tree's own sample seed, so
-    its error and range checks share one sample pass.
+    Each tree's compile and `verify_report` read the annotation the tree
+    caches. `verify_report` checks the compiled certificate on the tree's own
+    sample seed, so its error and range checks share one sample pass.
 
     The all-additive subfamily additionally asserts that the certified bound
     N+1 is attained at the all-ones corner. Any failure serializes the
     offending tree for reproduction and exits nonzero.
     """
-    stream = stream if stream is not None else sys.stdout
     if trees < 1 or not 1 <= max_depth <= MAX_FUZZ_DEPTH:
         print(f"error: tree count must be >= 1 and depth in [1, {MAX_FUZZ_DEPTH}]", file=sys.stderr)
         return 2
@@ -400,9 +387,8 @@ def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str 
         tree = random_tree(rng, max_depth)
         sample_seed = int(rng.integers(2**31))
         try:
-            ann = annotate_ranges(tree)
-            net, cert = compile_tree(tree, config.compile, annotated=ann)
-            report = verify_report(tree, net, cert, ann, config.samples, sample_seed)
+            net, cert = compile_tree(tree, config.compile)
+            report = verify_report(tree, net, cert, config.samples, sample_seed)
             if not report.ok:
                 raise CertificationError(report.failure.message())
         except (CompileError, CertificationError, ValueError) as exc:
@@ -410,17 +396,16 @@ def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str 
     for depth in range(1, 6):
         tree = balanced_additive_tree(depth)
         stats = tree_stats(tree)
-        ann = annotate_ranges(tree)
-        report = verify_ranges_numerically(tree, 1000, config.seed, annotated=ann)
+        report = verify_ranges_numerically(tree, 1000, config.seed)
         # root is node 0 (pre-order); the all-ones corner sums N+1 ones exactly
         attained = report.entries[0].measured
         expected = stats.internal + 1
-        if not (attained == expected and ann.root_range.bound == expected):
+        if not (attained == expected and annotate_ranges(tree).root_range.bound == expected):
             failures.append(
                 {"index": -depth, "expr": render(tree), "seed": config.seed,
                  "error": f"additive bound {expected} not attained (measured {attained})"}
             )
-    print(f"fuzz: {trees} random trees + additive family, {len(failures)} failure(s)", file=stream)
+    print(f"fuzz: {trees} random trees + additive family, {len(failures)} failure(s)")
     if failures:
         path = out or "fuzz_failures.json"
         _write(path, json.dumps(failures, indent=2))

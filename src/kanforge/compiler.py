@@ -26,6 +26,11 @@ max(mu, 1), and the sampled checks map their points into the box.
 Certified error bounds survive boundary roundoff because edges continue
 linearly outside their domain with the boundary slope, which never exceeds
 the certified on-domain Lipschitz constant of the edge.
+
+Every function here that reads the tree's ranges calls
+`rangecert.annotate_ranges(tree)`, which the tree caches, and
+`check_certificate` takes the network's `lipschitz_product` itself: a
+network is compiled and checked under its own tree's annotation only.
 """
 
 from __future__ import annotations
@@ -50,11 +55,12 @@ from .exprtree import (
     render,
     tree_stats,
 )
-from .kannet import KanNetwork, ProductReport, forward_batch, lipschitz_product, loads, read, serialize
+from .kannet import KanNetwork, forward_batch, lipschitz_product, loads, read, serialize
 from .primblocks import Block, EdgeSplines, build_block
 from .rangecert import (
     BLOCK_DEPTH,
     _SOUNDNESS_SLACK,
+    UNIT,
     AnnotatedTree,
     Interval,
     RangeReport,
@@ -128,13 +134,20 @@ class CompileConfig:
 
     def __post_init__(self):
         # checked here, before anything is built, so a certificate file asking
-        # for more grid, or holding a bad box, is bad input like a --grid flag
-        if not 2 <= self.grid <= MAX_GRID:
+        # for more grid, or holding a bad box, is bad input like a --grid flag.
+        # The types are the certificate reader's (a bool is not an int), so
+        # every config compiles to a certificate that reads back
+        if type(self.grid) is not int or not 2 <= self.grid <= MAX_GRID:
             raise ValueError(f"grid must be an integer in [2, {MAX_GRID}]")
+        if type(self.faithful_widths) is not bool:
+            raise ValueError("faithful_widths must be a bool")
         if self.box is not None:
             # float pairs, so a box given as lists of ints equals the one its
             # certificate reads back as
-            box = tuple((float(lo), float(hi)) for lo, hi in self.box)
+            try:
+                box = tuple((float(lo), float(hi)) for lo, hi in self.box)
+            except (TypeError, ValueError):
+                raise ValueError("box must be a sequence of (lo, hi) number pairs") from None
             for lo, hi in box:
                 if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
                     raise ValueError(f"degenerate box interval [{lo}, {hi}]")
@@ -257,7 +270,6 @@ _Wire = tuple[WireKey | None, Interval, str, Spline | None]
 
 
 def _build_network(
-    n: int,
     ann: AnnotatedTree,
     schedule: tuple[ScheduleEntry, ...],
     blocks: dict[int, Block],
@@ -276,14 +288,13 @@ def _build_network(
         for key in entry.consumed:
             last[key] = max(last.get(key, 0), entry.start_layer - entry.fanout_layers)
     fwd: list[_Wire] = []  # inputs, then completed intermediates in post-order
-    for p in range(1, n + 1):
-        iv = ann.leaf_ranges[p]
-        fwd.append((("input", p), iv, f"x{p}", splines.ident(iv)))
+    for p in range(1, ann.n + 1):
+        fwd.append((("input", p), UNIT, f"x{p}", splines.ident(UNIT)))
         if faithful:
             last[("input", p)] = n_layers
     cur = list(fwd)
     pos = {w[0]: i for i, w in enumerate(cur)}
-    widths = [n]
+    widths = [ann.n]
     wire_tags = [tuple(w[2] for w in cur)]
     # the spline table: each spline's index, in order of first use (a
     # `Spline` hashes by identity)
@@ -418,17 +429,15 @@ def _certificate(
     )
 
 
-def compile_tree(
-    tree: CompTree, config: CompileConfig = CompileConfig(), annotated: AnnotatedTree | None = None
-) -> tuple[KanNetwork, Certificate]:
+def compile_tree(tree: CompTree, config: CompileConfig = CompileConfig()) -> tuple[KanNetwork, Certificate]:
     """Compile a computation tree into (network, certificate).
 
-    `annotated` is the tree's `annotate_ranges` when the caller has it
-    already. One `EdgeSplines` serves the whole compile, so every distinct
-    edge is one `Spline`. With `config.box` the network reads points of the
-    box through its affine pre-layer.
+    The blocks are built from the tree's own `annotate_ranges`, which the
+    tree caches. One `EdgeSplines` serves the whole compile, so every
+    distinct edge is one `Spline`. With `config.box` the network reads
+    points of the box through its affine pre-layer.
     """
-    ann = annotated if annotated is not None else annotate_ranges(tree)
+    ann = annotate_ranges(tree)
     stats = tree_stats(tree)
     _check_tree_box(config, stats.n)
     splines = EdgeSplines()
@@ -436,7 +445,7 @@ def compile_tree(
     if isinstance(tree, Leaf):
         net = _leaf_network(tree, stats.n)
     else:
-        net = _build_network(stats.n, ann, build_schedule(tree), blocks, splines, config.faithful_widths)
+        net = _build_network(ann, build_schedule(tree), blocks, splines, config.faithful_widths)
     if config.box is not None:
         net = _behind_box(net, config.box)
     return net, _certificate(tree, stats, net, config, ann, blocks)
@@ -492,7 +501,7 @@ def measured_sup_error(
         raise ValueError("need at least one sample")
     _check_net_box(box, net)
     err = 0.0
-    for xs in sample_blocks(seed, samples, max(tree_stats(tree).n, net.n_inputs)):
+    for xs in sample_blocks(seed, samples, max(annotate_ranges(tree).n, net.n_inputs)):
         truth = eval_tree_batch(tree, xs, node_max)
         pts = xs[:, : net.n_inputs]
         if box is not None:
@@ -502,22 +511,17 @@ def measured_sup_error(
     return float(err)
 
 
-def recompute_certificate(
-    tree: CompTree,
-    net: KanNetwork,
-    config: CompileConfig = CompileConfig(),
-    annotated: AnnotatedTree | None = None,
-) -> Certificate:
+def recompute_certificate(tree: CompTree, net: KanNetwork,
+                          config: CompileConfig = CompileConfig()) -> Certificate:
     """The certificate of `net` rederived from the tree: ranges, blocks, budget.
 
     Uses the same deterministic steps as `compile_tree`, box factor included,
     so for a network compiled with `config` it equals the certificate the
-    compiler issued. `annotated` is the tree's `annotate_ranges` when the
-    caller has it already.
+    compiler issued.
     """
     stats = tree_stats(tree)
     _check_tree_box(config, stats.n)
-    ann = annotated if annotated is not None else annotate_ranges(tree)
+    ann = annotate_ranges(tree)
     blocks = _build_blocks(ann, config.grid, EdgeSplines())
     return _certificate(tree, stats, net, config, ann, blocks)
 
@@ -589,25 +593,22 @@ def check_certificate(
     cert: Certificate,
     samples: int,
     seed: int,
-    product: ProductReport | None = None,
     node_max: NodeMaxima | None = None,
-    annotated: AnnotatedTree | None = None,
 ) -> CheckReport:
     """One `CheckRow` per inequality `cert` states, each evaluated against `net`.
 
     The sampled error reads `net` behind `cert.config.box`, if any.
-    `product` is the network's `lipschitz_product` and `annotated` the tree's
-    `annotate_ranges` when the caller has them; `node_max` goes to
-    `measured_sup_error`, which runs even when an earlier row fails.
+    `node_max` goes to `measured_sup_error`, which runs even when an earlier
+    row fails.
     """
-    ann = annotated if annotated is not None else annotate_ranges(tree)
-    n, internal = len(ann.leaf_ranges), len(ann.annotations)
+    ann = annotate_ranges(tree)
+    n, internal = ann.n, len(ann.annotations)
     blocks = []
     for nc in cert.per_node:
         a = ann.annotations.get(nc.node_id)
         bound = a.block_bound if a is not None else math.nan
         blocks.append((f"node {nc.node_id} ({nc.op})", nc.lambda_op, bound, nc.lambda_op <= bound))
-    report = product if product is not None else lipschitz_product(net)
+    report = lipschitz_product(net)
     err = measured_sup_error(tree, net, samples, seed, box=cert.config.box, node_max=node_max)
     rows = (
         CheckRow("n_0 = n", net.n_inputs, n, 0.0, net.n_inputs == n),
@@ -631,9 +632,8 @@ def certify(
 ) -> Certificate:
     """Recompute every bound from the tree and return the certificate, or raise
     CertificationError from the first failing row of `check_certificate`."""
-    ann = annotate_ranges(tree)
-    cert = recompute_certificate(tree, net, config, annotated=ann)
-    failure = check_certificate(tree, net, cert, samples, seed, annotated=ann).failure
+    cert = recompute_certificate(tree, net, config)
+    failure = check_certificate(tree, net, cert, samples, seed).failure
     if failure is not None:
         raise CertificationError(failure.message())
     return cert

@@ -25,7 +25,7 @@ the pre-order node ids. Nesting depth is bounded by memory only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Union
 
@@ -87,6 +87,8 @@ class Leaf:
     """Coordinate projection x_p, 1-based, p <= MAX_COORD."""
 
     coord: int
+    # the tree's `rangecert.annotate_ranges`, computed on first use
+    _ann: object = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if not 1 <= self.coord <= MAX_COORD:
@@ -100,6 +102,8 @@ class Node:
 
     op: OpKind
     children: tuple["CompTree", ...]
+    # the tree's `rangecert.annotate_ranges`, computed on first use
+    _ann: object = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if len(self.children) != self.op.arity:

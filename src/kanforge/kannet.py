@@ -32,8 +32,9 @@ and each table entry hold exactly their keys; files of earlier formats,
 whose entries restated `domain` and `grid_points`, are rejected at `$.format`.
 
 `deserialize` checks a file's JSON types, each layer as `[int, int, int]`
-triples; the `KanNetwork` constructor checks its structure: widths, layer
-and tag counts, and every edge against them. A library caller's triples
+triples; the `KanNetwork` constructor checks its structure: widths, with at
+most `exprtree.MAX_COORD` inputs, layer and tag counts, and every edge
+against them. A library caller's triples
 that are not integers within intp fail there as a file's do. Each check is made once, and
 each fault is a SchemaError at its element's path in the file.
 """
@@ -49,6 +50,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import kernels
+from .exprtree import MAX_COORD
 from .spline import Spline, _record_oob, spline_lipschitz
 
 __all__ = [
@@ -124,6 +126,10 @@ class KanNetwork:
                 raise SchemaError(f"widths[{m}] must be >= 1", f"$.widths[{m}]")
             if len(tags) != w:
                 raise SchemaError(f"wire_tags[{m}] must have {w} entries", f"$.wire_tags[{m}]")
+        # n_0 = n: no expression reads more coordinates, and the sampled
+        # checks draw a column per input
+        if widths[0] > MAX_COORD:
+            raise SchemaError(f"widths[0] must be at most {MAX_COORD}", "$.widths[0]")
         if edges.dtype != np.intp:
             edges = _intp_triples(edges, counts)
         _check_edges(widths, len(splines), edges, counts)
@@ -251,20 +257,29 @@ def jacobian_fd(net: KanNetwork, x) -> np.ndarray:
     ahead of its forwarded inputs.
 
     `x` may also be an (m, n_0) array of points; their (m, n_0) gradients
-    come from one forward pass.
+    come from one forward pass per `kernels.CHUNK` stepped rows, so memory
+    stays bounded for any m.
     """
     x = np.asarray(x, dtype=np.float64)
     n = net.n_inputs
     if not (x.ndim <= 1 and x.size == n or x.ndim == 2 and x.shape[1] == n):
         raise ValueError(f"expected a point or (npoints, {n}) points, got shape {x.shape}")
-    # rows 2i and 2i+1 of each point's block of 2n rows step coordinate i up and down
-    pts = np.repeat(x.reshape(-1, n), 2 * n, axis=0).reshape(-1, 2 * n, n)
+    points = x.reshape(-1, n)
+    grad = np.empty(points.shape)
+    per_block = max(1, kernels.CHUNK // (2 * n))
     coord = np.arange(n)
-    pts[:, 2 * coord, coord] += FD_STEP
-    pts[:, 2 * coord + 1, coord] -= FD_STEP
-    vals = forward_batch(net, pts.reshape(-1, n))[:, 0]
-    grad = (vals[0::2] - vals[1::2]) / (2.0 * FD_STEP)
-    return grad.reshape(-1, n) if x.ndim == 2 else grad
+    # rows 2i and 2i+1 of each point's block of 2n rows step coordinate i up
+    # and down; every block of points is stepped in this one buffer
+    buf = np.empty((min(per_block, len(points)), 2 * n, n))
+    for start in range(0, len(points), per_block):
+        block = points[start : start + per_block]
+        pts = buf[: len(block)]
+        pts[:] = block[:, None, :]
+        pts[:, 2 * coord, coord] += FD_STEP
+        pts[:, 2 * coord + 1, coord] -= FD_STEP
+        vals = forward_batch(net, pts.reshape(-1, n))[:, 0]
+        grad[start : start + len(block)] = ((vals[0::2] - vals[1::2]) / (2.0 * FD_STEP)).reshape(-1, n)
+    return grad if x.ndim == 2 else grad[0]
 
 
 def jacobian_lower_bound(net: KanNetwork, x) -> float:

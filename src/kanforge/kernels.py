@@ -75,15 +75,20 @@ is 16384: every step costs a few dozen numpy calls per chunk whatever its
 size, so longer chunks spend less per point on call overhead (the sampled
 checks stream their points in blocks of the same size, 7 per 10^5 samples),
 while a compiled network's workspace stays a few MB. On the corpus-certify
-networks 16384 was about 5% faster than 8192 and 32768 no faster again. The
-table and every per-chunk scratch array are views of one workspace: one
-float buffer, one index buffer and one mask per thread, shared by every call
-and grown, never shrunk, to the largest size a call has needed. Memory stays
-bounded for any batch size, nothing CHUNK-sized is allocated inside the
-chunk loop outside the rare out-of-domain path named below, and consecutive
-forwards (the sample blocks of one sup-error pass, or nets of different
-sizes) reuse pages already touched instead of mapping fresh ones. The price
-is that the largest workspace a thread has used stays allocated.
+networks 16384 was about 5% faster than 8192 and 32768 no faster again. A
+chunk's float workspace is its points times the plan's rows (value table,
+gather and curved scratch rows): at most 56 rows on the benchmark pools'
+networks, in either compile mode, but 20000 for a net file with a
+20000-neuron boundary. A plan that tall runs WORKSPACE_FLOATS // rows
+points per chunk instead, so no chunk takes more than 32 MiB. The table and
+every per-chunk scratch array are views of one workspace: one float buffer,
+one index buffer and one mask per thread, shared by every call and grown,
+never shrunk, to the largest size a call has needed. Memory stays bounded
+for any batch size and any network, nothing CHUNK-sized is allocated inside
+the chunk loop outside the rare out-of-domain path named below, and
+consecutive forwards (the sample blocks of one sup-error pass, or nets of
+different sizes) reuse pages already touched instead of mapping fresh ones.
+The price is that the largest workspace a thread has used stays allocated.
 
 Out-of-domain evaluations are counted and returned, never raised: one count
 per edge evaluated at a point outside its domain, identity wires included,
@@ -112,6 +117,7 @@ import numpy as np
 __all__ = [
     "CHUNK",
     "KMAX",
+    "WORKSPACE_FLOATS",
     "NetPlan",
     "OneKnotEdges",
     "PpEdges",
@@ -130,6 +136,10 @@ KMAX = 16
 
 # points per forward chunk: the columns of the forward's value table
 CHUNK = 16384
+
+# floats of one chunk's workspace (32 MiB): a plan of more than 256 rows runs
+# fewer points per chunk
+WORKSPACE_FLOATS = 256 * CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +724,8 @@ def _one_knot_forward(e: OneKnotEdges, tab, rows, t, w, val, dt, hits: bool) -> 
 
 
 def forward_batch(plan: NetPlan, X) -> tuple[np.ndarray, int]:
-    """Network forward over an (npoints, n_0) matrix, CHUNK points at a time.
+    """Network forward over an (npoints, n_0) matrix, CHUNK points at a time,
+    or fewer when the plan's rows would take more than WORKSPACE_FLOATS.
 
     Returns (outputs, out_of_domain_count).
     """
@@ -722,10 +733,11 @@ def forward_batch(plan: NetPlan, X) -> tuple[np.ndarray, int]:
     n0 = plan.widths[0]
     out = np.empty((X.shape[0], plan.widths[-1]))
     oob = 0
+    chunk = min(CHUNK, max(1, WORKSPACE_FLOATS // (plan.n_rows + plan.max_gather + 4 * plan.max_pp)))
     with np.errstate(over="ignore", invalid="ignore"):  # see the bias sum in build_plan
-        for start in range(0, X.shape[0], CHUNK):
-            stop = min(start + CHUNK, X.shape[0])
-            if start == 0 or stop - start < CHUNK:  # the first chunk and a short last one
+        for start in range(0, X.shape[0], chunk):
+            stop = min(start + chunk, X.shape[0])
+            if start == 0 or stop - start < chunk:  # the first chunk and a short last one
                 tab, gat, t, u, val, dt, row, mask = _views(plan, stop - start)
             oob0 = oob
             tab[:n0] = X[start:stop].T

@@ -9,6 +9,12 @@ aggregates into the domain-sensitive Lipschitz-product budget
     product_bound = prod_v max(C_v, 1)^(c_v),   C_v = max_i Lip_i(op_v | D_v),
 
 with block depths c_v fixed per operation (multiplication 3, all others 1).
+
+Leaves range over [0,1], so a tree's annotation depends on the tree alone.
+`annotate_ranges` computes it on the first call and caches it on the tree,
+as `KanNetwork.packed()` caches a network's forward plan: the compile, the
+certificate recomputation and every check of one tree call it and share one
+annotation, and none takes an annotation from its caller.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprtree import CompTree, Leaf, Node, NodeMaxima, OpKind, eval_tree_batch, fold, tree_stats
+from .exprtree import CompTree, Leaf, Node, NodeMaxima, OpKind, eval_tree_batch, fold
 from .kernels import CHUNK
 
 __all__ = [
@@ -146,28 +152,30 @@ class NodeAnnotation:
 
 @dataclass(frozen=True)
 class AnnotatedTree:
-    tree: CompTree
     annotations: dict[int, NodeAnnotation]  # keyed by pre-order node id
-    leaf_ranges: dict[int, Interval]        # keyed by coordinate
+    n: int                                  # input dimension = max leaf coordinate
 
     @property
     def root_range(self) -> Interval:
-        if isinstance(self.tree, Leaf):
-            return self.leaf_ranges[self.tree.coord]
-        return self.annotations[0].range
+        # a bare leaf has no annotation and ranges over [0,1]
+        return self.annotations[0].range if self.annotations else UNIT
 
 
-def annotate_ranges(tree: CompTree, leaf_ranges: dict[int, Interval] | None = None) -> AnnotatedTree:
+def annotate_ranges(tree: CompTree) -> AnnotatedTree:
     """Annotate every internal node with range, input domain, and partial Lips.
 
-    Leaves are coordinate projections ranging over [0,1] unless a per-
-    coordinate enclosure is supplied via `leaf_ranges`.
+    Computed on the first call for a tree object and cached on it; every
+    later call returns the same `AnnotatedTree`.
     """
-    stats = tree_stats(tree)
-    leaves = {p: UNIT for p in range(1, stats.n + 1)}
-    if leaf_ranges:
-        leaves.update(leaf_ranges)
+    if tree._ann is not None:
+        return tree._ann
+    n = 0
     annotations: dict[int, NodeAnnotation] = {}
+
+    def leaf(t: Leaf) -> Interval:
+        nonlocal n
+        n = max(n, t.coord)
+        return UNIT
 
     def node(nid: int, t: Node, child_ranges: list[Interval]) -> Interval:
         rng = range_rule(t.op, child_ranges)
@@ -181,8 +189,9 @@ def annotate_ranges(tree: CompTree, leaf_ranges: dict[int, Interval] | None = No
         )
         return rng
 
-    fold(tree, lambda t: leaves[t.coord], node)
-    return AnnotatedTree(tree=tree, annotations=annotations, leaf_ranges=leaves)
+    fold(tree, leaf, node)
+    object.__setattr__(tree, "_ann", AnnotatedTree(annotations=annotations, n=n))
+    return tree._ann
 
 
 @dataclass(frozen=True)
@@ -247,7 +256,6 @@ def verify_ranges_numerically(
     tree: CompTree,
     samples: int,
     seed: int,
-    annotated: AnnotatedTree | None = None,
     node_max: NodeMaxima | None = None,
 ) -> RangeReport:
     """Check every certified per-node bound B_v against sampled magnitudes.
@@ -262,8 +270,8 @@ def verify_ranges_numerically(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    ann = annotated if annotated is not None else annotate_ranges(tree)
-    n = tree_stats(tree).n
+    ann = annotate_ranges(tree)
+    n = ann.n
     if node_max is None:
         node_max = NodeMaxima()
         for xs in sample_blocks(seed, samples, n):

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import strategies as st
 
 from kanforge.exprtree import Leaf, Node, OpKind
+from kanforge.rangecert import BLOCK_DEPTH, Interval, NodeAnnotation, partial_lip, range_rule
 
 BINARY_OPS = [OpKind.ADD, OpKind.SUB, OpKind.MUL]
 UNARY_OPS = [OpKind.SIN, OpKind.COS, OpKind.RELU, OpKind.ABS]
+
+
+def node_annotation(op: OpKind, *domains: Interval) -> NodeAnnotation:
+    """The annotation of an `op` node whose i-th argument ranges over
+    domains[i], as `annotate_ranges` builds it: leaves of a tree range over
+    [0,1] only, so a block on other domains starts here."""
+    return NodeAnnotation(0, op, range_rule(op, domains), domains, tuple(partial_lip(op, domains)), BLOCK_DEPTH[op])
 
 
 def tree_strategy(max_leaves: int = 12, max_coord: int = 6):

@@ -6,7 +6,6 @@ the per-criterion tests then assert against the collected results at the
 stated tolerances. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import io
 import math
 import time
 from dataclasses import dataclass
@@ -118,8 +117,7 @@ def corpus():
 
 def test_criterion_1_product_table(tmp_path):
     start = time.perf_counter()
-    buf = io.StringIO()
-    rc = cmd_table_products(out=str(tmp_path / "t.csv"), fmt="csv", stream=buf)
+    rc = cmd_table_products(out=str(tmp_path / "t.csv"), fmt="csv")
     elapsed = time.perf_counter() - start
     lines = (tmp_path / "t.csv").read_text().strip().splitlines()
     rows = {r.split(",")[0]: r.split(",") for r in lines[1:]}
@@ -140,8 +138,7 @@ def test_criterion_1_product_table(tmp_path):
 
 def test_criterion_2_rate_table(tmp_path):
     start = time.perf_counter()
-    buf = io.StringIO()
-    rc = cmd_sweep_rate(out=str(tmp_path / "s.csv"), fmt="csv", stream=buf)
+    rc = cmd_sweep_rate(out=str(tmp_path / "s.csv"), fmt="csv")
     elapsed = time.perf_counter() - start
     rows = [r.split(",") for r in (tmp_path / "s.csv").read_text().strip().splitlines()[1:]]
     errors = {int(g): float(e) for g, e, _, _ in rows}

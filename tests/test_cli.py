@@ -1,7 +1,7 @@
 import copy
 import dataclasses
 import functools
-import io
+import inspect
 import json
 import math
 import operator
@@ -47,14 +47,14 @@ def _scale_edge(doc: dict, l: int, i: int, factor: float) -> None:
     doc["layers"][l][i][2] = len(doc["splines"]) - 1
 
 
-def _compile_and_verify(tmp_path, expr: str) -> tuple[int, list[dict]]:
+def _compile_and_verify(tmp_path, capsys, expr: str) -> tuple[int, list[dict]]:
     """Compile `expr`, then verify the written net and certificate; returns
     verify's exit code and rows."""
     prefix = str(tmp_path / "kan")
-    assert cmd_compile(expr, FAST, out=prefix, fmt="json", stream=io.StringIO()) == 0
-    buf = io.StringIO()
-    rc = cmd_verify(prefix + ".net.json", expr, FAST, cert_path=prefix + ".cert.json", fmt="json", stream=buf)
-    return rc, json.loads(buf.getvalue())
+    assert cmd_compile(expr, FAST, out=prefix, fmt="json") == 0
+    capsys.readouterr()
+    rc = cmd_verify(prefix + ".net.json", expr, FAST, cert_path=prefix + ".cert.json", fmt="json")
+    return rc, json.loads(capsys.readouterr().out)
 
 
 class TestCompileCommand:
@@ -72,11 +72,10 @@ class TestCompileCommand:
         assert rc == 2
         assert "offset" in capsys.readouterr().err
 
-    def test_json_format(self, tmp_path):
-        buf = io.StringIO()
-        rc = cmd_compile("sin(x1*x2)", FAST, out=str(tmp_path / "k"), fmt="json", stream=buf)
+    def test_json_format(self, tmp_path, capsys):
+        rc = cmd_compile("sin(x1*x2)", FAST, out=str(tmp_path / "k"), fmt="json")
         assert rc == 0
-        row = json.loads(buf.getvalue())[0]
+        row = json.loads(capsys.readouterr().out)[0]
         assert row["N"] == 2
         assert row["L"] == 4
 
@@ -104,8 +103,8 @@ class TestCompileCommand:
         "(" * 1200 + "x1" + ")" * 1200,
         "sin(" * 400 + "x1" + ")" * 400,
     ], ids=["sum-1500", "parens-1200", "sin-400"])
-    def test_deep_expression_exit_2(self, tmp_path, expr):
-        rc, rows = _compile_and_verify(tmp_path, expr)
+    def test_deep_expression_exit_2(self, tmp_path, capsys, expr):
+        rc, rows = _compile_and_verify(tmp_path, capsys, expr)
         assert rc == 0
         assert len(rows) == 9 and all(r["ok"] for r in rows)
 
@@ -117,38 +116,38 @@ class TestCompileCommand:
         "relu(cos(x1)-cos(x2)-cos(x3))*relu(cos(x1)-cos(x2)-cos(x3))",
         "x4*cos(relu(cos(x1)-cos(x2)-cos(x3)))",
     ])
-    def test_constant_subterm_compiles(self, tmp_path, expr):
-        rc, rows = _compile_and_verify(tmp_path, expr)
+    def test_constant_subterm_compiles(self, tmp_path, capsys, expr):
+        rc, rows = _compile_and_verify(tmp_path, capsys, expr)
         assert rc == 0
         assert len(rows) == 9 and all(r["ok"] for r in rows)
 
 
 class TestVerifyCommand:
-    def test_verify_round_trip(self, tmp_path):
+    def test_verify_round_trip(self, tmp_path, capsys):
         prefix = tmp_path / "kan"
-        assert cmd_compile("sin(x1*x2)", FAST, out=str(prefix), fmt="json", stream=io.StringIO()) == 0
-        buf = io.StringIO()
+        assert cmd_compile("sin(x1*x2)", FAST, out=str(prefix), fmt="json") == 0
+        capsys.readouterr()
         rc = cmd_verify(str(prefix) + ".net.json", "sin(x1*x2)", FAST,
-                        cert_path=str(prefix) + ".cert.json", fmt="json", stream=buf)
+                        cert_path=str(prefix) + ".cert.json", fmt="json")
         assert rc == 0
-        rows = json.loads(buf.getvalue())
+        rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 9 and all(r["ok"] for r in rows)
         assert {"name", "lhs", "rhs", "slack", "ok", "where"} == set(rows[0])
         assert [r["name"].split(" ")[0] for r in rows[-3:]] == ["sup", "ranges:", "max"]
 
     def test_tampered_net_fails(self, tmp_path):
         prefix = tmp_path / "kan"
-        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json")
         doc = json.loads((tmp_path / "kan.net.json").read_text())
         # double an edge: the measured product must now exceed the certificate
         _scale_edge(doc, 0, 0, 2.0)
         (tmp_path / "tampered.net.json").write_text(json.dumps(doc))
         rc = cmd_verify(str(tmp_path / "tampered.net.json"), "x1*x2", FAST,
-                        fmt="json", stream=io.StringIO())
+                        fmt="json")
         assert rc == 3
 
     @pytest.mark.parametrize("factor", [1.0, 2.0])
-    def test_sup_error_measured_once(self, tmp_path, monkeypatch, factor):
+    def test_sup_error_measured_once(self, tmp_path, monkeypatch, capsys, factor):
         # factor 2 fails P <= p_bound before the error check runs
         calls = []
         real = compiler.measured_sup_error
@@ -159,16 +158,16 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(compiler, "measured_sup_error", counting)
         prefix = tmp_path / "kan"
-        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json")
         doc = json.loads((tmp_path / "kan.net.json").read_text())
         _scale_edge(doc, 0, 0, factor)
         (tmp_path / "v.net.json").write_text(json.dumps(doc))
         calls.clear()
-        buf = io.StringIO()
-        rc = cmd_verify(str(tmp_path / "v.net.json"), "x1*x2", FAST, fmt="json", stream=buf)
+        capsys.readouterr()
+        rc = cmd_verify(str(tmp_path / "v.net.json"), "x1*x2", FAST, fmt="json")
         assert rc == (0 if factor == 1.0 else 3)
         assert len(calls) == 1
-        rows = {r["name"]: r for r in json.loads(buf.getvalue())}
+        rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
         assert rows["P <= p_bound*(1+slack)"]["ok"] == (factor == 1.0)
 
     @pytest.mark.parametrize("indent, builds", [("as-written", 0), (None, 1), (4, 1)])
@@ -179,7 +178,7 @@ class TestVerifyCommand:
         from kanforge import kannet
 
         prefix = tmp_path / "kan"
-        cmd_compile("sin(x1*x2)", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        cmd_compile("sin(x1*x2)", FAST, out=str(prefix), fmt="json")
         net_path = tmp_path / "kan.net.json"
         if indent != "as-written":
             net_path = tmp_path / "re.net.json"
@@ -188,7 +187,7 @@ class TestVerifyCommand:
         real = kannet._to_json
         monkeypatch.setattr(kannet, "_to_json", lambda net: calls.append(net) or real(net))
         rc = cmd_verify(str(net_path), "sin(x1*x2)", FAST, cert_path=str(prefix) + ".cert.json",
-                        fmt="json", stream=io.StringIO())
+                        fmt="json")
         assert rc == 0
         assert len(calls) == builds
 
@@ -200,7 +199,7 @@ class TestVerifyCommand:
         from kanforge import kannet
 
         prefix = tmp_path / "kan"
-        cmd_compile("sin(x1*x2)", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        cmd_compile("sin(x1*x2)", FAST, out=str(prefix), fmt="json")
         text = (tmp_path / "kan.net.json").read_text()
         doc = json.loads(text)
         n = len(doc["splines"])
@@ -216,18 +215,18 @@ class TestVerifyCommand:
         real = kannet._to_json
         monkeypatch.setattr(kannet, "_to_json", lambda net: calls.append(net) or real(net))
         rc = cmd_verify(str(net_path), "sin(x1*x2)", FAST, cert_path=str(prefix) + ".cert.json",
-                        fmt="json", stream=io.StringIO())
+                        fmt="json")
         assert rc == 0
         assert len(calls) == 1
 
     def test_tampered_net_with_cert_is_hash_mismatch(self, tmp_path):
         prefix = tmp_path / "kan"
-        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json")
         doc = json.loads((tmp_path / "kan.net.json").read_text())
         _scale_edge(doc, 0, 0, 2.0)
         (tmp_path / "kan.net.json").write_text(json.dumps(doc, indent=2))
         rc = cmd_verify(str(prefix) + ".net.json", "x1*x2", FAST,
-                        cert_path=str(prefix) + ".cert.json", fmt="json", stream=io.StringIO())
+                        cert_path=str(prefix) + ".cert.json", fmt="json")
         assert rc == 4
 
     def test_non_utf8_net_exit_2(self, tmp_path, capsys):
@@ -238,17 +237,17 @@ class TestVerifyCommand:
 
     def test_hash_mismatch_detected(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        cmd_compile("x1*x2", FAST, out=str(a), fmt="json", stream=io.StringIO())
-        cmd_compile("x1+x2", FAST, out=str(b), fmt="json", stream=io.StringIO())
+        cmd_compile("x1*x2", FAST, out=str(a), fmt="json")
+        cmd_compile("x1+x2", FAST, out=str(b), fmt="json")
         rc = cmd_verify(str(a) + ".net.json", "x1+x2", FAST,
-                        cert_path=str(b) + ".cert.json", fmt="json", stream=io.StringIO())
+                        cert_path=str(b) + ".cert.json", fmt="json")
         assert rc == 4
 
     def test_expression_mismatch_detected(self, tmp_path):
         a = tmp_path / "a"
-        cmd_compile("x1*x2", FAST, out=str(a), fmt="json", stream=io.StringIO())
+        cmd_compile("x1*x2", FAST, out=str(a), fmt="json")
         rc = cmd_verify(str(a) + ".net.json", "x1+x2", FAST,
-                        cert_path=str(a) + ".cert.json", fmt="json", stream=io.StringIO())
+                        cert_path=str(a) + ".cert.json", fmt="json")
         assert rc == 4
 
     def test_certificate_config_used(self, tmp_path):
@@ -269,7 +268,7 @@ class TestVerifyCommand:
     ])
     def test_rejected_certificate_config_exit_2(self, tmp_path, capsys, key, value):
         prefix = str(tmp_path / "kan")
-        cmd_compile("sin(x1)", FAST, out=prefix, fmt="json", stream=io.StringIO())
+        cmd_compile("sin(x1)", FAST, out=prefix, fmt="json")
         path = tmp_path / "kan.cert.json"
         doc = json.loads(path.read_text())
         if value is None:
@@ -278,8 +277,7 @@ class TestVerifyCommand:
             doc["config"][key] = value
         path.write_text(json.dumps(doc, indent=2))
         capsys.readouterr()
-        rc = cmd_verify(prefix + ".net.json", "sin(x1)", FAST, cert_path=str(path), fmt="json",
-                        stream=io.StringIO())
+        rc = cmd_verify(prefix + ".net.json", "sin(x1)", FAST, cert_path=str(path), fmt="json")
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: bad certificate")
 
@@ -294,13 +292,13 @@ class TestVerifyCommand:
     def test_edited_certificate_exit_4(self, tmp_path, capsys, edits, field):
         prefix = str(tmp_path / "kan")
         expr = "sin(x1*x2)+x1"
-        cmd_compile(expr, FAST, out=prefix, fmt="json", stream=io.StringIO())
+        cmd_compile(expr, FAST, out=prefix, fmt="json")
         path = tmp_path / "kan.cert.json"
         doc = json.loads(path.read_text())
         doc.update(edits)
         path.write_text(json.dumps(doc, indent=2))
         capsys.readouterr()
-        rc = cmd_verify(prefix + ".net.json", expr, FAST, cert_path=str(path), fmt="json", stream=io.StringIO())
+        rc = cmd_verify(prefix + ".net.json", expr, FAST, cert_path=str(path), fmt="json")
         assert rc == 4
         assert capsys.readouterr().err.startswith(f"error: certificate mismatch: {field} is ")
 
@@ -320,6 +318,16 @@ class TestVerifyCommand:
     def test_missing_net_file(self, capsys):
         assert cmd_verify("/nonexistent.json", "x1", FAST) == 2
 
+    def test_net_wider_than_any_expression_exit_2(self, tmp_path, capsys):
+        # a net file's input width once sized the Jacobian probes: 400
+        # inputs took 98 MB, and nothing bounded it
+        n = MAX_COORD + 1
+        doc = {"format": "kanforge/3", "widths": [n, 1], "splines": [{"order": 1, "knots": [0.0, 1.0], "coefs": [0.0, 1.0]}],
+               "layers": [[[0, 0, 0]]], "wire_tags": [[f"x{p}" for p in range(1, n + 1)], ["node0"]]}
+        (tmp_path / "wide.net.json").write_text(json.dumps(doc))
+        assert cmd_verify(str(tmp_path / "wide.net.json"), "x1", FAST) == 2
+        assert "(at $.widths[0])" in capsys.readouterr().err
+
     # every level of both files holds exactly its keys: a missing key takes no
     # default and an unknown one, such as a kanforge/2 or 0.3.0 name, is not
     # ignored
@@ -336,7 +344,7 @@ class TestVerifyCommand:
             "per_node-missing", "per_node-unknown"])
     def test_inexact_keys_exit_2(self, tmp_path, capsys, suffix, level, edit, where):
         prefix = str(tmp_path / "kan")
-        cmd_compile("x1*x2", FAST, out=prefix, fmt="json", stream=io.StringIO())
+        cmd_compile("x1*x2", FAST, out=prefix, fmt="json")
         path = tmp_path / f"kan.{suffix}.json"
         doc = json.loads(path.read_text())
         edit(level(doc))
@@ -368,7 +376,7 @@ class TestVerifyCommand:
         # so are edges without a finite Lipschitz constant, which the product
         # and the certificate could not hold
         prefix = tmp_path / "kan"
-        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json")
         net_path = tmp_path / "kan.net.json"
         doc = json.loads(net_path.read_text())
         edit(doc)
@@ -381,7 +389,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("field, value", [("per_node", 5), ("config", None), ("config.box", [[0, 10**400]])])
     def test_malformed_cert_field_exit_2(self, tmp_path, capsys, field, value):
         prefix = tmp_path / "kan"
-        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json")
         doc = json.loads((tmp_path / "kan.cert.json").read_text())
         level, _, field = field.rpartition(".")
         if value is None:
@@ -390,7 +398,7 @@ class TestVerifyCommand:
             (doc[level] if level else doc)[field] = value
         (tmp_path / "bad.cert.json").write_text(json.dumps(doc))
         rc = cmd_verify(str(prefix) + ".net.json", "x1*x2", FAST,
-                        cert_path=str(tmp_path / "bad.cert.json"), fmt="json", stream=io.StringIO())
+                        cert_path=str(tmp_path / "bad.cert.json"), fmt="json")
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: bad certificate")
 
@@ -398,11 +406,11 @@ class TestVerifyCommand:
                              ids=["deep-nesting", "long-integer"])
     def test_cert_json_the_decoder_refuses_exit_2(self, tmp_path, capsys, text):
         prefix = tmp_path / "kan"
-        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json")
         (tmp_path / "bad.cert.json").write_text(text)
         capsys.readouterr()
         rc = cmd_verify(str(prefix) + ".net.json", "x1*x2", FAST,
-                        cert_path=str(tmp_path / "bad.cert.json"), fmt="json", stream=io.StringIO())
+                        cert_path=str(tmp_path / "bad.cert.json"), fmt="json")
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: bad certificate")
 
@@ -410,18 +418,18 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("terms", [500, 1500])
     def test_deep_expression_exit_2(self, tmp_path, capsys, terms):
         expr = "+".join(["x1"] * terms)
-        rc, rows = _compile_and_verify(tmp_path, expr)
+        rc, rows = _compile_and_verify(tmp_path, capsys, expr)
         assert rc == 0
         assert len(rows) == 9 and all(r["ok"] for r in rows)
         # an x1 network does not compute the sum: a failed check, not bad input
-        cmd_compile("x1", FAST, out=str(tmp_path / "one"), fmt="json", stream=io.StringIO())
+        cmd_compile("x1", FAST, out=str(tmp_path / "one"), fmt="json")
         capsys.readouterr()
-        assert cmd_verify(str(tmp_path / "one.net.json"), expr, FAST, fmt="json", stream=io.StringIO()) == 3
+        assert cmd_verify(str(tmp_path / "one.net.json"), expr, FAST, fmt="json") == 3
         assert capsys.readouterr().err.startswith("verification failed: ")
 
-    def test_deep_product_verifies(self, tmp_path):
+    def test_deep_product_verifies(self, tmp_path, capsys):
         # 230 multiplication blocks: W^L overflows a float in the Jacobian row
-        rc, rows = _compile_and_verify(tmp_path, "*".join(["x1"] * 230))
+        rc, rows = _compile_and_verify(tmp_path, capsys, "*".join(["x1"] * 230))
         assert rc == 0
         assert all(r["ok"] for r in rows)
         assert rows[-1]["lhs"] == 0.0
@@ -433,21 +441,19 @@ class TestVerifyCommand:
         (tmp_path / "box.cert.json").write_text(cert.to_json())
         return str(tmp_path / "box.net.json"), str(tmp_path / "box.cert.json")
 
-    def test_box_certificate_verifies(self, tmp_path):
+    def test_box_certificate_verifies(self, tmp_path, capsys):
         net_path, cert_path = self._box_files(tmp_path)
-        buf = io.StringIO()
-        rc = cmd_verify(net_path, "sin(x1*x2)+x1", FAST, cert_path=cert_path, fmt="json", stream=buf)
+        rc = cmd_verify(net_path, "sin(x1*x2)+x1", FAST, cert_path=cert_path, fmt="json")
         assert rc == 0
-        assert all(r["ok"] for r in json.loads(buf.getvalue()))
+        assert all(r["ok"] for r in json.loads(capsys.readouterr().out))
         # without the certificate the box is unknown and the error check fails
-        assert cmd_verify(net_path, "sin(x1*x2)+x1", FAST, fmt="json", stream=io.StringIO()) == 3
+        assert cmd_verify(net_path, "sin(x1*x2)+x1", FAST, fmt="json") == 3
         # a certificate whose box is moved is another certificate: the
         # recomputed bounds agree, the sampled error does not
         doc = json.loads((tmp_path / "box.cert.json").read_text())
         doc["config"]["box"] = [[-1.0, 2.0], [1.5, 4.0]]
         (tmp_path / "box.cert.json").write_text(json.dumps(doc))
-        assert cmd_verify(net_path, "sin(x1*x2)+x1", FAST, cert_path=cert_path, fmt="json",
-                          stream=io.StringIO()) == 3
+        assert cmd_verify(net_path, "sin(x1*x2)+x1", FAST, cert_path=cert_path, fmt="json") == 3
 
     def test_version_0_4_0_certificate_exit_2(self, tmp_path, capsys):
         # a 0.4.0 file held the box at the top level, with its factor, and a
@@ -458,7 +464,7 @@ class TestVerifyCommand:
         doc.update(box=box, box_factor=1 / 2.5, version="0.4.0")
         (tmp_path / "box.cert.json").write_text(json.dumps(doc))
         capsys.readouterr()
-        rc = cmd_verify(net_path, "sin(x1*x2)+x1", FAST, cert_path=cert_path, fmt="json", stream=io.StringIO())
+        rc = cmd_verify(net_path, "sin(x1*x2)+x1", FAST, cert_path=cert_path, fmt="json")
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad certificate") and "unknown ['box', 'box_factor']" in err
@@ -470,13 +476,13 @@ class TestVerifyCommand:
         doc = json.loads((tmp_path / "box.cert.json").read_text())
         doc["config"]["box"] = [[float(t) for t in iv] for iv in box]
         (tmp_path / "box.cert.json").write_text(json.dumps(doc))
-        rc = cmd_verify(net_path, "sin(x1*x2)+x1", FAST, cert_path=cert_path, fmt="json", stream=io.StringIO())
+        rc = cmd_verify(net_path, "sin(x1*x2)+x1", FAST, cert_path=cert_path, fmt="json")
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: bad certificate")
 
     def test_non_finite_knots_exit_2(self, tmp_path, capsys):
         prefix = tmp_path / "kan"
-        cmd_compile("x1", FAST, out=str(prefix), fmt="json", stream=io.StringIO())
+        cmd_compile("x1", FAST, out=str(prefix), fmt="json")
         path = tmp_path / "kan.net.json"
         doc = json.loads(path.read_text())
         k = doc["layers"][0][0][2]
@@ -491,19 +497,19 @@ class TestVerifyCommand:
     def test_nan_network_fails_sup_error_row(self, tmp_path, capsys):
         path = tmp_path / "nan.net.json"
         path.write_text(serialize(nan_network()))
-        buf = io.StringIO()
-        assert cmd_verify(str(path), "x1+x2", FAST, fmt="json", stream=buf) == 3
-        rows = {r["name"]: r for r in json.loads(buf.getvalue())}
+        assert cmd_verify(str(path), "x1+x2", FAST, fmt="json") == 3
+        out, err = capsys.readouterr()
+        rows = {r["name"]: r for r in json.loads(out)}
         row = rows["sup error <= error_bound + slack"]
         assert not row["ok"] and math.isnan(row["lhs"])
-        assert "sup error" in capsys.readouterr().err
+        assert "sup error" in err
 
     def test_overflowing_forward_prints_only_the_failure(self, tmp_path, capsys):
         path = tmp_path / "nan.net.json"
         path.write_text(serialize(nan_network()))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert cmd_verify(str(path), "x1+x2", FAST, fmt="json", stream=io.StringIO()) == 3
+            assert cmd_verify(str(path), "x1+x2", FAST, fmt="json") == 3
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith("verification failed: ") and err.count("\n") == 1
@@ -550,7 +556,7 @@ class TestTypedReader:
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
         prefix = tmp_path_factory.mktemp("typed") / "kan"
-        assert cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json", stream=io.StringIO()) == 0
+        assert cmd_compile("x1*x2", FAST, out=str(prefix), fmt="json") == 0
         return prefix.with_suffix(".net.json").read_text(), prefix.with_suffix(".cert.json").read_text()
 
     def _verify(self, tmp_path, capsys, files, net_text=None, cert_text=None) -> tuple[int, str]:
@@ -593,6 +599,15 @@ class TestTypedReader:
         rc, err = self._verify(tmp_path, capsys, files, cert_text=json.dumps(cert))
         assert rc == 2
         assert err.startswith("error: bad certificate: ")
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CompileConfig)])
+    def test_config_takes_only_what_its_file_holds(self, name):
+        # CompileConfig(grid=3.5) once compiled x1*x2 to a certificate its own
+        # reader rejects, and faithful_widths="no" built the faithful net
+        value = _wrong_json(typing.get_type_hints(CompileConfig)[name])
+        for wrong in {"grid": (value, 3.5), "faithful_widths": (value, "no")}.get(name, (value,)):
+            with pytest.raises(ValueError, match=name):
+                CompileConfig(**{name: wrong})
 
     def test_int_for_float_reads_as_float(self, tmp_path, capsys, files):
         # a float may be written as a JSON integer: p_bound 1 is p_bound 1.0
@@ -703,10 +718,53 @@ class TestOutputPath:
         assert not (tmp_path / "missing").exists()
 
 
+class TestSignatures:
+    def test_no_parameter_hands_in_a_derived_value(self):
+        # each function annotates the tree (a cache hit after the first
+        # call), takes the Lipschitz product and writes to sys.stdout itself
+        from kanforge import rangecert
+
+        params = {
+            rangecert.annotate_ranges: "tree",
+            rangecert.verify_ranges_numerically: "tree samples seed node_max",
+            compiler.compile_tree: "tree config",
+            compiler.recompute_certificate: "tree net config",
+            compiler.check_certificate: "tree net cert samples seed node_max",
+            cli.verify_report: "tree net cert samples seed",
+            cmd_compile: "expr config out fmt",
+            cmd_verify: "net_path expr config cert_path fmt",
+            cmd_table_products: "grid out fmt",
+            cmd_sweep_rate: "out fmt",
+            cmd_fuzz: "config trees max_depth out",
+        }
+        for fn, names in params.items():
+            assert list(inspect.signature(fn).parameters) == names.split(), fn.__name__
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    def test_one_annotation_per_operation(self, tmp_path, monkeypatch, capsys, command):
+        from kanforge import rangecert
+
+        prefix = str(tmp_path / "k")
+        assert main(["compile", "-e", "sin(x1*x2)+x3", "--samples", "500", "-o", prefix]) == 0
+        computed = []
+        real_annotate = rangecert.annotate_ranges
+
+        def annotate(tree):
+            if tree._ann is None:
+                computed.append(tree)
+            return real_annotate(tree)
+
+        for module in (cli, compiler, rangecert):
+            monkeypatch.setattr(module, "annotate_ranges", annotate)
+        argv = {"compile": ["compile", "-o", prefix],
+                "verify": ["verify", "--net", prefix + ".net.json", "--cert", prefix + ".cert.json"]}[command]
+        assert main(argv + ["-e", "sin(x1*x2)+x3", "--samples", "500"]) == 0
+        assert len(computed) == 1
+
+
 class TestTableProducts:
     def test_all_rows_exactly_one(self, tmp_path):
-        buf = io.StringIO()
-        rc = cmd_table_products(out=str(tmp_path / "t.csv"), fmt="csv", stream=buf)
+        rc = cmd_table_products(out=str(tmp_path / "t.csv"), fmt="csv")
         assert rc == 0
         lines = (tmp_path / "t.csv").read_text().strip().splitlines()
         assert lines[0] == "f,n,N,P_measured,P_bound"
@@ -728,8 +786,7 @@ class TestTableProducts:
 
 class TestSweepRate:
     def test_values_and_ratio(self, tmp_path):
-        buf = io.StringIO()
-        rc = cmd_sweep_rate(out=str(tmp_path / "s.csv"), fmt="csv", stream=buf)
+        rc = cmd_sweep_rate(out=str(tmp_path / "s.csv"), fmt="csv")
         assert rc == 0
         rows = [line.split(",") for line in (tmp_path / "s.csv").read_text().strip().splitlines()[1:]]
         errors = {int(g): float(e) for g, e, _, _ in rows}
@@ -777,13 +834,15 @@ class TestFuzz:
 
         monkeypatch.setattr(compiler, "sample_blocks", counting)
         monkeypatch.setattr(rangecert, "sample_blocks", counting)
-        # and each tree is annotated once, for its compile and its checks
-        annotated = []
+        # and each tree's annotation is computed once (a cache miss), for
+        # its compile and its checks
+        computed = []
         real_annotate = rangecert.annotate_ranges
 
-        def annotate(*args, **kwargs):
-            annotated.append(args[0])
-            return real_annotate(*args, **kwargs)
+        def annotate(tree):
+            if tree._ann is None:
+                computed.append(tree)
+            return real_annotate(tree)
 
         for module in (cli, compiler, rangecert):
             monkeypatch.setattr(module, "annotate_ranges", annotate)
@@ -791,7 +850,7 @@ class TestFuzz:
         per_tree = [seed for seed, samples in draws if samples == 1500]
         assert len(per_tree) == len(set(per_tree)) == 6
         assert [samples for _, samples in draws if samples != 1500] == [1000] * 5
-        assert len(annotated) == 6 + 5
+        assert len(computed) == len(set(map(id, computed))) == 6 + 5
 
     def test_rejects_bad_counts(self, capsys):
         assert cmd_fuzz(RunConfig(), trees=0) == 2
@@ -963,18 +1022,17 @@ class TestDeterminism:
     def test_identical_seed_identical_bytes(self, tmp_path):
         cfg = RunConfig(samples=1000, seed=123)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        cmd_table_products(out=str(a), fmt="csv", stream=io.StringIO())
-        cmd_table_products(out=str(b), fmt="csv", stream=io.StringIO())
+        cmd_table_products(out=str(a), fmt="csv")
+        cmd_table_products(out=str(b), fmt="csv")
         assert a.read_bytes() == b.read_bytes()
         ja, jb = tmp_path / "ja", tmp_path / "jb"
-        cmd_compile("sin((x1+x2)*x3)", cfg, out=str(ja), fmt="json", stream=io.StringIO())
-        cmd_compile("sin((x1+x2)*x3)", cfg, out=str(jb), fmt="json", stream=io.StringIO())
+        cmd_compile("sin((x1+x2)*x3)", cfg, out=str(ja), fmt="json")
+        cmd_compile("sin((x1+x2)*x3)", cfg, out=str(jb), fmt="json")
         assert (tmp_path / "ja.net.json").read_bytes() == (tmp_path / "jb.net.json").read_bytes()
         assert (tmp_path / "ja.cert.json").read_bytes() == (tmp_path / "jb.cert.json").read_bytes()
 
     def test_env_seed_overrides_flag(self, monkeypatch, tmp_path):
         monkeypatch.setenv("KANFORGE_SEED", "777")
-        out = io.StringIO()
         rc = main(["compile", "-e", "x1", "--seed", "1", "--samples", "100",
                    "-o", str(tmp_path / "k"), "--format", "json"])
         assert rc == 0

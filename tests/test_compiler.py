@@ -28,10 +28,10 @@ from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_e
 from kanforge.kannet import KanNetwork, deserialize, forward, forward_batch, lipschitz_product, read, serialize
 from kanforge.kernels import CHUNK
 from kanforge.primblocks import EdgeSplines, build_block
-from kanforge.rangecert import Interval, annotate_ranges, verify_ranges_numerically
+from kanforge.rangecert import Interval, verify_ranges_numerically
 from kanforge.spline import Spline, line_spline
 
-from conftest import nan_network
+from conftest import nan_network, node_annotation
 from conftest import predicted_faithful_widths as _predicted_faithful_widths
 from test_bytes_guard import GROUPS, _chain
 
@@ -354,7 +354,7 @@ class TestIdentityWires:
         splines = EdgeSplines()
 
         def edge(expr, iv):
-            a = annotate_ranges(parse_expression(expr), {1: iv}).annotations[0]
+            a = node_annotation(parse_expression(expr).op, iv)
             return build_block(a, 35, splines).layers[0][0][2]
 
         assert edge("relu(x1)", Interval(0.0, 1.0)) is splines.ident(Interval(0.0, 1.0))

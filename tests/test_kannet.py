@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from kanforge import kannet, kernels, spline
 from kanforge.cli import random_tree
 from kanforge.compiler import CompileConfig, compile_tree
-from kanforge.exprtree import parse_expression, tree_stats
+from kanforge.exprtree import MAX_COORD, parse_expression, tree_stats
 from kanforge.kannet import (
     KanNetwork,
     SchemaError,
@@ -21,7 +22,7 @@ from kanforge.kannet import (
     lipschitz_product,
     serialize,
 )
-from kanforge.spline import Spline, line_spline, spline_lipschitz
+from kanforge.spline import Spline, line_spline, pl_interpolant, quarter_square, spline_lipschitz
 
 from conftest import edges_by_layer, network
 
@@ -125,6 +126,30 @@ class TestPlanForward:
         self._check(big, rng, 3)
         self._check(big, rng, kernels.CHUNK + 1)
         assert kernels._buffer(np.float64, 0).base is buf
+
+    def test_tall_plan_runs_in_bounded_chunks(self, rng):
+        # a 4096-neuron boundary takes 13653 workspace rows (table, gather and
+        # curved scratch): CHUNK points would take 1.8 GB, chunks of
+        # WORKSPACE_FLOATS // rows points take 32 MiB
+        hidden = 4096
+        table = (line_spline(0.0, 1.0, 0.5, 2.0), quarter_square(0.0, 1.0), pl_interpolant(math.sin, 0.0, 1.0, 9),
+                 line_spline(-1.0, 2.0, 0.0, 0.25))
+        net = network((1, hidden, 1), table, [[(0, j, j % 3) for j in range(hidden)],
+                                              [(j, 0, 3) for j in range(hidden)]])
+        plan = net.packed()
+        rows = plan.n_rows + plan.max_gather + 4 * plan.max_pp
+        assert rows * kernels.CHUNK > kernels.WORKSPACE_FLOATS
+        X = rng.uniform(-0.05, 1.05, size=(3000, 1))
+        tracemalloc.start()
+        try:
+            got, got_oob = _oob_of(forward_batch, net, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * kernels.WORKSPACE_FLOATS
+        ref, ref_oob = _oob_of(_deboor_forward, net, X)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+        assert got_oob == ref_oob > 0
 
     def test_compile_on_box(self, rng):
         for _ in range(10):
@@ -466,6 +491,18 @@ class TestJacobian:
             assert np.array_equal(got, np.array([jacobian_fd(net, x) for x in X]))
             assert jacobian_lower_bound(net, X) == max(jacobian_lower_bound(net, x) for x in X)
 
+    def test_points_stepped_in_blocks_of_chunk_rows(self, monkeypatch):
+        # a point takes 2*n_0 stepped rows: 200 points of a 100-input net take
+        # three forwards of at most CHUNK rows, bit equal to one per point
+        net, _ = compile_tree(parse_expression("sin(x1*x100)-x50"), CFG)
+        X = np.random.default_rng(3).uniform(0.001, 0.999, size=(200, 100))
+        want = np.array([jacobian_fd(net, x) for x in X])
+        rows = []
+        real = kannet.forward_batch
+        monkeypatch.setattr(kannet, "forward_batch", lambda net, X: rows.append(len(X)) or real(net, X))
+        assert np.array_equal(jacobian_fd(net, X), want)
+        assert max(rows) <= kernels.CHUNK and sum(rows) == 200 * 200 and len(rows) == 3
+
     @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5, 0.5]], [[[0.5, 0.5]]]])
     def test_point_shape_validated(self, x):
         net, _ = compile_tree(parse_expression("x1*x2"), CFG)
@@ -698,9 +735,11 @@ class TestSerialization:
         (lambda doc: doc["layers"][1][1].__setitem__(2, 5), "$.layers[1][1]"),
         (lambda doc: doc["layers"][1][1].__setitem__(2, -1), "$.layers[1][1]"),
         (lambda doc: doc["layers"][0].append([1, 0, 4]), "$.layers[0][4]"),
+        (lambda doc: doc.update(widths=[MAX_COORD + 1] + doc["widths"][1:],
+                                wire_tags=[["x"] * (MAX_COORD + 1)] + doc["wire_tags"][1:]), "$.widths[0]"),
     ], ids=["one-boundary", "zero-width", "negative-width", "layer-missing", "layer-extra", "tags-missing",
             "tags-long", "source", "negative-source", "target", "spline-index", "negative-spline-index",
-            "duplicate"])
+            "duplicate", "inputs-past-max-coord"])
     def test_deserialize_raises_the_constructors_error(self, edit, path):
         # one validator: a structural fault in a file is the SchemaError the
         # constructor raises on the same fields, message and path alike

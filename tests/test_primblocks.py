@@ -12,6 +12,8 @@ from kanforge.primblocks import EdgeSplines, build_block
 from kanforge.rangecert import Interval, annotate_ranges
 from kanforge.spline import spline_lipschitz, sup_error
 
+from conftest import node_annotation
+
 U = Interval(0.0, 1.0)
 
 # a point interval is a constant subterm's range
@@ -40,9 +42,9 @@ def _measured_lambda(b) -> float:
 
 
 def _block(expr: str, *domains: Interval, G: int = 35):
-    """The root annotation of `expr` with leaf x_i ranging over domains[i-1],
-    and the block built from it."""
-    a = annotate_ranges(parse_expression(expr), dict(enumerate(domains, 1))).annotations[0]
+    """The annotation of the one operation of `expr`, on x1 (and x2) ranging
+    over `domains`, and the block built from it."""
+    a = node_annotation(parse_expression(expr).op, *domains)
     return a, build_block(a, G, EdgeSplines())
 
 
