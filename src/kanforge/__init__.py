@@ -2,8 +2,9 @@
 
 The pipeline: parse an expression into a computation tree, annotate every
 node with exact interval ranges and partial Lipschitz constants, realize each
-node as a primitive B-spline block on its certified domain, schedule the
-blocks sequentially with identity forwarding, and emit the network together
+node as a primitive B-spline block on its certified domain, start each
+block as soon as its arguments are ready, forwarding live values by identity
+wires, and emit the network together
 with a machine-checkable certificate (Lipschitz product, width, range, and
 uniform error bounds).
 """
@@ -26,11 +27,9 @@ from .exprtree import (
     Node,
     OpKind,
     ParseError,
-    TreeStats,
     eval_tree,
     parse_expression,
     render,
-    tree_stats,
 )
 from .kannet import (
     KanNetwork,

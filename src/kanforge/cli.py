@@ -51,7 +51,6 @@ from .exprtree import (
     ParseError,
     parse_expression,
     render,
-    tree_stats,
 )
 from .kannet import (
     KanNetwork,
@@ -320,8 +319,11 @@ _PRODUCT_FAMILIES = [("xy", "x1*x2"), ("xyz", "x1*x2*x3"), ("sin(xy)", "sin(x1*x
 def cmd_table_products(grid: int = 35, out: str | None = None, fmt: str = "csv") -> int:
     """Lipschitz products of the multiplicative/trigonometric families.
 
-    Uses the proof-faithful schedule (identity wires at every layer), whose
-    product is exactly 1.0 for these families.
+    Compiles with `faithful_widths`: the default mode's as-soon-as-possible
+    schedule, with every input forwarded to the last layer, so each layer
+    holds an identity wire and the proof's widths. For these families every
+    block layer's largest edge constant is at most 1, so the product is
+    exactly 1.0; `n` and `N` are read from the tree's annotation.
     """
     try:
         config = CompileConfig(grid, faithful_widths=True)
@@ -334,8 +336,8 @@ def cmd_table_products(grid: int = 35, out: str | None = None, fmt: str = "csv")
         tree = parse_expression(expr)
         net, cert = compile_tree(tree, config)
         p = lipschitz_product(net).product
-        stats = tree_stats(tree)
-        rows.append({"f": name, "n": stats.n, "N": stats.internal, "P_measured": p, "P_bound": cert.p_bound})
+        ann = annotate_ranges(tree)
+        rows.append({"f": name, "n": ann.n, "N": ann.internal, "P_measured": p, "P_bound": cert.p_bound})
         ok = ok and p == 1.0 and p <= cert.p_bound
     _write(out, _csv(rows))
     _emit(rows, fmt)
@@ -395,12 +397,12 @@ def cmd_fuzz(config: RunConfig, trees: int = 1000, max_depth: int = 5, out: str 
             failures.append({"index": i, "expr": render(tree), "seed": config.seed, "error": str(exc)})
     for depth in range(1, 6):
         tree = balanced_additive_tree(depth)
-        stats = tree_stats(tree)
+        ann = annotate_ranges(tree)
         report = verify_ranges_numerically(tree, 1000, config.seed)
         # root is node 0 (pre-order); the all-ones corner sums N+1 ones exactly
         attained = report.entries[0].measured
-        expected = stats.internal + 1
-        if not (attained == expected and annotate_ranges(tree).root_range.bound == expected):
+        expected = ann.internal + 1
+        if not (attained == expected and ann.root_range.bound == expected):
             failures.append(
                 {"index": -depth, "expr": render(tree), "seed": config.seed,
                  "error": f"additive bound {expected} not attained (measured {attained})"}

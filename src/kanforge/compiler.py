@@ -1,21 +1,39 @@
-"""Sequential block compiler: one primitive block per internal node.
+"""Block compiler: one primitive block per internal node, each started as
+soon as its arguments are ready.
 
-Internal nodes are scheduled in post-order (left subtree, right subtree,
-root). While a block executes, identity wires forward each input coordinate
-and each completed intermediate up to the last layer that reads it, so the
-network is built live: no forwarded value lacks a downstream consumer.
-`faithful_widths=True` runs the same builder but forwards every input to the
-end, which is the proof's construction with its width accounting
-n_l <= n + 2 w_max N. One `EdgeSplines` per compile gives every distinct
-edge one `Spline`, and each layer appends its edges to the network as the
-net file holds them: `[src, dst, spline_index]` triples into one spline
-table.
+`build_schedule` starts a block at the layer its last argument is done (an
+input at layer 0), plus its fan-out layer (ASAP list scheduling), so
+independent subtrees run side by side and the network's depth is the tree's
+heaviest root-to-leaf path, weighing each node by its block depth plus
+fan-out. The network is built live, layer by layer: identity wires forward
+each input coordinate and each completed intermediate up to the last layer
+that reads it, then come the fan-out copies and block layers active in the
+layer, in post-order (left subtree, right subtree, root); the root's output
+leads the last boundary. No forwarded value lacks a downstream consumer.
+`faithful_widths=True` runs the same schedule and builder but forwards every
+input to the end, which is the proof's construction with its width
+accounting. One `EdgeSplines` per compile gives every distinct edge one
+`Spline`, and each layer appends its edges to the network as the net file
+holds them: `[src, dst, spline_index]` triples into one spline table.
+
+The paper's bounds hold for this layout as for a sequential one, because
+each layer carries only the blocks active in it:
+
+- widths: a boundary holds at most the n inputs and, per node, either its
+  completed value waiting for its consumer or at most two neurons of its
+  running block (the multiplication block's hidden pair, or fan-out
+  copies), so n_l <= n + 2N <= n + 2 w_max N;
+- product: a layer's largest edge constant is at most the product of
+  max(lambda, 1) over the block layers active in it (identity wires are 1),
+  and a block has at most one layer of edges other than identity and
+  negation wires, so P <= prod_v max(lambda_v, 1) <= prod_v max(C_v, 1)^c_v,
+  the block bound applied per node.
 
 When a binary node reads the same source wire twice (e.g. x1*x1), an
 identity fan-out layer duplicates the wire first: the forward form admits a
 single edge per (source, target) pair, so the two arguments must arrive on
 distinct neurons. Fan-out edges are exact identities, so bounds are
-unaffected and only the layer count grows past the block-depth sum.
+unaffected and only the node's path grows by one layer.
 
 A `CompileConfig.box` puts one affine layer ahead of the network: edge p
 maps coordinate p of the box onto [0,1]. The network's value at a box point
@@ -49,11 +67,9 @@ from .exprtree import (
     Node,
     NodeMaxima,
     OpKind,
-    TreeStats,
     eval_tree_batch,
     fold,
     render,
-    tree_stats,
 )
 from .kannet import KanNetwork, forward_batch, lipschitz_product, loads, read, serialize
 from .primblocks import Block, EdgeSplines, build_block
@@ -91,7 +107,7 @@ __all__ = [
 
 # bumped whenever the certificate's bytes change, so also with kannet.FORMAT:
 # the certificate hashes the net file
-VERSION = "0.5.0"
+VERSION = "0.6.0"
 
 # width bound constant from the widest primitive block (the multiplication
 # block spans 4 neurons counting its forwarded operands)
@@ -169,29 +185,34 @@ class ScheduleEntry:
 
 
 def build_schedule(tree: CompTree) -> tuple[ScheduleEntry, ...]:
-    """Post-order block schedule with layer offsets; pure function of the tree."""
-    entries: list[ScheduleEntry] = []
-    layer = 0
+    """As-soon-as-possible block schedule, entries in post-order; a pure
+    function of the tree.
 
-    def node(nid: int, t: Node, keys: list[WireKey]) -> WireKey:
-        nonlocal layer
+    An input is ready at layer 0 and a block's value at its last layer's
+    end, so a block starts at the latest ready layer of its arguments plus
+    its fan-out layer (ASAP list scheduling; De Micheli, Synthesis and
+    Optimization of Digital Circuits, 1994, ch. 5). The network's depth is
+    the heaviest root-to-leaf path, weighing each node by its block depth
+    plus fan-out, at most L_f plus the fan-outs.
+    """
+    entries: list[ScheduleEntry] = []
+
+    def node(nid: int, t: Node, args: list[tuple[WireKey, int]]) -> tuple[WireKey, int]:
+        keys = [key for key, _ in args]
         fan = 1 if len(keys) == 2 and keys[0] == keys[1] else 0
-        start = layer + fan
-        c_op = BLOCK_DEPTH[t.op]
-        layer = start + c_op
         entry = ScheduleEntry(
             node_id=nid,
             op=t.op,
-            start_layer=start,
-            c_op=c_op,
+            start_layer=max(ready for _, ready in args) + fan,
+            c_op=BLOCK_DEPTH[t.op],
             fanout_layers=fan,
             consumed=tuple(keys),
             produced=("node", nid),
         )
         entries.append(entry)
-        return entry.produced
+        return entry.produced, entry.start_layer + entry.c_op
 
-    fold(tree, lambda t: ("input", t.coord), node)
+    fold(tree, lambda t: (("input", t.coord), 0), node)
     return tuple(entries)
 
 
@@ -279,15 +300,20 @@ def _build_network(
     """Lay the scheduled blocks out layer by layer, forwarding each input and
     each completed intermediate by identity wires up to the last layer that
     reads it: its consumer's first layer, or the fan-out layer before it.
-    `faithful` forwards the inputs to the end instead, which gives the
-    proof's construction and its width accounting.
+    Each layer holds the forwarded wires, then the fan-out copies and block
+    layers active in it, in post-order; the root's output leads the last
+    boundary. `faithful` forwards the inputs to the end instead, which gives
+    the proof's construction and its width accounting.
     """
     n_layers = schedule[-1].start_layer + schedule[-1].c_op
     last: dict[WireKey, int] = {}  # a wire crosses every layer before this one
+    active: list[list[ScheduleEntry]] = [[] for _ in range(n_layers)]  # in post-order
     for entry in schedule:
         for key in entry.consumed:
             last[key] = max(last.get(key, 0), entry.start_layer - entry.fanout_layers)
-    fwd: list[_Wire] = []  # inputs, then completed intermediates in post-order
+        for layer in range(entry.start_layer - entry.fanout_layers, entry.start_layer + entry.c_op):
+            active[layer].append(entry)
+    fwd: list[_Wire] = []  # inputs, then completed intermediates as they finish
     for p in range(1, ann.n + 1):
         fwd.append((("input", p), UNIT, f"x{p}", splines.ident(UNIT)))
         if faithful:
@@ -301,14 +327,38 @@ def _build_network(
     table: dict[Spline, int] = {}
     triples: list[int] = []        # [src, dst, spline index] of every edge, flat
     counts: list[int] = []         # edges per layer
+    src_of: dict[int, list[int]] = {}  # positions of an active block's neurons
 
-    def advance(outs: list[_Wire], out_edges, lead: bool = False) -> int:
-        # one layer: identity edges for the wires still read later, then the
-        # (src position, dst in outs, spline) edges; `outs` follow the
-        # forwarded wires, or lead them on the network's output layer.
-        # Returns the position of outs[0].
-        nonlocal fwd, cur, pos
-        fwd = [w for w in fwd if last.get(w[0], 0) > len(counts)]
+    for layer, entries in enumerate(active):
+        # the layer's new neurons, with their (src position, dst in outs, spline) edges
+        outs: list[_Wire] = []
+        out_edges: list[tuple[int, int, Spline]] = []
+        placed: list[tuple[int, int, int]] = []  # (node id, its first neuron in outs, count)
+        for entry in entries:
+            nid, block = entry.node_id, blocks[entry.node_id]
+            t = layer - entry.start_layer
+            if t < 0:
+                # the fan-out layer: duplicate the shared source wire onto two fresh neurons
+                src = pos[entry.consumed[0]]
+                _, iv, _, ident = cur[src]
+                new = [(None, iv, f"copy{nid}.{j}", None) for j in range(2)]
+                edges = [(src, j, ident) for j in range(2)]
+            else:
+                if t == 0 and not entry.fanout_layers:
+                    src_of[nid] = [pos[k] for k in entry.consumed]
+                if t == block.c_op - 1:
+                    new = [(entry.produced, ann.annotations[nid].range, f"node{nid}", None)]
+                else:
+                    new = [(None, iv, f"blk{nid}.{t}.{j}", None) for j, iv in enumerate(block.neuron_ranges[t])]
+                edges = [(src_of[nid][src], dst, spl) for src, dst, spl in block.layers[t]]
+            out_edges.extend((src, len(outs) + dst, spl) for src, dst, spl in edges)
+            placed.append((nid, len(outs), len(new)))
+            outs.extend(new)
+
+        # identity edges for the wires still read later, then the block edges;
+        # `outs` follow the forwarded wires, or lead them on the output layer
+        lead = layer == n_layers - 1
+        fwd = [w for w in fwd if last.get(w[0], 0) > layer]
         base, offset = (0, len(outs)) if lead else (len(fwd), 0)
         for i, w in enumerate(fwd):
             triples.extend((pos[w[0]], offset + i, table.setdefault(w[3], len(table))))
@@ -319,30 +369,12 @@ def _build_network(
         pos = {w[0]: i for i, w in enumerate(cur) if w[0] is not None}
         widths.append(len(cur))
         wire_tags.append(tuple([w[2] for w in cur]))
-        return base
 
-    for entry in schedule:
-        nid, block = entry.node_id, blocks[entry.node_id]
-        out_range = ann.annotations[nid].range
-        if entry.fanout_layers:
-            # duplicate the shared source wire onto two fresh neurons
-            src = pos[entry.consumed[0]]
-            _, iv, _, ident = cur[src]
-            copies = [(None, iv, f"copy{nid}.{j}", None) for j in range(2)]
-            base = advance(copies, [(src, j, ident) for j in range(2)])
-            src_of = [base, base + 1]
-        else:
-            src_of = [pos[k] for k in entry.consumed]
-        for t, block_edges in enumerate(block.layers):
-            if t == block.c_op - 1:
-                outs = [(entry.produced, out_range, f"node{nid}", None)]
-            else:
-                outs = [(None, iv, f"blk{nid}.{t}.{j}", None) for j, iv in enumerate(block.neuron_ranges[t])]
-            out_edges = [(src_of[src], dst, spl) for src, dst, spl in block_edges]
-            base = advance(outs, out_edges, lead=entry is schedule[-1] and t == block.c_op - 1)
-            src_of = [base + j for j in range(len(outs))]
-        if entry is not schedule[-1]:
-            fwd.append((entry.produced, out_range, f"node{nid}", splines.ident(out_range)))
+        for nid, first, k in placed:
+            src_of[nid] = list(range(base + first, base + first + k))
+        if not lead:
+            # the values completed here are forwarded from the next layer on
+            fwd.extend((key, iv, tag, splines.ident(iv)) for key, iv, tag, _ in outs if key is not None)
 
     return KanNetwork(widths=tuple(widths), splines=tuple(table), edges=np.array(triples, dtype=np.intp),
                       counts=tuple(counts), wire_tags=tuple(wire_tags))
@@ -388,7 +420,6 @@ def dead_wire_elimination(net: KanNetwork, outputs: set[int] | None = None) -> K
 
 def _certificate(
     tree: CompTree,
-    stats: TreeStats,
     net: KanNetwork,
     config: CompileConfig,
     ann: AnnotatedTree,
@@ -403,22 +434,22 @@ def _certificate(
         per_node.append(NodeCert(nid, a.op.value, b.c_op, b.lambda_op, b.eps_op, b.lambda_op <= a.block_bound))
         eps_op = max(eps_op, b.eps_op)
         has_trig = has_trig or a.op in (OpKind.SIN, OpKind.COS)
-    error_bound = stats.internal * max(budget.c_star, 1.0) ** stats.depth * eps_op
+    error_bound = ann.internal * max(budget.c_star, 1.0) ** ann.depth * eps_op
     p_bound, p_simplified = budget.product_bound, budget.simplified_bound
     if config.box is not None:
         # the pre-layer's factor max(mu, 1), mu = 1 / the narrowest side
         factor = max(1.0 / min(hi - lo for lo, hi in config.box), 1.0)
         p_bound, p_simplified = p_bound * factor, p_simplified * factor
     return Certificate(
-        n=stats.n,
-        internal=stats.internal,
-        depth=stats.depth,
+        n=ann.n,
+        internal=ann.internal,
+        depth=ann.depth,
         l_f=budget.l_f,
         widths=net.widths,
         p_bound=p_bound,
         p_simplified=p_simplified,
         c_star=budget.c_star,
-        width_bound=stats.n + 2 * W_MAX_BLOCK * stats.internal,
+        width_bound=ann.n + 2 * W_MAX_BLOCK * ann.internal,
         error_bound=error_bound,
         eps_op=eps_op,
         rate_exponent=2 if has_trig else None,
@@ -438,17 +469,16 @@ def compile_tree(tree: CompTree, config: CompileConfig = CompileConfig()) -> tup
     points of the box through its affine pre-layer.
     """
     ann = annotate_ranges(tree)
-    stats = tree_stats(tree)
-    _check_tree_box(config, stats.n)
+    _check_tree_box(config, ann.n)
     splines = EdgeSplines()
     blocks = _build_blocks(ann, config.grid, splines)
     if isinstance(tree, Leaf):
-        net = _leaf_network(tree, stats.n)
+        net = _leaf_network(tree, ann.n)
     else:
         net = _build_network(ann, build_schedule(tree), blocks, splines, config.faithful_widths)
     if config.box is not None:
         net = _behind_box(net, config.box)
-    return net, _certificate(tree, stats, net, config, ann, blocks)
+    return net, _certificate(tree, net, config, ann, blocks)
 
 
 def _check_tree_box(config: CompileConfig, n: int) -> None:
@@ -492,10 +522,11 @@ def measured_sup_error(
     """Max |tree - network| over uniform samples (mapped into `box`, a
     `CompileConfig.box`, if any).
 
-    The seeded samples are drawn, evaluated and reduced one `kernels.CHUNK`
-    block at a time (`rangecert.sample_blocks`), so memory stays bounded for
-    any sample count. `node_max` collects the tree's per-node maxima over the
-    same rows (see `exprtree.eval_tree_batch`).
+    The seeded samples are drawn, evaluated and reduced one block of at most
+    16 * `kernels.CHUNK` floats at a time (`rangecert.sample_blocks`), so
+    memory stays bounded for any sample count and input width. `node_max`
+    collects the tree's per-node maxima over the same rows (see
+    `exprtree.eval_tree_batch`).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -519,11 +550,10 @@ def recompute_certificate(tree: CompTree, net: KanNetwork,
     so for a network compiled with `config` it equals the certificate the
     compiler issued.
     """
-    stats = tree_stats(tree)
-    _check_tree_box(config, stats.n)
     ann = annotate_ranges(tree)
+    _check_tree_box(config, ann.n)
     blocks = _build_blocks(ann, config.grid, EdgeSplines())
-    return _certificate(tree, stats, net, config, ann, blocks)
+    return _certificate(tree, net, config, ann, blocks)
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,10 @@ __all__ = [
     "Leaf",
     "Node",
     "CompTree",
-    "TreeStats",
     "MAX_COORD",
     "ParseError",
     "parse_expression",
     "render",
-    "tree_stats",
     "eval_tree",
     "eval_tree_batch",
     "NodeMaxima",
@@ -146,13 +144,6 @@ CompTree = Union[Leaf, Node]
 def _labels(tree: CompTree) -> list[int | OpKind]:
     # a leaf's coordinate or a node's op, in post-order
     return [t.coord if isinstance(t, Leaf) else t.op for _, t in postorder(tree)]
-
-
-@dataclass(frozen=True)
-class TreeStats:
-    n: int          # input dimension = max leaf coordinate
-    internal: int   # internal node count N (leaves excluded)
-    depth: int      # longest root-to-leaf path; 0 for a bare leaf
 
 
 class ParseError(ValueError):
@@ -301,17 +292,6 @@ def _render_node(nid: int, t: Node, args: list[str]) -> str:
 def render(tree: CompTree) -> str:
     """Render a tree to grammar-valid text; parse(render(t)) == t."""
     return fold(tree, lambda t: f"x{t.coord}", _render_node)
-
-
-def _stats_node(nid: int, t: Node, args: list[tuple[int, int, int]]):
-    # (n, internal, depth)
-    n, internal, depth = zip(*args)
-    return max(n), sum(internal) + 1, max(depth) + 1
-
-
-def tree_stats(tree: CompTree) -> TreeStats:
-    n, internal, depth = fold(tree, lambda t: (t.coord, 0, 0), _stats_node)
-    return TreeStats(n=n, internal=internal, depth=depth)
 
 
 def eval_tree(tree: CompTree, x) -> float:

@@ -257,8 +257,9 @@ def jacobian_fd(net: KanNetwork, x) -> np.ndarray:
     ahead of its forwarded inputs.
 
     `x` may also be an (m, n_0) array of points; their (m, n_0) gradients
-    come from one forward pass per `kernels.CHUNK` stepped rows, so memory
-    stays bounded for any m.
+    come from one forward pass per `kernels.block_rows(n_0)` stepped rows
+    (`kernels.CHUNK` up to 16 inputs, fewer above), so memory stays bounded
+    for any m and any n_0.
     """
     x = np.asarray(x, dtype=np.float64)
     n = net.n_inputs
@@ -266,7 +267,7 @@ def jacobian_fd(net: KanNetwork, x) -> np.ndarray:
         raise ValueError(f"expected a point or (npoints, {n}) points, got shape {x.shape}")
     points = x.reshape(-1, n)
     grad = np.empty(points.shape)
-    per_block = max(1, kernels.CHUNK // (2 * n))
+    per_block = max(1, kernels.block_rows(n) // (2 * n))
     coord = np.arange(n)
     # rows 2i and 2i+1 of each point's block of 2n rows step coordinate i up
     # and down; every block of points is stepped in this one buffer

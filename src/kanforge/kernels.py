@@ -77,10 +77,14 @@ checks stream their points in blocks of the same size, 7 per 10^5 samples),
 while a compiled network's workspace stays a few MB. On the corpus-certify
 networks 16384 was about 5% faster than 8192 and 32768 no faster again. A
 chunk's float workspace is its points times the plan's rows (value table,
-gather and curved scratch rows): at most 56 rows on the benchmark pools'
-networks, in either compile mode, but 20000 for a net file with a
-20000-neuron boundary. A plan that tall runs WORKSPACE_FLOATS // rows
-points per chunk instead, so no chunk takes more than 32 MiB. The table and
+gather and curved scratch rows). The compiler runs independent blocks side
+by side, which makes the steps tall: on the seed-41 benchmark pools the
+largest plan has 26 / 174 / 71 rows (corpus-certify / wide-compile /
+verify-roundtrip, in either compile mode), and a net file with a
+20000-neuron boundary has 20000. A plan of more than 32 rows runs
+WORKSPACE_FLOATS // rows points per chunk instead, so no chunk takes more
+than 4 MiB: the 71-row verify-roundtrip plan runs chunks of 7384 points,
+and the per-step numpy overhead stays small against them. The table and
 every per-chunk scratch array are views of one workspace: one float buffer,
 one index buffer and one mask per thread, shared by every call and grown,
 never shrunk, to the largest size a call has needed. Memory stays bounded
@@ -118,6 +122,7 @@ __all__ = [
     "CHUNK",
     "KMAX",
     "WORKSPACE_FLOATS",
+    "block_rows",
     "NetPlan",
     "OneKnotEdges",
     "PpEdges",
@@ -137,9 +142,16 @@ KMAX = 16
 # points per forward chunk: the columns of the forward's value table
 CHUNK = 16384
 
-# floats of one chunk's workspace (32 MiB): a plan of more than 256 rows runs
+# floats of one chunk's workspace (4 MiB): a plan of more than 32 rows runs
 # fewer points per chunk
-WORKSPACE_FLOATS = 256 * CHUNK
+WORKSPACE_FLOATS = 32 * CHUNK
+
+
+def block_rows(n: int) -> int:
+    """Rows of `n` floats in one block of sampled or stepped points: CHUNK up
+    to 16 floats a row, fewer above, so a block holds at most 16 * CHUNK
+    floats (2 MiB) whatever the input width."""
+    return 16 * CHUNK // max(n, 16)
 
 
 # ---------------------------------------------------------------------------

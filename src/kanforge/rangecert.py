@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprtree import CompTree, Leaf, Node, NodeMaxima, OpKind, eval_tree_batch, fold
-from .kernels import CHUNK
+from .kernels import block_rows
 
 __all__ = [
     "Interval",
@@ -154,6 +154,12 @@ class NodeAnnotation:
 class AnnotatedTree:
     annotations: dict[int, NodeAnnotation]  # keyed by pre-order node id
     n: int                                  # input dimension = max leaf coordinate
+    depth: int                              # longest root-to-leaf path; 0 for a bare leaf
+
+    @property
+    def internal(self) -> int:
+        """The internal node count N (leaves excluded)."""
+        return len(self.annotations)
 
     @property
     def root_range(self) -> Interval:
@@ -162,7 +168,8 @@ class AnnotatedTree:
 
 
 def annotate_ranges(tree: CompTree) -> AnnotatedTree:
-    """Annotate every internal node with range, input domain, and partial Lips.
+    """Annotate every internal node with range, input domain, and partial Lips,
+    in the one fold that also counts the tree's input dimension and depth.
 
     Computed on the first call for a tree object and cached on it; every
     later call returns the same `AnnotatedTree`.
@@ -172,12 +179,14 @@ def annotate_ranges(tree: CompTree) -> AnnotatedTree:
     n = 0
     annotations: dict[int, NodeAnnotation] = {}
 
-    def leaf(t: Leaf) -> Interval:
+    # a subtree folds to (its range, its depth)
+    def leaf(t: Leaf) -> tuple[Interval, int]:
         nonlocal n
         n = max(n, t.coord)
-        return UNIT
+        return UNIT, 0
 
-    def node(nid: int, t: Node, child_ranges: list[Interval]) -> Interval:
+    def node(nid: int, t: Node, args: list[tuple[Interval, int]]) -> tuple[Interval, int]:
+        child_ranges = [r for r, _ in args]
         rng = range_rule(t.op, child_ranges)
         annotations[nid] = NodeAnnotation(
             node_id=nid,
@@ -187,10 +196,10 @@ def annotate_ranges(tree: CompTree) -> AnnotatedTree:
             partial_lips=tuple(partial_lip(t.op, child_ranges)),
             c_op=BLOCK_DEPTH[t.op],
         )
-        return rng
+        return rng, 1 + max(d for _, d in args)
 
-    fold(tree, leaf, node)
-    object.__setattr__(tree, "_ann", AnnotatedTree(annotations=annotations, n=n))
+    _, depth = fold(tree, leaf, node)
+    object.__setattr__(tree, "_ann", AnnotatedTree(annotations=annotations, n=n, depth=depth))
     return tree._ann
 
 
@@ -239,15 +248,18 @@ _SOUNDNESS_SLACK = 1e-12
 
 
 def sample_blocks(seed: int, samples: int, n: int):
-    """The seeded uniform samples over [0,1]^n, `kernels.CHUNK` rows at a time.
+    """The seeded uniform samples over [0,1]^n, `kernels.block_rows(n)` rows
+    at a time: `kernels.CHUNK` rows up to 16 inputs, fewer above.
 
     The blocks continue one generator stream, so stacked they equal
-    `default_rng(seed).uniform(0.0, 1.0, size=(samples, n))` bit for bit, and
-    they line up with the chunks of the network forward.
+    `default_rng(seed).uniform(0.0, 1.0, size=(samples, n))` bit for bit
+    whatever the block size, and up to 16 inputs a block is one forward
+    chunk of a network plan of at most 32 rows.
     """
     rng = np.random.default_rng(seed)
-    for start in range(0, samples, CHUNK):
-        block = np.empty((min(CHUNK, samples - start), n))
+    rows = block_rows(n)
+    for start in range(0, samples, rows):
+        block = np.empty((min(rows, samples - start), n))
         rng.random(out=block)
         yield block
 

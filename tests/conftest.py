@@ -44,10 +44,10 @@ def predicted_faithful_widths(tree):
     """Width profile re-derived from the schedule alone: inputs + live
     intermediates + executing block internals (+ fan-out copies)."""
     from kanforge.compiler import build_schedule
-    from kanforge.exprtree import tree_stats
+    from kanforge.rangecert import annotate_ranges
 
     sched = build_schedule(tree)
-    n = tree_stats(tree).n
+    n = annotate_ranges(tree).n
     if not sched:
         return (n, 1)
     L = sched[-1].start_layer + sched[-1].c_op

@@ -15,7 +15,7 @@ import pytest
 
 from kanforge.cli import balanced_additive_tree, cmd_sweep_rate, cmd_table_products, random_tree
 from kanforge.compiler import CompileConfig, compile_tree, measured_sup_error
-from kanforge.exprtree import OpKind, eval_tree, parse_expression, tree_stats
+from kanforge.exprtree import OpKind, eval_tree, parse_expression
 from kanforge.kannet import forward_batch, lipschitz_product
 from kanforge.rangecert import annotate_ranges
 
@@ -74,7 +74,6 @@ def corpus():
     results = []
     for i in range(CORPUS_SIZE):
         tree = random_tree(rng, 5)
-        stats = tree_stats(tree)
         ann = annotate_ranges(tree)
         net, cert = compile_tree(tree, CFG)
         netf, _ = compile_tree(tree, CFG_FAITHFUL)
@@ -82,7 +81,7 @@ def corpus():
         repf = lipschitz_product(netf)
         err = measured_sup_error(tree, net, ERROR_SAMPLES, seed=10_000 + i)
         jrng = np.random.default_rng(50_000 + i)
-        pts = jrng.uniform(1e-3, 1.0 - 1e-3, size=(JACOBIAN_POINTS, stats.n))
+        pts = jrng.uniform(1e-3, 1.0 - 1e-3, size=(JACOBIAN_POINTS, ann.n))
         norms = _batch_jacobian_norms(net, pts)
         denom = float(max(net.widths)) ** net.n_layers
         jac_ok = bool(np.all(norms / denom <= rep.product + 1e-6))
@@ -94,9 +93,9 @@ def corpus():
         )
         results.append(
             TreeResult(
-                n=stats.n,
-                internal=stats.internal,
-                depth=stats.depth,
+                n=ann.n,
+                internal=ann.internal,
+                depth=ann.depth,
                 widths=net.widths,
                 widths_faithful=netf.widths,
                 widths_predicted=predicted_faithful_widths(tree),
@@ -158,25 +157,23 @@ def test_criterion_3_additive_tightness():
     ok = True
     for depth in range(1, 6):
         tree = balanced_additive_tree(depth)
-        stats = tree_stats(tree)
-        expected = stats.internal + 1
         ann = annotate_ranges(tree)
-        measured = eval_tree(tree, [1.0] * stats.n)
+        expected = ann.internal + 1
+        measured = eval_tree(tree, [1.0] * ann.n)
         ok = ok and ann.root_range.bound == expected and abs(measured - expected) <= 1e-12
     _report(3, "additive range tightness", ok, "B = N+1 attained at depths 1..5")
 
 
 def test_criterion_4_mixed_tree_counterexample():
     tree = parse_expression("((x1+x2)*(x3+x4))*(x5+x6)")
-    stats = tree_stats(tree)
     ann = annotate_ranges(tree)
     measured = eval_tree(tree, [1.0] * 6)
     ok = (
         ann.root_range.bound == 8.0
         and abs(measured - 8.0) <= 1e-12
-        and 8.0 > stats.internal + 1
+        and 8.0 > ann.internal + 1
     )
-    _report(4, "mixed-tree counterexample", ok, f"B = 8 > N+1 = {stats.internal + 1}")
+    _report(4, "mixed-tree counterexample", ok, f"B = 8 > N+1 = {ann.internal + 1}")
 
 
 def test_criterion_5_width_bounds(corpus):

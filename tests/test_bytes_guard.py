@@ -2,15 +2,18 @@
 
 The JSON formats promise byte-identical output for identical input unless the
 format version changes. The digests below are those of net format
-`kanforge/3` and certificate version 0.5.0: compact JSON, each document its
+`kanforge/3` and certificate version 0.6.0: compact JSON, each document its
 objects' fields under their own names (a spline table entry `order`, `knots`,
-`coefs`; a certificate `internal` and per-node `node_id`). Against 0.4.0 the
-net files are byte-identical and only certificate keys moved: the box, a
-top-level field there, is `config.box`, and the derived `box_factor` is gone;
-the parsed certificates are equal once those keys are mapped, apart from
-`version`. Each group below hashes the serialized network and the
-certificate of every compile in it; a changed digest means some compile now
-writes different bytes.
+`coefs`; a certificate `internal` and per-node `node_id`). Against 0.5.0 the
+blocks are scheduled as soon as their arguments are ready, so the nets of
+`random-default`, `random-faithful`, `chain-8` and `chain-24` hold fewer
+layers and forwarding wires; the `box` and `fanout` nets (one block path
+each) are byte-identical, and their certificates differ only in `version`.
+`FORMAT` stays `kanforge/3`: the net schema is unchanged and every
+kanforge/3 file still reads; the certificate version marks the new layout.
+Each group below hashes the
+serialized network and the certificate of every compile in it; a changed
+digest means some compile now writes different bytes.
 """
 
 import hashlib
@@ -65,12 +68,12 @@ GROUPS = {
 }
 
 EXPECTED = {
-    "random-default": "096a048870b800ac87eeb3b31a7960ae37a6b7a06e5ffeda47fd9f74eadb5df5",
-    "random-faithful": "0cfda522eccf9b25e9b5ec9fc3099d8646073e01be2d5dbf6ac6b48b18b8657a",
-    "chain-8": "61de83a351f65729f9306e6d8cb4afa4e63584b22136c6c79bbf415fe01c2774",
-    "chain-24": "630f3c1b904985cd205c856f818501e52ae8c2f69ff831671f9ea153360350bc",
-    "fanout": "23f0c0ed3ce05afe09dcc9f4a831b67f913b9f5b56ffb0cfdf070011a69e1cf2",
-    "box": "00487158a262570362dc582f1ef39b128776c05db4343a427ac71d3652ce0ef6",
+    "random-default": "7668305195bc27123334098e85af43da3a9c61f45ae67aae708188f400e592a9",
+    "random-faithful": "a6163ee65a29c55c6ac06122205435fb1bf5b23457ad78514afc65a224befe95",
+    "chain-8": "a4af6d1c383e6e45152a40bbd2bc195c7e51d1fb0df8dbca8e165e5bfc91245c",
+    "chain-24": "31a9b5addc5c06b27898ae38936ff44318ebe15a9acace3a3c22ec411d008572",
+    "fanout": "2b411360d852d536cabf34140616cf6d2493897e0c99cb3a206b8fe8ae926fe9",
+    "box": "ab421a299a2d2705201dc01c8f38476396f65e80edd3f177cf24863482b90499",
 }
 
 

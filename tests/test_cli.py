@@ -5,7 +5,11 @@ import inspect
 import json
 import math
 import operator
+import os
+import pathlib
+import subprocess
 import sys
+import tracemalloc
 import typing
 import warnings
 
@@ -29,8 +33,9 @@ from kanforge.cli import (
     random_tree,
 )
 from kanforge.compiler import MAX_GRID, Certificate, CompileConfig, NodeCert, compile_tree
-from kanforge.exprtree import MAX_COORD, Leaf, Node, OpKind, parse_expression, render, tree_stats
+from kanforge.exprtree import MAX_COORD, Leaf, Node, OpKind, parse_expression, render
 from kanforge.kannet import SchemaError, deserialize, serialize
+from kanforge.rangecert import annotate_ranges
 from kanforge.spline import Spline
 
 from conftest import nan_network
@@ -123,6 +128,22 @@ class TestCompileCommand:
 
 
 class TestVerifyCommand:
+    def test_wide_input_verify_memory_bounded(self, tmp_path, capsys):
+        # the Jacobian steps and the sample blocks hold at most CHUNK * 16
+        # floats whatever the input width: CHUNK rows of 1024 inputs took
+        # 128 MiB, and this verify peaked at 168 MB
+        prefix = str(tmp_path / "k")
+        assert main(["compile", "-e", "x1024", "--samples", "1000", "-o", prefix]) == 0
+        tracemalloc.start()
+        try:
+            rc = main(["verify", "--net", prefix + ".net.json", "--cert", prefix + ".cert.json",
+                       "-e", "x1024", "--samples", "1000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= 40e6
+
     def test_verify_round_trip(self, tmp_path, capsys):
         prefix = tmp_path / "kan"
         assert cmd_compile("sin(x1*x2)", FAST, out=str(prefix), fmt="json") == 0
@@ -761,6 +782,23 @@ class TestSignatures:
         assert main(argv + ["-e", "sin(x1*x2)+x3", "--samples", "500"]) == 0
         assert len(computed) == 1
 
+    @pytest.mark.parametrize("command, walks", [("compile", 4), ("verify", 5)])
+    def test_tree_walks_per_operation(self, tmp_path, monkeypatch, capsys, command, walks):
+        # compile: the annotation fold, the schedule, the rendered expression
+        # and the one sample block's evaluation; verify renders the argument
+        # and evaluates the range check's corner too, and builds no schedule
+        from kanforge import exprtree
+
+        prefix = str(tmp_path / "k")
+        assert main(["compile", "-e", "sin(x1*x2)+x3", "--samples", "500", "-o", prefix]) == 0
+        counted = []
+        real = exprtree.postorder
+        monkeypatch.setattr(exprtree, "postorder", lambda tree: counted.append(tree) or real(tree))
+        argv = {"compile": ["compile", "-o", prefix],
+                "verify": ["verify", "--net", prefix + ".net.json", "--cert", prefix + ".cert.json"]}[command]
+        assert main(argv + ["-e", "sin(x1*x2)+x3", "--samples", "500"]) == 0
+        assert len(counted) == walks
+
 
 class TestTableProducts:
     def test_all_rows_exactly_one(self, tmp_path):
@@ -874,20 +912,20 @@ class TestFuzz:
     def test_random_tree_builds_past_the_recursion_limit(self):
         depth = 4 * sys.getrecursionlimit()
         tree = random_tree(_SinChainRng(), depth)
-        assert tree_stats(tree).depth == depth
+        assert annotate_ranges(tree).depth == depth
         assert render(tree) == "sin(" * depth + "x1" + ")" * depth
 
     def test_random_tree_distribution_bounds(self, rng):
         for _ in range(200):
-            stats = tree_stats(random_tree(rng, 5))
-            assert stats.depth <= 5
-            assert 1 <= stats.n <= 6
+            ann = annotate_ranges(random_tree(rng, 5))
+            assert ann.depth <= 5
+            assert 1 <= ann.n <= 6
 
     def test_additive_tree_builder(self):
         for depth in range(1, 6):
-            stats = tree_stats(balanced_additive_tree(depth))
-            assert stats.internal == 2**depth - 1
-            assert stats.depth == depth
+            ann = annotate_ranges(balanced_additive_tree(depth))
+            assert ann.internal == 2**depth - 1
+            assert ann.depth == depth
 
 
 class TestParser:
@@ -1036,3 +1074,20 @@ class TestDeterminism:
         rc = main(["compile", "-e", "x1", "--seed", "1", "--samples", "100",
                    "-o", str(tmp_path / "k"), "--format", "json"])
         assert rc == 0
+
+
+def test_import_loads_only_numpy_and_stdlib():
+    # the command's start-up is mostly its import: a package the tests use
+    # (scipy, hypothesis) must not ride along, `import scipy.sparse` alone
+    # takes longer than a wide compile's set-up. Modules the interpreter
+    # loaded before the import (site hooks) are not the program's
+    import kanforge
+
+    src = str(pathlib.Path(kanforge.__file__).parent.parent)
+    code = ("import sys; before = set(sys.modules); import kanforge.cli; "
+            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "kanforge" in loaded
+    assert loaded - set(sys.stdlib_module_names) - {"numpy", "kanforge"} == set()

@@ -7,12 +7,13 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kanforge import compiler
 from kanforge.cli import random_tree
 from kanforge.compiler import (
+    W_MAX_BLOCK,
     Certificate,
     CertificationError,
     CompileConfig,
@@ -24,14 +25,14 @@ from kanforge.compiler import (
     dead_wire_elimination,
     measured_sup_error,
 )
-from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_expression, render, tree_stats
+from kanforge.exprtree import Leaf, Node, NodeMaxima, OpKind, eval_tree_batch, parse_expression, postorder, render
 from kanforge.kannet import KanNetwork, deserialize, forward, forward_batch, lipschitz_product, read, serialize
 from kanforge.kernels import CHUNK
 from kanforge.primblocks import EdgeSplines, build_block
-from kanforge.rangecert import Interval, verify_ranges_numerically
+from kanforge.rangecert import BLOCK_DEPTH, Interval, annotate_ranges, lip_budget, verify_ranges_numerically
 from kanforge.spline import Spline, line_spline
 
-from conftest import nan_network, node_annotation
+from conftest import nan_network, node_annotation, tree_strategy
 from conftest import predicted_faithful_widths as _predicted_faithful_widths
 from test_bytes_guard import GROUPS, _chain
 
@@ -95,7 +96,8 @@ class TestSchedule:
     def test_postorder_left_first(self):
         sched = build_schedule(parse_expression("(x1+x2)*(x3+x4)"))
         assert [e.op for e in sched] == [OpKind.ADD, OpKind.ADD, OpKind.MUL]
-        assert [e.start_layer for e in sched] == [0, 1, 2]
+        # both adds start at layer 0, the product as soon as they are done
+        assert [e.start_layer for e in sched] == [0, 0, 1]
         # pre-order ids: mul=0, left add=1, right add=4
         assert [e.node_id for e in sched] == [1, 4, 0]
 
@@ -113,6 +115,50 @@ class TestSchedule:
 
     def test_leaf_schedule_empty(self):
         assert build_schedule(Leaf(2)) == ()
+
+
+def _critical_path(tree):
+    """The heaviest root-to-leaf path, each node weighing its block depth plus
+    one fan-out layer if it reads one input twice; with the fan-out count."""
+    path, fanouts = {}, 0
+    for _, t in postorder(tree):
+        if isinstance(t, Leaf):
+            path[id(t)] = 0
+            continue
+        fan = len(t.children) == 2 and all(isinstance(c, Leaf) for c in t.children) \
+            and t.children[0].coord == t.children[1].coord
+        fanouts += fan
+        path[id(t)] = BLOCK_DEPTH[t.op] + fan + max(path[id(c)] for c in t.children)
+    return path[id(tree)], fanouts
+
+
+class TestAsapSchedule:
+    """Each block starts as soon as its arguments are ready, so blocks share
+    layers; the paper's width and product bounds hold for any such layout."""
+
+    @given(tree_strategy(), st.sampled_from(["default", "faithful", "box"]))
+    @settings(max_examples=300, deadline=None)
+    def test_depth_is_the_critical_path_and_bounds_hold(self, tree, mode):
+        assume(isinstance(tree, Node))
+        ann = annotate_ranges(tree)
+        config = {
+            "default": CFG,
+            "faithful": CFG_FAITHFUL,
+            # sides 0.5, 1, 1.5, ...: the pre-layer's factor is 2
+            "box": CompileConfig(box=tuple((p - 1.0, 0.5 * p + p - 1.0) for p in range(1, ann.n + 1))),
+        }[mode]
+        net, cert = compile_tree(tree, config)
+        pre = config.box is not None
+        critical, fanouts = _critical_path(tree)
+        assert net.n_layers - pre == critical <= lip_budget(ann).l_f + fanouts
+        assert max(net.widths) <= ann.n + 2 * W_MAX_BLOCK * ann.internal == cert.width_bound
+        assert lipschitz_product(net).product <= cert.p_bound
+
+    def test_independent_blocks_share_layers(self):
+        # four adds side by side, then two products, then their sum
+        net, _ = compile_tree(parse_expression("(x1+x2)*(x3+x4)+(x5+x6)*(x7+x8)"), CFG)
+        assert net.n_layers == 1 + 3 + 1
+        assert net.widths == (8, 4, 4, 4, 2, 1)
 
 
 class TestDeadWireElimination:
@@ -181,11 +227,11 @@ class TestFaithfulWidths:
 
         for _ in range(100):
             tree = random_tree(rng, 5)
-            stats = tree_stats(tree)
+            ann = annotate_ranges(tree)
             for cfg in (CFG, CFG_FAITHFUL):
                 net, _ = compile_tree(tree, cfg)
-                assert net.widths[0] == stats.n
-                assert max(net.widths) <= stats.n + 8 * stats.internal
+                assert net.widths[0] == ann.n
+                assert max(net.widths) <= ann.n + 8 * ann.internal
 
 
 class TestCertify:
@@ -503,12 +549,12 @@ class TestCorpusProperties:
 
         for i in range(100):
             tree = random_tree(rng, 5)
-            stats = tree_stats(tree)
+            ann = annotate_ranges(tree)
             net, cert = compile_tree(tree, CFG)
             rep = lipschitz_product(net)
             assert rep.product <= cert.p_bound * (1 + 1e-12)
             assert cert.p_bound <= cert.p_simplified * (1 + 1e-12)
-            assert max(net.widths) <= stats.n + 8 * stats.internal
+            assert max(net.widths) <= ann.n + 8 * ann.internal
             assert all(nc.a5_ok for nc in cert.per_node)
             err = measured_sup_error(tree, net, 2000, seed=100 + i)
             assert err <= cert.error_bound + 1e-10
@@ -535,7 +581,7 @@ class TestCorpusProperties:
 
 def _monolithic_sup_error(tree, net, samples, seed, box=None):
     # one draw of every row, one tree evaluation, one forward over all rows
-    xs = np.random.default_rng(seed).uniform(0.0, 1.0, size=(samples, max(tree_stats(tree).n, net.n_inputs)))
+    xs = np.random.default_rng(seed).uniform(0.0, 1.0, size=(samples, max(annotate_ranges(tree).n, net.n_inputs)))
     truth = eval_tree_batch(tree, xs)
     pts = xs[:, : net.n_inputs]
     if box is not None:
@@ -689,7 +735,7 @@ def test_reader_accepts_every_compiled_certificate(seed, mode):
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, 5)
     if mode == "box":
-        lo = rng.uniform(-3.0, 3.0, tree_stats(tree).n)
+        lo = rng.uniform(-3.0, 3.0, annotate_ranges(tree).n)
         _, cert = compile_tree(tree, CompileConfig(box=list(zip(lo, lo + rng.uniform(0.1, 4.0, lo.size)))))
         assert cert.config.box is not None
     else:

@@ -17,9 +17,8 @@ from kanforge.exprtree import (
     parse_expression,
     postorder,
     render,
-    tree_stats,
 )
-from kanforge.rangecert import annotate_ranges, lip_budget
+from kanforge.rangecert import BLOCK_DEPTH, annotate_ranges
 
 from conftest import tree_strategy
 
@@ -28,17 +27,17 @@ class TestParse:
     def test_product(self):
         t = parse_expression("x1*x2")
         assert t == Node(OpKind.MUL, (Leaf(1), Leaf(2)))
-        s = tree_stats(t)
+        s = annotate_ranges(t)
         assert (s.internal, s.depth) == (1, 1)
 
     def test_bare_leaf(self):
         assert parse_expression("x1") == Leaf(1)
-        assert tree_stats(Leaf(1)).internal == 0
+        assert annotate_ranges(Leaf(1)).internal == 0
 
     def test_sin_of_product(self):
         t = parse_expression("sin(x1*x2)")
         assert t == Node(OpKind.SIN, (Node(OpKind.MUL, (Leaf(1), Leaf(2))),))
-        s = tree_stats(t)
+        s = annotate_ranges(t)
         assert (s.internal, s.depth) == (2, 2)
 
     def test_precedence_and_associativity(self):
@@ -90,11 +89,11 @@ class TestParse:
 class TestStats:
     def test_left_product_chain(self):
         t = parse_expression("*".join(f"x{i}" for i in range(1, 11)))
-        s = tree_stats(t)
+        s = annotate_ranges(t)
         assert (s.n, s.internal, s.depth) == (10, 9, 9)
 
     def test_single_leaf(self):
-        s = tree_stats(Leaf(3))
+        s = annotate_ranges(Leaf(3))
         assert (s.n, s.internal, s.depth) == (3, 0, 0)
 
     def test_balanced_add_tree_four_leaves(self):
@@ -103,11 +102,11 @@ class TestStats:
             OpKind.ADD,
             (Node(OpKind.ADD, (Leaf(1), Leaf(2))), Node(OpKind.ADD, (Leaf(3), Leaf(4)))),
         )
-        s = tree_stats(t)
+        s = annotate_ranges(t)
         assert (s.internal, s.depth, s.n) == (3, 2, 4)
 
     def test_n_is_max_leaf_index(self):
-        assert tree_stats(parse_expression("x2*x2")).n == 2
+        assert annotate_ranges(parse_expression("x2*x2")).n == 2
 
 
 class TestEval:
@@ -138,9 +137,9 @@ class TestProperties:
     @given(tree_strategy(max_leaves=6), tree_strategy(max_leaves=6))
     @settings(max_examples=100)
     def test_composition_counts(self, g, h):
-        sg, sh = tree_stats(g), tree_stats(h)
+        sg, sh = annotate_ranges(g), annotate_ranges(h)
         for op in (OpKind.ADD, OpKind.MUL):
-            s = tree_stats(Node(op, (g, h)))
+            s = annotate_ranges(Node(op, (g, h)))
             assert s.internal == sg.internal + sh.internal + 1
             assert s.depth == max(sg.depth, sh.depth) + 1
 
@@ -192,7 +191,7 @@ def test_eval_matches_stack_machine_oracle(rng):
 
     for _ in range(100):
         tree = random_tree(rng, 5)
-        xs = rng.uniform(0.0, 1.0, size=(10_000, tree_stats(tree).n))
+        xs = rng.uniform(0.0, 1.0, size=(10_000, annotate_ranges(tree).n))
         expected = _stack_machine(tree)(xs)
         got = eval_tree_batch(tree, xs)
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -268,7 +267,7 @@ def _check_walk(tree, coords=None):
     # stats in closed form from the walk's node list
     nodes = [t for _, t in walk if isinstance(t, Node)]
     leaves = [t.coord for _, t in walk if isinstance(t, Leaf)]
-    s = tree_stats(tree)
+    s = annotate_ranges(tree)
     assert (s.n, s.internal) == (max(leaves), len(nodes))
     if coords is not None:  # a deep shape: one path carries every internal node
         assert sorted(leaves) == sorted(coords)
@@ -278,17 +277,20 @@ def _check_walk(tree, coords=None):
     x = np.random.default_rng(len(pre)).uniform(0.0, 1.0, size=s.n)
     assert eval_tree(tree, x) == pytest.approx(eval_tree_batch(tree, x[None, :])[0], rel=1e-12, abs=1e-12)
 
-    # the schedule ends at L_f plus one fan-out layer per x_p op x_p node
+    # the schedule ends at the heaviest root-to-leaf path, each node weighing
+    # its block depth plus one fan-out layer if it is an x_p op x_p node
     schedule = build_schedule(tree)
     if nodes:
-        l_f = lip_budget(annotate_ranges(tree)).l_f
-        fanouts = sum(
-            1 for t in nodes
-            if len(t.children) == 2 and all(isinstance(c, Leaf) for c in t.children)
-            and t.children[0].coord == t.children[1].coord
-        )
+        path = {}  # id(subtree) -> heaviest path below it, children first
+        for _, t in walk:
+            if isinstance(t, Leaf):
+                path[id(t)] = 0
+            else:
+                fan = len(t.children) == 2 and all(isinstance(c, Leaf) for c in t.children) \
+                    and t.children[0].coord == t.children[1].coord
+                path[id(t)] = BLOCK_DEPTH[t.op] + fan + max(path[id(c)] for c in t.children)
         last = schedule[-1]
-        assert (last.node_id, last.start_layer + last.c_op) == (0, l_f + fanouts)
+        assert (last.node_id, last.start_layer + last.c_op) == (0, path[id(tree)])
     else:
         assert schedule == ()
 
@@ -310,11 +312,11 @@ class TestOneWalk:
         _check_walk(*_deep_tree(shape, depth, seed))
 
     def test_deep_text_parses(self):
-        assert tree_stats(parse_expression("(" * 20000 + "x1" + ")" * 20000)) == tree_stats(Leaf(1))
+        assert annotate_ranges(parse_expression("(" * 20000 + "x1" + ")" * 20000)) == annotate_ranges(Leaf(1))
         terms = [f"x{i % 7 + 1}" for i in range(3001)]
         right = "-(".join(terms[:-1]) + "-" + terms[-1] + ")" * 2999
         assert render(parse_expression(right)) == right
-        assert tree_stats(parse_expression(right)).depth == 3000
+        assert annotate_ranges(parse_expression(right)).depth == 3000
 
 
 class TestStructuralDunders:

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from kanforge import kannet, kernels, spline
 from kanforge.cli import random_tree
 from kanforge.compiler import CompileConfig, compile_tree
-from kanforge.exprtree import MAX_COORD, parse_expression, tree_stats
+from kanforge.exprtree import MAX_COORD, parse_expression
 from kanforge.kannet import (
     KanNetwork,
     SchemaError,
@@ -22,6 +23,7 @@ from kanforge.kannet import (
     lipschitz_product,
     serialize,
 )
+from kanforge.rangecert import annotate_ranges
 from kanforge.spline import Spline, line_spline, pl_interpolant, quarter_square, spline_lipschitz
 
 from conftest import edges_by_layer, network
@@ -130,7 +132,7 @@ class TestPlanForward:
     def test_tall_plan_runs_in_bounded_chunks(self, rng):
         # a 4096-neuron boundary takes 13653 workspace rows (table, gather and
         # curved scratch): CHUNK points would take 1.8 GB, chunks of
-        # WORKSPACE_FLOATS // rows points take 32 MiB
+        # WORKSPACE_FLOATS // rows points take 4 MiB
         hidden = 4096
         table = (line_spline(0.0, 1.0, 0.5, 2.0), quarter_square(0.0, 1.0), pl_interpolant(math.sin, 0.0, 1.0, 9),
                  line_spline(-1.0, 2.0, 0.0, 0.25))
@@ -151,10 +153,44 @@ class TestPlanForward:
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
         assert got_oob == ref_oob > 0
 
+    def test_plan_taller_than_32_rows_runs_in_4_mib(self, rng):
+        # the compiler's concurrent blocks make tall steps (up to 174 rows on
+        # the wide-compile pool); such a plan runs shorter chunks in the same
+        # 4 MiB workspace. A fresh thread starts with no workspace of its own
+        hidden = 48
+        table = (line_spline(0.0, 1.0, 0.5, 2.0), quarter_square(0.0, 1.0), pl_interpolant(math.sin, 0.0, 1.0, 9),
+                 line_spline(-1.0, 2.0, 0.0, 0.25))
+        net = network((1, hidden, 1), table, [[(0, j, j % 3) for j in range(hidden)],
+                                              [(j, 0, 3) for j in range(hidden)]])
+        plan = net.packed()
+        rows = plan.n_rows + plan.max_gather + 4 * plan.max_pp
+        assert rows > 32 and kernels.WORKSPACE_FLOATS == 32 * kernels.CHUNK
+        X = rng.uniform(-0.05, 1.05, size=(kernels.CHUNK, 1))
+        result = {}
+
+        def run():
+            result["got"] = _oob_of(forward_batch, net, X)
+            result["floats"] = kernels._buffer(np.float64, 0).base.size
+
+        tracemalloc.start()
+        try:
+            thread = threading.Thread(target=run)
+            thread.start()
+            thread.join()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result["floats"] <= kernels.WORKSPACE_FLOATS
+        assert peak <= 1.5 * 8 * kernels.WORKSPACE_FLOATS
+        got, got_oob = result["got"]
+        ref, ref_oob = _oob_of(_deboor_forward, net, X)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        assert got_oob == ref_oob > 0
+
     def test_compile_on_box(self, rng):
         for _ in range(10):
             tree = random_tree(rng, 4)
-            n = tree_stats(tree).n
+            n = annotate_ranges(tree).n
             box = [(-1.0 + 0.5 * p, 1.0 + p) for p in range(n)]
             net, _ = compile_tree(tree, CompileConfig(box=box))
             self._check(net, rng)
@@ -492,8 +528,9 @@ class TestJacobian:
             assert jacobian_lower_bound(net, X) == max(jacobian_lower_bound(net, x) for x in X)
 
     def test_points_stepped_in_blocks_of_chunk_rows(self, monkeypatch):
-        # a point takes 2*n_0 stepped rows: 200 points of a 100-input net take
-        # three forwards of at most CHUNK rows, bit equal to one per point
+        # a point takes 2*n_0 stepped rows of n_0 floats: 200 points of a
+        # 100-input net take 16 forwards of at most CHUNK * 16 floats (13
+        # points each), bit equal to one per point
         net, _ = compile_tree(parse_expression("sin(x1*x100)-x50"), CFG)
         X = np.random.default_rng(3).uniform(0.001, 0.999, size=(200, 100))
         want = np.array([jacobian_fd(net, x) for x in X])
@@ -501,7 +538,7 @@ class TestJacobian:
         real = kannet.forward_batch
         monkeypatch.setattr(kannet, "forward_batch", lambda net, X: rows.append(len(X)) or real(net, X))
         assert np.array_equal(jacobian_fd(net, X), want)
-        assert max(rows) <= kernels.CHUNK and sum(rows) == 200 * 200 and len(rows) == 3
+        assert max(rows) * 100 <= kernels.CHUNK * 16 and sum(rows) == 200 * 200 and len(rows) == 16
 
     @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5, 0.5]], [[[0.5, 0.5]]]])
     def test_point_shape_validated(self, x):
@@ -551,7 +588,7 @@ class TestSerialization:
         rng = np.random.default_rng(2024)
         for _ in range(200):
             tree = random_tree(rng, 5)
-            n = tree_stats(tree).n
+            n = annotate_ranges(tree).n
             nets = [compile_tree(tree, cfg)[0] for cfg in (CFG, CFG_FAITHFUL)]
             nets.append(compile_tree(tree, CompileConfig(box=[(-1.0 - p, 0.5 + p) for p in range(n)]))[0])
             for net in nets:
@@ -889,7 +926,7 @@ class TestNetworkInvariants:
         # constructor never walks them
         monkeypatch.setattr(kannet, "_intp_triples", None)
         for expr in ("x1", "x1*x1", "sin(x1*x2)-relu(x3)"):
-            for cfg in (CFG, CFG_FAITHFUL, CompileConfig(box=((-1, 1),) * tree_stats(parse_expression(expr)).n)):
+            for cfg in (CFG, CFG_FAITHFUL, CompileConfig(box=((-1, 1),) * annotate_ranges(parse_expression(expr)).n)):
                 net, _ = compile_tree(parse_expression(expr), cfg)
                 deserialize(serialize(net))
 

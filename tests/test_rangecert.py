@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kanforge.compiler import CompileConfig, _box_points, compile_tree
-from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_expression, tree_stats
+from kanforge.exprtree import Leaf, NodeMaxima, OpKind, eval_tree_batch, parse_expression
 from kanforge.kannet import lipschitz_product
 from kanforge.kernels import CHUNK
 from kanforge.rangecert import (
@@ -15,6 +15,7 @@ from kanforge.rangecert import (
     lip_budget,
     partial_lip,
     range_rule,
+    sample_blocks,
     verify_ranges_numerically,
 )
 
@@ -103,7 +104,7 @@ class TestAnnotate:
         t = parse_expression("((x1+x2)*(x3+x4))*(x5+x6)")
         ann = annotate_ranges(t)
         assert ann.root_range.bound == 8.0
-        assert 8.0 > tree_stats(t).internal + 1  # naive N+1 = 6 fails here
+        assert 8.0 > annotate_ranges(t).internal + 1  # naive N+1 = 6 fails here
 
     def test_multiplicative_chain_stays_unit(self):
         t = parse_expression("*".join(f"x{i}" for i in range(1, 11)))
@@ -121,7 +122,7 @@ class TestAnnotate:
     def test_cached_on_the_tree(self, text):
         t, u = parse_expression(text), parse_expression(text)
         ann = annotate_ranges(t)
-        assert annotate_ranges(t) is ann and ann.n == tree_stats(t).n
+        assert annotate_ranges(t) is ann and ann.n == annotate_ranges(t).n
         # the cache is no part of the tree's value
         assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
         assert annotate_ranges(u) is not ann and annotate_ranges(u) == ann
@@ -159,7 +160,7 @@ class TestLipBudget:
         ann = annotate_ranges(tree)
         b = lip_budget(ann)
         assert b.product_bound <= b.simplified_bound * (1 + 1e-12)
-        assert b.l_f <= 3 * tree_stats(tree).internal
+        assert b.l_f <= 3 * annotate_ranges(tree).internal
 
 
 class TestVerifyRanges:
@@ -193,6 +194,14 @@ class TestVerifyRanges:
         eval_tree_batch(t, xs, corner)
         assert [e.node_id for e in rep.entries] == sorted(corner.values)
         assert [e.measured for e in rep.entries] == [corner.values[e.node_id] for e in rep.entries]
+
+    @pytest.mark.parametrize("n", [1, 16, 40, 1024])
+    def test_blocks_hold_bounded_floats(self, n):
+        # CHUNK rows up to 16 inputs, CHUNK * 16 // n above, and one stream
+        samples = 2 * CHUNK * 16 // max(n, 16) + 5
+        blocks = list(sample_blocks(7, samples, n))
+        assert max(len(b) for b in blocks) == CHUNK * 16 // max(n, 16)
+        assert np.array_equal(np.vstack(blocks), np.random.default_rng(7).uniform(0.0, 1.0, size=(samples, n)))
 
     @given(tree_strategy(max_leaves=8))
     @settings(max_examples=30, deadline=None)
