@@ -299,7 +299,9 @@ def cmd_verify(net_path: str, expr: str, config: RunConfig, cert_path: str | Non
     compile_config = cert.config if cert is not None else config.compile
     recomputed = recompute_certificate(tree, net, compile_config)
     if cert is not None and cert != recomputed:
-        name = next(f.name for f in fields(Certificate) if getattr(cert, f.name) != getattr(recomputed, f.name))
+        # a certificate of another version differs in other fields too: name the version first
+        names = ["version"] + [f.name for f in fields(Certificate)]
+        name = next(f for f in names if getattr(cert, f) != getattr(recomputed, f))
         print(f"error: certificate mismatch: {name} is {reprlib.repr(getattr(cert, name))} in the file, "
               f"{reprlib.repr(getattr(recomputed, name))} recomputed", file=sys.stderr)
         return 4

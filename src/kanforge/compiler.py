@@ -26,8 +26,12 @@ each layer carries only the blocks active in it:
 - product: a layer's largest edge constant is at most the product of
   max(lambda, 1) over the block layers active in it (identity wires are 1),
   and a block has at most one layer of edges other than identity and
-  negation wires, so P <= prod_v max(lambda_v, 1) <= prod_v max(C_v, 1)^c_v,
-  the block bound applied per node.
+  negation wires (the multiplication block's squaring layer, whose t^2/4
+  and -t^2/4 edges the output neuron sums), so
+  P <= prod_v max(lambda_v, 1) <= prod_v max(C_v, 1)^c_v, the block bound
+  applied per node;
+- depth: the deepest block, multiplication, is two layers, so
+  L_f = sum_v c_v <= 2N, the row `check_certificate` states.
 
 When a binary node reads the same source wire twice (e.g. x1*x1), an
 identity fan-out layer duplicates the wire first: the forward form admits a
@@ -107,7 +111,10 @@ __all__ = [
 
 # bumped whenever the certificate's bytes change, so also with kannet.FORMAT:
 # the certificate hashes the net file
-VERSION = "0.6.0"
+VERSION = "0.7.0"
+
+# the deepest block, so L_f = sum_v c_v <= c_max * N
+_C_MAX = max(BLOCK_DEPTH.values())
 
 # width bound constant from the widest primitive block (the multiplication
 # block spans 4 neurons counting its forwarded operands)
@@ -643,7 +650,7 @@ def check_certificate(
     rows = (
         CheckRow("n_0 = n", net.n_inputs, n, 0.0, net.n_inputs == n),
         _at_most("max width <= width bound n + 2*w_max*N", max(net.widths), cert.width_bound),
-        _at_most("L_f <= 3N", cert.l_f, 3 * internal),
+        _at_most(f"L_f <= {_C_MAX}N", cert.l_f, _C_MAX * internal),
         _family_row("lambda_v <= max(C_v,1)^c_v", blocks, 0.0),
         _at_most("P <= p_bound*(1+slack)", report.product, cert.p_bound, _REL_SLACK, relative=True),
         _at_most("p_bound <= p_simplified*(1+slack)", cert.p_bound, cert.p_simplified, _REL_SLACK,

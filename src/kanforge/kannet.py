@@ -279,20 +279,26 @@ def jacobian_fd(net: KanNetwork, x) -> np.ndarray:
         pts[:, 2 * coord, coord] += FD_STEP
         pts[:, 2 * coord + 1, coord] -= FD_STEP
         vals = forward_batch(net, pts.reshape(-1, n))[:, 0]
-        grad[start : start + len(block)] = ((vals[0::2] - vals[1::2]) / (2.0 * FD_STEP)).reshape(-1, n)
+        # overflowed values difference to inf or NaN, as in the forward
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad[start : start + len(block)] = ((vals[0::2] - vals[1::2]) / (2.0 * FD_STEP)).reshape(-1, n)
     return grad if x.ndim == 2 else grad[0]
 
 
 def jacobian_lower_bound(net: KanNetwork, x) -> float:
     """max ||J_fd(x)||_2 / W^L over the point x or the (m, n_0) points x: a
     sampled lower bound for the Lipschitz product. When W^L is past the float
-    range it returns 0.0, which is still a lower bound."""
+    range it returns 0.0, which is still a lower bound. A NaN gradient at any
+    point makes the result NaN."""
     grads = jacobian_fd(net, x).reshape(-1, net.n_inputs)
     try:
         denom = float(max(net.widths)) ** net.n_layers
     except OverflowError:
         return 0.0
-    return max(float(np.linalg.norm(g)) / denom for g in grads)
+    # np.max, unlike Python's max, keeps a NaN wherever it stands
+    with np.errstate(over="ignore"):
+        norms = np.array([np.linalg.norm(g) for g in grads])
+    return float(np.max(norms / denom))
 
 
 def serialize(net: KanNetwork) -> str:

@@ -79,11 +79,11 @@ networks 16384 was about 5% faster than 8192 and 32768 no faster again. A
 chunk's float workspace is its points times the plan's rows (value table,
 gather and curved scratch rows). The compiler runs independent blocks side
 by side, which makes the steps tall: on the seed-41 benchmark pools the
-largest plan has 26 / 174 / 71 rows (corpus-certify / wide-compile /
-verify-roundtrip, in either compile mode), and a net file with a
-20000-neuron boundary has 20000. A plan of more than 32 rows runs
+largest plan has 22 / 148 / 61 rows (corpus-certify / wide-compile /
+verify-roundtrip; 26 / 148 / 61 under `faithful_widths`), and a net file
+with a 20000-neuron boundary has 20000. A plan of more than 32 rows runs
 WORKSPACE_FLOATS // rows points per chunk instead, so no chunk takes more
-than 4 MiB: the 71-row verify-roundtrip plan runs chunks of 7384 points,
+than 4 MiB: the 61-row verify-roundtrip plan runs chunks of 8594 points,
 and the per-step numpy overhead stays small against them. The table and
 every per-chunk scratch array are views of one workspace: one float buffer,
 one index buffer and one mask per thread, shared by every call and grown,

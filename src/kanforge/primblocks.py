@@ -12,10 +12,12 @@ Constructions on a domain I x J (or I):
 
     add/sub   one layer, identity + (sign) identity summed into one target
     sin/cos   one layer, the piecewise-linear interpolant on I (G knots)
-    mul       three layers via u*v = (u+v)^2/4 - (u-v)^2/4; the squaring
-              edges are `spline.quarter_square`, t^2/4 exactly as an
-              order-2 spline, so the only approximation in any block lives
-              in the trig interpolants
+    mul       two layers via u*v = (u+v)^2/4 - (u-v)^2/4: u+v and u-v,
+              then t^2/4 on the first and -t^2/4 on the second, both into
+              the output neuron, which sums them; the squaring edges are
+              `spline.quarter_square`, t^2/4 exactly as an order-2 spline,
+              and its exact negation, so the only approximation in any
+              block lives in the trig interpolants
     relu/abs  one layer, order-1 spline with a breakpoint at 0 when 0 is
               interior to I, reproducing the op exactly
 
@@ -123,41 +125,40 @@ def _span(iv: Interval) -> tuple[float, float]:
     return (iv.lo, iv.hi) if iv.lo < iv.hi else (iv.lo, iv.lo + 1.0)
 
 
-def _quarter_square_range(iv: Interval) -> Interval:
-    hi = iv.bound ** 2 / 4.0
-    if iv.lo <= 0.0 <= iv.hi:
-        return Interval(0.0, hi)
-    lo = min(abs(iv.lo), abs(iv.hi)) ** 2 / 4.0
-    return Interval(lo, hi)
-
-
 def _mul(g: Interval, h: Interval, out: Interval, sp: EdgeSplines) -> Block:
-    """Three-layer exact multiplication block on g x h (signed intervals ok).
+    """Two-layer exact multiplication block on g x h (signed intervals ok).
 
     The quarter-square identity holds on all of R^2, so the block accepts any
-    bounded domain. The squaring edges are built at order 2 on a midpoint
+    bounded domain. Layer 1 forms u + v and u - v; layer 2 carries t^2/4 from
+    the first and -t^2/4 from the second into the output neuron, whose sum is
+    the difference. The squaring edges are built at order 2 on a midpoint
     grid: order 2 reproduces t^2/4 exactly, and the small dyadic grid keeps
-    the extracted edge Lipschitz constants exact in floats.
+    the extracted edge Lipschitz constants exact in floats. The negated edge
+    has the same knots and the negated coefficients, and negation is exact in
+    every evaluation step, so it gives exactly -(t^2/4).
     """
     r_a = range_rule(OpKind.ADD, [g, h])   # u + v
     r_b = range_rule(OpKind.SUB, [g, h])   # u - v
 
-    def square(r: Interval) -> Spline:  # t^2/4 on r
+    def square(r: Interval, sign: float) -> Spline:  # sign * t^2/4 on r
         if not r.lo < r.hi:
-            return sp.const(r, r.lo * r.lo / 4.0)
-        return sp.built((OpKind.MUL, _PAIR.pack(r.lo, r.hi)), lambda: quarter_square(r.lo, r.hi))
+            return sp.const(r, sign * (r.lo * r.lo / 4.0))
 
-    r_p = _quarter_square_range(r_a)
-    r_q = _quarter_square_range(r_b)
+        def build() -> Spline:
+            s = quarter_square(r.lo, r.hi)
+            # `+ 0.0` turns a negated 0.0 into 0.0
+            return s if sign > 0 else Spline(s.order, s.knots, -s.coefs + 0.0)
+
+        return sp.built((OpKind.MUL, _PAIR.pack(r.lo, r.hi), sign), build)
+
     layers = (
         ((0, 0, sp.ident(g)), (1, 0, sp.ident(h)), (0, 1, sp.ident(g)), (1, 1, sp.neg(h))),
-        ((0, 0, square(r_a)), (1, 1, square(r_b))),
-        ((0, 0, sp.ident(r_p)), (1, 0, sp.neg(r_q))),
+        ((0, 0, square(r_a, 1.0)), (1, 0, square(r_b, -1.0))),
     )
     # sup of |t|/2 over range(u+v) union range(u-v), 0 on a point interval;
-    # layers 0 and 2 contribute 1
+    # layer 1 contributes 1
     lam = max(r.bound if r.lo < r.hi else 0.0 for r in (r_a, r_b)) / 2.0
-    return Block(layers=layers, neuron_ranges=((r_a, r_b), (r_p, r_q), (out,)), lambda_op=lam, eps_op=0.0)
+    return Block(layers=layers, neuron_ranges=((r_a, r_b), (out,)), lambda_op=lam, eps_op=0.0)
 
 
 def _add_sub(op: OpKind, g: Interval, h: Interval, out: Interval, sp: EdgeSplines) -> Block:

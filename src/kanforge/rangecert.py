@@ -8,7 +8,7 @@ aggregates into the domain-sensitive Lipschitz-product budget
 
     product_bound = prod_v max(C_v, 1)^(c_v),   C_v = max_i Lip_i(op_v | D_v),
 
-with block depths c_v fixed per operation (multiplication 3, all others 1).
+with block depths c_v fixed per operation (multiplication 2, all others 1).
 
 Leaves range over [0,1], so a tree's annotation depends on the tree alone.
 `annotate_ranges` computes it on the first call and caches it on the tree,
@@ -42,11 +42,13 @@ __all__ = [
     "RangeReport",
 ]
 
-# block depth c_op of each operation's primitive block
+# block depth c_op of each operation's primitive block: the multiplication
+# block forms u+v and u-v, then sums t^2/4 and -t^2/4 of them in its output
+# neuron; every other block is one layer
 BLOCK_DEPTH = {
     OpKind.ADD: 1,
     OpKind.SUB: 1,
-    OpKind.MUL: 3,
+    OpKind.MUL: 2,
     OpKind.SIN: 1,
     OpKind.COS: 1,
     OpKind.RELU: 1,

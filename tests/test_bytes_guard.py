@@ -2,16 +2,16 @@
 
 The JSON formats promise byte-identical output for identical input unless the
 format version changes. The digests below are those of net format
-`kanforge/3` and certificate version 0.6.0: compact JSON, each document its
+`kanforge/3` and certificate version 0.7.0: compact JSON, each document its
 objects' fields under their own names (a spline table entry `order`, `knots`,
-`coefs`; a certificate `internal` and per-node `node_id`). Against 0.5.0 the
-blocks are scheduled as soon as their arguments are ready, so the nets of
-`random-default`, `random-faithful`, `chain-8` and `chain-24` hold fewer
-layers and forwarding wires; the `box` and `fanout` nets (one block path
-each) are byte-identical, and their certificates differ only in `version`.
-`FORMAT` stays `kanforge/3`: the net schema is unchanged and every
-kanforge/3 file still reads; the certificate version marks the new layout.
-Each group below hashes the
+`coefs`; a certificate `internal` and per-node `node_id`). Against 0.6.0 the
+multiplication block is two layers deep: its output neuron sums t^2/4 on
+u+v and -t^2/4 on u-v, where a third layer used to subtract them. Every
+group holds a product, so every net has fewer layers and edges and another
+spline table, and every digest changed; the forward values are
+bit-identical. `FORMAT` stays `kanforge/3`: the net
+schema is unchanged and every kanforge/3 file still reads; the certificate
+version marks the new block. Each group below hashes the
 serialized network and the certificate of every compile in it; a changed
 digest means some compile now writes different bytes.
 """
@@ -68,12 +68,12 @@ GROUPS = {
 }
 
 EXPECTED = {
-    "random-default": "7668305195bc27123334098e85af43da3a9c61f45ae67aae708188f400e592a9",
-    "random-faithful": "a6163ee65a29c55c6ac06122205435fb1bf5b23457ad78514afc65a224befe95",
-    "chain-8": "a4af6d1c383e6e45152a40bbd2bc195c7e51d1fb0df8dbca8e165e5bfc91245c",
-    "chain-24": "31a9b5addc5c06b27898ae38936ff44318ebe15a9acace3a3c22ec411d008572",
-    "fanout": "2b411360d852d536cabf34140616cf6d2493897e0c99cb3a206b8fe8ae926fe9",
-    "box": "ab421a299a2d2705201dc01c8f38476396f65e80edd3f177cf24863482b90499",
+    "random-default": "ae11f290f4097852abdabd6b038d7cc2fa48b04fc1c8e79fa775a5b44c4b9260",
+    "random-faithful": "28af3383c326f8c8d48b324a7dbb8da0a7245ad1aa25974638966b9e32236d34",
+    "chain-8": "184e474307448fe4d2a56ad290750af261d92f2c2248f2ccaa199d5f6a3a8e02",
+    "chain-24": "475f059c765a7075418bd834e8ad6ca8cd78bed3187aa41f4b28d71074a495ff",
+    "fanout": "cc2a481ae952f8e4fbd1ce7515d9f8faccc63f961ea358277a030d669715686d",
+    "box": "3f0fb42f01c0a15f3d9389c75b077ad2518262c0042b935cd1603c7ea38e4813",
 }
 
 

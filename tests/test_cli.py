@@ -82,7 +82,7 @@ class TestCompileCommand:
         assert rc == 0
         row = json.loads(capsys.readouterr().out)[0]
         assert row["N"] == 2
-        assert row["L"] == 4
+        assert row["L"] == 3
 
     def test_grid_must_be_sane(self, tmp_path, capsys):
         rc = main(["compile", "-e", "x1", "--grid", "1", "-o", str(tmp_path / "k")])
@@ -309,7 +309,8 @@ class TestVerifyCommand:
         ({"widths": [1]}, "widths"),
         ({"internal": 7}, "internal"),
         ({"error_bound": 0, "p_bound": 1e-9, "per_node": [], "widths": [1], "l_f": 999}, "l_f"),
-    ], ids=["error_bound", "p_bound", "per_node", "widths", "internal", "five-fields"])
+        ({"l_f": 8, "version": "0.6.0"}, "version"),
+    ], ids=["error_bound", "p_bound", "per_node", "widths", "internal", "five-fields", "older-version"])
     def test_edited_certificate_exit_4(self, tmp_path, capsys, edits, field):
         prefix = str(tmp_path / "kan")
         expr = "sin(x1*x2)+x1"
@@ -449,8 +450,9 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("verification failed: ")
 
     def test_deep_product_verifies(self, tmp_path, capsys):
-        # 230 multiplication blocks: W^L overflows a float in the Jacobian row
-        rc, rows = _compile_and_verify(tmp_path, capsys, "*".join(["x1"] * 230))
+        # 330 multiplication blocks: W^L = 3^659 overflows a float in the
+        # Jacobian row
+        rc, rows = _compile_and_verify(tmp_path, capsys, "*".join(["x1"] * 330))
         assert rc == 0
         assert all(r["ok"] for r in rows)
         assert rows[-1]["lhs"] == 0.0

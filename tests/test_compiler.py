@@ -50,8 +50,8 @@ def _with_spline(net, i, spl):
 class TestCompileExamples:
     def test_product_shape(self):
         net, cert = compile_tree(parse_expression("x1*x2"), CFG)
-        assert net.widths == (2, 2, 2, 1)
-        assert net.n_layers == 3
+        assert net.widths == (2, 2, 1)
+        assert net.n_layers == 2
         assert lipschitz_product(net).product == 1.0
         assert cert.p_bound == 1.0
         assert cert.error_bound == 0.0
@@ -59,12 +59,12 @@ class TestCompileExamples:
     def test_triple_product(self):
         net, cert = compile_tree(parse_expression("x1*x2*x3"), CFG)
         assert cert.internal == 2
-        assert cert.l_f == 6
+        assert cert.l_f == 4
         assert lipschitz_product(net).product == 1.0
 
     def test_scaled_multiplication_bound(self):
         _, cert = compile_tree(parse_expression("(x1+x2)*x3"), CFG)
-        assert cert.p_bound == 8.0
+        assert cert.p_bound == 4.0
 
     def test_leaf(self):
         net, cert = compile_tree(Leaf(1), CFG)
@@ -157,8 +157,8 @@ class TestAsapSchedule:
     def test_independent_blocks_share_layers(self):
         # four adds side by side, then two products, then their sum
         net, _ = compile_tree(parse_expression("(x1+x2)*(x3+x4)+(x5+x6)*(x7+x8)"), CFG)
-        assert net.n_layers == 1 + 3 + 1
-        assert net.widths == (8, 4, 4, 4, 2, 1)
+        assert net.n_layers == 1 + 2 + 1
+        assert net.widths == (8, 4, 4, 2, 1)
 
 
 class TestDeadWireElimination:
@@ -345,14 +345,14 @@ class TestCertifyRecomputeAndCheck:
         # pre-order: node 0 is * with C = 2 on [0,1]x[0,2], node 2 is + with C = 1
         tree = parse_expression("x1*(x2+x3)")
         net, cert = compile_tree(tree, CFG)
-        assert cert.per_node[0].lambda_op < 8.0
+        assert cert.per_node[0].lambda_op < 4.0
         row = check_certificate(tree, net, cert, 200, 4).rows[3]
         assert row.name.startswith("lambda_v") and row.ok
         assert (row.where, row.lhs, row.rhs) == ("node 2 (+)", 1.0, 1.0)
         lied = replace(cert, per_node=tuple(replace(nc, lambda_op=9.0) for nc in cert.per_node))
         row = check_certificate(tree, net, lied, 200, 4).failure
         assert row.name.startswith("lambda_v")
-        assert (row.where, row.lhs, row.rhs) == ("node 0 (*)", 9.0, 8.0)
+        assert (row.where, row.lhs, row.rhs) == ("node 0 (*)", 9.0, 4.0)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_nan_forward_fails_sup_error_row(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kanforge import kannet, kernels, spline
 from kanforge.cli import random_tree
-from kanforge.compiler import CompileConfig, compile_tree
+from kanforge.compiler import CompileConfig, compile_tree, jacobian_row
 from kanforge.exprtree import MAX_COORD, parse_expression
 from kanforge.kannet import (
     KanNetwork,
@@ -154,7 +154,7 @@ class TestPlanForward:
         assert got_oob == ref_oob > 0
 
     def test_plan_taller_than_32_rows_runs_in_4_mib(self, rng):
-        # the compiler's concurrent blocks make tall steps (up to 174 rows on
+        # the compiler's concurrent blocks make tall steps (up to 148 rows on
         # the wide-compile pool); such a plan runs shorter chunks in the same
         # 4 MiB workspace. A fresh thread starts with no workspace of its own
         hidden = 48
@@ -462,8 +462,8 @@ class TestLipschitzProduct:
     def test_report_fields(self):
         net, _ = compile_tree(parse_expression("x1*x2"), CFG)
         rep = lipschitz_product(net)
-        assert (max(net.widths), net.n_layers) == (2, 3)
-        assert len(rep.per_layer) == 3
+        assert (max(net.widths), net.n_layers) == (2, 2)
+        assert len(rep.per_layer) == 2
         assert rep.product == math.prod(rep.per_layer)
 
     def test_identity_wire_floor_in_faithful_nets(self):
@@ -500,10 +500,22 @@ class TestJacobian:
 
     def test_lower_bound_below_product(self):
         net, _ = compile_tree(parse_expression("x1*x2"), CFG)
-        # W = 2 from the compiled widths (2,2,2,1), L = 3
+        # W = 2 from the compiled widths (2,2,1), L = 2
         bound = jacobian_lower_bound(net, [1 - 1e-4, 1 - 1e-4])
-        assert bound == pytest.approx(math.sqrt(2.0) / 2**3, abs=1e-3)
+        assert bound == pytest.approx(math.sqrt(2.0) / 2**2, abs=1e-3)
         assert bound <= lipschitz_product(net).product
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("probes", [[[0.1, 0.1], [0.9, 0.9]], [[0.9, 0.9], [0.1, 0.1]]],
+                             ids=["nan-last", "nan-first"])
+    def test_nan_gradient_fails_the_row_in_any_probe_order(self, probes):
+        # two edges of slope 1.7e308 into one neuron: the sum overflows near
+        # x = (0.9, 0.9), where the differences are inf - inf
+        steep = line_spline(0.0, 1.0, 0.0, 1.7e308)
+        net = network((2, 1), (steep,), [[(0, 0, 0), (1, 0, 0)]], (("x1", "x2"), ("node0",)))
+        bound = jacobian_lower_bound(net, np.array(probes))
+        assert math.isnan(bound)
+        assert not jacobian_row(bound, lipschitz_product(net).product).ok
 
     def test_identity_net_equality(self):
         net = _single_edge_net(line_spline(0, 1, 0, 1))
@@ -728,7 +740,7 @@ class TestSerialization:
         (lambda doc: doc["layers"][1][1].__setitem__(2, 0.0), "$.layers[1][1]"),
         (lambda doc: doc["layers"][1][1].__setitem__(0, True), "$.layers[1][1]"),
         (lambda doc: doc["layers"][1][1].__setitem__(2, False), "$.layers[1][1]"),
-        (lambda doc: doc["layers"].__setitem__(2, {}), "$.layers[2]"),
+        (lambda doc: doc["layers"].__setitem__(1, {}), "$.layers[1]"),
         (lambda doc: doc.pop("splines"), "$.splines"),
         (lambda doc: doc.__setitem__("splines", {}), "$.splines"),
         (lambda doc: doc["splines"].__setitem__(0, [1, 2]), "$.splines[0]"),
@@ -757,7 +769,7 @@ class TestSerialization:
         # at the second occurrence
         assert exc.value.path == "$.layers[1][2]"
 
-    # x1*x2 has widths [2, 2, 2, 1], a 5-entry table, and two edges in layer 1
+    # x1*x2 has widths [2, 2, 1], a 4-entry table, and two edges in layer 1
     @pytest.mark.parametrize("edit, path", [
         (lambda doc: doc.update(widths=[2], layers=[], wire_tags=[["x1", "x2"]]), "$.widths"),
         (lambda doc: doc["widths"].__setitem__(1, 0), "$.widths[1]"),
@@ -768,8 +780,8 @@ class TestSerialization:
         (lambda doc: doc["wire_tags"][1].append("extra"), "$.wire_tags[1]"),
         (lambda doc: doc["layers"][1][1].__setitem__(0, 2), "$.layers[1][1]"),
         (lambda doc: doc["layers"][1][1].__setitem__(0, -1), "$.layers[1][1]"),
-        (lambda doc: doc["layers"][2][1].__setitem__(1, 1), "$.layers[2][1]"),
-        (lambda doc: doc["layers"][1][1].__setitem__(2, 5), "$.layers[1][1]"),
+        (lambda doc: doc["layers"][1][1].__setitem__(1, 1), "$.layers[1][1]"),
+        (lambda doc: doc["layers"][1][1].__setitem__(2, 4), "$.layers[1][1]"),
         (lambda doc: doc["layers"][1][1].__setitem__(2, -1), "$.layers[1][1]"),
         (lambda doc: doc["layers"][0].append([1, 0, 4]), "$.layers[0][4]"),
         (lambda doc: doc.update(widths=[MAX_COORD + 1] + doc["widths"][1:],

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from kanforge.cli import random_tree
 from kanforge.compiler import _build_blocks
 from kanforge.exprtree import OpKind, parse_expression
+from kanforge.kernels import eval_spline_batch
 from kanforge.primblocks import EdgeSplines, build_block
 from kanforge.rangecert import Interval, annotate_ranges
-from kanforge.spline import spline_lipschitz, sup_error
+from kanforge.spline import line_spline, quarter_square, spline_lipschitz, sup_error
 
 from conftest import node_annotation
 
@@ -39,6 +40,15 @@ def _measured_lambda(b) -> float:
     for edges in b.layers:
         prod *= max(spline_lipschitz(s) for _, _, s in edges)
     return prod
+
+
+def _quarter_square(r: Interval):
+    """t^2/4 on r as its own edge: the constant line on [c, c + 1] for a
+    point interval [c, c]."""
+    if r.lo < r.hi:
+        return quarter_square(r.lo, r.hi)
+    v = r.lo * r.lo / 4.0
+    return line_spline(r.lo, r.lo + 1.0, v, v)
 
 
 def _block(expr: str, *domains: Interval, G: int = 35):
@@ -95,7 +105,7 @@ class TestMul:
         assert _forward(b, 0.5, 0.5) == pytest.approx(0.25, abs=1e-15)
         assert b.lambda_op == 1.0
         assert b.eps_op == 0.0
-        assert b.c_op == 3
+        assert b.c_op == 2
 
     def test_zero_to_b_domain_lambda_is_b(self):
         for B in (2.0, 3.0, 5.0):
@@ -109,12 +119,33 @@ class TestMul:
 
     def test_internal_ranges(self):
         _, b = _block("x1*x2", U, U)
-        (r_a, r_b), (r_p, r_q), (out,) = b.neuron_ranges
+        (r_a, r_b), (out,) = b.neuron_ranges
         assert r_a == Interval(0, 2)
         assert r_b == Interval(-1, 1)
-        assert r_p == Interval(0, 1)
-        assert r_q == Interval(0, 0.25)
         assert out == Interval(0, 1)
+
+    @given(intervals, intervals)
+    @settings(max_examples=120, deadline=None)
+    def test_layer_two_squares_and_negates(self, g, h):
+        # neuron 0 carries t^2/4 on range(u+v) and neuron 1 its exact
+        # negation on range(u-v), both into the output neuron
+        _, b = _block("x1*x2", g, h)
+        (r_a, r_b), _ = b.neuron_ranges
+        (s0, t0, sq), (s1, t1, neg) = b.layers[1]
+        assert (s0, t0, s1, t1) == (0, 0, 1, 0)
+        square, ref = _quarter_square(r_a), _quarter_square(r_b)
+        for got, want in ((sq, square), (neg, ref)):
+            assert got.order == want.order
+            np.testing.assert_array_equal(got.knots, want.knots)
+        np.testing.assert_array_equal(sq.coefs, square.coefs)
+        np.testing.assert_array_equal(neg.coefs, -ref.coefs)
+        # on the domain and 5% past either end; array_equal compares floats
+        # exactly, with 0.0 equal to -0.0
+        lo, hi = ref.domain
+        ts = np.linspace(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), 401)
+        (got, got_oob), (want, want_oob) = eval_spline_batch(neg, ts), eval_spline_batch(ref, ts)
+        np.testing.assert_array_equal(got, -want)
+        assert got_oob == want_oob > 0
 
     @given(intervals, intervals)
     @settings(max_examples=120, deadline=None)
@@ -186,10 +217,10 @@ class TestCertificate:
         a, b = _block("x1*x2", U, U)
         assert (b.lambda_op, b.eps_op, b.lambda_op <= a.block_bound) == (1.0, 0.0, True)
 
-    def test_scaled_mul_has_cubed_headroom(self):
+    def test_scaled_mul_has_squared_headroom(self):
         a, b = _block("x1*x2", Interval(0, 2), Interval(0, 2))
         assert b.lambda_op == 2.0
-        assert a.block_bound == 8.0  # max(2,1)^3
+        assert a.block_bound == 4.0  # max(2,1)^2
         assert b.lambda_op <= a.block_bound
 
     def test_coarse_trig_grid(self):

@@ -135,13 +135,13 @@ class TestAnnotate:
         ann = annotate_ranges(parse_expression("sin(x1*x2)")).annotations
         assert [(nid, a.node_id) for nid, a in sorted(ann.items())] == [(0, 0), (1, 1)]
         assert ann[0].op is OpKind.SIN
-        assert ann[1].c_op == 3
+        assert ann[1].c_op == 2
 
 
 class TestLipBudget:
     def test_xy(self):
         b = lip_budget(annotate_ranges(parse_expression("x1*x2")))
-        assert (b.product_bound, b.l_f, b.c_star) == (1.0, 3, 1.0)
+        assert (b.product_bound, b.l_f, b.c_star) == (1.0, 2, 1.0)
 
     def test_leaf_empty_product(self):
         b = lip_budget(annotate_ranges(Leaf(1)))
@@ -150,9 +150,9 @@ class TestLipBudget:
 
     def test_add_into_mul(self):
         b = lip_budget(annotate_ranges(parse_expression("(x1+x2)*x3")))
-        assert b.product_bound == 8.0  # max(2,1)^3 for the scaled multiplication
+        assert b.product_bound == 4.0  # max(2,1)^2 for the scaled multiplication
         assert b.c_star == 2.0
-        assert b.simplified_bound == 2.0**4
+        assert b.simplified_bound == 2.0**3
 
     @given(tree_strategy())
     @settings(max_examples=150)
@@ -160,7 +160,7 @@ class TestLipBudget:
         ann = annotate_ranges(tree)
         b = lip_budget(ann)
         assert b.product_bound <= b.simplified_bound * (1 + 1e-12)
-        assert b.l_f <= 3 * annotate_ranges(tree).internal
+        assert b.l_f <= 2 * annotate_ranges(tree).internal
 
 
 class TestVerifyRanges:
